@@ -88,7 +88,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
+def _config_value(action: argparse.Action, value):
+    """A config file value converted as the option's flag text would be.
+
+    Raises ValueError when it does not fit the option.
+    """
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise ValueError("expected true or false")
+        return value
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValueError("expected a string or a number")
+    text = str(value)
+    value = action.type(text) if action.type is not None else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"choose from {sorted(action.choices)}")
+    return value
+
+
+def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
+    """Fill the options left at their parser default from ``--config``.
+
+    An explicit flag wins whenever its value differs from the default, also
+    when it is 0.
+    """
     path = getattr(args, "config", None)
     if not path:
         return args
@@ -99,14 +122,18 @@ def _apply_config(args: argparse.Namespace) -> argparse.Namespace:
         raise _CliError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise _CliError(f"config {path} must hold a JSON object")
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)}
     for key, value in data.items():
-        attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
             raise _CliError(f"config {path}: unknown option {key!r}")
-        if getattr(args, attr) in (None, 0.0) or (
-            isinstance(getattr(args, attr), bool) and not getattr(args, attr)
-        ):
-            setattr(args, attr, value)
+        if getattr(args, action.dest) != action.default:
+            continue
+        try:
+            setattr(args, action.dest, _config_value(action, value))
+        except ValueError as exc:
+            raise _CliError(f"config {path}: bad value {value!r} for {key!r}: {exc}")
     return args
 
 
@@ -312,7 +339,7 @@ def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         # argparse prints its own diagnostic; normalize usage errors to 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        args = _apply_config(args)
+        args = _apply_config(parser, args)
         return _HANDLERS[args.command](args)
     except (_CliError, PdeThickError) as exc:
         print(f"pdethick: error: {exc}", file=sys.stderr)

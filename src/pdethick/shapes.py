@@ -182,14 +182,6 @@ class ShapeSpec:
             return self.b_r - self.f_r
         return math.inf
 
-    @property
-    def is_radial(self) -> bool:
-        return self.family in (Family.ANNULUS_WHOLE, Family.ANNULUS_GENERAL)
-
-    @property
-    def is_band(self) -> bool:
-        return self.family in (Family.BAND_WHOLE, Family.BAND_GENERAL)
-
 
 def interval_whole(f_l: float, f_r: float) -> ShapeSpec:
     return ShapeSpec(Family.INTERVAL_WHOLE, f_l, f_r)

@@ -11,9 +11,9 @@
     Dirichlet value (the true solution behaves like r near the axis, and the
     O(h) closure error is exponentially damped before it reaches f_l); the
     grid must satisfy f_l >= 10 h.
-  * Full 2D: bilinear quadrilaterals, the two vector components assembled
-    block-diagonally (the bilinear form decouples componentwise), cellwise
-    characteristic function from the classification, exact per-cell
+  * Full 2D: bilinear quadrilaterals with one scalar operator shared by the
+    two vector components (the bilinear form decouples componentwise),
+    cellwise characteristic function from the classification, exact per-cell
     integration of the basis gradients over shape cells for the load, and
     Dirichlet values on the box boundary plus every node touching an Outside
     cell (staircase boundary).
@@ -22,11 +22,19 @@ Whole-space problems are truncated at distance 28 sqrt(a) beyond the shape
 boundary; the homogeneous-equation decay makes the truncation error at most
 ~exp(-28) < 1e-12, below solver tolerance.
 
+Every system is solved by one preconditioned conjugate-gradient loop, one
+vector component at a time.  1D and radial systems use a Jacobi
+preconditioner.  2D systems use a geometric multigrid V-cycle on the uniform
+grid (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
+2000): bilinear prolongation, Galerkin coarse operators, damped-Jacobi
+smoothing and a dense solve on the coarsest level, so the iteration count
+stays flat as h shrinks.
+
 Assembly walks cells in a fixed order into COO triplets (deterministic
-regardless of any outer parallelism over distinct systems), and the
-conjugate-gradient loop below performs the same floating-point operations on
-every run, so repeated solves of one system reproduce bit-identical results
-on a fixed platform.
+regardless of any outer parallelism over distinct systems), and the solver
+performs the same floating-point operations on every run, so repeated solves
+of one system reproduce bit-identical results on a fixed platform and BLAS
+thread count.
 """
 
 from __future__ import annotations
@@ -51,27 +59,56 @@ MIN_CELLS_ACROSS = 4
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
 
 
-@dataclass
 class SparseSystem:
     """Assembled symmetric system with Dirichlet bookkeeping.
 
-    ``matrix`` contains every node; ``dirichlet_mask`` marks constrained
-    nodes and ``dirichlet_values`` their prescribed values (zero unless a
-    boundary probe sets them).  The reduced matrix after eliminating the
+    The operator is block diagonal: ``n_components`` copies of one scalar
+    ``block``, since the bilinear form decouples componentwise.  A
+    one-component system may be given its ``matrix`` instead, which is then
+    its block.  Reading ``matrix`` builds the full n x n operator anew on
+    each read; the solver works on ``block`` alone.
+
+    ``dirichlet_mask`` marks constrained nodes, the same ones in every
+    component, and ``dirichlet_values`` their prescribed values (zero unless
+    a boundary probe sets them).  The reduced block after eliminating the
     constrained nodes is symmetric positive definite.
     """
 
-    n: int
-    matrix: sp.csr_matrix
-    rhs: np.ndarray
-    dirichlet_mask: np.ndarray
-    grid: Optional[StructuredGrid] = None
-    n_components: int = 1
-    classification: Optional[CellClassification] = None
-    dirichlet_values: Optional[np.ndarray] = None
+    def __init__(
+        self,
+        *,
+        n: int,
+        rhs: np.ndarray,
+        dirichlet_mask: np.ndarray,
+        matrix: Optional[sp.csr_matrix] = None,
+        block: Optional[sp.csr_matrix] = None,
+        grid: Optional[StructuredGrid] = None,
+        n_components: int = 1,
+        classification: Optional[CellClassification] = None,
+        dirichlet_values: Optional[np.ndarray] = None,
+    ):
+        if (matrix is None) == (block is None) or (matrix is not None and n_components != 1):
+            raise GridError("give a one-component system its matrix, any other its block")
+        m = n // n_components
+        if not (dirichlet_mask.reshape(n_components, m) == dirichlet_mask[:m]).all():
+            raise GridError("every component needs the same Dirichlet mask")
+        self.n = n
+        self.block = matrix if block is None else block
+        self.rhs = rhs
+        self.dirichlet_mask = dirichlet_mask
+        self.grid = grid
+        self.n_components = n_components
+        self.classification = classification
+        self.dirichlet_values = dirichlet_values
+
+    @property
+    def matrix(self) -> sp.csr_matrix:
+        if self.n_components == 1:
+            return self.block
+        return sp.block_diag([self.block] * self.n_components, format="csr")
 
     def symmetry_defect(self) -> float:
-        d = self.matrix - self.matrix.T
+        d = self.block - self.block.T
         return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
 
@@ -80,7 +117,8 @@ class DiscreteField:
     """Nodal solution values; one array per vector component.
 
     2D components are shaped (ny_nodes, nx_nodes); 1D fields hold a single
-    flat array.
+    flat array.  ``iterations`` is the solver's iteration count summed over
+    the components.
     """
 
     grid: Optional[StructuredGrid]
@@ -89,9 +127,6 @@ class DiscreteField:
 
     def flat(self) -> np.ndarray:
         return np.concatenate([c.ravel() for c in self.components])
-
-    def norm_inf(self) -> float:
-        return float(max(np.max(np.abs(c)) for c in self.components))
 
 
 def _locate_node(coords: np.ndarray, value: float, h: float, what: str) -> int:
@@ -300,11 +335,11 @@ _GRAD_Y = np.array([-0.5, -0.5, 0.5, 0.5])
 
 
 def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
-    """(cells, 4) array of global node ids in SW, SE, NE, NW order."""
+    """(cells, 4) int32 array of global node ids in SW, SE, NE, NW order."""
     nx, ny = grid.cells
     nxn, nyn = grid.node_counts()
-    ii = np.arange(nx)
-    jj = np.arange(ny)
+    ii = np.arange(nx, dtype=np.int32)
+    jj = np.arange(ny, dtype=np.int32)
     if grid.periodic_x:
         i_east = (ii + 1) % nx
     else:
@@ -318,13 +353,26 @@ def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
     return conn, nxn * nyn
 
 
+def _scalar_block(conn: np.ndarray, void: np.ndarray, a: float, h: float, n_nodes: int) -> sp.csr_matrix:
+    """One fused 4x4 element matrix per listed cell, summed in cell order.
+
+    Void cells carry  a K + h^2 M,  the others  a K.
+    """
+    stiff = (a * _K2).ravel()
+    vals = np.where(void[:, None], stiff + (h * h * _M2).ravel(), stiff).ravel()
+    rows = np.repeat(conn, 4, axis=1).ravel()
+    cols = np.tile(conn, (1, 4)).ravel()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+
+
 def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
     """Bilinear-quad assembly of the vector weak form on a 2D grid.
 
-    The operator decouples componentwise, so the system is block diagonal
-    with two copies of  a * stiffness + void mass;  the load integrates the
-    basis gradients exactly over shape cells (x gradients for the first
-    block, y gradients for the second).
+    The operator decouples componentwise, so both components share one
+    scalar block  a * stiffness + void mass,  assembled from one fused 4x4
+    element matrix per active cell;  the load integrates the basis
+    gradients exactly over shape cells (x gradients for the first
+    component, y gradients for the second).
     """
     if a <= 0:
         raise GridError(f"need a > 0, got {a}")
@@ -341,31 +389,11 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     h = grid.h
 
     active = labels != CellLabel.OUTSIDE
-    void = labels == CellLabel.VOID
     shape_cells = labels == CellLabel.SHAPE
 
-    # scalar block in COO form, fixed cell order
-    k_cells = np.flatnonzero(active)
-    v_cells = np.flatnonzero(void)
-    blocks = []
-    # stiffness on all active cells
-    c_k = conn[k_cells]
-    rows = np.repeat(c_k, 4, axis=1).ravel()
-    cols = np.tile(c_k, (1, 4)).ravel()
-    vals = np.tile((a * _K2).ravel(), len(k_cells))
-    blocks.append((rows, cols, vals))
-    # void mass
-    if len(v_cells):
-        c_v = conn[v_cells]
-        rows = np.repeat(c_v, 4, axis=1).ravel()
-        cols = np.tile(c_v, (1, 4)).ravel()
-        vals = np.tile((h * h * _M2).ravel(), len(v_cells))
-        blocks.append((rows, cols, vals))
-    rows = np.concatenate([b[0] for b in blocks])
-    cols = np.concatenate([b[1] for b in blocks])
-    vals = np.concatenate([b[2] for b in blocks])
-    scalar = sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
-    matrix = sp.block_diag((scalar, scalar), format="csr")
+    # the copy drops the buffers that tocsr sized for the unsummed triplets
+    void = labels[active] == CellLabel.VOID
+    block = _scalar_block(conn[active], void, a, h, n_nodes).copy()
 
     rhs = np.zeros(2 * n_nodes)
     c_s = conn[shape_cells]
@@ -387,13 +415,23 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     mask = np.concatenate([mask1, mask1])
     return SparseSystem(
         n=2 * n_nodes,
-        matrix=matrix,
+        block=block,
         rhs=rhs,
         dirichlet_mask=mask,
         grid=grid,
         n_components=2,
         classification=cls,
     )
+
+
+#: Damped-Jacobi weight of the multigrid smoother.
+_SMOOTH_OMEGA = 0.8
+#: Smoothing sweeps before and after each coarse correction.
+_SMOOTH_SWEEPS = 2
+#: Coarsening stops at this many unknowns; that level is solved densely.
+_COARSEST_UNKNOWNS = 600
+#: An axis with fewer nodes than this is not coarsened.
+_MIN_COARSEN_NODES = 5
 
 
 def _default_max_iterations(system: SparseSystem, n_free: int) -> int:
@@ -419,49 +457,88 @@ def _field_from_vector(system: SparseSystem, x: np.ndarray, iterations: int) -> 
     return DiscreteField(grid=grid, components=comps, iterations=iterations)
 
 
-def solve_spd(
-    system: SparseSystem,
-    rel_tol: float = 1e-10,
-    max_iterations: Optional[int] = None,
-) -> DiscreteField:
-    """Jacobi-preconditioned conjugate gradients on the reduced system.
+def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarray]:
+    """Linear interpolation along one axis from its even-indexed nodes.
 
-    Iterates until ||r|| <= rel_tol * ||b||; raises
-    :class:`NonConvergenceError` after 10 n (1D) or 50 sqrt(n) (2D)
-    iterations, which indicates an assembly bug or an indefinite system.
-    The iteration count is deterministic for fixed inputs.
+    Returns the (n, n_coarse) prolongation and the fine index of each coarse
+    node.  An open axis also keeps its last node; a periodic axis is a ring,
+    so for even n its last node interpolates from nodes n - 2 and 0.  An
+    axis shorter than ``_MIN_COARSEN_NODES`` is not coarsened.
     """
-    mask = system.dirichlet_mask
-    free = ~mask
-    A = system.matrix
-    n_free = int(np.count_nonzero(free))
-    x_full = np.zeros(system.n)
-    if system.dirichlet_values is not None:
-        x_full[mask] = system.dirichlet_values[mask]
-    b = system.rhs[free]
-    if system.dirichlet_values is not None and np.any(x_full[mask] != 0.0):
-        b = b - A[free][:, mask] @ x_full[mask]
-    if n_free == 0:
-        return _field_from_vector(system, x_full, 0)
-    A_ff = A[free][:, free]
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return _field_from_vector(system, x_full, 0)
+    if n < _MIN_COARSEN_NODES:
+        return sp.identity(n, format="csr"), np.arange(n)
+    coarse = np.arange(0, n, 2)
+    odd = np.arange(1, n, 2)
+    if not periodic and n % 2 == 0:
+        coarse = np.append(coarse, n - 1)
+        odd = odd[:-1]
+    nc = len(coarse)
+    rows = np.concatenate([coarse, odd, odd])
+    cols = np.concatenate([np.arange(nc), (odd - 1) // 2, (odd + 1) // 2 % nc])
+    vals = np.concatenate([np.ones(nc), np.full(2 * len(odd), 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc)), coarse
+
+
+class _Multigrid:
+    """Galerkin multigrid V-cycle for the reduced block of a 2D system.
+
+    Each level keeps the free nodes of a tensor grid.  The prolongation is
+    ``kron(P_y, P_x)`` restricted to the free fine rows and to the coarse
+    nodes whose injected fine node is free, so it has full column rank and
+    every coarse operator ``P^T A P`` stays SPD.  The same damped-Jacobi
+    sweeps before and after each coarse correction keep the cycle
+    symmetric, which makes it a valid CG preconditioner.
+    """
+
+    def __init__(self, A: sp.csr_matrix, grid: StructuredGrid, free: np.ndarray):
+        nx, ny = grid.node_counts()
+        free = free.reshape(ny, nx)
+        self.levels = []
+        while A.shape[0] > _COARSEST_UNKNOWNS and max(nx, ny) >= _MIN_COARSEN_NODES:
+            px, keep_x = _axis_prolongation(nx, grid.periodic_x)
+            py, keep_y = _axis_prolongation(ny, False)
+            coarse_free = free[np.ix_(keep_y, keep_x)]
+            P = sp.kron(py, px, format="csr")[free.ravel()][:, coarse_free.ravel()]
+            R = P.T.tocsr()
+            self.levels.append((A, _SMOOTH_OMEGA / A.diagonal(), P, R))
+            A = (R @ A @ P).tocsr()
+            nx, ny, free = len(keep_x), len(keep_y), coarse_free
+        self.coarse_inverse = np.linalg.inv(A.toarray())
+
+    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+        if level == len(self.levels):
+            return self.coarse_inverse @ r
+        A, weight, P, R = self.levels[level]
+        x = weight * r
+        for _ in range(_SMOOTH_SWEEPS - 1):
+            x += weight * (r - A @ x)
+        x += P @ self(R @ (r - A @ x), level + 1)
+        for _ in range(_SMOOTH_SWEEPS):
+            x += weight * (r - A @ x)
+        return x
+
+
+def _preconditioner(system: SparseSystem, A_ff: sp.csr_matrix, free: np.ndarray):
+    """Multigrid V-cycle on 2D grids, Jacobi otherwise."""
     diag = A_ff.diagonal()
     if np.any(diag <= 0):
         raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
+    grid = system.grid
+    if grid is not None and grid.dim == 2:
+        return _Multigrid(A_ff, grid, free)
     inv_diag = 1.0 / diag
-    if max_iterations is None:
-        max_iterations = _default_max_iterations(system, n_free)
+    return lambda r: inv_diag * r
 
-    x = np.zeros(n_free)
+
+def _pcg(A, b, b_norm, precondition, rel_tol, max_iterations) -> Tuple[np.ndarray, int]:
+    """CG from x = 0 until ||r|| <= rel_tol * b_norm; returns x and the iterations."""
+    x = np.zeros(len(b))
     r = b.copy()
-    z = inv_diag * r
+    z = precondition(r)
     p = z.copy()
     rz = float(r @ z)
-    iterations = 0
     for iterations in range(1, max_iterations + 1):
-        Ap = A_ff @ p
+        Ap = A @ p
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise NonConvergenceError("nonpositive curvature; system not SPD")
@@ -469,16 +546,68 @@ def solve_spd(
         x += alpha * p
         r -= alpha * Ap
         if float(np.linalg.norm(r)) <= rel_tol * b_norm:
-            break
-        z = inv_diag * r
+            return x, iterations
+        z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
-    else:
-        raise NonConvergenceError(
-            f"CG did not reach {rel_tol} in {max_iterations} iterations"
-        )
-    x_full[free] = x
+    raise NonConvergenceError(
+        f"CG did not reach {rel_tol} in {max_iterations} iterations"
+    )
+
+
+def solve_spd(
+    system: SparseSystem,
+    rel_tol: float = 1e-10,
+    max_iterations: Optional[int] = None,
+) -> DiscreteField:
+    """Preconditioned conjugate gradients on the reduced block, per component.
+
+    The constrained nodes are eliminated once from the shared block.  1D,
+    radial and grid-less systems are preconditioned by its diagonal
+    (Jacobi); 2D systems by a multigrid V-cycle whose hierarchy is built
+    once and serves every component.  Each component iterates until
+    ||r_k|| <= rel_tol * ||b_k||; one whose reduced right-hand side is zero
+    stays zero after 0 iterations.  Raises :class:`NonConvergenceError`
+    when a component needs more than ``max_iterations``, by default 10 n
+    (1D) or 50 sqrt(n) (2D) for the n free unknowns of all components,
+    which indicates an assembly bug or an indefinite system.  The returned
+    iteration count is the sum over components and is deterministic for
+    fixed inputs.
+    """
+    k = system.n_components
+    m = system.n // k
+    mask = system.dirichlet_mask[:m]
+    free = ~mask
+    n_free = int(np.count_nonzero(free))
+    x_full = np.zeros(system.n)
+    if system.dirichlet_values is not None:
+        x_full[system.dirichlet_mask] = system.dirichlet_values[system.dirichlet_mask]
+    if n_free == 0:
+        return _field_from_vector(system, x_full, 0)
+    rows = system.block[free]
+    x_comps = x_full.reshape(k, m)
+    loads = []
+    for c in range(k):
+        b = system.rhs[c * m:(c + 1) * m][free]
+        if np.any(x_comps[c][mask] != 0.0):
+            b = b - rows[:, mask] @ x_comps[c][mask]
+        loads.append(b)
+    A_ff = rows[:, free]
+    del rows  # not held through the solve: it would raise the peak memory
+    if max_iterations is None:
+        max_iterations = _default_max_iterations(system, k * n_free)
+    precondition = None
+    iterations = 0
+    for c, b in enumerate(loads):
+        b_norm = float(np.linalg.norm(b))
+        if b_norm == 0.0:
+            continue
+        if precondition is None:
+            precondition = _preconditioner(system, A_ff, free)
+        x, its = _pcg(A_ff, b, b_norm, precondition, rel_tol, max_iterations)
+        x_comps[c][free] = x
+        iterations += its
     return _field_from_vector(system, x_full, iterations)
 
 
@@ -506,7 +635,7 @@ def homogeneous_boundary_probe(
         values = flat
     probe = SparseSystem(
         n=system.n,
-        matrix=system.matrix,
+        block=system.block,
         rhs=np.zeros(system.n),
         dirichlet_mask=system.dirichlet_mask,
         grid=system.grid,

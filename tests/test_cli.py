@@ -101,6 +101,27 @@ class TestConfigFile:
         assert code == 0
         assert json.loads(out)["thickness_pde"] == pytest.approx(1.2)
 
+    def test_explicit_zero_flag_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "interval-whole", "fl": 0.5, "fr": 1.0, "a": 0.04}))
+        code, out, _ = run(["analytic", "--config", str(cfg), "--fl", "0"], capsys)
+        assert code == 0
+        record = json.loads(out)
+        assert record["f_l"] == 0.0
+        assert record["thickness_pde"] == pytest.approx(1.4)
+
+    def test_config_values_go_through_flag_types(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"family": "interval-whole", "fl": 0, "fr": "1", "a": "0.04"}))
+        code, out, _ = run(["analytic", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["thickness_pde"] == pytest.approx(1.4)
+        for bad in ({"a": "0.04x"}, {"a": True}, {"family": "disc"}, {"pretty": 1}):
+            cfg.write_text(json.dumps(bad))
+            code, _, err = run(["analytic", "--config", str(cfg)], capsys)
+            assert code == 2
+            assert repr(next(iter(bad))) in err
+
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"bogus": 1}))

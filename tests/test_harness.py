@@ -117,6 +117,25 @@ class TestVerify:
             if name != "bessel-ratio-bounds":
                 assert check.passed, name
 
+    def test_raising_check_is_recorded_not_fatal(self, monkeypatch):
+        def broken(rng):
+            raise ValueError("injected")
+
+        checks = [
+            (name, broken if name == "band-whole-equality" else fn)
+            for name, fn in harness._ANALYTIC_CHECKS
+        ]
+        monkeypatch.setattr(harness, "_ANALYTIC_CHECKS", checks)
+        report = harness.verify_theorems("analytic")
+        by_name = {c.case: c for c in report.checks}
+        assert list(by_name) == [name for name, _ in checks]
+        assert not report.passed
+        assert not by_name["band-whole-equality"].passed
+        assert by_name["band-whole-equality"].error_message == "ValueError: injected"
+        for name, check in by_name.items():
+            if name != "band-whole-equality":
+                assert check.passed, name
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(Exception):
             harness.verify_theorems("nope")

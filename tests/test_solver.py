@@ -273,3 +273,152 @@ class TestSerialization:
         assert len(cols["x"]) == nxn * nyn
         back = np.array(cols["s_y"]).reshape(nyn, nxn)
         assert np.array_equal(back, field.components[1])
+
+
+def _component_iterations(system):
+    """Iterations of each component, solved with the other loads zeroed."""
+    m = system.n // system.n_components
+    counts = []
+    for c in range(system.n_components):
+        rhs = np.zeros(system.n)
+        rhs[c * m:(c + 1) * m] = system.rhs[c * m:(c + 1) * m]
+        alone = solver.SparseSystem(
+            n=system.n,
+            block=system.block,
+            rhs=rhs,
+            dirichlet_mask=system.dirichlet_mask,
+            grid=system.grid,
+            n_components=system.n_components,
+        )
+        counts.append(solver.solve_spd(alone).iterations)
+    return counts
+
+
+def _direct_reference(system, values=None):
+    """Sparse direct solve of every component on the reduced block."""
+    from scipy.sparse.linalg import spsolve
+
+    m = system.n // system.n_components
+    mask = system.dirichlet_mask[:m]
+    free = ~mask
+    A = system.block
+    A_ff = A[free][:, free].tocsc()
+    x = np.zeros(system.n) if values is None else np.where(system.dirichlet_mask, values, 0.0)
+    for c in range(system.n_components):
+        xc = x[c * m:(c + 1) * m]
+        b = system.rhs[c * m:(c + 1) * m][free] - A[free][:, mask] @ xc[mask]
+        xc[free] = spsolve(A_ff, b)
+    return x
+
+
+def _narrow_band_system(a=0.04):
+    # 7 periodic x nodes: after one coarsening the x axis has 4 nodes and
+    # only y is coarsened further
+    band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=0.05)
+    grid = harness.band_general_grid(band, 1.0 / 128)
+    assert grid.node_counts()[0] == 7
+    return solver.assemble_2d(grid, band, a)
+
+
+class TestMultigrid:
+    @pytest.mark.parametrize("a", [0.04, 0.01])
+    def test_annulus_iterations_flat_in_h(self, a):
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = harness.annulus_general_grid(ann, np.sqrt(a) / 8)
+        counts = _component_iterations(solver.assemble_2d(grid, ann, a))
+        assert all(0 < k <= 12 for k in counts), counts
+
+    @pytest.mark.parametrize("a", [0.02, 0.004])
+    def test_wavy_band_iterations_flat_in_h(self, a):
+        band = harness.canonical_wavy_band()
+        grid = harness.band_general_grid(band, np.sqrt(a) / 8)
+        assert grid.node_counts()[0] % 2 == 1
+        counts = _component_iterations(solver.assemble_2d(grid, band, a))
+        assert counts[0] == 0  # flat interfaces: no x load
+        assert 0 < counts[1] <= 12, counts
+
+    def test_axis_prolongation(self):
+        for n, periodic in ((9, False), (10, False), (9, True), (10, True), (4, True)):
+            P, coarse = solver._axis_prolongation(n, periodic)
+            assert P.shape == (n, len(coarse))
+            assert np.allclose(np.asarray(P.sum(axis=1)).ravel(), 1.0)
+            assert np.array_equal(P.toarray()[coarse], np.eye(len(coarse)))
+        assert solver._axis_prolongation(4, True)[1].tolist() == [0, 1, 2, 3]
+        assert solver._axis_prolongation(10, False)[1].tolist() == [0, 2, 4, 6, 8, 9]
+        assert solver._axis_prolongation(10, True)[0].toarray()[9].tolist() == [0.5, 0, 0, 0, 0.5]
+
+    def test_semi_coarsening(self):
+        system = _narrow_band_system()
+        free = ~system.dirichlet_mask[: system.n // 2]
+        mg = solver._Multigrid(system.block[free][:, free], system.grid, free)
+        assert len(mg.levels) == 2
+        assert mg.coarse_inverse.shape[0] < mg.levels[1][0].shape[0] < mg.levels[0][0].shape[0]
+        assert _component_iterations(system)[1] <= 12
+
+    @pytest.mark.parametrize("case", ["annulus", "wavy", "narrow"])
+    def test_matches_sparse_direct(self, case):
+        if case == "annulus":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            system = solver.assemble_2d(harness.annulus_general_grid(ann, 0.025), ann, 0.04)
+        elif case == "wavy":
+            band = harness.canonical_wavy_band()
+            system = solver.assemble_2d(harness.band_general_grid(band, np.sqrt(0.02) / 8), band, 0.02)
+        else:
+            system = _narrow_band_system()
+        field = solver.solve_spd(system)
+        ref = _direct_reference(system)
+        assert np.max(np.abs(field.flat() - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_probe_with_data_on_both_components(self):
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = harness.annulus_general_grid(ann, 0.05)
+        system = solver.assemble_2d(grid, ann, 0.04)
+        X, Y = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
+        data = np.concatenate([(np.cos(X) * Y).ravel(), (X + Y**2).ravel()])
+        field = solver.homogeneous_boundary_probe(system, data)
+        assert field.iterations > 0
+        flat = field.flat()
+        assert np.array_equal(flat[system.dirichlet_mask], data[system.dirichlet_mask])
+        probe = solver.SparseSystem(
+            n=system.n,
+            block=system.block,
+            rhs=np.zeros(system.n),
+            dirichlet_mask=system.dirichlet_mask,
+            n_components=2,
+        )
+        ref = _direct_reference(probe, data)
+        assert np.max(np.abs(flat - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    def test_repeat_solves_bit_identical(self):
+        band = harness.canonical_wavy_band()
+        system = solver.assemble_2d(harness.band_general_grid(band, 0.02), band, 0.02)
+        f1 = solver.solve_spd(system)
+        f2 = solver.solve_spd(system)
+        assert f1.iterations == f2.iterations
+        assert all(np.array_equal(c1, c2) for c1, c2 in zip(f1.components, f2.components))
+
+    def test_zero_load_component_is_exactly_zero(self):
+        band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
+        system = solver.assemble_2d(harness.band_general_grid(band, 1.0 / 32), band, 0.04)
+        field = solver.solve_spd(system)
+        assert not np.any(field.components[0])
+        assert np.any(field.components[1])
+        assert field.iterations == _component_iterations(system)[1]
+
+    def test_full_matrix_is_block_diagonal(self):
+        system = _narrow_band_system()
+        m = system.n // 2
+        A = system.matrix
+        assert A.shape == (system.n, system.n)
+        assert (A[:m, :m] != system.block).nnz == 0
+        assert (A[m:, m:] != system.block).nnz == 0
+        assert A[:m, m:].nnz == 0
+
+    def test_components_must_share_the_mask(self):
+        system = _narrow_band_system()
+        mask = system.dirichlet_mask.copy()
+        mask[-1] = not mask[-1]
+        with pytest.raises(GridError):
+            solver.SparseSystem(
+                n=system.n, block=system.block, rhs=system.rhs, dirichlet_mask=mask, n_components=2
+            )
