@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence, TextIO, Tuple, Union
+from itertools import chain
+from typing import Iterable, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
@@ -330,30 +331,63 @@ def geometric_thickness_oracle(grid: StructuredGrid, shape: ShapeSpec) -> Thickn
     return ThicknessField(grid=grid, values=values, mask=mask)
 
 
+#: Lines formatted by one ``%`` operation in ``write_csv``.
+CSV_CHUNK_LINES = 4096
+
+
+def write_csv(target: Union[str, TextIO], header: str, blocks: Iterable[tuple]) -> None:
+    """Write ``header``, then blocks of lines, to a path or an open text handle.
+
+    A block ``(line, columns)`` is one line per row of ``columns``, equal-length
+    1D arrays whose row ``i`` fills the ``%`` fields of the template ``line``.
+    Lines are formatted ``CSV_CHUNK_LINES`` at a time by one ``%`` operation
+    and written as they are formed, so the file is never held whole.
+    ``"%.17g" % v`` gives the bytes of ``f"{v:.17g}"``, ``nan`` and ``-0`` included.
+    """
+    if isinstance(target, str):
+        with open(target, "w") as handle:
+            return write_csv(handle, header, blocks)
+    target.write(header)
+    for line, columns in blocks:
+        n = len(columns[0])
+        for lo in range(0, n, CSV_CHUNK_LINES):
+            rows = zip(*(c[lo:lo + CSV_CHUNK_LINES].tolist() for c in columns))
+            target.write(line * min(CSV_CHUNK_LINES, n - lo) % tuple(chain.from_iterable(rows)))
+
+
+def write_grid_csv(
+    target: Union[str, TextIO],
+    axes: Sequence[np.ndarray],
+    names: Sequence[str],
+    columns: Sequence[np.ndarray],
+    mask: Optional[np.ndarray] = None,
+) -> None:
+    """CSV ``x[,y],<names>`` over grid points, x fastest, 17 significant digits.
+
+    ``axes`` holds the x and, in 2D, the y coordinates; ``columns`` and the
+    selecting ``mask`` are shaped ``(nx,)`` or ``(ny, nx)``.  Each coordinate is
+    formatted once: x values enter the lines as strings, and each y value goes
+    into its row's template as text, since a formatted float holds no ``%``.
+    """
+    xs = np.array(["%.17g" % x for x in axes[0].tolist()], dtype=object)
+    fields = ",%.17g" * len(columns) + "\n"
+    if len(axes) == 1:  # one row: the whole 1D grid
+        rows = [(Ellipsis, "%s" + fields)]
+    else:
+        rows = [(j, "%s," + "%.17g" % y + fields) for j, y in enumerate(axes[1].tolist())]
+    if mask is None:
+        mask = np.ones(columns[0].shape, dtype=bool)
+    blocks = (
+        (line, [v[mask[row]] for v in [xs, *(c[row] for c in columns)]]) for row, line in rows
+    )
+    write_csv(target, ",".join(["x", "y"][: len(axes)] + list(names)) + "\n", blocks)
+
+
 def write_thickness_csv(field: ThicknessField, target: Union[str, TextIO]) -> None:
     """CSV dump ``x[,y],thickness`` over shape cells, 17 significant digits."""
     grid = field.grid
-    close = False
-    if isinstance(target, str):
-        handle = open(target, "w")
-        close = True
-    else:
-        handle = target
-    try:
-        if grid.dim == 1:
-            handle.write("x,thickness\n")
-            x = grid.cell_centers(0)
-            for i in np.flatnonzero(field.mask):
-                handle.write(f"{x[i]:.17g},{field.values[i]:.17g}\n")
-        else:
-            handle.write("x,y,thickness\n")
-            cx = grid.cell_centers(0)
-            cy = grid.cell_centers(1)
-            for j, i in np.argwhere(field.mask):
-                handle.write(f"{cx[i]:.17g},{cy[j]:.17g},{field.values[j, i]:.17g}\n")
-    finally:
-        if close:
-            handle.close()
+    axes = [grid.cell_centers(d) for d in range(grid.dim)]
+    write_grid_csv(target, axes, ["thickness"], [field.values], field.mask)
 
 
 def shape_area(classification: CellClassification) -> float:

@@ -70,17 +70,25 @@ class PeriodicBoundary:
         return out
 
     def extremes(self, samples: int = 8192) -> tuple:
-        """(min, max) over one period, by dense sampling.
+        """(min, max) of the series at ``samples`` equispaced points of one period.
 
-        Exact for constants and single harmonics sampled on period points;
-        for richer series this is a sampling estimate, refined by the
-        coefficient bound |b - mean| <= sum |coeffs|.
+        Exact for constants; otherwise the true extremes can lie beyond the
+        sampled ones by up to ``sampling_gap(samples)``.
         """
         if self.is_constant:
             return (self.mean, self.mean)
         xs = np.linspace(0.0, self.period, samples, endpoint=False)
         vals = self(xs)
         return (float(vals.min()), float(vals.max()))
+
+    def sampling_gap(self, samples: int = 8192) -> float:
+        """Bound on how far the true extremes lie beyond ``extremes(samples)``.
+
+        Every point is within half a sample spacing ``period/samples`` of a
+        sample, and the slope is at most ``2 pi/period * sum_k k (|cos_k| + |sin_k|)``.
+        """
+        coeffs = (self.cosine_coeffs, self.sine_coeffs)
+        return math.pi / samples * sum(k * abs(c) for cs in coeffs for k, c in enumerate(cs, 1))
 
 
 BoundarySpec = Union[float, PeriodicBoundary, None]
@@ -147,7 +155,10 @@ class ShapeSpec:
                 and math.isclose(b_r.period, self.L, rel_tol=1e-12)
             ):
                 raise InvalidShapeError("boundary periods must equal the band period L")
-            if not (b_l.extremes()[1] < self.f_l and self.f_r < b_r.extremes()[0]):
+            # the sampled extremes, widened by their sampling gap, bound the true ones
+            max_b_l = b_l.extremes()[1] + b_l.sampling_gap()
+            min_b_r = b_r.extremes()[0] - b_r.sampling_gap()
+            if not (max_b_l < self.f_l and self.f_r < min_b_r):
                 raise InvalidShapeError("need max b_l < f_l < f_r < min b_r")
             object.__setattr__(self, "b_l", b_l)
             object.__setattr__(self, "b_r", b_r)

@@ -48,6 +48,7 @@ import scipy.sparse as sp
 
 from .errors import GridError, NonConvergenceError, NonNodalInterfaceError
 from .geometry import CellClassification, CellLabel, StructuredGrid, classify_cells
+from .geometry import write_csv, write_grid_csv
 from .shapes import ShapeSpec
 
 #: Truncation distance (in units of sqrt(a)) for whole-space domains.
@@ -647,20 +648,19 @@ def homogeneous_boundary_probe(
 
 
 def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:
-    """Debug dump ``row col value`` with 1-based indices."""
-    coo = system.matrix.tocoo()
-    close = False
-    if isinstance(target, str):
-        handle = open(target, "w")
-        close = True
-    else:
-        handle = target
-    try:
-        for r, c, v in zip(coo.row, coo.col, coo.data):
-            handle.write(f"{r + 1} {c + 1} {v:.17g}\n")
-    finally:
-        if close:
-            handle.close()
+    """Debug dump ``row col value`` with 1-based indices.
+
+    Entries follow ``system.matrix.tocoo()``: component ``k`` repeats the
+    shared block's entries shifted by ``k*m`` rows and columns, so the full
+    operator is never built.
+    """
+    coo = system.block.tocoo()
+    m = coo.shape[0]
+    blocks = (
+        ("%d %d %.17g\n", [coo.row + (k * m + 1), coo.col + (k * m + 1), coo.data])
+        for k in range(system.n_components)
+    )
+    write_csv(target, "", blocks)
 
 
 def write_field_csv(field: DiscreteField, target: Union[str, TextIO]) -> None:
@@ -668,29 +668,5 @@ def write_field_csv(field: DiscreteField, target: Union[str, TextIO]) -> None:
     grid = field.grid
     if grid is None:
         raise GridError("field has no grid attached")
-    close = False
-    if isinstance(target, str):
-        handle = open(target, "w")
-        close = True
-    else:
-        handle = target
-    try:
-        if grid.dim == 1:
-            handle.write("x,s_x\n")
-            x = grid.node_coords(0)
-            s = field.components[0]
-            for i in range(len(x)):
-                handle.write(f"{x[i]:.17g},{s[i]:.17g}\n")
-        else:
-            handle.write("x,y,s_x,s_y\n")
-            xs = grid.node_coords(0)
-            ys = grid.node_coords(1)
-            sx, sy = field.components
-            for j in range(len(ys)):
-                for i in range(len(xs)):
-                    handle.write(
-                        f"{xs[i]:.17g},{ys[j]:.17g},{sx[j, i]:.17g},{sy[j, i]:.17g}\n"
-                    )
-    finally:
-        if close:
-            handle.close()
+    axes = [grid.node_coords(d) for d in range(grid.dim)]
+    write_grid_csv(target, axes, ["s_x", "s_y"][: grid.dim], field.components)

@@ -20,7 +20,7 @@ from typing import TextIO, Union
 import numpy as np
 
 from .errors import DomainError, EmptyShapeError, GridError
-from .geometry import CellClassification, StructuredGrid
+from .geometry import CellClassification, StructuredGrid, write_grid_csv
 from .solver import DiscreteField
 
 #: |div| below DIV_FLOOR_REL * (2 / (sqrt(a) T_bar)) counts as singular.
@@ -138,32 +138,8 @@ def write_inverse_thickness_csv(
     grid = field.grid
     floor = DIV_FLOOR_REL * (2.0 / (math.sqrt(field.a) * geometric_thickness))
     floor_inv = 0.5 * math.sqrt(field.a) * floor
-    close = False
-    if isinstance(target, str):
-        handle = open(target, "w")
-        close = True
-    else:
-        handle = target
-
-    def thickness_of(inv):
-        return 1.0 / inv if abs(inv) > floor_inv else math.nan
-
-    try:
-        if grid.dim == 1:
-            handle.write("x,inv_thickness,thickness\n")
-            x = grid.cell_centers(0)
-            for i in np.flatnonzero(field.mask):
-                inv = field.values[i]
-                handle.write(f"{x[i]:.17g},{inv:.17g},{thickness_of(inv):.17g}\n")
-        else:
-            handle.write("x,y,inv_thickness,thickness\n")
-            cx = grid.cell_centers(0)
-            cy = grid.cell_centers(1)
-            for j, i in np.argwhere(field.mask):
-                inv = field.values[j, i]
-                handle.write(
-                    f"{cx[i]:.17g},{cy[j]:.17g},{inv:.17g},{thickness_of(inv):.17g}\n"
-                )
-    finally:
-        if close:
-            handle.close()
+    inv = field.values
+    with np.errstate(divide="ignore"):
+        direct = np.where(np.abs(inv) > floor_inv, 1.0 / inv, math.nan)
+    axes = [grid.cell_centers(d) for d in range(grid.dim)]
+    write_grid_csv(target, axes, ["inv_thickness", "thickness"], [inv, direct], field.mask)

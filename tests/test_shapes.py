@@ -82,3 +82,31 @@ class TestPeriodicBoundary:
             L=1.0,
         )
         assert band.margin == pytest.approx(0.4)
+
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    def test_harmonic_between_samples_rejected(self, side):
+        # sin(2 pi 4096 x) vanishes at all 8192 sample points, yet reaches 0.5
+        hidden = (0.0,) * 4095 + (0.5,)
+        if side == "lower":
+            b_l, b_r = shapes.PeriodicBoundary(period=1.0, mean=0.0, sine_coeffs=hidden), 2.0
+        else:
+            b_l, b_r = -1.0, shapes.PeriodicBoundary(period=1.0, mean=1.25, sine_coeffs=hidden)
+        sampled = (b_l if side == "lower" else b_r).extremes()
+        assert max(abs(v - (0.0 if side == "lower" else 1.25)) for v in sampled) < 1e-9
+        with pytest.raises(InvalidShapeError):
+            shapes.band_general(0.25, 1.0, b_l, b_r, L=1.0)
+
+    def test_sampling_gap_bounds_true_extremes(self):
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            b = shapes.PeriodicBoundary(
+                period=2.0,
+                mean=0.0,
+                cosine_coeffs=tuple(rng.standard_normal(40) / np.arange(1, 41)),
+                sine_coeffs=tuple(rng.standard_normal(30)),
+            )
+            lo, hi = b.extremes(samples=64)
+            gap = b.sampling_gap(samples=64)
+            dense = b(np.linspace(0.0, 2.0, 1 << 16, endpoint=False))
+            assert lo - gap <= dense.min() and dense.max() <= hi + gap
+        assert shapes.PeriodicBoundary.constant(0.3).sampling_gap() == 0.0
