@@ -218,33 +218,11 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _grid_for_solve(shape: ShapeSpec, a: float, cells: int):
-    h = shape.thickness / cells
-    if shape.family == Family.INTERVAL_WHOLE:
-        grid = solver.build_interval_grid(shape, h, solver.whole_line_box(shape, a))
-        return grid, "1d"
-    if shape.family == Family.INTERVAL_GENERAL:
-        grid = solver.build_interval_grid(shape, h, (shape.b_l, shape.b_r))
-        return grid, "1d"
-    if shape.family == Family.ANNULUS_WHOLE:
-        return solver.build_radial_grid(shape, h, a=a), "radial"
-    if shape.family == Family.BAND_WHOLE:
-        return harness.band_whole_grid(shape, h, a), "2d"
-    if shape.family == Family.BAND_GENERAL:
-        return harness.band_general_grid(shape, h), "2d"
-    return harness.annulus_general_grid(shape, h), "2d"
-
-
 def _cmd_solve(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     _require(args, "a", "cells", "out")
-    grid, kind = _grid_for_solve(shape, args.a, args.cells)
-    if kind == "1d":
-        system = solver.assemble_1d(grid, shape, args.a)
-    elif kind == "radial":
-        system = solver.assemble_radial(grid, shape, args.a)
-    else:
-        system = solver.assemble_2d(grid, shape, args.a)
+    grid = solver.problem_grid(shape, args.a, shape.thickness / args.cells)
+    system = solver.assemble(grid, shape, args.a)
     field = solver.solve_spd(system)
     solver.write_field_csv(field, args.out)
     if args.matrix_out:
@@ -304,21 +282,23 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = harness.verify_theorems(args.suite)
-    text = harness.dumps_json(report.to_dict())
     if args.json_path:
-        with open(args.json_path, "w") as handle:
-            handle.write(text)
-            handle.write("\n")
+        harness.write_report_json(report, args.json_path)
     if args.csv_path:
         with open(args.csv_path, "w") as handle:
             handle.write(report.csv_text())
     if args.pretty:
         for check in report.checks:
-            status = "pass" if check.passed else "FAIL"
-            print(f"{check.case}: {status} ({len(check.samples)} samples)")
+            margin = ""
+            if check.samples:
+                tightest = min(s.bound + s.slack - s.error for s in check.samples)
+                margin = f"  tightest margin {tightest:.3e}"
+            print(f"{check.case:28s} {'pass' if check.passed else 'FAIL'}{margin}")
+            if check.error_message:
+                print(f"{'':28s}      {check.error_message}")
         print(f"suite {report.suite}: {'pass' if report.passed else 'FAIL'}")
-    elif not args.json_path:
-        print(text)
+    elif not args.json_path and not args.csv_path:
+        print(harness.dumps_json(report.to_dict()))
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -154,10 +154,6 @@ class CellClassification:
         return int(np.count_nonzero(self.shape_mask))
 
 
-def _omega_mask_1d(shape: ShapeSpec, x: np.ndarray) -> np.ndarray:
-    return (x > shape.f_l) & (x < shape.f_r)
-
-
 def signed_distance(shape: ShapeSpec, point) -> float:
     """Exact signed distance to the shape boundary, positive inside."""
     fam = shape.family
@@ -173,20 +169,26 @@ def signed_distance(shape: ShapeSpec, point) -> float:
     return min(r - shape.f_l, shape.f_r - r)
 
 
+def _cross_coordinate(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
+    """The coordinate across the shape at every cell center.
+
+    x (or r on radial grids) on 1D grids, y broadcast over the columns on
+    band grids, the radius hypot(x, y) on annulus grids; shaped like the
+    cell labels.
+    """
+    if grid.dim == 1:
+        return grid.cell_centers(0)
+    cy = grid.cell_centers(1)
+    if shape.family in (Family.BAND_WHOLE, Family.BAND_GENERAL):
+        return np.broadcast_to(cy[:, None], (grid.cells[1], grid.cells[0]))
+    xx, yy = np.meshgrid(grid.cell_centers(0), cy)
+    return np.hypot(xx, yy)
+
+
 def _signed_distance_grid(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
     """Vectorized signed distance at all cell centers."""
-    fam = shape.family
-    if grid.dim == 1:
-        x = grid.cell_centers(0)
-        return np.minimum(x - shape.f_l, shape.f_r - x)
-    cx = grid.cell_centers(0)
-    cy = grid.cell_centers(1)
-    if fam in (Family.BAND_WHOLE, Family.BAND_GENERAL):
-        d = np.minimum(cy - shape.f_l, shape.f_r - cy)
-        return np.broadcast_to(d[:, None], (grid.cells[1], grid.cells[0])).copy()
-    xx, yy = np.meshgrid(cx, cy)
-    r = np.hypot(xx, yy)
-    return np.minimum(r - shape.f_l, shape.f_r - r)
+    t = _cross_coordinate(shape, grid)
+    return np.minimum(t - shape.f_l, shape.f_r - t)
 
 
 def _check_coverage(shape: ShapeSpec, grid: StructuredGrid) -> None:
@@ -221,36 +223,18 @@ def _check_coverage(shape: ShapeSpec, grid: StructuredGrid) -> None:
 def classify_cells(grid: StructuredGrid, shape: ShapeSpec) -> CellClassification:
     """Label every cell Shape / Void / Outside by its center point."""
     _check_coverage(shape, grid)
-    fam = shape.family
-    if grid.dim == 1:
-        x = grid.cell_centers(0)
-        in_omega = _omega_mask_1d(shape, x)
-        if fam == Family.INTERVAL_GENERAL:
-            in_domain = (x > shape.b_l) & (x < shape.b_r)
-        else:
-            in_domain = np.ones_like(x, dtype=bool)
-        labels = np.where(in_omega, CellLabel.SHAPE, np.where(in_domain, CellLabel.VOID, CellLabel.OUTSIDE))
-    else:
+    t = _cross_coordinate(shape, grid)
+    in_omega = (t > shape.f_l) & (t < shape.f_r)
+    # the fictitious domain: the grid box itself unless the family bounds it
+    in_domain = True
+    if shape.family == Family.INTERVAL_GENERAL:
+        in_domain = (t > shape.b_l) & (t < shape.b_r)
+    elif shape.family == Family.BAND_GENERAL:
         cx = grid.cell_centers(0)
-        cy = grid.cell_centers(1)
-        if fam in (Family.BAND_WHOLE, Family.BAND_GENERAL):
-            in_omega_col = (cy > shape.f_l) & (cy < shape.f_r)
-            in_omega = np.broadcast_to(in_omega_col[:, None], (grid.cells[1], grid.cells[0]))
-            if fam == Family.BAND_GENERAL:
-                lo = shape.b_l(cx)[None, :]
-                hi = shape.b_r(cx)[None, :]
-                in_domain = (cy[:, None] > lo) & (cy[:, None] < hi)
-            else:
-                in_domain = np.ones((grid.cells[1], grid.cells[0]), dtype=bool)
-        else:
-            xx, yy = np.meshgrid(cx, cy)
-            r = np.hypot(xx, yy)
-            in_omega = (r > shape.f_l) & (r < shape.f_r)
-            # for the general annulus the domain is the grid box itself
-            in_domain = np.ones_like(in_omega, dtype=bool)
-        labels = np.where(
-            in_omega, CellLabel.SHAPE, np.where(in_domain, CellLabel.VOID, CellLabel.OUTSIDE)
-        )
+        in_domain = (t > shape.b_l(cx)[None, :]) & (t < shape.b_r(cx)[None, :])
+    labels = np.where(
+        in_omega, CellLabel.SHAPE, np.where(in_domain, CellLabel.VOID, CellLabel.OUTSIDE)
+    )
     labels = labels.astype(np.uint8)
     chi = (labels == CellLabel.SHAPE).astype(float)
     return CellClassification(grid=grid, labels=labels, chi=chi)

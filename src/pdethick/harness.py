@@ -157,52 +157,6 @@ class ResolutionPolicy:
             )
 
 
-def band_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
-    """Periodic-x grid for a general band, f_l/f_r on nodes.
-
-    Constant, h-commensurate boundaries produce the exact strip (no Outside
-    cells); wavy boundaries get one padding row beyond their extremes and a
-    staircase Dirichlet boundary.
-    """
-    nx = max(4, math.ceil(shape.L / h_target - 1e-9))
-    h = shape.L / nx
-    min_bl, max_bl = shape.b_l.extremes()
-    min_br, max_br = shape.b_r.extremes()
-    flat = shape.b_l.is_constant and shape.b_r.is_constant
-    down = (shape.f_l - min_bl) / h
-    up = (max_br - shape.f_r) / h
-    if flat and abs(down - round(down)) < 1e-9 and abs(up - round(up)) < 1e-9:
-        n_down = round(down)
-        n_up = round(up)
-    else:
-        n_down = math.ceil(down + 1.0 - 1e-9)
-        n_up = math.ceil(up + 1.0 - 1e-9)
-    origin_y = shape.f_l - n_down * h
-    ny = n_down + round(shape.thickness / h) + n_up
-    return StructuredGrid(
-        dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True
-    )
-
-
-def annulus_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
-    """Square box [-b_r, b_r]^2; the box is the fictitious domain itself."""
-    half = shape.b_r
-    n_half = max(4, math.ceil(half / h_target - 1e-9))
-    h = half / n_half
-    n = 2 * n_half
-    return StructuredGrid(dim=2, origin=(-half, -half), h=h, cells=(n, n))
-
-
-def band_whole_grid(shape: ShapeSpec, h_target: float, a: float) -> StructuredGrid:
-    """Periodic flat-band grid truncated 28 sqrt(a) beyond the band."""
-    nx = max(4, math.ceil(shape.L / h_target - 1e-9))
-    h = shape.L / nx
-    pad_cells = math.ceil(solver.TRUNCATION_LAYERS * math.sqrt(a) / h - 1e-9)
-    origin_y = shape.f_l - pad_cells * h
-    ny = pad_cells + round(shape.thickness / h) + pad_cells
-    return StructuredGrid(dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True)
-
-
 @dataclass(frozen=True)
 class GeneralCaseResult:
     a: float
@@ -225,20 +179,15 @@ def run_general_l2_case(
     inverse thickness; bound: the theorem envelope; slack: 2 h / T^2.
     """
     policy = policy or ResolutionPolicy()
-    h_target = policy.target_h(a)
-    if shape.family == Family.BAND_GENERAL:
-        grid = band_general_grid(shape, h_target)
-    elif shape.family == Family.ANNULUS_GENERAL:
-        grid = annulus_general_grid(shape, h_target)
-    else:
-        raise PdeThickError(f"no general-domain runner for family {shape.family}")
+    # raises DomainError, before any solve, for a family without an L2 envelope
+    bound = analytic.general_bound(shape, a)
+    grid = solver.problem_grid(shape, a, policy.target_h(a))
     policy.ensure(grid.h, a)
     system = solver.assemble_2d(grid, shape, a)
     field = solver.solve_spd(system, rel_tol=SOLVER_TOL)
     div = thickness.divergence(field)
     inv = thickness.inverse_thickness(div, a, system.classification)
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
-    bound = analytic.general_bound(shape, a)
     slack = 2.0 * grid.h / shape.thickness**2
     return GeneralCaseResult(
         a=a, h=grid.h, measured_l2=norms.l2_on_omega, bound=bound, slack=slack
@@ -538,10 +487,31 @@ def _check_bessel_ratio_bounds(rng: np.random.Generator) -> TheoremCheck:
     return check
 
 
+def _band_tail_data(grid: StructuredGrid, tail: analytic.AnalyticSolution) -> np.ndarray:
+    """Boundary data (0, s(y)) on a band grid from the whole-line profile ``tail``."""
+    col = np.array([analytic.eval_solution(tail, float(y)).scalar for y in grid.node_coords(1)])
+    n_nodes = int(np.prod(grid.node_counts()))
+    data = np.zeros(2 * n_nodes)
+    data[n_nodes:] = np.repeat(col, grid.node_counts()[0])
+    return data
+
+
+def _annulus_tail_data(grid: StructuredGrid, asol: analytic.AnalyticSolution) -> np.ndarray:
+    """Boundary data (s(r) x/r, s(r) y/r) on a box grid from the radial profile ``asol``."""
+    xx, yy = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
+    rr = np.hypot(xx, yy)
+    s_of_r = np.array(
+        [analytic.eval_solution(asol, float(r)).scalar for r in rr.ravel()]
+    ).reshape(rr.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cx = np.where(rr > 0, xx / rr, 0.0)
+        cy = np.where(rr > 0, yy / rr, 0.0)
+    return np.concatenate([(s_of_r * cx).ravel(), (s_of_r * cy).ravel()])
+
+
 def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSystem", np.ndarray]]:
     """The ten homogeneous probes: (label, system, boundary data)."""
     probes = []
-    sqrt_a = math.sqrt(a)
 
     # 1-3: 1D interval-general with constant, tail, and random smooth data
     ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
@@ -555,8 +525,7 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
     probes.append(("interval-cosine", sys1, np.cos(3.0 * nodes)))
 
     # 4: 1D all-void domain with constant data
-    grid_v = solver.build_interval_grid(ishape, 1.0 / 64, (-1.0, 2.0))
-    sys_v = solver.assemble_1d(grid_v, None, a)
+    sys_v = solver.assemble_1d(grid1, None, a)
     probes.append(("void-const", sys_v, np.ones(sys_v.n)))
 
     # 5-6: radial annulus with constant and tail data
@@ -571,34 +540,17 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
 
     # 7-8: 2D flat band with constant and tail data
     bshape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid_b = band_general_grid(bshape, 1.0 / 16)
+    grid_b = solver.band_general_grid(bshape, 1.0 / 16)
     sys_b = solver.assemble_2d(grid_b, bshape, a)
-    n_nodes = sys_b.n // 2
     probes.append(("band-const", sys_b, np.ones(sys_b.n)))
-    ys = grid_b.node_coords(1)
-    tail_col = np.array([analytic.eval_solution(tail, float(y)).scalar for y in ys])
-    data = np.zeros(sys_b.n)
-    data[n_nodes:] = np.repeat(tail_col, grid_b.node_counts()[0])
-    probes.append(("band-tail", sys_b, data))
+    probes.append(("band-tail", sys_b, _band_tail_data(grid_b, tail)))
 
     # 9-10: 2D annulus box with constant and tail data
     gshape = _shapes.annulus_general(1.0, 2.0, 2.5)
-    grid_g = annulus_general_grid(gshape, math.sqrt(a) / 8.0)
+    grid_g = solver.annulus_general_grid(gshape, math.sqrt(a) / 8.0)
     sys_g = solver.assemble_2d(grid_g, gshape, a)
-    n_nodes_g = sys_g.n // 2
     probes.append(("annulus-box-const", sys_g, np.ones(sys_g.n)))
-    xs = grid_g.node_coords(0)
-    ys = grid_g.node_coords(1)
-    xx, yy = np.meshgrid(xs, ys)
-    rr = np.hypot(xx, yy)
-    s_of_r = np.array(
-        [analytic.eval_solution(asol, float(r)).scalar for r in rr.ravel()]
-    ).reshape(rr.shape)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cx = np.where(rr > 0, xx / rr, 0.0)
-        cy = np.where(rr > 0, yy / rr, 0.0)
-    data = np.concatenate([(s_of_r * cx).ravel(), (s_of_r * cy).ravel()])
-    probes.append(("annulus-box-tail", sys_g, data))
+    probes.append(("annulus-box-tail", sys_g, _annulus_tail_data(grid_g, asol)))
     return probes
 
 
@@ -686,7 +638,7 @@ def _check_band_flat_reduction() -> TheoremCheck:
     a = 0.04
     h = 1.0 / 64
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid2 = band_general_grid(band, h)
+    grid2 = solver.band_general_grid(band, h)
     system2 = solver.assemble_2d(grid2, band, a)
     field2 = solver.solve_spd(system2, rel_tol=SOLVER_TOL)
     ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
@@ -825,13 +777,9 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     """
     if kind == "band":
         shape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = band_general_grid(shape, math.sqrt(a) / 8.0)
+        grid = solver.band_general_grid(shape, math.sqrt(a) / 8.0)
         system = solver.assemble_2d(grid, shape, a)
-        tail = analytic.interval_whole(0.0, 1.0, a)
-        ys = grid.node_coords(1)
-        col = np.array([analytic.eval_solution(tail, float(y)).scalar for y in ys])
-        data = np.zeros(system.n)
-        data[system.n // 2:] = np.repeat(col, grid.node_counts()[0])
+        data = _band_tail_data(grid, analytic.interval_whole(0.0, 1.0, a))
         field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
         lhs = gradient_energy_on_shape(field, system.classification)
         cy = grid.cell_centers(1)
@@ -851,20 +799,9 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
         return lhs, rhs, grid.h
     if kind == "annulus":
         shape = _shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = annulus_general_grid(shape, math.sqrt(a) / 8.0)
+        grid = solver.annulus_general_grid(shape, math.sqrt(a) / 8.0)
         system = solver.assemble_2d(grid, shape, a)
-        asol = analytic.annulus_whole(1.0, 2.0, a)
-        xs = grid.node_coords(0)
-        ys = grid.node_coords(1)
-        xx, yy = np.meshgrid(xs, ys)
-        rr = np.hypot(xx, yy)
-        s_of_r = np.array(
-            [analytic.eval_solution(asol, float(r)).scalar for r in rr.ravel()]
-        ).reshape(rr.shape)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cx = np.where(rr > 0, xx / rr, 0.0)
-            cy_ = np.where(rr > 0, yy / rr, 0.0)
-        data = np.concatenate([(s_of_r * cx).ravel(), (s_of_r * cy_).ravel()])
+        data = _annulus_tail_data(grid, analytic.annulus_whole(1.0, 2.0, a))
         field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
         lhs = gradient_energy_on_shape(field, system.classification)
         K = annulus_cutoff_constant(shape.f_r, shape.b_r)

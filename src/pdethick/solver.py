@@ -18,6 +18,11 @@
     Dirichlet values on the box boundary plus every node touching an Outside
     cell (staircase boundary).
 
+The entry points are ``problem_grid(shape, a, h)``, which builds each
+family's solve grid, and ``assemble(grid, shape, a)``, which picks the 1D,
+radial or 2D assembler from the grid.  1D and radial systems share one
+vectorized P1 assembly of 2x2 element matrices.
+
 Whole-space problems are truncated at distance 28 sqrt(a) beyond the shape
 boundary; the homogeneous-equation decay makes the truncation error at most
 ~exp(-28) < 1e-12, below solver tolerance.
@@ -49,7 +54,7 @@ import scipy.sparse as sp
 from .errors import GridError, NonConvergenceError, NonNodalInterfaceError
 from .geometry import CellClassification, CellLabel, StructuredGrid, classify_cells
 from .geometry import write_csv, write_grid_csv
-from .shapes import ShapeSpec
+from .shapes import Family, ShapeSpec
 
 #: Truncation distance (in units of sqrt(a)) for whole-space domains.
 TRUNCATION_LAYERS = 28.0
@@ -161,61 +166,135 @@ def whole_line_box(shape: ShapeSpec, a: float) -> Tuple[float, float]:
     return (shape.f_l - pad, shape.f_r + pad)
 
 
+def band_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
+    """Periodic-x grid for a general band, f_l/f_r on nodes.
+
+    Constant, h-commensurate boundaries produce the exact strip (no Outside
+    cells); wavy boundaries get one padding row beyond their extremes and a
+    staircase Dirichlet boundary.
+    """
+    nx = max(4, math.ceil(shape.L / h_target - 1e-9))
+    h = shape.L / nx
+    min_bl, max_bl = shape.b_l.extremes()
+    min_br, max_br = shape.b_r.extremes()
+    flat = shape.b_l.is_constant and shape.b_r.is_constant
+    down = (shape.f_l - min_bl) / h
+    up = (max_br - shape.f_r) / h
+    if flat and abs(down - round(down)) < 1e-9 and abs(up - round(up)) < 1e-9:
+        n_down = round(down)
+        n_up = round(up)
+    else:
+        n_down = math.ceil(down + 1.0 - 1e-9)
+        n_up = math.ceil(up + 1.0 - 1e-9)
+    origin_y = shape.f_l - n_down * h
+    ny = n_down + round(shape.thickness / h) + n_up
+    return StructuredGrid(
+        dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True
+    )
+
+
+def annulus_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
+    """Square box [-b_r, b_r]^2; the box is the fictitious domain itself."""
+    half = shape.b_r
+    n_half = max(4, math.ceil(half / h_target - 1e-9))
+    h = half / n_half
+    n = 2 * n_half
+    return StructuredGrid(dim=2, origin=(-half, -half), h=h, cells=(n, n))
+
+
+def band_whole_grid(shape: ShapeSpec, h_target: float, a: float) -> StructuredGrid:
+    """Periodic flat-band grid truncated 28 sqrt(a) beyond the band."""
+    nx = max(4, math.ceil(shape.L / h_target - 1e-9))
+    h = shape.L / nx
+    pad_cells = math.ceil(TRUNCATION_LAYERS * math.sqrt(a) / h - 1e-9)
+    origin_y = shape.f_l - pad_cells * h
+    ny = pad_cells + round(shape.thickness / h) + pad_cells
+    return StructuredGrid(dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True)
+
+
+# each family's solve grid from (shape, a, target spacing)
+_PROBLEM_GRIDS = {
+    Family.INTERVAL_WHOLE: lambda s, a, h: build_interval_grid(s, h, whole_line_box(s, a)),
+    Family.INTERVAL_GENERAL: lambda s, a, h: build_interval_grid(s, h, (s.b_l, s.b_r)),
+    Family.BAND_WHOLE: lambda s, a, h: band_whole_grid(s, h, a),
+    Family.BAND_GENERAL: lambda s, a, h: band_general_grid(s, h),
+    Family.ANNULUS_WHOLE: lambda s, a, h: build_radial_grid(s, h, a=a),
+    Family.ANNULUS_GENERAL: lambda s, a, h: annulus_general_grid(s, h),
+}
+
+
+def problem_grid(shape: ShapeSpec, a: float, h: float) -> StructuredGrid:
+    """The solve grid of ``shape`` at target spacing ``h``.
+
+    Intervals get a 1D grid (whole lines truncated 28 sqrt(a) out), whole
+    annuli a radial grid, bands and boxed annuli a 2D grid.
+    """
+    return _PROBLEM_GRIDS[shape.family](shape, a, h)
+
+
+def assemble(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
+    """The system of ``shape`` on ``grid``: 2D, radial or 1D as the grid is."""
+    if grid.dim == 2:
+        return assemble_2d(grid, shape, a)
+    if grid.radial:
+        return assemble_radial(grid, shape, a)
+    return assemble_1d(grid, shape, a)
+
+
+def _p1_system(grid, cls, blocks, rhs) -> SparseSystem:
+    """One-component system of 2x2 element matrices on nodes (e, e + 1).
+
+    ``blocks`` lists ``(values, keep)``: ``values`` is (cells, 4) in the
+    order 00, 01, 10, 11, and ``keep`` selects the cells that carry it.
+    Element e emits the kept blocks' entries in list order, so the
+    triplets, and the sums tocsr forms from them, are those of a loop over
+    the elements.  Dirichlet nodes: both ends, and any node flanked only by
+    Outside cells.
+    """
+    e = np.arange(grid.cells[0])
+    rows = np.tile(np.stack([e, e, e + 1, e + 1], axis=1), len(blocks))
+    cols = np.tile(np.stack([e, e + 1, e, e + 1], axis=1), len(blocks))
+    vals = np.concatenate([np.broadcast_to(v, (len(e), 4)) for v, _ in blocks], axis=1)
+    keep = np.repeat(np.stack([np.broadcast_to(k, len(e)) for _, k in blocks], axis=1), 4, axis=1)
+    n = len(rhs)
+    matrix = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    mask = np.zeros(n, dtype=bool)
+    mask[0] = mask[-1] = True
+    outside = cls.labels == CellLabel.OUTSIDE
+    mask[1:-1] = outside[:-1] & outside[1:]
+    return SparseSystem(
+        n=n, matrix=matrix, rhs=rhs, dirichlet_mask=mask, grid=grid, classification=cls
+    )
+
+
 def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> SparseSystem:
     """P1 assembly of  a int s'u' + int_void s u = u(f_r) - u(f_l).
 
     ``shape = None`` assembles the all-void homogeneous operator (every cell
     carries the mass term, zero right-hand side), used by boundary probes.
+    Each element emits its stiffness entries, then on void cells its mass
+    entries.
     """
     if a <= 0:
         raise GridError(f"need a > 0, got {a}")
     nodes = grid.node_coords(0)
     n = len(nodes)
     h = grid.h
+    rhs = np.zeros(n)
     if shape is None:
         labels = np.full(grid.cells[0], CellLabel.VOID, dtype=np.uint8)
         cls = CellClassification(grid=grid, labels=labels, chi=np.zeros(grid.cells[0]))
-        idx_l = idx_r = None
     else:
         cls = classify_cells(grid, shape)
         idx_l = _locate_node(nodes, shape.f_l, h, "f_l")
         idx_r = _locate_node(nodes, shape.f_r, h, "f_r")
-
-    rows, cols, vals = [], [], []
-    stiff = a / h
-    for e in range(grid.cells[0]):
-        i, j = e, e + 1
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [stiff, -stiff, -stiff, stiff]
-        if cls.labels[e] == CellLabel.VOID:
-            m = h / 6.0
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [2 * m, m, m, 2 * m]
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
-    rhs = np.zeros(n)
-    if idx_r is not None:
         rhs[idx_r] += 1.0
         rhs[idx_l] -= 1.0
 
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = mask[-1] = True
-    # nodes flanked only by Outside cells are clamped too
-    outside = cls.labels == CellLabel.OUTSIDE
-    for i in range(1, n - 1):
-        if outside[i - 1] and outside[i]:
-            mask[i] = True
-    return SparseSystem(
-        n=n,
-        matrix=matrix,
-        rhs=rhs,
-        dirichlet_mask=mask,
-        grid=grid,
-        n_components=1,
-        classification=cls,
-    )
+    stiff = a / h
+    m = h / 6.0
+    blocks = [([stiff, -stiff, -stiff, stiff], True), ([2 * m, m, m, 2 * m], cls.labels == CellLabel.VOID)]
+    return _p1_system(grid, cls, blocks, rhs)
 
 
 def build_radial_grid(shape: ShapeSpec, h_target: float, R: Optional[float] = None, a: Optional[float] = None) -> StructuredGrid:
@@ -250,7 +329,9 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
       a int (r S_r U_r + S U / r) dr + int_void r S U dr
           = f_r U(f_r) - f_l U(f_l)
 
-    with 2-point Gauss quadrature for all three weights.
+    with 2-point Gauss quadrature for all three weights, summed into one
+    element matrix per cell: stiffness, then the singular mass at each
+    Gauss point, then on void cells the void mass at each Gauss point.
     """
     if a <= 0:
         raise GridError(f"need a > 0, got {a}")
@@ -264,53 +345,31 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
         raise GridError(f"grid too coarse near the axis: need f_l >= 10 h, got h = {h}")
     idx_l = _locate_node(nodes, shape.f_l, h, "f_l")
     idx_r = _locate_node(nodes, shape.f_r, h, "f_r")
-
-    rows, cols, vals = [], [], []
-    for e in range(grid.cells[0]):
-        r0, r1 = nodes[e], nodes[e + 1]
-        mid = 0.5 * (r0 + r1)
-        g = (mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)
-        w = 0.5 * h
-        # stiffness: a * int r phi_i' phi_j', phi' = -/+ 1/h
-        k_fac = a * (w * (g[0] + g[1])) / (h * h)
-        local = [[k_fac, -k_fac], [-k_fac, k_fac]]
-        # singular mass: a * int (1/r) phi_i phi_j
-        for gp in g:
-            phi = ((r1 - gp) / h, (gp - r0) / h)
-            c = a * w / gp
-            for li in range(2):
-                for lj in range(2):
-                    local[li][lj] += c * phi[li] * phi[lj]
-        # void mass: int r phi_i phi_j on void cells
-        if cls.labels[e] == CellLabel.VOID:
-            for gp in g:
-                phi = ((r1 - gp) / h, (gp - r0) / h)
-                c = w * gp
-                for li in range(2):
-                    for lj in range(2):
-                        local[li][lj] += c * phi[li] * phi[lj]
-        for li, gi in ((0, e), (1, e + 1)):
-            for lj, gj in ((0, e), (1, e + 1)):
-                rows.append(gi)
-                cols.append(gj)
-                vals.append(local[li][lj])
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
-
     rhs = np.zeros(n)
     rhs[idx_r] += shape.f_r
     rhs[idx_l] -= shape.f_l
 
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = mask[-1] = True
-    return SparseSystem(
-        n=n,
-        matrix=matrix,
-        rhs=rhs,
-        dirichlet_mask=mask,
-        grid=grid,
-        n_components=1,
-        classification=cls,
-    )
+    r0, r1 = nodes[:-1], nodes[1:]
+    mid = 0.5 * (r0 + r1)
+    g = (mid - _GAUSS_OFFSET * h, mid + _GAUSS_OFFSET * h)
+    w = 0.5 * h
+
+    def weighted_mass(c, gp):  # c phi_i phi_j at Gauss point gp
+        phi = ((r1 - gp) / h, (gp - r0) / h)
+        return np.stack([c * phi[i] * phi[j] for i in range(2) for j in range(2)], axis=1)
+
+    # stiffness: a * int r phi_i' phi_j', phi' = -/+ 1/h
+    k_fac = a * (w * (g[0] + g[1])) / (h * h)
+    local = np.stack([k_fac, -k_fac, -k_fac, k_fac], axis=1)
+    # singular mass: a * int (1/r) phi_i phi_j
+    for gp in g:
+        local = local + weighted_mass(a * w / gp, gp)
+    # void mass: int r phi_i phi_j on void cells
+    void = (cls.labels == CellLabel.VOID)[:, None]
+    for gp in g:
+        local = np.where(void, local + weighted_mass(w * gp, gp), local)
+
+    return _p1_system(grid, cls, [(local, True)], rhs)
 
 
 # bilinear element matrices on an h x h cell, node order SW, SE, NE, NW

@@ -75,7 +75,7 @@ def test_c04_band_reduction():
         a = 0.04
         h = 1.0 / 64
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid2 = harness.band_general_grid(band, h)
+        grid2 = solver.band_general_grid(band, h)
         field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a), rel_tol=SOLVER_TOL)
         ishape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
         grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))

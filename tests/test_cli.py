@@ -266,3 +266,33 @@ class TestVerifyCommand:
         assert code == 0
         cols = harness.load_csv(str(path))
         assert list(cols) == ["case", "a", "error", "bound", "slack", "passed"]
+
+    def test_pretty_prints_each_tightest_margin(self, capsys, tmp_path):
+        path = tmp_path / "v.json"
+        code, out, _ = run(["verify", "--suite", "analytic", "--pretty", "--json", str(path)], capsys)
+        assert code == 0
+        lines = {line.split()[0]: line for line in out.splitlines()}
+        checks = json.loads(path.read_text())["checks"]
+        assert [c["case"] for c in checks] == harness.SUITES["analytic"]
+        for check in checks:
+            tightest = min(s["bound"] + s["slack"] - s["error"] for s in check["samples"])
+            assert lines[check["case"]].endswith(f"pass  tightest margin {tightest:.3e}")
+        assert out.splitlines()[-1] == "suite analytic: pass"
+
+    def test_pretty_prints_error_message(self, capsys, monkeypatch):
+        def broken(rng):
+            raise ValueError("no closed form")
+
+        monkeypatch.setattr(harness, "_ANALYTIC_CHECKS", [("band-whole-equality", broken)])
+        code, out, _ = run(["verify", "--suite", "analytic", "--pretty"], capsys)
+        assert code == 1
+        first, message = out.splitlines()[:2]
+        assert first.split() == ["band-whole-equality", "FAIL"]
+        assert message.strip() == "ValueError: no closed form"
+
+    def test_csv_alone_prints_nothing(self, capsys, tmp_path):
+        path = tmp_path / "verify.csv"
+        code, out, _ = run(["verify", "--suite", "analytic", "--csv", str(path)], capsys)
+        assert code == 0
+        assert out == ""
+        assert path.read_text().startswith("case,a,error,bound,slack,passed\n")

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from pdethick import geometry, harness, shapes, solver, thickness
+from pdethick import geometry, shapes, solver, thickness
 
 # -- reference formatters ------------------------------------------------------
 
@@ -113,9 +113,9 @@ def _system(kind):
         return solver.assemble_radial(solver.build_radial_grid(shape, 1.0 / 64, R=4.0), shape, 0.04)
     if kind == "annulus-box":
         shape = shapes.annulus_general(1.0, 2.0, 2.5)
-        return solver.assemble_2d(harness.annulus_general_grid(shape, 0.1), shape, 0.04)
+        return solver.assemble_2d(solver.annulus_general_grid(shape, 0.1), shape, 0.04)
     shape = _wavy_band()
-    return solver.assemble_2d(harness.band_general_grid(shape, 1.0 / 16), shape, 0.02)
+    return solver.assemble_2d(solver.band_general_grid(shape, 1.0 / 16), shape, 0.02)
 
 
 def _check(tmp_path, write, expected):
@@ -192,7 +192,7 @@ def test_thickness_csv_bytes(tmp_path, chunk, dim):
         grid = geometry.build_grid([(-1, 2)], 60)
         field = geometry.geometric_thickness_oracle(grid, shapes.interval_whole(0, 1))
     else:
-        grid = harness.annulus_general_grid(shapes.annulus_general(1.0, 2.0, 2.5), 0.1)
+        grid = solver.annulus_general_grid(shapes.annulus_general(1.0, 2.0, 2.5), 0.1)
         field = geometry.geometric_thickness_oracle(grid, shapes.annulus_whole(1.0, 2.0))
     _check(tmp_path, lambda t: geometry.write_thickness_csv(field, t), ref_thickness_csv(field))
 

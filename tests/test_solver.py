@@ -84,14 +84,14 @@ class TestAssembleRadial:
 class TestAssemble2d:
     def test_flat_band_x_rhs_zero(self):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = harness.band_general_grid(band, 1.0 / 16)
+        grid = solver.band_general_grid(band, 1.0 / 16)
         system = solver.assemble_2d(grid, band, 0.04)
         n_nodes = system.n // 2
         assert np.max(np.abs(system.rhs[:n_nodes])) == 0.0
 
     def test_annulus_y_rhs_sums_to_zero(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = harness.annulus_general_grid(ann, 0.05)
+        grid = solver.annulus_general_grid(ann, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         n_nodes = system.n // 2
         assert abs(system.rhs[n_nodes:].sum()) < 1e-12
@@ -99,7 +99,7 @@ class TestAssemble2d:
 
     def test_symmetry_and_spd(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = harness.annulus_general_grid(ann, 0.1)
+        grid = solver.annulus_general_grid(ann, 0.1)
         system = solver.assemble_2d(grid, ann, 0.04)
         assert system.symmetry_defect() == 0.0
         free = ~system.dirichlet_mask
@@ -110,7 +110,7 @@ class TestAssemble2d:
 
     def test_under_resolved_shape_rejected(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = harness.annulus_general_grid(ann, 0.5)
+        grid = solver.annulus_general_grid(ann, 0.5)
         with pytest.raises(GridError):
             solver.assemble_2d(grid, ann, 0.04)
 
@@ -194,7 +194,7 @@ class TestBandReduction:
         a = 0.04
         h = 1.0 / 64
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid2 = harness.band_general_grid(band, h)
+        grid2 = solver.band_general_grid(band, h)
         field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a))
         ishape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
         grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
@@ -264,7 +264,7 @@ class TestSerialization:
 
     def test_field_csv_roundtrip_2d(self, tmp_path):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = harness.band_general_grid(band, 1.0 / 8)
+        grid = solver.band_general_grid(band, 1.0 / 8)
         field = solver.solve_spd(solver.assemble_2d(grid, band, 0.04))
         path = tmp_path / "field2.csv"
         solver.write_field_csv(field, str(path))
@@ -315,7 +315,7 @@ def _narrow_band_system(a=0.04):
     # 7 periodic x nodes: after one coarsening the x axis has 4 nodes and
     # only y is coarsened further
     band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=0.05)
-    grid = harness.band_general_grid(band, 1.0 / 128)
+    grid = solver.band_general_grid(band, 1.0 / 128)
     assert grid.node_counts()[0] == 7
     return solver.assemble_2d(grid, band, a)
 
@@ -324,14 +324,14 @@ class TestMultigrid:
     @pytest.mark.parametrize("a", [0.04, 0.01])
     def test_annulus_iterations_flat_in_h(self, a):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = harness.annulus_general_grid(ann, np.sqrt(a) / 8)
+        grid = solver.annulus_general_grid(ann, np.sqrt(a) / 8)
         counts = _component_iterations(solver.assemble_2d(grid, ann, a))
         assert all(0 < k <= 12 for k in counts), counts
 
     @pytest.mark.parametrize("a", [0.02, 0.004])
     def test_wavy_band_iterations_flat_in_h(self, a):
         band = harness.canonical_wavy_band()
-        grid = harness.band_general_grid(band, np.sqrt(a) / 8)
+        grid = solver.band_general_grid(band, np.sqrt(a) / 8)
         assert grid.node_counts()[0] % 2 == 1
         counts = _component_iterations(solver.assemble_2d(grid, band, a))
         assert counts[0] == 0  # flat interfaces: no x load
@@ -359,10 +359,10 @@ class TestMultigrid:
     def test_matches_sparse_direct(self, case):
         if case == "annulus":
             ann = shapes.annulus_general(1.0, 2.0, 2.5)
-            system = solver.assemble_2d(harness.annulus_general_grid(ann, 0.025), ann, 0.04)
+            system = solver.assemble_2d(solver.annulus_general_grid(ann, 0.025), ann, 0.04)
         elif case == "wavy":
             band = harness.canonical_wavy_band()
-            system = solver.assemble_2d(harness.band_general_grid(band, np.sqrt(0.02) / 8), band, 0.02)
+            system = solver.assemble_2d(solver.band_general_grid(band, np.sqrt(0.02) / 8), band, 0.02)
         else:
             system = _narrow_band_system()
         field = solver.solve_spd(system)
@@ -371,7 +371,7 @@ class TestMultigrid:
 
     def test_probe_with_data_on_both_components(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = harness.annulus_general_grid(ann, 0.05)
+        grid = solver.annulus_general_grid(ann, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         X, Y = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
         data = np.concatenate([(np.cos(X) * Y).ravel(), (X + Y**2).ravel()])
@@ -391,7 +391,7 @@ class TestMultigrid:
 
     def test_repeat_solves_bit_identical(self):
         band = harness.canonical_wavy_band()
-        system = solver.assemble_2d(harness.band_general_grid(band, 0.02), band, 0.02)
+        system = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
         f1 = solver.solve_spd(system)
         f2 = solver.solve_spd(system)
         assert f1.iterations == f2.iterations
@@ -399,7 +399,7 @@ class TestMultigrid:
 
     def test_zero_load_component_is_exactly_zero(self):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        system = solver.assemble_2d(harness.band_general_grid(band, 1.0 / 32), band, 0.04)
+        system = solver.assemble_2d(solver.band_general_grid(band, 1.0 / 32), band, 0.04)
         field = solver.solve_spd(system)
         assert not np.any(field.components[0])
         assert np.any(field.components[1])

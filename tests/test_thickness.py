@@ -127,7 +127,7 @@ class TestErrorNorms:
     def test_triangle_inequality(self):
         a = 0.04
         band = harness.canonical_wavy_band()
-        res_grid = harness.band_general_grid(band, math.sqrt(a) / 8)
+        res_grid = solver.band_general_grid(band, math.sqrt(a) / 8)
         system = solver.assemble_2d(res_grid, band, a)
         field = solver.solve_spd(system)
         inv = thickness.inverse_thickness(
