@@ -18,7 +18,7 @@ formulas cancels analytically.  Arguments like ``(f_l - b_l)/sqrt(a)`` reach
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -157,22 +157,12 @@ def interval_general(f_l: float, f_r: float, b_l: float, b_r: float, a: float) -
 def band_whole(f_l: float, f_r: float, a: float, L: float) -> AnalyticSolution:
     """Straight band in the whole plane.
 
-    The solution is (0, S(y)) with S the whole-line interval solution, so all
-    numbers delegate to :func:`interval_whole`; the period L is recorded for
-    grid construction.
+    The solution is (0, S(y)) with S the whole-line interval solution, so the
+    record is that of :func:`interval_whole` on the band shape; the period L
+    is recorded for grid construction.
     """
     shape = _shapes.band_whole(f_l, f_r, L)
-    one_d = interval_whole(f_l, f_r, a)
-    return AnalyticSolution(
-        shape=shape,
-        a=one_d.a,
-        p_star=one_d.p_star,
-        coefficients=dict(one_d.coefficients),
-        thickness_pde=one_d.thickness_pde,
-        thickness_error=one_d.thickness_error,
-        lower_bound=one_d.lower_bound,
-        upper_bound=one_d.upper_bound,
-    )
+    return replace(interval_whole(f_l, f_r, a), shape=shape)
 
 
 def annulus_whole(f_l: float, f_r: float, a: float) -> AnalyticSolution:
@@ -267,36 +257,39 @@ def annulus_general_bound(f_l: float, f_r: float, b_r: float, a: float) -> float
     )
 
 
+#: The closed-form solution of each family that has one, from ``(shape, a)``.
+#: The lambdas look the constructors up at call time, so wrapping one wraps it here too.
+CLOSED_FORMS = {
+    Family.INTERVAL_WHOLE: lambda s, a: interval_whole(s.f_l, s.f_r, a),
+    Family.INTERVAL_GENERAL: lambda s, a: interval_general(s.f_l, s.f_r, s.b_l, s.b_r, a),
+    Family.BAND_WHOLE: lambda s, a: band_whole(s.f_l, s.f_r, a, s.L),
+    Family.ANNULUS_WHOLE: lambda s, a: annulus_whole(s.f_l, s.f_r, a),
+}
+
+#: The theorem L2 envelope of each general 2D family, from ``(shape, a)``.
+L2_ENVELOPES = {
+    Family.BAND_GENERAL: lambda s, a: band_general_bound(s.L, s.f_l, s.f_r, s.margin, a),
+    Family.ANNULUS_GENERAL: lambda s, a: annulus_general_bound(s.f_l, s.f_r, s.b_r, a),
+}
+
+
 def general_bound(shape: ShapeSpec, a: float) -> float:
     """Theorem L2 envelope for a general band/annulus shape."""
-    if shape.family == Family.BAND_GENERAL:
-        return band_general_bound(shape.L, shape.f_l, shape.f_r, shape.margin, a)
-    if shape.family == Family.ANNULUS_GENERAL:
-        return annulus_general_bound(shape.f_l, shape.f_r, shape.b_r, a)
-    raise DomainError(f"no L2 envelope for family {shape.family}")
+    if shape.family not in L2_ENVELOPES:
+        raise DomainError(f"no L2 envelope for family {shape.family}")
+    return L2_ENVELOPES[shape.family](shape, a)
 
 
 def solve_family(shape: ShapeSpec, a: float) -> AnalyticSolution:
     """Closed-form solution for any family that has one."""
-    fam = shape.family
-    if fam == Family.INTERVAL_WHOLE:
-        return interval_whole(shape.f_l, shape.f_r, a)
-    if fam == Family.INTERVAL_GENERAL:
-        return interval_general(shape.f_l, shape.f_r, shape.b_l, shape.b_r, a)
-    if fam == Family.BAND_WHOLE:
-        return band_whole(shape.f_l, shape.f_r, a, shape.L)
-    if fam == Family.ANNULUS_WHOLE:
-        return annulus_whole(shape.f_l, shape.f_r, a)
-    raise DomainError(f"family {fam} has no closed-form solution, only bounds")
+    if shape.family not in CLOSED_FORMS:
+        raise DomainError(f"family {shape.family} has no closed-form solution, only bounds")
+    return CLOSED_FORMS[shape.family](shape, a)
 
 
 def _sinh_over_cosh(xi: float, alpha: float) -> float:
     # sinh(xi)/cosh(alpha) for 0 <= xi <= alpha without overflow
     return math.exp(xi - alpha) * (1.0 - math.exp(-2.0 * xi)) / (1.0 + math.exp(-2.0 * alpha))
-
-
-def _cosh_over_cosh(xi: float, alpha: float) -> float:
-    return math.exp(xi - alpha) * (1.0 + math.exp(-2.0 * xi)) / (1.0 + math.exp(-2.0 * alpha))
 
 
 def _eval_interval_scalar(sol: AnalyticSolution, x: float) -> float:
@@ -350,29 +343,28 @@ def eval_solution(
     """Evaluate the piecewise closed form.
 
     A scalar ``point`` is the 1D coordinate (intervals), the cross coordinate
-    y (bands) or the radius (annuli); a 2-sequence is a plane point, for which
-    the vector field value (0, S(y)) or S(r) (cos t, sin t) is returned too.
+    y (bands) or the radius (annuli); a 2-sequence is a plane point, read by
+    :meth:`ShapeSpec.across`, for which the vector field value (0, S(y)) or
+    S(r) (cos t, sin t) is returned too.
     """
-    fam = sol.shape.family
+    shape = sol.shape
+    kind = shape.family.kind
     if np.ndim(point) == 0:
-        coord = float(point)
-        if fam == Family.ANNULUS_WHOLE:
-            return EvalResult(scalar=_eval_annulus_scalar(sol, coord))
-        scalar = _eval_interval_scalar(sol, coord)
-        if fam == Family.BAND_WHOLE:
-            return EvalResult(scalar=scalar, vector=(0.0, scalar))
-        return EvalResult(scalar=scalar)
-    x, y = (float(point[0]), float(point[1]))
-    if fam == Family.BAND_WHOLE:
-        scalar = _eval_interval_scalar(sol, y)
-        return EvalResult(scalar=scalar, vector=(0.0, scalar))
-    if fam == Family.ANNULUS_WHOLE:
-        r = math.hypot(x, y)
-        scalar = _eval_annulus_scalar(sol, r)
-        if r == 0.0:
+        t, xy = float(point), None
+    elif kind == "interval":
+        raise DomainError(f"plane-point evaluation undefined for family {shape.family}")
+    else:
+        xy = (float(point[0]), float(point[1]))
+        t = float(shape.across(*xy))
+    if kind == "annulus":
+        scalar = _eval_annulus_scalar(sol, t)
+        if xy is None:
+            return EvalResult(scalar=scalar)
+        if t == 0.0:
             return EvalResult(scalar=scalar, vector=(0.0, 0.0))
-        return EvalResult(scalar=scalar, vector=(scalar * x / r, scalar * y / r))
-    raise DomainError(f"plane-point evaluation undefined for family {fam}")
+        return EvalResult(scalar=scalar, vector=(scalar * xy[0] / t, scalar * xy[1] / t))
+    scalar = _eval_interval_scalar(sol, t)
+    return EvalResult(scalar=scalar, vector=(0.0, scalar) if kind == "band" else None)
 
 
 def interface_jumps(sol: AnalyticSolution) -> Mapping[str, float]:

@@ -221,26 +221,28 @@ class RatioChecks:
         return self.k_lower_holds and self.i_upper_holds and self.k1_decay_holds
 
 
-def check_ratio_inequalities(x: float) -> RatioChecks:
-    """Check the three ratio/monotonicity properties at one argument.
+def ratio_deficits(x: float) -> tuple:
+    """How far each ratio property misses at ``x``; each holds where its deficit is <= 0.
 
     All ratios are formed from scaled values so the exponential factors
-    cancel exactly:
+    cancel exactly.  In order:
 
       * K_0(x)/K_1(x) >= x / (1/2 + sqrt(1/4 + x^2))
       * I_0(x)/I_1(x) <= (1/2 + sqrt(9/4 + x^2)) / x
       * sqrt(y) e^y K_1(y) <= sqrt(x) e^x K_1(x) at y = 1.01 x
         (discrete probe of the decay of sqrt(x) e^x K_1).
     """
+    k1 = k1_scaled(x)
+    y = K1_DECAY_PROBE_STEP * x
+    return (
+        k_ratio_lower_bound(x) - k0_scaled(x) / k1,
+        i0_scaled(x) / i1_scaled(x) - i_ratio_upper_bound(x),
+        math.sqrt(y) * k1_scaled(y) - math.sqrt(x) * k1,
+    )
+
+
+def check_ratio_inequalities(x: float) -> RatioChecks:
+    """Check the three ratio/monotonicity properties of :func:`ratio_deficits` at one argument."""
     if x <= 0:
         raise DomainError(f"need x > 0, got {x}")
-    k0 = k0_scaled(x)
-    k1 = k1_scaled(x)
-    i0 = i0_scaled(x)
-    i1 = i1_scaled(x)
-    y = K1_DECAY_PROBE_STEP * x
-    return RatioChecks(
-        k_lower_holds=k0 / k1 >= k_ratio_lower_bound(x),
-        i_upper_holds=i0 / i1 <= i_ratio_upper_bound(x),
-        k1_decay_holds=math.sqrt(y) * k1_scaled(y) <= math.sqrt(x) * k1,
-    )
+    return RatioChecks(*(d <= 0 for d in ratio_deficits(x)))

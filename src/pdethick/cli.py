@@ -143,34 +143,30 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _CliError(f"missing required parameter --{name}")
 
 
+#: The flags each family needs beyond --fl and --fr, and the ShapeSpec field each sets.
+_SHAPE_FLAGS = {
+    Family.INTERVAL_WHOLE: {},
+    Family.INTERVAL_GENERAL: {"bl": "b_l", "br": "b_r"},
+    Family.BAND_WHOLE: {"L": "L"},
+    Family.BAND_GENERAL: {"bl": "b_l", "br": "b_r", "L": "L"},
+    Family.ANNULUS_WHOLE: {},
+    Family.ANNULUS_GENERAL: {"br": "b_r"},
+}
+
+
 def _shape_from_args(args: argparse.Namespace) -> ShapeSpec:
     _require(args, "family", "fl", "fr")
     family = Family(args.family)
-    if family == Family.INTERVAL_WHOLE:
-        return ShapeSpec(family, args.fl, args.fr)
-    if family == Family.INTERVAL_GENERAL:
-        _require(args, "bl", "br")
-        return ShapeSpec(family, args.fl, args.fr, b_l=args.bl, b_r=args.br)
-    if family == Family.BAND_WHOLE:
-        _require(args, "L")
-        return ShapeSpec(family, args.fl, args.fr, L=args.L)
+    flags = _SHAPE_FLAGS[family]
+    _require(args, *flags)
+    fields = {name: getattr(args, flag) for flag, name in flags.items()}
     if family == Family.BAND_GENERAL:
-        _require(args, "bl", "br", "L")
-        b_l = PeriodicBoundary(
-            period=args.L,
-            mean=args.bl,
-            cosine_coeffs=(args.bl_cos_amp,) if args.bl_cos_amp else (),
-        )
-        b_r = PeriodicBoundary(
-            period=args.L,
-            mean=args.br,
-            cosine_coeffs=(args.br_cos_amp,) if args.br_cos_amp else (),
-        )
-        return ShapeSpec(family, args.fl, args.fr, b_l=b_l, b_r=b_r, L=args.L)
-    if family == Family.ANNULUS_WHOLE:
-        return ShapeSpec(family, args.fl, args.fr)
-    _require(args, "br")
-    return ShapeSpec(family, args.fl, args.fr, b_r=args.br)
+        # the band-general boundaries: a mean level plus a first cosine harmonic
+        for side, amp in (("b_l", args.bl_cos_amp), ("b_r", args.br_cos_amp)):
+            fields[side] = PeriodicBoundary(
+                period=args.L, mean=fields[side], cosine_coeffs=(amp,) if amp else ()
+            )
+    return ShapeSpec(family, args.fl, args.fr, **fields)
 
 
 def _solution_dict(sol: analytic.AnalyticSolution) -> dict:
@@ -192,7 +188,7 @@ def _solution_dict(sol: analytic.AnalyticSolution) -> dict:
 def _cmd_analytic(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     _require(args, "a")
-    if shape.family in (Family.BAND_GENERAL, Family.ANNULUS_GENERAL):
+    if shape.family in analytic.L2_ENVELOPES:
         bound = analytic.general_bound(shape, args.a)
         record = {
             "family": shape.family.value,
@@ -258,12 +254,13 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     _require(args, "cells", "out")
     h = shape.thickness / args.cells
     pad = max(shape.thickness, 2 * h)
-    if shape.family in (Family.INTERVAL_WHOLE, Family.INTERVAL_GENERAL):
-        lo = shape.b_l if shape.family == Family.INTERVAL_GENERAL else shape.f_l - pad
-        hi = shape.b_r if shape.family == Family.INTERVAL_GENERAL else shape.f_r + pad
+    kind = shape.family.kind
+    if kind == "interval":
+        lo = shape.f_l - pad if shape.b_l is None else shape.b_l
+        hi = shape.f_r + pad if shape.b_r is None else shape.b_r
         n = math.ceil((hi - lo) / h)
         grid = geometry.build_grid([(lo, lo + n * h)], n)
-    elif shape.family in (Family.BAND_WHOLE, Family.BAND_GENERAL):
+    elif kind == "band":
         nx = max(4, round(shape.L / h))
         lo = shape.f_l - pad
         ny = math.ceil((shape.thickness + 2 * pad) / h)

@@ -17,7 +17,6 @@ O(n_cells * ball cells) and refuses grids beyond 1024^2 cells.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
@@ -155,34 +154,19 @@ class CellClassification:
 
 
 def signed_distance(shape: ShapeSpec, point) -> float:
-    """Exact signed distance to the shape boundary, positive inside."""
-    fam = shape.family
-    if fam in (Family.INTERVAL_WHOLE, Family.INTERVAL_GENERAL):
-        x = float(np.asarray(point).reshape(-1)[0])
-        return min(x - shape.f_l, shape.f_r - x)
-    if fam in (Family.BAND_WHOLE, Family.BAND_GENERAL):
-        pt = np.asarray(point, dtype=float).reshape(-1)
-        y = pt[1] if pt.size > 1 else pt[0]
-        return min(y - shape.f_l, shape.f_r - y)
-    pt = np.asarray(point, dtype=float).reshape(-1)
-    r = math.hypot(pt[0], pt[1]) if pt.size > 1 else abs(pt[0])
-    return min(r - shape.f_l, shape.f_r - r)
+    """Exact signed distance to the shape boundary, positive inside.
+
+    ``point`` holds one or two coordinates, read by :meth:`ShapeSpec.across`.
+    """
+    t = shape.across(*np.asarray(point, dtype=float).reshape(-1))
+    return float(min(t - shape.f_l, shape.f_r - t))
 
 
 def _cross_coordinate(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
-    """The coordinate across the shape at every cell center.
-
-    x (or r on radial grids) on 1D grids, y broadcast over the columns on
-    band grids, the radius hypot(x, y) on annulus grids; shaped like the
-    cell labels.
-    """
+    """:meth:`ShapeSpec.across` at every cell center, shaped like the cell labels."""
     if grid.dim == 1:
-        return grid.cell_centers(0)
-    cy = grid.cell_centers(1)
-    if shape.family in (Family.BAND_WHOLE, Family.BAND_GENERAL):
-        return np.broadcast_to(cy[:, None], (grid.cells[1], grid.cells[0]))
-    xx, yy = np.meshgrid(grid.cell_centers(0), cy)
-    return np.hypot(xx, yy)
+        return shape.across(grid.cell_centers(0))
+    return shape.across(*np.meshgrid(grid.cell_centers(0), grid.cell_centers(1)))
 
 
 def _signed_distance_grid(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
@@ -192,32 +176,21 @@ def _signed_distance_grid(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
 
 
 def _check_coverage(shape: ShapeSpec, grid: StructuredGrid) -> None:
-    fam = shape.family
-    if grid.dim == 1:
-        lo = grid.origin[0]
-        hi = lo + grid.extent[0]
-        f_lo, f_hi = (shape.f_l, shape.f_r)
-        if grid.radial:
-            if not shape.f_r < hi:
-                raise CoverageError(f"annulus outer radius {shape.f_r} not inside grid end {hi}")
-            if not lo < shape.f_l:
-                raise CoverageError(f"annulus inner radius {shape.f_l} not beyond grid start {lo}")
-            return
-        if not (lo < f_lo and f_hi < hi):
-            raise CoverageError(f"shape ({f_lo}, {f_hi}) not strictly inside grid box [{lo}, {hi}]")
-        return
-    x0, y0 = grid.origin
-    x1 = x0 + grid.extent[0]
-    y1 = y0 + grid.extent[1]
-    if fam in (Family.BAND_WHOLE, Family.BAND_GENERAL):
-        if not (y0 < shape.f_l and shape.f_r < y1):
-            raise CoverageError(f"band ({shape.f_l}, {shape.f_r}) not strictly inside [{y0}, {y1}]")
-        return
-    # annulus: the outer circle must stay strictly inside the box
-    if not (
-        x0 < -shape.f_r and shape.f_r < x1 and y0 < -shape.f_r and shape.f_r < y1
-    ):
-        raise CoverageError(f"annulus radius {shape.f_r} not strictly inside the grid box")
+    """Raise :class:`CoverageError` unless the grid box holds the shape strictly inside.
+
+    On a 2D box around an annulus the outer circle must clear every edge.  On
+    any other grid the last axis runs across the shape (x on a line, r on a
+    radial grid, y on a band) and must reach past both interfaces.
+    """
+    lo = grid.origin
+    hi = tuple(o + e for o, e in zip(grid.origin, grid.extent))
+    if shape.family.kind == "annulus" and grid.dim == 2:
+        if not shape.f_r < min(-lo[0], hi[0], -lo[1], hi[1]):
+            raise CoverageError(f"annulus radius {shape.f_r} not strictly inside the grid box")
+    elif not (lo[-1] < shape.f_l and shape.f_r < hi[-1]):
+        raise CoverageError(
+            f"shape ({shape.f_l}, {shape.f_r}) not strictly inside [{lo[-1]}, {hi[-1]}] across it"
+        )
 
 
 def classify_cells(grid: StructuredGrid, shape: ShapeSpec) -> CellClassification:

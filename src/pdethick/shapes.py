@@ -30,6 +30,11 @@ class Family(str, Enum):
     ANNULUS_WHOLE = "annulus-whole"
     ANNULUS_GENERAL = "annulus-general"
 
+    @property
+    def kind(self) -> str:
+        """``"interval"``, ``"band"`` or ``"annulus"``: the shape, whatever its fictitious domain."""
+        return self.value.partition("-")[0]
+
 
 @dataclass(frozen=True)
 class PeriodicBoundary:
@@ -130,12 +135,16 @@ class ShapeSpec:
             raise InvalidShapeError(
                 f"degenerate shape: width {width} below {DEGENERATE_WIDTH_REL} * {scale}"
             )
-        fam = self.family
-        if fam in (Family.BAND_WHOLE, Family.BAND_GENERAL):
+        kind = self.family.kind
+        if kind == "band":
             if self.L is None or self.L <= 0:
                 raise InvalidShapeError("band shapes need a positive period L")
             object.__setattr__(self, "L", float(self.L))
-        if fam == Family.INTERVAL_GENERAL:
+        elif kind == "annulus" and self.f_l <= 0:
+            raise InvalidShapeError(f"annulus needs 0 < f_l, got {self.f_l}")
+        if self.family.value.endswith("-whole"):
+            return
+        if kind == "interval":
             if self.b_l is None or self.b_r is None:
                 raise InvalidShapeError("interval-general needs b_l and b_r")
             b_l, b_r = float(self.b_l), float(self.b_r)
@@ -143,9 +152,7 @@ class ShapeSpec:
                 raise InvalidShapeError(
                     f"need b_l < f_l < f_r < b_r, got {b_l}, {self.f_l}, {self.f_r}, {b_r}"
                 )
-            object.__setattr__(self, "b_l", b_l)
-            object.__setattr__(self, "b_r", b_r)
-        elif fam == Family.BAND_GENERAL:
+        elif kind == "band":
             b_l = _as_boundary(self.b_l, self.L)
             b_r = _as_boundary(self.b_r, self.L)
             if b_l is None or b_r is None:
@@ -160,18 +167,26 @@ class ShapeSpec:
             min_b_r = b_r.extremes()[0] - b_r.sampling_gap()
             if not (max_b_l < self.f_l and self.f_r < min_b_r):
                 raise InvalidShapeError("need max b_l < f_l < f_r < min b_r")
-            object.__setattr__(self, "b_l", b_l)
-            object.__setattr__(self, "b_r", b_r)
-        elif fam in (Family.ANNULUS_WHOLE, Family.ANNULUS_GENERAL):
-            if self.f_l <= 0:
-                raise InvalidShapeError(f"annulus needs 0 < f_l, got {self.f_l}")
-            if fam == Family.ANNULUS_GENERAL:
-                if self.b_r is None:
-                    raise InvalidShapeError("annulus-general needs b_r")
-                b_r = float(self.b_r)
-                if b_r <= self.f_r:
-                    raise InvalidShapeError(f"need f_r < b_r, got {self.f_r}, {b_r}")
-                object.__setattr__(self, "b_r", b_r)
+        else:
+            if self.b_r is None:
+                raise InvalidShapeError("annulus-general needs b_r")
+            b_l, b_r = self.b_l, float(self.b_r)
+            if b_r <= self.f_r:
+                raise InvalidShapeError(f"need f_r < b_r, got {self.f_r}, {b_r}")
+        object.__setattr__(self, "b_l", b_l)
+        object.__setattr__(self, "b_r", b_r)
+
+    def across(self, *coords):
+        """The coordinate across the shape at the point ``coords``, floats or arrays.
+
+        ``coords`` is ``(x,)`` or ``(x, y)``.  Intervals take x, bands the last
+        coordinate, annuli the radius; a lone coordinate on an annulus is a
+        radius, as on radial grids, so it counts as ``|x|``.
+        """
+        kind = self.family.kind
+        if kind == "annulus":
+            return np.hypot(*coords) if len(coords) == 2 else abs(coords[0])
+        return coords[-1] if kind == "band" else coords[0]
 
     @property
     def thickness(self) -> float:

@@ -69,10 +69,9 @@ class SparseSystem:
     """Assembled symmetric system with Dirichlet bookkeeping.
 
     The operator is block diagonal: ``n_components`` copies of one scalar
-    ``block``, since the bilinear form decouples componentwise.  A
-    one-component system may be given its ``matrix`` instead, which is then
-    its block.  Reading ``matrix`` builds the full n x n operator anew on
-    each read; the solver works on ``block`` alone.
+    ``block``, since the bilinear form decouples componentwise.  Reading
+    ``matrix`` builds the full n x n operator anew on each read; the solver
+    works on ``block`` alone.
 
     ``dirichlet_mask`` marks constrained nodes, the same ones in every
     component, and ``dirichlet_values`` their prescribed values (zero unless
@@ -86,20 +85,17 @@ class SparseSystem:
         n: int,
         rhs: np.ndarray,
         dirichlet_mask: np.ndarray,
-        matrix: Optional[sp.csr_matrix] = None,
-        block: Optional[sp.csr_matrix] = None,
+        block: sp.csr_matrix,
         grid: Optional[StructuredGrid] = None,
         n_components: int = 1,
         classification: Optional[CellClassification] = None,
         dirichlet_values: Optional[np.ndarray] = None,
     ):
-        if (matrix is None) == (block is None) or (matrix is not None and n_components != 1):
-            raise GridError("give a one-component system its matrix, any other its block")
         m = n // n_components
         if not (dirichlet_mask.reshape(n_components, m) == dirichlet_mask[:m]).all():
             raise GridError("every component needs the same Dirichlet mask")
         self.n = n
-        self.block = matrix if block is None else block
+        self.block = block
         self.rhs = rhs
         self.dirichlet_mask = dirichlet_mask
         self.grid = grid
@@ -257,13 +253,13 @@ def _p1_system(grid, cls, blocks, rhs) -> SparseSystem:
     vals = np.concatenate([np.broadcast_to(v, (len(e), 4)) for v, _ in blocks], axis=1)
     keep = np.repeat(np.stack([np.broadcast_to(k, len(e)) for _, k in blocks], axis=1), 4, axis=1)
     n = len(rhs)
-    matrix = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
+    block = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
     mask = np.zeros(n, dtype=bool)
     mask[0] = mask[-1] = True
     outside = cls.labels == CellLabel.OUTSIDE
     mask[1:-1] = outside[:-1] & outside[1:]
     return SparseSystem(
-        n=n, matrix=matrix, rhs=rhs, dirichlet_mask=mask, grid=grid, classification=cls
+        n=n, block=block, rhs=rhs, dirichlet_mask=mask, grid=grid, classification=cls
     )
 
 

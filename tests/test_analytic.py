@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdethick import analytic
+from pdethick import analytic, shapes
 from pdethick.errors import DomainError, InvalidShapeError
 
 
@@ -85,6 +86,31 @@ class TestBandWhole:
 
     def test_period_recorded(self):
         assert analytic.band_whole(0, 1, 0.04, 2.5).shape.L == 2.5
+
+
+class TestFamilyTables:
+    def test_every_family_has_a_closed_form_or_an_envelope(self):
+        closed, envelopes = set(analytic.CLOSED_FORMS), set(analytic.L2_ENVELOPES)
+        assert closed | envelopes == set(shapes.Family)
+        assert not closed & envelopes
+
+    def test_band_whole_is_the_interval_record_on_the_band(self):
+        band = analytic.band_whole(-1, 1, 0.04, 2.0)
+        line = analytic.interval_whole(-1, 1, 0.04)
+        assert band.shape == shapes.band_whole(-1, 1, 2.0)
+        assert dataclasses.replace(band, shape=line.shape) == line
+
+    def test_solve_family_matches_the_constructors(self):
+        shape = shapes.interval_general(0, 1, -1, 2)
+        assert analytic.solve_family(shape, 0.04) == analytic.interval_general(0, 1, -1, 2, 0.04)
+        shape = shapes.annulus_general(1, 2, 3)
+        assert analytic.general_bound(shape, 0.01) == analytic.annulus_general_bound(1, 2, 3, 0.01)
+
+    def test_lookups_refuse_other_families(self):
+        with pytest.raises(DomainError, match="no closed-form solution"):
+            analytic.solve_family(shapes.annulus_general(1, 2, 3), 0.01)
+        with pytest.raises(DomainError, match="no L2 envelope"):
+            analytic.general_bound(shapes.annulus_whole(1, 2), 0.01)
 
 
 class TestBandGeneralBound:

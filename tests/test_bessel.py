@@ -134,6 +134,33 @@ class TestRatioInequalities:
         with pytest.raises(DomainError):
             bessel.check_ratio_inequalities(0.0)
 
+    def test_deficit_signs_are_the_comparisons(self):
+        step = bessel.K1_DECAY_PROBE_STEP
+        for x in np.logspace(-6, 3, 200).tolist():
+            k0, k1 = bessel.k0_scaled(x), bessel.k1_scaled(x)
+            i0, i1 = bessel.i0_scaled(x), bessel.i1_scaled(x)
+            decay = math.sqrt(step * x) * bessel.k1_scaled(step * x)
+            deficits = (
+                bessel.k_ratio_lower_bound(x) - k0 / k1,
+                i0 / i1 - bessel.i_ratio_upper_bound(x),
+                decay - math.sqrt(x) * k1,
+            )
+            assert bessel.ratio_deficits(x) == deficits
+            holds = (
+                k0 / k1 >= bessel.k_ratio_lower_bound(x),
+                i0 / i1 <= bessel.i_ratio_upper_bound(x),
+                decay <= math.sqrt(x) * k1,
+            )
+            assert tuple(d <= 0 for d in deficits) == holds
+            checks = bessel.check_ratio_inequalities(x)
+            assert (checks.k_lower_holds, checks.i_upper_holds, checks.k1_decay_holds) == holds
+
+    def test_deficits_at_one(self):
+        dk, di, dd = bessel.ratio_deficits(1.0)
+        assert dk == pytest.approx(0.618034 - 0.6994839356, rel=1e-5)
+        assert di == pytest.approx(2.2401937 - 2.3027756, rel=1e-5)
+        assert dd < 0
+
 
 class TestDerivedRelations:
     def test_i2_recurrence(self):

@@ -67,6 +67,25 @@ class TestConfigErrors:
         assert code == 2
         assert "--a" in err
 
+    @pytest.mark.parametrize(
+        "family, given, missing",
+        [
+            ("interval-general", ["--br", "2"], "--bl"),
+            ("interval-general", ["--bl", "-1"], "--br"),
+            ("band-whole", [], "--L"),
+            ("band-general", ["--bl", "-1", "--br", "2"], "--L"),
+            ("band-general", ["--br", "2", "--L", "1"], "--bl"),
+            ("band-general", [], "--bl"),
+            ("annulus-general", [], "--br"),
+        ],
+    )
+    def test_missing_family_flag_exits_2(self, capsys, family, given, missing):
+        argv = ["analytic", "--family", family, "--fl", "1", "--fr", "1.5", *given, "--a", "0.01"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"pdethick: error: missing required parameter {missing}\n"
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["analytic", "--nonsense", "1"], capsys)
         assert code == 2

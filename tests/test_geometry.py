@@ -88,6 +88,40 @@ class TestClassifyCells:
         with pytest.raises(CoverageError):
             geometry.classify_cells(g2, shapes.annulus_whole(1, 2))
 
+    @pytest.mark.parametrize(
+        "shape, box, cells",
+        [
+            # a 1D shape past either grid end, or touching it
+            (shapes.interval_whole(0.5, 1.5), [(0, 1)], 8),
+            (shapes.interval_whole(-0.5, 0.5), [(0, 1)], 8),
+            (shapes.interval_general(0.0, 1.0, -1.0, 2.0), [(0, 2)], 8),
+            # a band grid that does not cover (f_l, f_r) in y
+            (shapes.band_whole(0.0, 1.0, 1.0), [(0, 1), (-0.5, 1.0)], (4, 6)),
+            (shapes.band_whole(-0.5, 0.5, 1.0), [(0, 1), (-0.5, 1.0)], (4, 6)),
+            # an annulus box short on one x edge only, or on one y edge only
+            (shapes.annulus_whole(1.0, 2.0), [(-2.0, 3.0), (-3.0, 3.0)], (20, 24)),
+            (shapes.annulus_whole(1.0, 2.0), [(-3.0, 2.0), (-3.0, 3.0)], (20, 24)),
+            (shapes.annulus_whole(1.0, 2.0), [(-3.0, 3.0), (-2.0, 3.0)], (24, 20)),
+            (shapes.annulus_whole(1.0, 2.0), [(-3.0, 3.0), (-3.0, 2.0)], (24, 20)),
+        ],
+    )
+    def test_coverage_error_cases(self, shape, box, cells):
+        with pytest.raises(CoverageError):
+            geometry.classify_cells(geometry.build_grid(box, cells), shape)
+
+    @pytest.mark.parametrize("f_r", [2.0, 2.5])
+    def test_radial_grid_must_end_past_outer_radius(self, f_r):
+        grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=0.25, cells=(8,), radial=True)
+        with pytest.raises(CoverageError):
+            geometry.classify_cells(grid, shapes.annulus_whole(1.0, f_r))
+        assert geometry.classify_cells(grid, shapes.annulus_whole(1.0, 1.75)).n_shape_cells() == 3
+
+    def test_covering_grids_pass(self):
+        box = geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 24)
+        assert geometry.classify_cells(box, shapes.annulus_whole(1.0, 2.0)).n_shape_cells() > 0
+        band = geometry.build_grid([(0, 1), (-0.5, 1.0)], (4, 6))
+        assert geometry.classify_cells(band, shapes.band_whole(0.0, 0.75, 1.0)).n_shape_cells() == 12
+
     def test_area_converges_first_order(self):
         shape = shapes.annulus_whole(1, 2)
         errs = []
@@ -104,6 +138,26 @@ class TestSignedDistance:
         assert geometry.signed_distance(shapes.annulus_whole(1, 2), (1.5, 0)) == 0.5
         assert geometry.signed_distance(shapes.interval_whole(0, 1), 0.25) == 0.25
         assert geometry.signed_distance(shapes.band_whole(0, 1, 1), (7.3, -0.2)) == pytest.approx(-0.2)
+
+    @pytest.mark.parametrize(
+        "shape, one, two",
+        [
+            (shapes.interval_general(0.0, 1.0, -1.0, 2.0), (0.25,), (0.25, 9.0)),
+            (shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0), (0.25,), (9.0, 0.25)),
+            # a lone coordinate on an annulus is a radius: -1.25 is r = 1.25
+            (shapes.annulus_whole(1.0, 2.0), (-1.25,), (0.75, -1.0)),
+        ],
+    )
+    def test_one_and_two_coordinates(self, shape, one, two):
+        assert geometry.signed_distance(shape, one) == 0.25
+        assert geometry.signed_distance(shape, one[0]) == 0.25
+        assert geometry.signed_distance(shape, two) == 0.25
+
+    def test_negative_outside(self):
+        assert geometry.signed_distance(shapes.interval_whole(0, 1), (1.5, 0.0)) == -0.5
+        assert geometry.signed_distance(shapes.band_whole(0, 1, 1), (0.0, -0.5)) == -0.5
+        assert geometry.signed_distance(shapes.annulus_whole(1, 2), (0.0, 0.0)) == -1.0
+        assert geometry.signed_distance(shapes.annulus_whole(1, 2), -2.5) == -0.5
 
     def test_zero_on_boundary(self):
         ann = shapes.annulus_whole(1, 2)

@@ -117,6 +117,14 @@ class TestVerify:
             if name != "bessel-ratio-bounds":
                 assert check.passed, name
 
+    def test_nan_ratio_deficit_fails_the_bessel_check(self, monkeypatch):
+        monkeypatch.setattr(bessel, "k_ratio_lower_bound", lambda x: math.nan)
+        report = harness.verify_theorems("analytic")
+        (check,) = [c for c in report.checks if c.case == "bessel-ratio-bounds"]
+        assert not check.passed
+        assert math.isnan(check.samples[0].error)
+        assert [s.passed for s in check.samples] == [False, True, True]
+
     def test_raising_check_is_recorded_not_fatal(self, monkeypatch):
         def broken(rng):
             raise ValueError("injected")
@@ -144,6 +152,31 @@ class TestVerify:
         text = harness.dumps_json({"x": 1.0 / 3.0, "flag": True, "none": None})
         assert "0.33333333333333331" in text
         assert "true" in text and "null" in text
+
+
+class TestSweepSample:
+    @pytest.mark.parametrize(
+        "error, bound, slack, lower_bound, passed",
+        [
+            (1.0, 1.0, 0.0, None, True),
+            (1.5, 1.0, 0.5, None, True),
+            (1.5, 1.0, 0.25, None, False),
+            (0.5, 1.0, 0.0, 0.5, True),
+            (0.5, 1.0, 0.0, 0.75, False),
+            (math.nan, 1.0, 0.0, None, False),
+            (math.nan, 1.0, 0.0, 0.0, False),
+        ],
+    )
+    def test_passed(self, error, bound, slack, lower_bound, passed):
+        sample = harness.SweepSample(
+            a=0.01, error=error, bound=bound, slack=slack, lower_bound=lower_bound
+        )
+        assert sample.passed is passed
+        assert sample.to_dict()["passed"] is passed
+
+    def test_numpy_values_give_a_json_boolean(self):
+        sample = harness.SweepSample(a=0.01, error=np.float64(0.5), bound=np.float64(1.0), slack=0.0)
+        assert harness.dumps_json(sample.to_dict()).count("true") == 1
 
 
 class TestCsvReports:

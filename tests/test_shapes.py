@@ -110,3 +110,44 @@ class TestPeriodicBoundary:
             dense = b(np.linspace(0.0, 2.0, 1 << 16, endpoint=False))
             assert lo - gap <= dense.min() and dense.max() <= hi + gap
         assert shapes.PeriodicBoundary.constant(0.3).sampling_gap() == 0.0
+
+
+class TestFamilyDispatch:
+    @pytest.mark.parametrize(
+        "family, kind",
+        [
+            (shapes.Family.INTERVAL_WHOLE, "interval"),
+            (shapes.Family.INTERVAL_GENERAL, "interval"),
+            (shapes.Family.BAND_WHOLE, "band"),
+            (shapes.Family.BAND_GENERAL, "band"),
+            (shapes.Family.ANNULUS_WHOLE, "annulus"),
+            (shapes.Family.ANNULUS_GENERAL, "annulus"),
+        ],
+    )
+    def test_kind(self, family, kind):
+        assert family.kind == kind
+
+    def test_interval_takes_x(self):
+        shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
+        assert shape.across(0.3) == 0.3
+        assert shape.across(-0.7, 9.0) == -0.7
+
+    def test_band_takes_the_last_coordinate(self):
+        shape = shapes.band_whole(0.0, 1.0, 1.0)
+        assert shape.across(0.3) == 0.3
+        assert shape.across(9.0, -0.7) == -0.7
+
+    def test_annulus_takes_the_radius(self):
+        shape = shapes.annulus_general(1.0, 2.0, 2.5)
+        assert shape.across(3.0, -4.0) == 5.0
+        # a lone coordinate is a radius, also when negative
+        assert shape.across(1.5) == 1.5
+        assert shape.across(-1.5) == 1.5
+
+    def test_arrays_elementwise(self):
+        x = np.array([[0.0, 3.0], [-1.0, 0.5]])
+        y = np.array([[4.0, -4.0], [0.0, 0.25]])
+        np.testing.assert_array_equal(shapes.interval_whole(0, 1).across(x, y), x)
+        np.testing.assert_array_equal(shapes.band_whole(0, 1, 1).across(x, y), y)
+        np.testing.assert_array_equal(shapes.annulus_whole(1, 2).across(x, y), np.hypot(x, y))
+        np.testing.assert_array_equal(shapes.annulus_whole(1, 2).across(x), np.abs(x))

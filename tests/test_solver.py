@@ -122,7 +122,7 @@ class TestSolveSpd:
         b = rng.standard_normal(n)
         system = solver.SparseSystem(
             n=n,
-            matrix=sp.identity(n, format="csr"),
+            block=sp.identity(n, format="csr"),
             rhs=b,
             dirichlet_mask=np.zeros(n, dtype=bool),
         )
