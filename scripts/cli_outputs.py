@@ -58,6 +58,9 @@ COMMANDS = (
     + [
         # b_l = -0.95 leaves Outside cells at the left end
         ("solve-interval-outside", _solve("interval-general", "0.04", "10", "--bl", "-0.95")),
+        # above 600 free unknowns, so these reach the 1D multigrid hierarchy
+        ("solve-annulus-whole-fine", _solve("annulus-whole", "0.04", "256")),
+        ("solve-interval-whole-fine", _solve("interval-whole", "0.04", "128")),
         ("oracle-interval", ["oracle", *_shape("interval-whole"), "--cells", "50", "--out", "@thickness.csv"]),
         ("oracle-wavy-band", ["oracle", *_shape("band-general"), "--cells", "16", "--out", "@thickness.csv"]),
         ("oracle-annulus", ["oracle", *_shape("annulus-whole"), "--cells", "20", "--out", "@thickness.csv"]),

@@ -45,7 +45,10 @@ class AnalyticSolution:
 
     ``thickness_error`` is ``thickness_pde - thickness`` computed in its
     cancellation-free closed form (never by subtraction), and
-    ``lower_bound``/``upper_bound`` bracket it.
+    ``lower_bound``/``upper_bound`` bracket it.  ``log_excess`` is the log of
+    ``thickness_error - 2 sqrt(a)``, where a constructor gives it (the
+    general interval), so the excess stays visible where it falls below an
+    ulp of ``2 sqrt(a)``.
     """
 
     shape: ShapeSpec
@@ -56,6 +59,7 @@ class AnalyticSolution:
     thickness_error: float
     lower_bound: float
     upper_bound: float
+    log_excess: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -115,6 +119,10 @@ def interval_general(f_l: float, f_r: float, b_l: float, b_r: float, a: float) -
     The companion upper bound 2 sqrt(a) + 4 T exp(-2 m / sqrt(a)) is tight at
     m = (log 2 / 2) sqrt(a) for equal margins and fails below it, so it is
     meaningful only for margins above that threshold.
+
+    The excess over 2 sqrt(a) is kept as its log: with
+    1 - tanh x = 2 e^(-2x) / (1 + e^(-2x)), the log of 2 - tanh alpha - tanh beta
+    is a log-sum of two terms that neither overflow nor underflow.
     """
     shape = _shapes.interval_general(f_l, f_r, b_l, b_r)
     a = _require_positive_a(a)
@@ -128,6 +136,8 @@ def interval_general(f_l: float, f_r: float, b_l: float, b_r: float, a: float) -
     denom = ta + tb + k
     p_star = k * (ta + tb) / (sqrt_a * T * denom)
     thickness_error = 2.0 * sqrt_a + T * (2.0 - ta - tb) / (ta + tb)
+    log_one_minus = [math.log(2.0) - 2.0 * x - math.log1p(math.exp(-2.0 * x)) for x in (alpha, beta)]
+    log_excess = math.log(T) + float(np.logaddexp(*log_one_minus)) - math.log(ta + tb)
     # interface values: s(f_l) = -C_l sinh(alpha), s(f_r) = C_r sinh(beta),
     # with C_l = k sech(alpha) / (sqrt(a) denom) etc.; products folded to tanh.
     amp_left = -k * ta / (sqrt_a * denom)
@@ -151,6 +161,7 @@ def interval_general(f_l: float, f_r: float, b_l: float, b_r: float, a: float) -
         thickness_error=thickness_error,
         lower_bound=2.0 * sqrt_a,
         upper_bound=2.0 * sqrt_a + 4.0 * T * math.exp(-2.0 * m / sqrt_a),
+        log_excess=log_excess,
     )
 
 
@@ -365,6 +376,18 @@ def eval_solution(
         return EvalResult(scalar=scalar, vector=(scalar * xy[0] / t, scalar * xy[1] / t))
     scalar = _eval_interval_scalar(sol, t)
     return EvalResult(scalar=scalar, vector=(0.0, scalar) if kind == "band" else None)
+
+
+def profile(sol: AnalyticSolution, coords: np.ndarray) -> np.ndarray:
+    """The scalar closed form at every entry of ``coords``, shaped like it.
+
+    Each distinct coordinate is evaluated once by :func:`eval_solution`, so
+    every entry gets the bits of its own scalar call.
+    """
+    coords = np.asarray(coords, dtype=float)
+    distinct, inverse = np.unique(coords.ravel(), return_inverse=True)
+    values = np.array([eval_solution(sol, t).scalar for t in distinct.tolist()])
+    return values[inverse].reshape(coords.shape)
 
 
 def interface_jumps(sol: AnalyticSolution) -> Mapping[str, float]:

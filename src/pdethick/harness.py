@@ -22,6 +22,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -35,9 +36,6 @@ from . import shapes as _shapes
 
 #: Default seed for the randomized shape draws in the verification suites.
 DEFAULT_SEED = 20260809
-
-#: Solver relative tolerance used throughout verification.
-SOLVER_TOL = 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +182,7 @@ def run_general_l2_case(
     grid = solver.problem_grid(shape, a, policy.target_h(a))
     policy.ensure(grid.h, a)
     system = solver.assemble_2d(grid, shape, a)
-    field = solver.solve_spd(system, rel_tol=SOLVER_TOL)
+    field = solver.solve_spd(system)
     div = thickness.divergence(field)
     inv = thickness.inverse_thickness(div, a, system.classification)
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
@@ -384,10 +382,14 @@ def _check_interval_whole_equality(rng: np.random.Generator) -> TheoremCheck:
 def _check_interval_general_bounds(rng: np.random.Generator) -> TheoremCheck:
     # the upper envelope is only valid for margins above (log 2 / 2) sqrt(a)
     # (it is exactly tight there for equal margins), so the draws keep
-    # m >= 0.5 while a <= 1
+    # m >= 0.5 while a <= 1.  Where 4 T exp(-2m/sqrt(a)) is below an ulp of
+    # 2 sqrt(a), only the second sample of a draw sees the upper side.
     check = TheoremCheck(
         case="interval-general-bounds",
-        statement="2 sqrt(a) <= T^a - T_bar <= 2 sqrt(a) + 4 T exp(-2m/sqrt(a))",
+        statement=(
+            "2 sqrt(a) <= T^a - T_bar <= 2 sqrt(a) + 4 T exp(-2m/sqrt(a)); and in logs, "
+            "the excess E = T^a - T_bar - 2 sqrt(a) has finite log E <= log(4 T) - 2m/sqrt(a)"
+        ),
     )
     for _ in range(50):
         f_l = float(rng.uniform(-2.0, 2.0))
@@ -400,6 +402,14 @@ def _check_interval_general_bounds(rng: np.random.Generator) -> TheoremCheck:
             SweepSample(
                 a=a, error=sol.thickness_error, bound=sol.upper_bound, slack=0.0,
                 lower_bound=sol.lower_bound,
+            )
+        )
+        # the most negative double as lower bound: a finite log proves E > 0
+        log_bound = math.log(4.0 * width) - 2.0 * min(m_l, m_r) / math.sqrt(a)
+        check.add(
+            SweepSample(
+                a=a, error=sol.log_excess, bound=log_bound, slack=0.0,
+                lower_bound=-sys.float_info.max,
             )
         )
     return check
@@ -455,7 +465,7 @@ def _check_bessel_ratio_bounds(rng: np.random.Generator) -> TheoremCheck:
 
 def _band_tail_data(grid: StructuredGrid, tail: analytic.AnalyticSolution) -> np.ndarray:
     """Boundary data (0, s(y)) on a band grid from the whole-line profile ``tail``."""
-    col = np.array([analytic.eval_solution(tail, float(y)).scalar for y in grid.node_coords(1)])
+    col = analytic.profile(tail, grid.node_coords(1))
     n_nodes = int(np.prod(grid.node_counts()))
     data = np.zeros(2 * n_nodes)
     data[n_nodes:] = np.repeat(col, grid.node_counts()[0])
@@ -466,9 +476,7 @@ def _annulus_tail_data(grid: StructuredGrid, asol: analytic.AnalyticSolution) ->
     """Boundary data (s(r) x/r, s(r) y/r) on a box grid from the radial profile ``asol``."""
     xx, yy = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
     rr = np.hypot(xx, yy)
-    s_of_r = np.array(
-        [analytic.eval_solution(asol, float(r)).scalar for r in rr.ravel()]
-    ).reshape(rr.shape)
+    s_of_r = analytic.profile(asol, rr)
     with np.errstate(invalid="ignore", divide="ignore"):
         cx = np.where(rr > 0, xx / rr, 0.0)
         cy = np.where(rr > 0, yy / rr, 0.0)
@@ -486,8 +494,7 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
     nodes = grid1.node_coords(0)
     probes.append(("interval-const", sys1, np.ones(sys1.n)))
     tail = analytic.interval_whole(0.0, 1.0, a)
-    tail_vals = np.array([analytic.eval_solution(tail, float(x)).scalar for x in nodes])
-    probes.append(("interval-tail", sys1, tail_vals))
+    probes.append(("interval-tail", sys1, analytic.profile(tail, nodes)))
     probes.append(("interval-cosine", sys1, np.cos(3.0 * nodes)))
 
     # 4: 1D all-void domain with constant data
@@ -498,11 +505,9 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
     ashape = _shapes.annulus_whole(1.0, 2.0)
     grid_r = solver.build_radial_grid(ashape, 1.0 / 128, a=a)
     sys_r = solver.assemble_radial(grid_r, ashape, a)
-    r_nodes = grid_r.node_coords(0)
     asol = analytic.annulus_whole(1.0, 2.0, a)
     probes.append(("radial-const", sys_r, np.ones(sys_r.n)))
-    r_tail = np.array([analytic.eval_solution(asol, float(r)).scalar for r in r_nodes])
-    probes.append(("radial-tail", sys_r, r_tail))
+    probes.append(("radial-tail", sys_r, analytic.profile(asol, grid_r.node_coords(0))))
 
     # 7-8: 2D flat band with constant and tail data
     bshape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
@@ -534,15 +539,13 @@ def _check_max_principle() -> TheoremCheck:
     )
     a = 0.04
     for label, system, data in _max_principle_probes(a):
-        field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
+        field = solver.homogeneous_boundary_probe(system, data)
         mag = _vector_magnitude(field)
         mask1 = system.dirichlet_mask[: len(mag)]
-        if system.n_components == 2:
-            mask1 = system.dirichlet_mask[: system.n // 2]
         boundary_sup = float(np.max(mag[mask1]))
         interior = mag[~mask1]
         interior_sup = float(np.max(interior)) if interior.size else 0.0
-        slack = 10.0 * SOLVER_TOL * max(boundary_sup, 1.0)
+        slack = 10.0 * solver.REL_TOL * max(boundary_sup, 1.0)
         check.add(SweepSample(a=a, error=interior_sup, bound=boundary_sup, slack=slack))
     return check
 
@@ -596,10 +599,10 @@ def _check_band_flat_reduction() -> TheoremCheck:
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
     grid2 = solver.band_general_grid(band, h)
     system2 = solver.assemble_2d(grid2, band, a)
-    field2 = solver.solve_spd(system2, rel_tol=SOLVER_TOL)
+    field2 = solver.solve_spd(system2)
     ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-    field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a), rel_tol=SOLVER_TOL)
+    field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
     sx, sy = field2.components
     scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
     x_err = float(np.max(np.abs(sx)))
@@ -620,9 +623,8 @@ def _check_solver_1d_convergence() -> TheoremCheck:
     errors = []
     for n in (128, 256, 512):
         grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
-        field = solver.solve_spd(solver.assemble_1d(grid, shape, a), rel_tol=SOLVER_TOL)
-        nodes = grid.node_coords(0)
-        exact = np.array([analytic.eval_solution(sol, float(x)).scalar for x in nodes])
+        field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
+        exact = analytic.profile(sol, grid.node_coords(0))
         errors.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
     final_err = errors[-1][1]
     check.add(SweepSample(a=a, error=final_err, bound=5e-5, slack=0.0))
@@ -643,7 +645,7 @@ def _check_radial_cross_check() -> TheoremCheck:
     shape = _shapes.annulus_whole(1.0, 2.0)
     grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
     system = solver.assemble_radial(grid, shape, a)
-    field = solver.solve_spd(system, rel_tol=SOLVER_TOL)
+    field = solver.solve_spd(system)
     p = thickness.divergence(field)
     mask = system.classification.shape_mask
     p_shape = p[mask]
@@ -721,6 +723,18 @@ def gradient_energy_on_shape(field: solver.DiscreteField, classification) -> flo
     return total
 
 
+def _cell_magnitude_sq(field: solver.DiscreteField) -> np.ndarray:
+    """|d|^2 of the average of each cell's four corner values, per cell."""
+    grid = field.grid
+    west = np.arange(grid.cells[0])
+    east = (west + 1) % grid.node_counts()[0]  # wraps only on a periodic x axis
+    mag2 = np.zeros(grid.cells[::-1])
+    for comp in field.components:
+        center = 0.25 * (comp[:-1, west] + comp[1:, west] + comp[:-1, east] + comp[1:, east])
+        mag2 += center * center
+    return mag2
+
+
 def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     """Gradient energy on the shape vs the cutoff bound, for a probe solution.
 
@@ -734,29 +748,18 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
         grid = solver.band_general_grid(shape, math.sqrt(a) / 8.0)
         system = solver.assemble_2d(grid, shape, a)
         data = _band_tail_data(grid, analytic.interval_whole(0.0, 1.0, a))
-        field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
+        field = solver.homogeneous_boundary_probe(system, data)
         lhs = gradient_energy_on_shape(field, system.classification)
         cy = grid.cell_centers(1)
         lap = band_cutoff_second_derivative(cy, 0.0, 1.0, -1.0, 2.0)
-        sx, sy = field.components
-        mag2 = np.zeros(grid.cells[::-1])
-        for comp in (sx, sy):
-            if grid.periodic_x:
-                east = np.roll(np.arange(grid.cells[0]), -1)
-                center = 0.25 * (
-                    comp[:-1, :] + comp[1:, :] + comp[:-1, east] + comp[1:, east]
-                )
-            else:
-                center = 0.25 * (comp[:-1, :-1] + comp[1:, :-1] + comp[:-1, 1:] + comp[1:, 1:])
-            mag2 += center * center
-        rhs = 0.5 * float(np.sum(lap[:, None] * mag2)) * grid.h**2
+        rhs = 0.5 * float(np.sum(lap[:, None] * _cell_magnitude_sq(field))) * grid.h**2
         return lhs, rhs, grid.h
     if kind == "annulus":
         shape = _shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.annulus_general_grid(shape, math.sqrt(a) / 8.0)
         system = solver.assemble_2d(grid, shape, a)
         data = _annulus_tail_data(grid, analytic.annulus_whole(1.0, 2.0, a))
-        field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
+        field = solver.homogeneous_boundary_probe(system, data)
         lhs = gradient_energy_on_shape(field, system.classification)
         K = annulus_cutoff_constant(shape.f_r, shape.b_r)
         ccx = grid.cell_centers(0)
@@ -764,12 +767,7 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
         cxx, cyy = np.meshgrid(ccx, ccy)
         cr = np.hypot(cxx, cyy)
         ramp = (cr > shape.f_r) & (cr < shape.b_r)
-        sx, sy = field.components
-        mag2 = np.zeros_like(cr)
-        for comp in (sx, sy):
-            center = 0.25 * (comp[:-1, :-1] + comp[1:, :-1] + comp[:-1, 1:] + comp[1:, 1:])
-            mag2 += center * center
-        rhs = 0.5 * K * float(np.sum(mag2[ramp])) * grid.h**2
+        rhs = 0.5 * K * float(np.sum(_cell_magnitude_sq(field)[ramp])) * grid.h**2
         return lhs, rhs, grid.h
     raise PdeThickError(f"unknown interior-estimate case {kind}")
 

@@ -28,12 +28,11 @@ boundary; the homogeneous-equation decay makes the truncation error at most
 ~exp(-28) < 1e-12, below solver tolerance.
 
 Every system is solved by one preconditioned conjugate-gradient loop, one
-vector component at a time.  1D and radial systems use a Jacobi
-preconditioner.  2D systems use a geometric multigrid V-cycle on the uniform
-grid (Briggs, Henson & McCormick, *A Multigrid Tutorial*, 2nd ed., SIAM
-2000): bilinear prolongation, Galerkin coarse operators, damped-Jacobi
-smoothing and a dense solve on the coarsest level, so the iteration count
-stays flat as h shrinks.
+vector component at a time, preconditioned by a geometric multigrid V-cycle
+on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
+*A Multigrid Tutorial*, 2nd ed., SIAM 2000): linear or bilinear
+prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
+solve on the coarsest level, so the iteration count stays flat as h shrinks.
 
 Assembly walks cells in a fixed order into COO triplets (deterministic
 regardless of any outer parallelism over distinct systems), and the solver
@@ -396,10 +395,7 @@ def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
     nxn, nyn = grid.node_counts()
     ii = np.arange(nx, dtype=np.int32)
     jj = np.arange(ny, dtype=np.int32)
-    if grid.periodic_x:
-        i_east = (ii + 1) % nx
-    else:
-        i_east = ii + 1
+    i_east = (ii + 1) % nxn  # wraps only on a periodic x axis, where nxn = nx
     jje = jj + 1
     sw = jj[:, None] * nxn + ii[None, :]
     se = jj[:, None] * nxn + i_east[None, :]
@@ -488,28 +484,14 @@ _SMOOTH_SWEEPS = 2
 _COARSEST_UNKNOWNS = 600
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
-
-
-def _default_max_iterations(system: SparseSystem, n_free: int) -> int:
-    grid = system.grid
-    if grid is not None and grid.dim == 2:
-        return max(200, 50 * math.ceil(math.sqrt(n_free)))
-    return max(200, 10 * n_free)
+#: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
+REL_TOL = 1e-10
 
 
 def _field_from_vector(system: SparseSystem, x: np.ndarray, iterations: int) -> DiscreteField:
     grid = system.grid
-    if grid is None or grid.dim == 1:
-        comps = tuple(
-            x[k * (system.n // system.n_components):(k + 1) * (system.n // system.n_components)]
-            for k in range(system.n_components)
-        )
-        return DiscreteField(grid=grid, components=comps, iterations=iterations)
-    nxn, nyn = grid.node_counts()
-    n_nodes = nxn * nyn
-    comps = tuple(
-        x[k * n_nodes:(k + 1) * n_nodes].reshape(nyn, nxn) for k in range(system.n_components)
-    )
+    counts = (-1,) if grid is None else grid.node_counts()[::-1]  # slowest axis first
+    comps = tuple(c.reshape(counts) for c in x.reshape(system.n_components, -1))
     return DiscreteField(grid=grid, components=comps, iterations=iterations)
 
 
@@ -536,29 +518,35 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
 
 
 class _Multigrid:
-    """Galerkin multigrid V-cycle for the reduced block of a 2D system.
+    """Galerkin multigrid V-cycle for the reduced block of any system.
 
-    Each level keeps the free nodes of a tensor grid.  The prolongation is
-    ``kron(P_y, P_x)`` restricted to the free fine rows and to the coarse
-    nodes whose injected fine node is free, so it has full column rank and
-    every coarse operator ``P^T A P`` stays SPD.  The same damped-Jacobi
-    sweeps before and after each coarse correction keep the cycle
-    symmetric, which makes it a valid CG preconditioner.
+    Each level keeps the free nodes of a tensor grid, whose node counts are
+    read slowest axis first: ``(ny, nx)`` in 2D, ``(n,)`` on 1D and radial
+    grids, ``(m,)`` for a block with no grid.  The prolongation is the
+    Kronecker product of the per-axis factors, ``kron(P_y, P_x)`` in 2D,
+    restricted to the free fine rows and to the coarse nodes whose injected
+    fine node is free, so it has full column rank and every coarse operator
+    ``P^T A P`` stays SPD.  The same damped-Jacobi sweeps before and after
+    each coarse correction keep the cycle symmetric, which makes it a valid
+    CG preconditioner.
     """
 
-    def __init__(self, A: sp.csr_matrix, grid: StructuredGrid, free: np.ndarray):
-        nx, ny = grid.node_counts()
-        free = free.reshape(ny, nx)
+    def __init__(self, A: sp.csr_matrix, grid: Optional[StructuredGrid], free: np.ndarray):
+        counts = free.shape if grid is None else grid.node_counts()[::-1]
+        periodic = [False] * (len(counts) - 1) + [grid is not None and grid.periodic_x]
+        free = free.reshape(counts)
         self.levels = []
-        while A.shape[0] > _COARSEST_UNKNOWNS and max(nx, ny) >= _MIN_COARSEN_NODES:
-            px, keep_x = _axis_prolongation(nx, grid.periodic_x)
-            py, keep_y = _axis_prolongation(ny, False)
-            coarse_free = free[np.ix_(keep_y, keep_x)]
-            P = sp.kron(py, px, format="csr")[free.ravel()][:, coarse_free.ravel()]
+        while A.shape[0] > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
+            factors = [_axis_prolongation(n, p) for n, p in zip(counts, periodic)]
+            P = factors[0][0]
+            for factor, _ in factors[1:]:
+                P = sp.kron(P, factor, format="csr")
+            coarse_free = free[np.ix_(*(keep for _, keep in factors))]
+            P = P[free.ravel()][:, coarse_free.ravel()]
             R = P.T.tocsr()
             self.levels.append((A, _SMOOTH_OMEGA / A.diagonal(), P, R))
             A = (R @ A @ P).tocsr()
-            nx, ny, free = len(keep_x), len(keep_y), coarse_free
+            counts, free = coarse_free.shape, coarse_free
         self.coarse_inverse = np.linalg.inv(A.toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
@@ -574,20 +562,15 @@ class _Multigrid:
         return x
 
 
-def _preconditioner(system: SparseSystem, A_ff: sp.csr_matrix, free: np.ndarray):
-    """Multigrid V-cycle on 2D grids, Jacobi otherwise."""
-    diag = A_ff.diagonal()
-    if np.any(diag <= 0):
+def _preconditioner(system: SparseSystem, A_ff: sp.csr_matrix, free: np.ndarray) -> _Multigrid:
+    """The multigrid V-cycle of the reduced block on the system's grid."""
+    if np.any(A_ff.diagonal() <= 0):
         raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
-    grid = system.grid
-    if grid is not None and grid.dim == 2:
-        return _Multigrid(A_ff, grid, free)
-    inv_diag = 1.0 / diag
-    return lambda r: inv_diag * r
+    return _Multigrid(A_ff, system.grid, free)
 
 
-def _pcg(A, b, b_norm, precondition, rel_tol, max_iterations) -> Tuple[np.ndarray, int]:
-    """CG from x = 0 until ||r|| <= rel_tol * b_norm; returns x and the iterations."""
+def _pcg(A, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
+    """CG from x = 0 until ||r|| <= REL_TOL * b_norm; returns x and the iterations."""
     x = np.zeros(len(b))
     r = b.copy()
     z = precondition(r)
@@ -601,33 +584,29 @@ def _pcg(A, b, b_norm, precondition, rel_tol, max_iterations) -> Tuple[np.ndarra
         alpha = rz / pAp
         x += alpha * p
         r -= alpha * Ap
-        if float(np.linalg.norm(r)) <= rel_tol * b_norm:
+        if float(np.linalg.norm(r)) <= REL_TOL * b_norm:
             return x, iterations
         z = precondition(r)
         rz_new = float(r @ z)
         p = z + (rz_new / rz) * p
         rz = rz_new
     raise NonConvergenceError(
-        f"CG did not reach {rel_tol} in {max_iterations} iterations"
+        f"CG did not reach {REL_TOL} in {max_iterations} iterations"
     )
 
 
-def solve_spd(
-    system: SparseSystem,
-    rel_tol: float = 1e-10,
-    max_iterations: Optional[int] = None,
-) -> DiscreteField:
+def solve_spd(system: SparseSystem, max_iterations: Optional[int] = None) -> DiscreteField:
     """Preconditioned conjugate gradients on the reduced block, per component.
 
-    The constrained nodes are eliminated once from the shared block.  1D,
-    radial and grid-less systems are preconditioned by its diagonal
-    (Jacobi); 2D systems by a multigrid V-cycle whose hierarchy is built
-    once and serves every component.  Each component iterates until
-    ||r_k|| <= rel_tol * ||b_k||; one whose reduced right-hand side is zero
+    The constrained nodes are eliminated once from the shared block, which
+    is preconditioned by a multigrid V-cycle on the system's grid (a lone
+    axis for a block with no grid) whose hierarchy is built once and serves
+    every component.  Each component iterates until
+    ||r_k|| <= REL_TOL * ||b_k||; one whose reduced right-hand side is zero
     stays zero after 0 iterations.  Raises :class:`NonConvergenceError`
-    when a component needs more than ``max_iterations``, by default 10 n
-    (1D) or 50 sqrt(n) (2D) for the n free unknowns of all components,
-    which indicates an assembly bug or an indefinite system.  The returned
+    when a component needs more than ``max_iterations``, by default
+    max(200, 50 sqrt(n)) for the n free unknowns of all components, which
+    indicates an assembly bug or an indefinite system.  The returned
     iteration count is the sum over components and is deterministic for
     fixed inputs.
     """
@@ -652,7 +631,7 @@ def solve_spd(
     A_ff = rows[:, free]
     del rows  # not held through the solve: it would raise the peak memory
     if max_iterations is None:
-        max_iterations = _default_max_iterations(system, k * n_free)
+        max_iterations = max(200, 50 * math.ceil(math.sqrt(k * n_free)))
     precondition = None
     iterations = 0
     for c, b in enumerate(loads):
@@ -661,16 +640,14 @@ def solve_spd(
             continue
         if precondition is None:
             precondition = _preconditioner(system, A_ff, free)
-        x, its = _pcg(A_ff, b, b_norm, precondition, rel_tol, max_iterations)
+        x, its = _pcg(A_ff, b, b_norm, precondition, max_iterations)
         x_comps[c][free] = x
         iterations += its
     return _field_from_vector(system, x_full, iterations)
 
 
 def homogeneous_boundary_probe(
-    system: SparseSystem,
-    boundary_values: Union[float, np.ndarray],
-    rel_tol: float = 1e-10,
+    system: SparseSystem, boundary_values: Union[float, np.ndarray]
 ) -> DiscreteField:
     """Solve the homogeneous equation with prescribed Dirichlet data.
 
@@ -699,7 +676,7 @@ def homogeneous_boundary_probe(
         classification=system.classification,
         dirichlet_values=values,
     )
-    return solve_spd(probe, rel_tol=rel_tol)
+    return solve_spd(probe)
 
 
 def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:

@@ -47,17 +47,11 @@ def divergence(field: DiscreteField) -> np.ndarray:
         return slope + s_mid / r_mid
     sx, sy = field.components
     h = grid.h
-    if grid.periodic_x:
-        east = np.roll(np.arange(grid.cells[0]), -1)
-        sx_w = sx[:, np.arange(grid.cells[0])]
-        sx_e = sx[:, east]
-        sy_w = sy[:, np.arange(grid.cells[0])]
-        sy_e = sy[:, east]
-        dsx = ((sx_e[:-1] + sx_e[1:]) - (sx_w[:-1] + sx_w[1:])) / (2 * h)
-        dsy = ((sy_w[1:] + sy_e[1:]) - (sy_w[:-1] + sy_e[:-1])) / (2 * h)
-        return dsx + dsy
-    dsx = ((sx[:-1, 1:] + sx[1:, 1:]) - (sx[:-1, :-1] + sx[1:, :-1])) / (2 * h)
-    dsy = ((sy[1:, :-1] + sy[1:, 1:]) - (sy[:-1, :-1] + sy[:-1, 1:])) / (2 * h)
+    west = np.arange(grid.cells[0])
+    east = (west + 1) % grid.node_counts()[0]  # wraps only on a periodic x axis
+    sx_w, sx_e, sy_w, sy_e = sx[:, west], sx[:, east], sy[:, west], sy[:, east]
+    dsx = ((sx_e[:-1] + sx_e[1:]) - (sx_w[:-1] + sx_w[1:])) / (2 * h)
+    dsy = ((sy_w[1:] + sy_e[1:]) - (sy_w[:-1] + sy_e[:-1])) / (2 * h)
     return dsx + dsy
 
 

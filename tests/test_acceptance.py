@@ -61,7 +61,7 @@ def test_c03_discrete_vs_analytic_1d():
         errors = []
         for n in (128, 256, 512):
             grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
-            field = solver.solve_spd(solver.assemble_1d(grid, shape, a), rel_tol=SOLVER_TOL)
+            field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
             nodes = grid.node_coords(0)
             exact = np.array([analytic.eval_solution(sol, float(x)).scalar for x in nodes])
             errors.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
@@ -76,10 +76,10 @@ def test_c04_band_reduction():
         h = 1.0 / 64
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
         grid2 = solver.band_general_grid(band, h)
-        field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a), rel_tol=SOLVER_TOL)
+        field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a))
         ishape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
         grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-        field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a), rel_tol=SOLVER_TOL)
+        field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
         sx, sy = field2.components
         scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
         assert float(np.max(np.abs(sx))) <= 1e-8 * scale
@@ -147,7 +147,7 @@ def test_c09_radial_solver_cross_check():
         shape = shapes.annulus_whole(1.0, 2.0)
         grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
         system = solver.assemble_radial(grid, shape, a)
-        field = solver.solve_spd(system, rel_tol=SOLVER_TOL)
+        field = solver.solve_spd(system)
         p = thickness.divergence(field)
         p_shape = p[system.classification.shape_mask]
         ref = analytic.annulus_whole(1.0, 2.0, a)
@@ -169,7 +169,7 @@ def test_c11_maximum_principle():
         probes = harness._max_principle_probes(0.04)
         assert len(probes) == 10
         for label, system, data in probes:
-            field = solver.homogeneous_boundary_probe(system, data, rel_tol=SOLVER_TOL)
+            field = solver.homogeneous_boundary_probe(system, data)
             mag = harness._vector_magnitude(field)
             mask1 = system.dirichlet_mask[: system.n // system.n_components]
             boundary_sup = float(np.max(mag[mask1]))

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -75,6 +76,84 @@ class TestIntervalGeneral:
     def test_rejects_bad_ordering(self):
         with pytest.raises(InvalidShapeError):
             analytic.interval_general(0, 1, 0.5, 2, 0.1)
+
+
+class TestIntervalGeneralExcess:
+    # (f_l, width, m_l, m_r, a): the default-seed verify draw at a = 1.29e-5,
+    # where 4 T exp(-2m/sqrt(a)) is below an ulp of 2 sqrt(a); alpha = 1e6;
+    # and a moderate a where the excess is visible in the thickness itself
+    CASES = [
+        (0.4822677279818701, 0.3387841052153493, 2.772901983936029, 2.1123995246083695, 1.2893156705856797e-05),
+        (0.0, 1.0, 1.0, 1.5, 1e-12),
+        (0.0, 1.0, 0.5, 0.7, 0.3),
+    ]
+
+    @staticmethod
+    def _solve(f_l, width, m_l, m_r, a):
+        return analytic.interval_general(f_l, f_l + width, f_l - m_l, f_l + width + m_r, a)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_log_excess_matches_mpmath(self, case):
+        mp = pytest.importorskip("mpmath")
+        sol = self._solve(*case)
+        s = sol.shape
+        with mp.workdps(40):
+            sqrt_a = mp.sqrt(mp.mpf(sol.a))
+            alpha = (mp.mpf(s.f_l) - mp.mpf(s.b_l)) / sqrt_a
+            beta = (mp.mpf(s.b_r) - mp.mpf(s.f_r)) / sqrt_a
+            T = mp.mpf(s.f_r) - mp.mpf(s.f_l)
+            # 1 - tanh x = e^(-x) / cosh x, free of cancellation at any precision
+            excess = T * (mp.exp(-alpha) / mp.cosh(alpha) + mp.exp(-beta) / mp.cosh(beta))
+            ref = float(mp.log(excess / (mp.tanh(alpha) + mp.tanh(beta))))
+        assert math.isfinite(sol.log_excess)
+        assert sol.log_excess == pytest.approx(ref, rel=1e-13, abs=1e-14)
+
+    def test_excess_below_an_ulp_is_still_seen(self):
+        f_l, width, m_l, m_r, a = self.CASES[0]
+        sol = self._solve(*self.CASES[0])
+        assert sol.lower_bound == sol.thickness_error == sol.upper_bound
+        m = min(m_l, m_r)
+        assert sol.log_excess < math.log(4.0 * width) - 2.0 * m / math.sqrt(a)
+
+    def test_alpha_near_a_million(self):
+        sol = self._solve(*self.CASES[1])
+        assert sol.coefficients["alpha"] == pytest.approx(1e6)
+        assert sol.log_excess == pytest.approx(-2e6, rel=1e-12)
+
+    def test_visible_excess_matches_the_thickness(self):
+        sol = self._solve(*self.CASES[2])
+        direct = sol.thickness_error - 2.0 * math.sqrt(sol.a)
+        assert math.exp(sol.log_excess) == pytest.approx(direct, rel=1e-12)
+
+    def test_other_closed_forms_give_no_excess(self):
+        assert analytic.interval_whole(0, 1, 0.04).log_excess is None
+        assert analytic.annulus_whole(1, 2, 0.04).log_excess is None
+
+
+class TestProfile:
+    def test_bits_of_the_pointwise_calls(self):
+        sol = analytic.annulus_whole(1.0, 2.0, 0.04)
+        xx, yy = np.meshgrid(np.linspace(-2.5, 2.5, 41), np.linspace(-2.5, 2.5, 41))
+        rr = np.hypot(xx, yy)
+        ref = np.array([analytic.eval_solution(sol, float(r)).scalar for r in rr.ravel()])
+        out = analytic.profile(sol, rr)
+        assert out.shape == rr.shape
+        assert out.tobytes() == ref.reshape(rr.shape).tobytes()
+
+    def test_one_call_per_distinct_value(self, monkeypatch):
+        calls = []
+        original = analytic.eval_solution
+
+        def counting(sol, t):
+            calls.append(t)
+            return original(sol, t)
+
+        monkeypatch.setattr(analytic, "eval_solution", counting)
+        sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, 0.04)
+        out = analytic.profile(sol, np.array([0.5, -0.5, 0.5, 1.5, -0.5]))
+        assert sorted(calls) == [-0.5, 0.5, 1.5]
+        assert out[0] == out[2] and out[1] == out[4]
+        assert out[3] == original(sol, 1.5).scalar
 
 
 class TestBandWhole:

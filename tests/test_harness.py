@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -116,6 +117,30 @@ class TestVerify:
         for name, check in by_name.items():
             if name != "bessel-ratio-bounds":
                 assert check.passed, name
+
+    def test_interval_general_log_samples_see_the_upper_side(self):
+        report = harness.verify_theorems("analytic")
+        (check,) = [c for c in report.checks if c.case == "interval-general-bounds"]
+        direct, logs = check.samples[0::2], check.samples[1::2]
+        assert len(direct) == len(logs) == 50
+        # the direct samples include ones with no room on either side...
+        assert any(s.lower_bound == s.error == s.bound for s in direct)
+        # ...while every log sample is finite and strictly inside its bound
+        for d, s in zip(direct, logs):
+            assert s.a == d.a
+            assert math.isfinite(s.error) and s.error < s.bound
+            assert s.passed
+
+    @pytest.mark.parametrize("log_excess, passed", [(-math.inf, False), (math.nan, False), (-1e300, True)])
+    def test_interval_general_excess_must_be_positive(self, monkeypatch, log_excess, passed):
+        original = analytic.interval_general
+        monkeypatch.setattr(
+            analytic,
+            "interval_general",
+            lambda *args: dataclasses.replace(original(*args), log_excess=log_excess),
+        )
+        check = harness._check_interval_general_bounds(np.random.default_rng(1))
+        assert check.passed == passed
 
     def test_nan_ratio_deficit_fails_the_bessel_check(self, monkeypatch):
         monkeypatch.setattr(bessel, "k_ratio_lower_bound", lambda x: math.nan)

@@ -115,6 +115,16 @@ class TestAssemble2d:
             solver.assemble_2d(grid, ann, 0.04)
 
 
+    @pytest.mark.parametrize("periodic, east", [(False, 4), (True, 0)])
+    def test_east_corners_wrap_only_on_periodic_grids(self, periodic, east):
+        grid = geometry.StructuredGrid(dim=2, origin=(0.0, 0.0), h=0.25, cells=(4, 2), periodic_x=periodic)
+        conn, n_nodes = solver._node_ids_2d(grid)
+        nxn = grid.node_counts()[0]
+        assert conn.dtype == np.int32 and n_nodes == 3 * nxn
+        # the last cell of the first row: SW, SE, NE, NW
+        assert conn[3].tolist() == [3, east, nxn + east, nxn + 3]
+
+
 class TestSolveSpd:
     def test_identity_single_iteration(self):
         n = 40
@@ -139,9 +149,9 @@ class TestSolveSpd:
         assert np.array_equal(f1.components[0], f2.components[0])
 
     def test_nonconvergence_reported(self):
-        system, _, _ = _interval_system(n=384)
+        system, _, _ = _interval_system(n=3072)
         with pytest.raises(NonConvergenceError):
-            solver.solve_spd(system, rel_tol=1e-10, max_iterations=3)
+            solver.solve_spd(system, max_iterations=3)
 
     def test_matches_analytic_interval(self):
         a = 0.04
@@ -320,6 +330,35 @@ def _narrow_band_system(a=0.04):
     return solver.assemble_2d(grid, band, a)
 
 
+def _interval_holes_system(a=0.04):
+    # the grid reaches past the box (-0.95, 2.04), so the nodes between its
+    # Outside cells are Dirichlet holes inside the node range
+    shape = shapes.interval_general(0.0, 1.0, -0.95, 2.04)
+    grid = solver.build_interval_grid(shape, 1.0 / 256, (-1.25, 2.3))
+    system = solver.assemble_1d(grid, shape, a)
+    assert system.dirichlet_mask[1:-1].any()
+    return system
+
+
+def _radial_system(h, a=0.04):
+    ann = shapes.annulus_whole(1.0, 2.0)
+    return solver.assemble_radial(solver.build_radial_grid(ann, h, a=a), ann, a)
+
+
+def _void_probe_system(a=0.04):
+    """The all-void 1D system with Dirichlet data 1 at both ends."""
+    grid = solver.build_interval_grid(shapes.interval_general(0.0, 1.0, -1.0, 2.0), 1.0 / 256, (-1.0, 2.0))
+    void = solver.assemble_1d(grid, None, a)
+    return solver.SparseSystem(
+        n=void.n,
+        block=void.block,
+        rhs=void.rhs,
+        dirichlet_mask=void.dirichlet_mask,
+        grid=grid,
+        dirichlet_values=np.ones(void.n),
+    )
+
+
 class TestMultigrid:
     @pytest.mark.parametrize("a", [0.04, 0.01])
     def test_annulus_iterations_flat_in_h(self, a):
@@ -355,7 +394,7 @@ class TestMultigrid:
         assert mg.coarse_inverse.shape[0] < mg.levels[1][0].shape[0] < mg.levels[0][0].shape[0]
         assert _component_iterations(system)[1] <= 12
 
-    @pytest.mark.parametrize("case", ["annulus", "wavy", "narrow"])
+    @pytest.mark.parametrize("case", ["annulus", "wavy", "narrow", "interval-holes", "radial", "void-probe"])
     def test_matches_sparse_direct(self, case):
         if case == "annulus":
             ann = shapes.annulus_general(1.0, 2.0, 2.5)
@@ -363,11 +402,58 @@ class TestMultigrid:
         elif case == "wavy":
             band = harness.canonical_wavy_band()
             system = solver.assemble_2d(solver.band_general_grid(band, np.sqrt(0.02) / 8), band, 0.02)
-        else:
+        elif case == "narrow":
             system = _narrow_band_system()
+        elif case == "interval-holes":
+            system = _interval_holes_system()
+        elif case == "radial":
+            system = _radial_system(1.0 / 1024)
+        else:
+            system = _void_probe_system()
+        if system.grid.dim == 1:  # large enough to reach the 1D hierarchy
+            assert np.count_nonzero(~system.dirichlet_mask) > 600
         field = solver.solve_spd(system)
-        ref = _direct_reference(system)
+        ref = _direct_reference(system, system.dirichlet_values)
         assert np.max(np.abs(field.flat() - ref)) <= 1e-8 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "case, h", [("radial", 1 / 256), ("radial", 1 / 1024), ("interval", 1 / 512), ("interval", 1 / 4096)]
+    )
+    def test_1d_iterations_flat_in_h(self, case, h):
+        if case == "radial":
+            system = _radial_system(h)
+        else:
+            system, _, _ = _interval_system(n=round(3 / h))
+        assert np.count_nonzero(~system.dirichlet_mask) > 600  # above the dense coarse solve
+        assert 0 < solver.solve_spd(system).iterations <= 12
+
+    def test_gridless_block_coarsens_as_one_axis(self):
+        # a 1D Laplacian with a small shift and no grid: (m,) node counts
+        m = 2000
+        block = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
+        b = np.random.default_rng(3).standard_normal(m)
+        system = solver.SparseSystem(n=m, block=block, rhs=b, dirichlet_mask=np.zeros(m, bool))
+        mg = solver._Multigrid(block, None, np.ones(m, bool))
+        # an open even axis keeps its last node: 2000 -> 1001 -> 501 nodes
+        assert [lv[0].shape[0] for lv in mg.levels] == [2000, 1001]
+        assert mg.coarse_inverse.shape == (501, 501)
+        field = solver.solve_spd(system)
+        assert 0 < field.iterations <= 12
+        assert np.max(np.abs(block @ field.components[0] - b)) <= 1e-8 * np.max(np.abs(b))
+
+    def test_2d_prolongation_is_the_kron_of_the_axes(self):
+        band = harness.canonical_wavy_band()
+        grid = solver.band_general_grid(band, 0.02)
+        system = solver.assemble_2d(grid, band, 0.02)
+        free = ~system.dirichlet_mask[: system.n // 2]
+        mg = solver._Multigrid(system.block[free][:, free], grid, free)
+        nx, ny = grid.node_counts()
+        px, keep_x = solver._axis_prolongation(nx, True)
+        py, keep_y = solver._axis_prolongation(ny, False)
+        coarse_free = free.reshape(ny, nx)[np.ix_(keep_y, keep_x)].ravel()
+        P = sp.kron(py, px, format="csr")[free][:, coarse_free]
+        P0 = mg.levels[0][2]
+        assert P0.shape == P.shape and (P0 != P).nnz == 0
 
     def test_probe_with_data_on_both_components(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)

@@ -46,6 +46,48 @@ class TestDivergence:
         assert np.max(np.abs(p - sol.p_star)) <= 1e-12 * sol.p_star
 
 
+class TestEastColumn:
+    """The wrapped east column gives the bytes of the old per-grid formulas."""
+
+    @staticmethod
+    def _random_field(periodic):
+        grid = geometry.StructuredGrid(
+            dim=2, origin=(0.0, -1.0), h=0.125, cells=(8, 6), periodic_x=periodic
+        )
+        nxn, nyn = grid.node_counts()
+        rng = np.random.default_rng(11)
+        comps = tuple(rng.standard_normal((nyn, nxn)) for _ in range(2))
+        return solver.DiscreteField(grid=grid, components=comps)
+
+    def test_open_grid_divergence(self):
+        field = self._random_field(periodic=False)
+        sx, sy = field.components
+        h = field.grid.h
+        dsx = ((sx[:-1, 1:] + sx[1:, 1:]) - (sx[:-1, :-1] + sx[1:, :-1])) / (2 * h)
+        dsy = ((sy[1:, :-1] + sy[1:, 1:]) - (sy[:-1, :-1] + sy[:-1, 1:])) / (2 * h)
+        assert thickness.divergence(field).tobytes() == (dsx + dsy).tobytes()
+
+    def test_periodic_grid_divergence(self):
+        field = self._random_field(periodic=True)
+        sx, sy = field.components
+        h = field.grid.h
+        w = np.arange(8)
+        e = np.roll(w, -1)
+        dsx = ((sx[:, e][:-1] + sx[:, e][1:]) - (sx[:, w][:-1] + sx[:, w][1:])) / (2 * h)
+        dsy = ((sy[:, w][1:] + sy[:, e][1:]) - (sy[:, w][:-1] + sy[:, e][:-1])) / (2 * h)
+        assert thickness.divergence(field).tobytes() == (dsx + dsy).tobytes()
+
+    @pytest.mark.parametrize("periodic", [False, True])
+    def test_cell_magnitude(self, periodic):
+        field = self._random_field(periodic)
+        east = np.roll(np.arange(8), -1) if periodic else np.arange(1, 9)
+        ref = np.zeros((6, 8))
+        for c in field.components:
+            center = 0.25 * (c[:-1, :8] + c[1:, :8] + c[:-1, east] + c[1:, east])
+            ref += center * center
+        assert harness._cell_magnitude_sq(field).tobytes() == ref.tobytes()
+
+
 class TestInverseThickness:
     def test_definition(self):
         shape = shapes.interval_whole(0.0, 1.0)
