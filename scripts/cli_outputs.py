@@ -64,6 +64,18 @@ COMMANDS = (
         ("oracle-interval", ["oracle", *_shape("interval-whole"), "--cells", "50", "--out", "@thickness.csv"]),
         ("oracle-wavy-band", ["oracle", *_shape("band-general"), "--cells", "16", "--out", "@thickness.csv"]),
         ("oracle-annulus", ["oracle", *_shape("annulus-whole"), "--cells", "20", "--out", "@thickness.csv"]),
+        # the shape lies within h of both grid ends, so inscribed-ball windows clip at both
+        (
+            "oracle-interval-general",
+            ["oracle", "--family", "interval-general", "--fl", "0", "--fr", "1", "--bl", "-0.01",
+             "--br", "1.01", "--cells", "50", "--out", "@thickness.csv"],
+        ),
+        # nx = 4 cells along the period and reach up to 8: windows wrap more than once
+        (
+            "oracle-band-narrow",
+            ["oracle", "--family", "band-whole", "--fl", "0", "--fr", "1", "--L", "0.25",
+             "--cells", "16", "--out", "@thickness.csv"],
+        ),
         (
             "sweep-interval",
             ["sweep", *_shape("interval-whole"), "--a-list", "1e-4,1e-3,1e-2,1e-1",

@@ -11,7 +11,9 @@ for a source cell center c the ball of radius rho(c) (signed distance to the
 shape boundary) is inscribed in the shape, so every covered cell receives the
 candidate diameter 2 rho(c); the field is the max over candidates.  The max
 reduction is associative and commutative, so the sweep order cannot change
-the result; the implementation below runs it serially.  Cost is
+the result; the implementation below stamps many balls at once, grouped by
+reach and in batches of at most ``ORACLE_BATCH`` (source, target) pairs, so
+its scratch memory is bounded whatever the grid.  Cost is
 O(n_cells * ball cells) and refuses grids beyond 1024^2 cells.
 """
 
@@ -29,6 +31,9 @@ from .shapes import Family, ShapeSpec
 
 #: Hard cap on oracle grid size (documented limit, not a silent truncation).
 ORACLE_MAX_CELLS = 1024 * 1024
+
+#: Candidate (source, target) pairs the oracle stamps at once; caps its scratch memory.
+ORACLE_BATCH = 1 << 17
 
 _SPACING_RTOL = 1e-12
 
@@ -232,6 +237,14 @@ def geometric_thickness_oracle(grid: StructuredGrid, shape: ShapeSpec) -> Thickn
     the shape; every covered shape cell records the candidate 2 rho(c) and
     keeps the maximum.  The result is within 2h of the exact constant
     thickness for the shapes handled here.
+
+    The balls are stamped in batches.  Sources are grouped by their reach
+    ``int(rho/h) + 1``, and a group's windows of ``2 reach + 1`` cells per
+    axis are stamped together, at most ``ORACLE_BATCH`` (source, target)
+    pairs at a time (one source when its window alone is larger), so the
+    scratch arrays stay that size on any grid.  A periodic axis wraps the
+    window and takes the shortest periodic distance; any other axis clips it
+    to the grid, which only repeats its edge cells.
     """
     if grid.n_cells() > ORACLE_MAX_CELLS:
         raise GridError(
@@ -241,50 +254,40 @@ def geometric_thickness_oracle(grid: StructuredGrid, shape: ShapeSpec) -> Thickn
     rho = _signed_distance_grid(shape, grid)
     mask = cls.shape_mask
     values = np.full(rho.shape, np.nan)
-    h = grid.h
-    if grid.dim == 1:
-        x = grid.cell_centers(0)
-        values[mask] = 0.0
-        for i in np.flatnonzero(mask):
-            r = rho[i]
-            reach = int(r / h) + 1
-            lo = max(0, i - reach)
-            hi = min(len(x), i + reach + 1)
-            window = slice(lo, hi)
-            covered = np.abs(x[window] - x[i]) <= r
-            covered &= mask[window]
-            seg = values[window]
-            seg[covered] = np.maximum(seg[covered], 2.0 * r)
-        return ThicknessField(grid=grid, values=values, mask=mask)
-
-    cx = grid.cell_centers(0)
-    cy = grid.cell_centers(1)
-    nx, ny = grid.cells
     values[mask] = 0.0
-    length_x = grid.extent[0]
-    for j, i in np.argwhere(mask):
-        r = rho[j, i]
-        reach = int(r / h) + 1
-        j_lo = max(0, j - reach)
-        j_hi = min(ny, j + reach + 1)
-        if grid.periodic_x:
-            ii = (np.arange(i - reach, i + reach + 1)) % nx
-            dx = cx[ii] - cx[i]
-            # shortest periodic horizontal distance
-            dx = (dx + 0.5 * length_x) % length_x - 0.5 * length_x
-        else:
-            i_lo = max(0, i - reach)
-            i_hi = min(nx, i + reach + 1)
-            ii = np.arange(i_lo, i_hi)
-            dx = cx[ii] - cx[i]
-        dy = cy[j_lo:j_hi] - cy[j]
-        dist2 = dy[:, None] ** 2 + dx[None, :] ** 2
-        covered = dist2 <= r * r
-        sub_mask = mask[j_lo:j_hi][:, ii]
-        covered &= sub_mask
-        block = values[j_lo:j_hi][:, ii]
-        block[covered] = np.maximum(block[covered], 2.0 * r)
-        values[j_lo:j_hi, ii] = block
+    # (centers, period or None) per axis, slowest first like the cell arrays
+    axes = [
+        (grid.cell_centers(axis), grid.extent[axis] if grid.periodic_x and axis == 0 else None)
+        for axis in reversed(range(grid.dim))
+    ]
+    sources = np.flatnonzero(mask)
+    radii = rho.reshape(-1)[sources]
+    reaches = (radii / grid.h).astype(int) + 1
+    for reach in np.unique(reaches):
+        group = reaches == reach
+        group_sources, group_radii = sources[group], radii[group]
+        offsets = np.arange(-reach, reach + 1)
+        step = max(1, ORACLE_BATCH // len(offsets) ** grid.dim)
+        for lo in range(0, len(group_sources), step):
+            batch = group_sources[lo:lo + step]
+            r = group_radii[lo:lo + step].reshape((-1,) + (1,) * grid.dim)
+            target, dist2 = 0, 0.0
+            for axis, ((c, period), s) in enumerate(zip(axes, np.unravel_index(batch, mask.shape))):
+                view = [len(batch)] + [1] * grid.dim
+                view[axis + 1] = len(offsets)
+                t = s[:, None] + offsets
+                t = np.clip(t, 0, len(c) - 1) if period is None else t % len(c)
+                d = c[t] - c[s][:, None]
+                if period is not None:  # shortest periodic distance
+                    d = (d + 0.5 * period) % period - 0.5 * period
+                target = target * len(c) + t.reshape(view)
+                dist2 = dist2 + d.reshape(view) ** 2
+            covered = (dist2 <= r * r) & mask.reshape(-1)[target]
+            # a clipped window repeats its edge cells and a wrapped one its
+            # periodic images, each time at the same distance, so max-reduce
+            np.maximum.at(
+                values.reshape(-1), target[covered], np.broadcast_to(2.0 * r, covered.shape)[covered]
+            )
     return ThicknessField(grid=grid, values=values, mask=mask)
 
 

@@ -155,26 +155,13 @@ class ResolutionPolicy:
             )
 
 
-@dataclass(frozen=True)
-class GeneralCaseResult:
-    a: float
-    h: float
-    measured_l2: float
-    bound: float
-    slack: float
-
-    @property
-    def passed(self) -> bool:
-        return self.measured_l2 <= self.bound + self.slack
-
-
 def run_general_l2_case(
     shape: ShapeSpec, a: float, policy: Optional[ResolutionPolicy] = None
-) -> GeneralCaseResult:
-    """One 2D solve of a general band/annulus; returns the measured envelope.
+) -> SweepSample:
+    """One 2D solve of a general band/annulus; returns its envelope sample.
 
-    Measured quantity: || 1/T^a - 1/T_bar ||_{L2(shape)} from the discrete
-    inverse thickness; bound: the theorem envelope; slack: 2 h / T^2.
+    Error: || 1/T^a - 1/T_bar ||_{L2(shape)} from the discrete inverse
+    thickness; bound: the theorem envelope; slack: 2 h / T^2; lower bound: 0.
     """
     policy = policy or ResolutionPolicy()
     # raises DomainError, before any solve, for a family without an L2 envelope
@@ -187,9 +174,7 @@ def run_general_l2_case(
     inv = thickness.inverse_thickness(div, a, system.classification)
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
     slack = 2.0 * grid.h / shape.thickness**2
-    return GeneralCaseResult(
-        a=a, h=grid.h, measured_l2=norms.l2_on_omega, bound=bound, slack=slack
-    )
+    return SweepSample(a=a, error=norms.l2_on_omega, bound=bound, slack=slack, lower_bound=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +251,7 @@ def sweep_a(
     samples: List[SweepSample] = []
     for a in a_values:
         if shape.family in analytic.L2_ENVELOPES:
-            res = run_general_l2_case(shape, a, policy)
-            sample = SweepSample(
-                a=a, error=res.measured_l2, bound=res.bound, slack=res.slack, lower_bound=0.0
-            )
+            sample = run_general_l2_case(shape, a, policy)
         else:
             sol = analytic.solve_family(shape, a)
             sample = SweepSample(
@@ -556,16 +538,9 @@ def _check_band_general_envelope() -> TheoremCheck:
         statement="L2 error of 1/T^a vs 1/T_bar within the wavy-band envelope",
     )
     shape = canonical_wavy_band()
-    results = []
     for a in (0.04, 0.02, 0.01):
-        res = run_general_l2_case(shape, a)
-        results.append(res)
-        check.add(
-            SweepSample(
-                a=a, error=res.measured_l2, bound=res.bound, slack=res.slack, lower_bound=0.0,
-            )
-        )
-    slope, intercept = fit_rate([(r.a, r.measured_l2) for r in results])
+        check.add(run_general_l2_case(shape, a))
+    slope, intercept = fit_rate([(s.a, s.error) for s in check.samples])
     check.slope, check.intercept = slope, intercept
     if not 0.4 <= slope <= 0.6:
         check.passed = False
@@ -580,12 +555,7 @@ def _check_annulus_general_envelope() -> TheoremCheck:
     )
     shape = _shapes.annulus_general(1.0, 2.0, 2.5)
     for a in (0.04, 0.02):
-        res = run_general_l2_case(shape, a)
-        check.add(
-            SweepSample(
-                a=a, error=res.measured_l2, bound=res.bound, slack=res.slack, lower_bound=0.0,
-            )
-        )
+        check.add(run_general_l2_case(shape, a))
     return check
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -69,22 +70,28 @@ class PeriodicBoundary:
         out = np.full_like(x, self.mean, dtype=float)
         w = 2.0 * math.pi / self.period
         for k, c in enumerate(self.cosine_coeffs, start=1):
-            out = out + c * np.cos(k * w * x)
+            if c:
+                out = out + c * np.cos(k * w * x)
         for k, s in enumerate(self.sine_coeffs, start=1):
-            out = out + s * np.sin(k * w * x)
+            if s:
+                out = out + s * np.sin(k * w * x)
         return out
 
     def extremes(self, samples: int = 8192) -> tuple:
         """(min, max) of the series at ``samples`` equispaced points of one period.
 
         Exact for constants; otherwise the true extremes can lie beyond the
-        sampled ones by up to ``sampling_gap(samples)``.
+        sampled ones by up to ``sampling_gap(samples)``.  Each sample count
+        is evaluated once per instance.
         """
         if self.is_constant:
             return (self.mean, self.mean)
-        xs = np.linspace(0.0, self.period, samples, endpoint=False)
-        vals = self(xs)
-        return (float(vals.min()), float(vals.max()))
+        # the instance is frozen, so its sampled extremes never change
+        cache = self.__dict__.setdefault("_extremes", {})
+        if samples not in cache:
+            vals = self(np.linspace(0.0, self.period, samples, endpoint=False))
+            cache[samples] = (float(vals.min()), float(vals.max()))
+        return cache[samples]
 
     def sampling_gap(self, samples: int = 8192) -> float:
         """Bound on how far the true extremes lie beyond ``extremes(samples)``.
@@ -92,8 +99,13 @@ class PeriodicBoundary:
         Every point is within half a sample spacing ``period/samples`` of a
         sample, and the slope is at most ``2 pi/period * sum_k k (|cos_k| + |sin_k|)``.
         """
+        return math.pi / samples * self._slope_sum
+
+    @cached_property
+    def _slope_sum(self) -> float:
+        """``sum_k k (|cos_k| + |sin_k|)``, summed once per instance."""
         coeffs = (self.cosine_coeffs, self.sine_coeffs)
-        return math.pi / samples * sum(k * abs(c) for cs in coeffs for k, c in enumerate(cs, 1))
+        return sum(k * abs(c) for cs in coeffs for k, c in enumerate(cs, 1))
 
 
 BoundarySpec = Union[float, PeriodicBoundary, None]

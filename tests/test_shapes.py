@@ -111,6 +111,38 @@ class TestPeriodicBoundary:
             assert lo - gap <= dense.min() and dense.max() <= hi + gap
         assert shapes.PeriodicBoundary.constant(0.3).sampling_gap() == 0.0
 
+    def test_zero_coefficients_skipped_byte_identically(self):
+        cos, sin = (0.0, 0.1, 0.0, -0.2), (0.0, 0.0, 0.3)
+        b = shapes.PeriodicBoundary(period=2.0, mean=0.25, cosine_coeffs=cos, sine_coeffs=sin)
+        xs = np.linspace(-1.0, 3.0, 257)
+        w = 2.0 * math.pi / 2.0
+        full = np.full_like(xs, 0.25)
+        for k, c in enumerate(cos, start=1):
+            full = full + c * np.cos(k * w * xs)
+        for k, s in enumerate(sin, start=1):
+            full = full + s * np.sin(k * w * xs)
+        assert b(xs).tobytes() == full.tobytes()
+
+    def test_band_general_pipeline_samples_each_series_once(self, monkeypatch):
+        """Shape, solve grid, classification and margin: 6 extremes() calls, one sampling each."""
+        from pdethick import geometry, solver
+
+        calls = []
+        evaluate = shapes.PeriodicBoundary.__call__
+        monkeypatch.setattr(
+            shapes.PeriodicBoundary,
+            "__call__",
+            lambda self, x: calls.append((id(self), np.size(x))) or evaluate(self, x),
+        )
+        b_l = shapes.PeriodicBoundary(period=1.0, mean=-0.5, sine_coeffs=(0.0,) * 511 + (0.05,))
+        b_r = shapes.PeriodicBoundary(period=1.0, mean=1.5, cosine_coeffs=(0.1,))
+        shape = shapes.band_general(0.0, 1.0, b_l, b_r, L=1.0)
+        grid = solver.problem_grid(shape, 0.04, 0.025)
+        geometry.classify_cells(grid, shape)
+        assert shape.margin == pytest.approx(0.4)
+        for b in (b_l, b_r):
+            assert calls.count((id(b), 8192)) == 1
+
 
 class TestFamilyDispatch:
     @pytest.mark.parametrize(
