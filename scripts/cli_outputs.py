@@ -61,6 +61,10 @@ COMMANDS = (
         # above 600 free unknowns, so these reach the 1D multigrid hierarchy
         ("solve-annulus-whole-fine", _solve("annulus-whole", "0.04", "256")),
         ("solve-interval-whole-fine", _solve("interval-whole", "0.04", "128")),
+        # above 600 free unknowns per component: 2D multigrid on periodic grids, with
+        # Outside cells on the wavy band and nx = 4 cells along the period on the narrow ring
+        ("solve-band-general-fine", _solve("band-general", "0.02", "32")),
+        ("solve-band-narrow", _solve("band-whole", "0.04", "16", "--L", "0.25")),
         ("oracle-interval", ["oracle", *_shape("interval-whole"), "--cells", "50", "--out", "@thickness.csv"]),
         ("oracle-wavy-band", ["oracle", *_shape("band-general"), "--cells", "16", "--out", "@thickness.csv"]),
         ("oracle-annulus", ["oracle", *_shape("annulus-whole"), "--cells", "20", "--out", "@thickness.csv"]),

@@ -34,11 +34,17 @@ on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
 
-Assembly walks cells in a fixed order into COO triplets (deterministic
-regardless of any outer parallelism over distinct systems), and the solver
-performs the same floating-point operations on every run, so repeated solves
-of one system reproduce bit-identical results on a fixed platform and BLAS
-thread count.
+1D and radial assembly sum COO triplets in element order.  2D assembly
+writes the CSR block directly: each node's 9-point row sums the fused
+element matrices of the up to four active cells around it, in the order a
+COO sum over the cells adds them, so the block is bit-identical to one
+summed from 16 triplets per cell without building them.  The solve never copies the block reduced
+to its free nodes: CG and the finest multigrid level apply the whole block
+to free-node vectors spread over every node.  Both orders are fixed
+(deterministic regardless of any outer parallelism over distinct systems),
+and the solver performs the same floating-point operations on every run, so
+repeated solves of one system reproduce bit-identical results on a fixed
+platform and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -74,8 +80,10 @@ class SparseSystem:
 
     ``dirichlet_mask`` marks constrained nodes, the same ones in every
     component, and ``dirichlet_values`` their prescribed values (zero unless
-    a boundary probe sets them).  The reduced block after eliminating the
-    constrained nodes is symmetric positive definite.
+    a boundary probe sets them).  The block restricted to the free nodes is
+    symmetric positive definite; the solver applies it through the whole
+    block and never builds it.  A 2D ``block`` is int32 CSR with sorted
+    columns, whose rows at nodes touching only Outside cells are empty.
     """
 
     def __init__(
@@ -405,24 +413,75 @@ def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
     return conn, nxn * nyn
 
 
-def _scalar_block(conn: np.ndarray, void: np.ndarray, a: float, h: float, n_nodes: int) -> sp.csr_matrix:
-    """One fused 4x4 element matrix per listed cell, summed in cell order.
+# the 9-point stencil's (row, column) node offsets, in column order
+_STENCIL = [(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
+# the four cells around a node as (row, column) cell offsets, in cell order,
+# with the node's corner in each
+_AROUND = ((-1, -1, 2), (-1, 0, 3), (0, -1, 1), (0, 0, 0))
+# corner of a cell by the (row, column) offset of the node from the cell's SW node
+_CORNER = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
 
-    Void cells carry  a K + h^2 M,  the others  a K.
+
+def _stencil_block(grid: StructuredGrid, labels: np.ndarray, a: float, h: float) -> sp.csr_matrix:
+    """The scalar block as per-node 9-point sums of the adjacent cells' entries.
+
+    Void cells carry the fused element matrix  a K + h^2 M,  shape cells
+    a K,  and Outside cells nothing; an entry is stored where at least one
+    active cell touches both its nodes.  Each sum adds the cells in cell
+    order, lower row first and west before east, except on the first node
+    column of a periodic grid, whose west cells are the last of their row;
+    the columns of the two wrap node columns are sorted.  These are the
+    sums, and the int32 CSR arrays, that summing one 4x4 element matrix per
+    active cell from COO triplets gives, bit for bit.
     """
-    stiff = (a * _K2).ravel()
-    vals = np.where(void[:, None], stiff + (h * h * _M2).ravel(), stiff).ravel()
-    rows = np.repeat(conn, 4, axis=1).ravel()
-    cols = np.tile(conn, (1, 4)).ravel()
-    return sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+    nx, ny = grid.cells
+    nxn, nyn = grid.node_counts()
+    tables = np.zeros((max(CellLabel) + 1, 4, 4))
+    tables[CellLabel.SHAPE] = a * _K2
+    tables[CellLabel.VOID] = a * _K2 + h * h * _M2
+    # cell (j + cdj, i + cdi) of node (j, i) is padded[j + 1 + cdj, i + 1 + cdi]:
+    # Outside cells around the grid, the last cell column again on a periodic grid
+    padded = np.full((ny + 2, nxn + 1), CellLabel.OUTSIDE, dtype=labels.dtype)
+    padded[1:-1, 1 : nx + 1] = labels
+    if grid.periodic_x:
+        padded[1:-1, 0] = labels[:, -1]
+    vals = np.zeros((nyn, nxn, len(_STENCIL)))
+    present = np.zeros((nyn, nxn, len(_STENCIL)), dtype=bool)
+    for k, (dj, di) in enumerate(_STENCIL):
+        terms = []
+        for cdj, cdi, corner in _AROUND:
+            other = _CORNER.get((dj - cdj, di - cdi))
+            if other is None:
+                continue
+            cells = padded[1 + cdj : 1 + cdj + nyn, 1 + cdi : 1 + cdi + nxn]
+            terms.append((cdj, cdi, tables[:, corner, other][cells]))
+            present[..., k] |= cells != CellLabel.OUTSIDE
+        # an absent cell adds +0.0, which leaves every partial sum as it is
+        vals[..., k] = sum(t for _, _, t in terms)
+        if grid.periodic_x:
+            vals[:, 0, k] = sum(t[:, 0] for _, _, t in sorted(terms, key=lambda t: (t[0], -t[1])))
+    dj, di = np.array(_STENCIL, dtype=np.int32).T
+    j = np.arange(nyn, dtype=np.int32)[:, None, None]
+    i = np.arange(nxn, dtype=np.int32)[None, :, None]
+    cols = (j + dj) * nxn + (i + di) % nxn
+    if grid.periodic_x:  # every row of a wrap node column orders its columns alike
+        for wrap in (0, nxn - 1):
+            order = np.argsort(cols[0, wrap], kind="stable")
+            for arr in (vals, present, cols):
+                arr[:, wrap] = arr[:, wrap][:, order]
+    n_nodes = nyn * nxn
+    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
+    np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:])
+    return sp.csr_matrix((vals[present], cols[present], indptr), shape=(n_nodes, n_nodes))
 
 
 def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
     """Bilinear-quad assembly of the vector weak form on a 2D grid.
 
     The operator decouples componentwise, so both components share one
-    scalar block  a * stiffness + void mass,  assembled from one fused 4x4
-    element matrix per active cell;  the load integrates the basis
+    scalar block  a * stiffness + void mass,  built as per-node 9-point
+    sums of the fused 4x4 element matrices of the active cells around each
+    node (``_stencil_block``);  the load integrates the basis
     gradients exactly over shape cells (x gradients for the first
     component, y gradients for the second).
     """
@@ -436,16 +495,11 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
             f"under-resolved shape: {cellsacross:.1f} cells across the thickness"
         )
     cls = classify_cells(grid, shape)
+    h = grid.h
+    block = _stencil_block(grid, cls.labels, a, h)
     labels = cls.labels.ravel()
     conn, n_nodes = _node_ids_2d(grid)
-    h = grid.h
-
-    active = labels != CellLabel.OUTSIDE
     shape_cells = labels == CellLabel.SHAPE
-
-    # the copy drops the buffers that tocsr sized for the unsummed triplets
-    void = labels[active] == CellLabel.VOID
-    block = _scalar_block(conn[active], void, a, h, n_nodes).copy()
 
     rhs = np.zeros(2 * n_nodes)
     c_s = conn[shape_cells]
@@ -517,23 +571,70 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc)), coarse
 
 
+class _FreeBlock:
+    """A block applied to its free nodes alone, without a reduced copy.
+
+    ``A @ x`` scatters the free-node vector ``x`` into a zeroed vector over
+    every node, multiplies by the whole block and keeps the free rows.  The
+    products with the zeros add +0.0 or -0.0 to a partial sum that starts at
+    +0.0, which changes nothing, so the result is bit-identical to that of
+    the reduced block.
+    """
+
+    def __init__(self, block: sp.csr_matrix, free: np.ndarray):
+        self.block = block
+        self.free = free
+        n_free = int(np.count_nonzero(free))
+        self.shape = (n_free, n_free)
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        spread = np.zeros(len(self.free))
+        spread[self.free] = x
+        return (self.block @ spread)[self.free]
+
+    def diagonal(self) -> np.ndarray:
+        return self.block.diagonal()[self.free]
+
+    def toarray(self) -> np.ndarray:
+        return self.block[self.free][:, self.free].toarray()
+
+
+def _galerkin(A, P: sp.csr_matrix) -> sp.csr_matrix:
+    """The coarse operator  P^T A P,  formed with a transient CSR transpose.
+
+    For a :class:`_FreeBlock` the free rows of ``P`` are spread over every
+    node, the Dirichlet rows left empty, and multiplied with the whole
+    block: every sum meets the same terms in the same order as with the
+    reduced block, so the product is the same, entry for entry.
+    """
+    if isinstance(A, _FreeBlock):
+        indptr = np.zeros(len(A.free) + 1, dtype=P.indptr.dtype)
+        indptr[1:][A.free] = np.diff(P.indptr)
+        np.cumsum(indptr, out=indptr)
+        A, P = A.block, sp.csr_matrix((P.data, P.indices, indptr), shape=(len(A.free), P.shape[1]))
+    return (P.T.tocsr() @ A @ P).tocsr()
+
+
 class _Multigrid:
-    """Galerkin multigrid V-cycle for the reduced block of any system.
+    """Galerkin multigrid V-cycle for the free nodes of any system's block.
 
     Each level keeps the free nodes of a tensor grid, whose node counts are
     read slowest axis first: ``(ny, nx)`` in 2D, ``(n,)`` on 1D and radial
-    grids, ``(m,)`` for a block with no grid.  The prolongation is the
-    Kronecker product of the per-axis factors, ``kron(P_y, P_x)`` in 2D,
-    restricted to the free fine rows and to the coarse nodes whose injected
-    fine node is free, so it has full column rank and every coarse operator
-    ``P^T A P`` stays SPD.  The same damped-Jacobi sweeps before and after
-    each coarse correction keep the cycle symmetric, which makes it a valid
-    CG preconditioner.
+    grids, ``(m,)`` for a block with no grid.  The finest level applies the
+    whole block to its free nodes (:class:`_FreeBlock`); the coarser levels
+    hold their operators.  The prolongation is the Kronecker product of the
+    per-axis factors, ``kron(P_y, P_x)`` in 2D, restricted to the free fine
+    rows and to the coarse nodes whose injected fine node is free, so it has
+    full column rank and every coarse operator ``P^T A P`` stays SPD; the
+    restriction applies the ``P.T`` view.  The same damped-Jacobi sweeps
+    before and after each coarse correction keep the cycle symmetric, which
+    makes it a valid CG preconditioner.
     """
 
-    def __init__(self, A: sp.csr_matrix, grid: Optional[StructuredGrid], free: np.ndarray):
+    def __init__(self, block: sp.csr_matrix, grid: Optional[StructuredGrid], free: np.ndarray):
         counts = free.shape if grid is None else grid.node_counts()[::-1]
         periodic = [False] * (len(counts) - 1) + [grid is not None and grid.periodic_x]
+        A = _FreeBlock(block, free)
         free = free.reshape(counts)
         self.levels = []
         while A.shape[0] > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
@@ -543,30 +644,22 @@ class _Multigrid:
                 P = sp.kron(P, factor, format="csr")
             coarse_free = free[np.ix_(*(keep for _, keep in factors))]
             P = P[free.ravel()][:, coarse_free.ravel()]
-            R = P.T.tocsr()
-            self.levels.append((A, _SMOOTH_OMEGA / A.diagonal(), P, R))
-            A = (R @ A @ P).tocsr()
+            self.levels.append((A, _SMOOTH_OMEGA / A.diagonal(), P))
+            A = _galerkin(A, P)
             counts, free = coarse_free.shape, coarse_free
         self.coarse_inverse = np.linalg.inv(A.toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
             return self.coarse_inverse @ r
-        A, weight, P, R = self.levels[level]
+        A, weight, P = self.levels[level]
         x = weight * r
         for _ in range(_SMOOTH_SWEEPS - 1):
             x += weight * (r - A @ x)
-        x += P @ self(R @ (r - A @ x), level + 1)
+        x += P @ self(P.T @ (r - A @ x), level + 1)
         for _ in range(_SMOOTH_SWEEPS):
             x += weight * (r - A @ x)
         return x
-
-
-def _preconditioner(system: SparseSystem, A_ff: sp.csr_matrix, free: np.ndarray) -> _Multigrid:
-    """The multigrid V-cycle of the reduced block on the system's grid."""
-    if np.any(A_ff.diagonal() <= 0):
-        raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
-    return _Multigrid(A_ff, system.grid, free)
 
 
 def _pcg(A, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
@@ -596,19 +689,21 @@ def _pcg(A, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
 
 
 def solve_spd(system: SparseSystem, max_iterations: Optional[int] = None) -> DiscreteField:
-    """Preconditioned conjugate gradients on the reduced block, per component.
+    """Preconditioned conjugate gradients on the free nodes, per component.
 
-    The constrained nodes are eliminated once from the shared block, which
-    is preconditioned by a multigrid V-cycle on the system's grid (a lone
-    axis for a block with no grid) whose hierarchy is built once and serves
-    every component.  Each component iterates until
-    ||r_k|| <= REL_TOL * ||b_k||; one whose reduced right-hand side is zero
-    stays zero after 0 iterations.  Raises :class:`NonConvergenceError`
-    when a component needs more than ``max_iterations``, by default
-    max(200, 50 sqrt(n)) for the n free unknowns of all components, which
-    indicates an assembly bug or an indefinite system.  The returned
-    iteration count is the sum over components and is deterministic for
-    fixed inputs.
+    No reduced copy of the shared block is made: CG and the finest level
+    of the multigrid V-cycle apply the whole block to free-node vectors
+    spread over every node (:class:`_FreeBlock`), and the Dirichlet data
+    enter the load as  -(block @ x_dirichlet)  on the free rows.  The
+    V-cycle runs on the system's grid (a lone axis for a block with no
+    grid); its hierarchy is built once and serves every component.  Each
+    component iterates until ||r_k|| <= REL_TOL * ||b_k||; one whose
+    reduced right-hand side is zero stays zero after 0 iterations.  Raises
+    :class:`NonConvergenceError` when a component needs more than
+    ``max_iterations``, by default max(200, 50 sqrt(n)) for the n free
+    unknowns of all components, which indicates an assembly bug or an
+    indefinite system.  The returned iteration count is the sum over
+    components and is deterministic for fixed inputs.
     """
     k = system.n_components
     m = system.n // k
@@ -620,16 +715,14 @@ def solve_spd(system: SparseSystem, max_iterations: Optional[int] = None) -> Dis
         x_full[system.dirichlet_mask] = system.dirichlet_values[system.dirichlet_mask]
     if n_free == 0:
         return _field_from_vector(system, x_full, 0)
-    rows = system.block[free]
+    A = _FreeBlock(system.block, free)
     x_comps = x_full.reshape(k, m)
     loads = []
     for c in range(k):
         b = system.rhs[c * m:(c + 1) * m][free]
         if np.any(x_comps[c][mask] != 0.0):
-            b = b - rows[:, mask] @ x_comps[c][mask]
+            b = b - (system.block @ x_comps[c])[free]
         loads.append(b)
-    A_ff = rows[:, free]
-    del rows  # not held through the solve: it would raise the peak memory
     if max_iterations is None:
         max_iterations = max(200, 50 * math.ceil(math.sqrt(k * n_free)))
     precondition = None
@@ -639,8 +732,10 @@ def solve_spd(system: SparseSystem, max_iterations: Optional[int] = None) -> Dis
         if b_norm == 0.0:
             continue
         if precondition is None:
-            precondition = _preconditioner(system, A_ff, free)
-        x, its = _pcg(A_ff, b, b_norm, precondition, max_iterations)
+            if np.any(A.diagonal() <= 0):
+                raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
+            precondition = _Multigrid(system.block, system.grid, free)
+        x, its = _pcg(A, b, b_norm, precondition, max_iterations)
         x_comps[c][free] = x
         iterations += its
     return _field_from_vector(system, x_full, iterations)

@@ -1,11 +1,13 @@
-"""Bit identity of the vectorized 1D and radial assembly against element loops.
+"""Bit identity of the vectorized assemblers against their reference forms.
 
-The reference assemblers below loop over the elements in Python, the way
-``assemble_1d`` and ``assemble_radial`` did before they were vectorized.
-They emit the same COO triplets in the same order, so the CSR arrays that
-scipy sums from them must agree bit for bit, not just to a tolerance.
-The grid test pins ``solver.problem_grid`` to the per-family grids the
-``solve`` command built before it.
+The 1D and radial reference assemblers below loop over the elements in
+Python, the way ``assemble_1d`` and ``assemble_radial`` did before they were
+vectorized.  They emit the same COO triplets in the same order, so the CSR
+arrays that scipy sums from them must agree bit for bit, not just to a
+tolerance.  The 2D reference sums one fused 4x4 element matrix per active
+cell from COO triplets, the way ``assemble_2d`` did before it built the
+9-point stencil directly.  The grid test pins ``solver.problem_grid`` to the
+per-family grids the ``solve`` command built before it.
 """
 
 import math
@@ -14,7 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pdethick import geometry, shapes, solver
+from pdethick import geometry, harness, shapes, solver
 from pdethick.geometry import CellLabel
 from pdethick.shapes import Family
 
@@ -96,6 +98,31 @@ def ref_assemble_radial(grid, shape, a):
     return matrix, rhs, mask
 
 
+def ref_assemble_2d(grid, shape, a):
+    """The scalar 2D block from one COO triplet per cell entry, summed by tocsr."""
+    return ref_block_2d(grid, geometry.classify_cells(grid, shape).labels, a)
+
+
+def ref_block_2d(grid, labels, a):
+    labels = labels.ravel()
+    conn, n_nodes = solver._node_ids_2d(grid)
+    h = grid.h
+    active = labels != CellLabel.OUTSIDE
+    void = labels[active] == CellLabel.VOID
+    stiff = (a * solver._K2).ravel()
+    vals = np.where(void[:, None], stiff + (h * h * solver._M2).ravel(), stiff).ravel()
+    rows = np.repeat(conn[active], 4, axis=1).ravel()
+    cols = np.tile(conn[active], (1, 4)).ravel()
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
+
+
+def _assert_same_csr(got, want):
+    for name in ("data", "indices", "indptr"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    assert got.indices.dtype == np.int32
+
+
 def _assert_same(system, reference):
     matrix, rhs, mask = reference
     for name in ("data", "indices", "indptr"):
@@ -143,6 +170,50 @@ def test_assemble_radial_bits(h, a):
     shape = shapes.annulus_whole(1.0, 2.0)
     grid = solver.build_radial_grid(shape, h, a=a)
     _assert_same(solver.assemble_radial(grid, shape, a), ref_assemble_radial(grid, shape, a))
+
+
+def _case_2d(kind, a):
+    if kind == "annulus":
+        shape = shapes.annulus_general(1.0, 2.0, 2.5)
+        return solver.annulus_general_grid(shape, math.sqrt(a) / 8), shape
+    if kind == "wavy-band":
+        shape = harness.canonical_wavy_band()
+        return solver.band_general_grid(shape, math.sqrt(a) / 8), shape
+    shape = shapes.band_whole(0.0, 1.0, 0.25 if kind == "narrow-band" else 1.0)
+    return solver.band_whole_grid(shape, 1.0 / 16, a), shape
+
+
+@pytest.mark.parametrize(
+    "kind, a",
+    [
+        ("annulus", 0.04),
+        ("annulus", 0.005),
+        ("wavy-band", 0.02),
+        ("wavy-band", 0.001),
+        ("flat-band", 0.04),
+        ("narrow-band", 0.04),
+    ],
+)
+def test_assemble_2d_bits(kind, a):
+    grid, shape = _case_2d(kind, a)
+    system = solver.assemble_2d(grid, shape, a)
+    assert grid.periodic_x == (kind != "annulus")
+    assert system.classification.outside_mask.any() == (kind == "wavy-band")
+    if kind == "narrow-band":
+        assert grid.cells[0] == 4
+    _assert_same_csr(system.block, ref_assemble_2d(grid, shape, a))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("nx", [4, 23])
+def test_stencil_block_bits_on_random_labels(periodic, nx):
+    # arbitrary labels put unequal cells on both sides of the periodic seam, where
+    # the order of the sum over the four cells around a node shows in the last bit
+    ny = 31
+    grid = geometry.StructuredGrid(dim=2, origin=(0.0, 0.0), h=0.05, cells=(nx, ny), periodic_x=periodic)
+    labels = np.random.default_rng(nx).integers(0, 3, size=(ny, nx)).astype(np.uint8)
+    a = 0.0123
+    _assert_same_csr(solver._stencil_block(grid, labels, a, grid.h), ref_block_2d(grid, labels, a))
 
 
 # -- solve grids -----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -389,7 +391,7 @@ class TestMultigrid:
     def test_semi_coarsening(self):
         system = _narrow_band_system()
         free = ~system.dirichlet_mask[: system.n // 2]
-        mg = solver._Multigrid(system.block[free][:, free], system.grid, free)
+        mg = solver._Multigrid(system.block, system.grid, free)
         assert len(mg.levels) == 2
         assert mg.coarse_inverse.shape[0] < mg.levels[1][0].shape[0] < mg.levels[0][0].shape[0]
         assert _component_iterations(system)[1] <= 12
@@ -446,7 +448,7 @@ class TestMultigrid:
         grid = solver.band_general_grid(band, 0.02)
         system = solver.assemble_2d(grid, band, 0.02)
         free = ~system.dirichlet_mask[: system.n // 2]
-        mg = solver._Multigrid(system.block[free][:, free], grid, free)
+        mg = solver._Multigrid(system.block, grid, free)
         nx, ny = grid.node_counts()
         px, keep_x = solver._axis_prolongation(nx, True)
         py, keep_y = solver._axis_prolongation(ny, False)
@@ -454,6 +456,58 @@ class TestMultigrid:
         P = sp.kron(py, px, format="csr")[free][:, coarse_free]
         P0 = mg.levels[0][2]
         assert P0.shape == P.shape and (P0 != P).nnz == 0
+
+    def test_finest_coarse_operator_matches_the_reduced_product(self):
+        # formed from the whole block and P's rows spread over every node, against
+        # the product with the reduced block; at a = 0.001 the columns are unsorted
+        band = harness.canonical_wavy_band()
+        grid = solver.band_general_grid(band, np.sqrt(0.001) / 8)
+        system = solver.assemble_2d(grid, band, 0.001)
+        free = ~system.dirichlet_mask[: system.n // 2]
+        mg = solver._Multigrid(system.block, grid, free)
+        P = mg.levels[0][2]
+        want = (P.T.tocsr() @ system.block[free][:, free] @ P).tocsr()
+        got = mg.levels[1][0]
+        assert not want.has_sorted_indices
+        for name in ("indptr", "indices", "data"):  # same stored order, too
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        got.sort_indices()
+        want.sort_indices()
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_free_block_matvec_matches_the_reduced_block(self):
+        band = harness.canonical_wavy_band()
+        system = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        free = ~system.dirichlet_mask[: system.n // 2]
+        x = np.random.default_rng(5).standard_normal(np.count_nonzero(free))
+        got = solver._FreeBlock(system.block, free) @ x
+        assert got.tobytes() == (system.block[free][:, free] @ x).tobytes()
+
+    def test_assembly_and_solve_memory_scale_with_the_block(self):
+        """tracemalloc peaks on the 284^2 boxed annulus, in units of the block's bytes.
+
+        Summing COO triplets peaked at 4.42 blocks in ``assemble_2d``, and the
+        reduced copy of the block at 3.09 in ``solve_spd``; the 9-point sums
+        and the free-node products peak at 2.21 and 1.85.
+        """
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = solver.annulus_general_grid(ann, np.sqrt(0.02) / 8)
+        assert grid.cells == (284, 284)
+        tracemalloc.start()
+        try:
+            system = solver.assemble_2d(grid, ann, 0.02)
+            assemble_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            solver.solve_spd(system)
+            solve_peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        block = system.block
+        block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+        assert assemble_peak < 3.0 * block_bytes
+        assert solve_peak < 2.5 * block_bytes
 
     def test_probe_with_data_on_both_components(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
