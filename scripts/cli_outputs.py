@@ -91,12 +91,15 @@ COMMANDS = (
              "--json", "@report.json", "--csv", "@report.csv"],
         ),
         ("verify-default", ["verify", "--json", "@report.json", "--csv", "@report.csv"]),
+        ("verify-default-pretty", ["verify", "--pretty"]),
         ("verify-analytic-pretty", ["verify", "--suite", "analytic", "--pretty"]),
         ("missing-bl", ["analytic", "--family", "interval-general", "--fl", "0", "--fr", "1", "--br", "2", "--a", "0.01"]),
         ("missing-L", ["analytic", "--family", "band-whole", "--fl", "0", "--fr", "1", "--a", "0.01"]),
         ("missing-br", ["analytic", "--family", "annulus-general", "--fl", "1", "--fr", "2", "--a", "0.01"]),
         ("missing-a", ["analytic", *_shape("annulus-whole")]),
         ("bad-cells", ["solve", *_shape("annulus-general"), "--a", "0.04", "--cells", "1", "--out", "@field.csv"]),
+        ("bad-cells-zero", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "0", "--out", "@field.csv"]),
+        ("bad-cells-negative", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "-4", "--out", "@field.csv"]),
         ("bad-out-dir", ["oracle", *_shape("interval-whole"), "--cells", "8", "--out", "@missing/thickness.csv"]),
     ]
 )

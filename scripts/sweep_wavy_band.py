@@ -21,7 +21,7 @@ def main() -> int:
     rows = []
     for a in a_values:
         res = harness.run_general_l2_case(shape, a)
-        h = solver.problem_grid(shape, a, harness.ResolutionPolicy().target_h(a)).h
+        h = solver.problem_grid(shape, a, harness.target_h(a)).h
         rows.append((res, h))
         print(
             f"a={a:<8g} h={h:.5f}  measured={res.error:.5f}  "

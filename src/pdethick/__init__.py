@@ -38,7 +38,6 @@ from .geometry import (
 )
 from .harness import (
     ConvergenceReport,
-    ResolutionPolicy,
     VerifyReport,
     fit_rate,
     sweep_a,
@@ -73,7 +72,6 @@ __all__ = [
     "Family",
     "InverseThicknessField",
     "PeriodicBoundary",
-    "ResolutionPolicy",
     "ScaledBessel",
     "ShapeSpec",
     "SparseSystem",

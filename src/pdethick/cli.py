@@ -37,6 +37,13 @@ class _CliError(Exception):
     """Configuration problem; printed as a single diagnostic, exit 2."""
 
 
+def _positive_int(text: str) -> int:
+    """The ``--cells`` type: a whole number of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pdethick",
@@ -63,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="discrete solve, fields to CSV")
     add_shape_flags(p_solve)
     p_solve.add_argument("--a", type=float)
-    p_solve.add_argument("--cells", type=int, help="cells across the shape thickness")
+    p_solve.add_argument("--cells", type=_positive_int, help="cells across the shape thickness")
     p_solve.add_argument("--out", help="nodal field CSV path")
     p_solve.add_argument("--thickness-out", help="optional inverse-thickness CSV path")
     p_solve.add_argument("--matrix-out", help="optional triplet dump of the assembled matrix")
@@ -76,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_oracle = sub.add_parser("oracle", help="inscribed-ball geometric thickness")
     add_shape_flags(p_oracle)
-    p_oracle.add_argument("--cells", type=int, help="cells across the shape thickness")
+    p_oracle.add_argument("--cells", type=_positive_int, help="cells across the shape thickness")
     p_oracle.add_argument("--out", help="thickness CSV path")
 
     p_verify = sub.add_parser("verify", help="run the verification suite")
@@ -91,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_value(action: argparse.Action, value):
     """A config file value converted as the option's flag text would be.
 
-    Raises ValueError when it does not fit the option.
+    Raises ValueError or ArgumentTypeError when it does not fit the option.
     """
     if action.nargs == 0:
         if not isinstance(value, bool):
@@ -106,11 +113,12 @@ def _config_value(action: argparse.Action, value):
     return value
 
 
-def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> argparse.Namespace:
-    """Fill the options left at their parser default from ``--config``.
+def _apply_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Optional[Sequence[str]]
+) -> argparse.Namespace:
+    """Parse ``argv`` again with the ``--config`` values as the subcommand's defaults.
 
-    An explicit flag wins whenever its value differs from the default, also
-    when it is 0.
+    Every flag given on the command line wins, also one equal to its default.
     """
     path = getattr(args, "config", None)
     if not path:
@@ -123,18 +131,19 @@ def _apply_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> 
     if not isinstance(data, dict):
         raise _CliError(f"config {path} must hold a JSON object")
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    actions = {a.dest: a for a in commands.choices[args.command]._actions if hasattr(args, a.dest)}
+    subparser = commands.choices[args.command]
+    actions = {a.dest: a for a in subparser._actions if hasattr(args, a.dest)}
+    defaults = {}
     for key, value in data.items():
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise _CliError(f"config {path}: unknown option {key!r}")
-        if getattr(args, action.dest) != action.default:
-            continue
         try:
-            setattr(args, action.dest, _config_value(action, value))
-        except ValueError as exc:
+            defaults[action.dest] = _config_value(action, value)
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise _CliError(f"config {path}: bad value {value!r} for {key!r}: {exc}")
-    return args
+    subparser.set_defaults(**defaults)
+    return parser.parse_args(argv)
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -316,7 +325,7 @@ def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
         # argparse prints its own diagnostic; normalize usage errors to 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        args = _apply_config(parser, args)
+        args = _apply_config(parser, args, argv)
         return _HANDLERS[args.command](args)
     except (_CliError, PdeThickError) as exc:
         print(f"pdethick: error: {exc}", file=sys.stderr)

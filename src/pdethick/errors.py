@@ -26,7 +26,7 @@ class NonNodalInterfaceError(PdeThickError, ValueError):
 
 
 class UnderResolvedError(PdeThickError, ValueError):
-    """The mesh violates the boundary-layer resolution policy h <= sqrt(a)/8."""
+    """The mesh violates the boundary-layer resolution floor h <= sqrt(a)/8."""
 
 
 class NonConvergenceError(PdeThickError, RuntimeError):

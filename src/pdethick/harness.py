@@ -1,16 +1,21 @@
 """Parameter sweeps, rate fitting and automated verification of every bound.
 
-Each verification check states both sides of its inequality numerically: a
+Each verification check is registered once, with its name, its statement and
+whether the closed-form ``analytic`` suite runs it; registration order is run
+order, and the ``default`` suite runs every check.  A check that raises is
+recorded as failed, with statement ``(errored)`` and no samples, and the run
+goes on.  Each check states both sides of its inequality numerically: a
 sample ``{a, error, bound, slack, passed}`` passes iff
 ``error <= bound + slack``.  Discrete 2D cases declare the additive
 discretization slack ``2 h / T^2`` on inverse-thickness L2 errors next to the
 theorem bound; analytic cases get zero slack.  Two-sided analytic bounds
 additionally record ``lower_bound`` and require ``lower_bound <= error``.
 
-Resolution policy: boundary layers decay like exp(-dist/sqrt(a)), so meshes
-must satisfy ``h <= sqrt(a)/8``; violating the policy raises
-:class:`UnderResolvedError` before any solve happens (flagged in reports, no
-false passes).  a-grids are fixed geometric sequences, never auto-chosen.
+Resolution floor: boundary layers decay like exp(-dist/sqrt(a)), so 2D
+general-domain solves mesh at ``h = target_h(a) = sqrt(a)/8``; a grid coarser
+than that raises :class:`UnderResolvedError` before any solve happens
+(flagged in reports, no false passes).  a-grids are fixed geometric
+sequences, never auto-chosen.
 
 Reports serialize deterministically: fixed key order, floats at 17
 significant digits; identical configuration yields byte-identical JSON.
@@ -124,50 +129,35 @@ def fit_rate(points: Sequence[Tuple[float, float]]) -> Tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# resolution policy and discrete case runners
+# resolution floor and discrete case runner
 
 
 #: Hard resolution floor: at least this many cells per boundary-layer width.
 REQUIRED_LAYERS_PER_SQRT_A = 8.0
 
 
-@dataclass(frozen=True)
-class ResolutionPolicy:
-    """Mesh policy tying the spacing to the boundary-layer width sqrt(a).
-
-    ``layers_per_sqrt_a`` steers the target spacing and may request finer
-    meshes; the hard floor h <= sqrt(a)/8 is enforced regardless, so an
-    override that would under-resolve the layers is flagged, never silently
-    accepted.
-    """
-
-    layers_per_sqrt_a: float = REQUIRED_LAYERS_PER_SQRT_A
-
-    def target_h(self, a: float) -> float:
-        return math.sqrt(a) / self.layers_per_sqrt_a
-
-    def ensure(self, h: float, a: float) -> None:
-        limit = math.sqrt(a) / REQUIRED_LAYERS_PER_SQRT_A
-        if h > limit * (1 + 1e-12):
-            raise UnderResolvedError(
-                f"h = {h} violates the resolution floor h <= sqrt(a)/"
-                f"{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
-            )
+def target_h(a: float) -> float:
+    """The mesh spacing that puts the floor's cells across one layer width sqrt(a)."""
+    return math.sqrt(a) / REQUIRED_LAYERS_PER_SQRT_A
 
 
-def run_general_l2_case(
-    shape: ShapeSpec, a: float, policy: Optional[ResolutionPolicy] = None
-) -> SweepSample:
+def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
     """One 2D solve of a general band/annulus; returns its envelope sample.
 
     Error: || 1/T^a - 1/T_bar ||_{L2(shape)} from the discrete inverse
     thickness; bound: the theorem envelope; slack: 2 h / T^2; lower bound: 0.
+    A grid coarser than the floor raises :class:`UnderResolvedError` before
+    the solve.
     """
-    policy = policy or ResolutionPolicy()
     # raises DomainError, before any solve, for a family without an L2 envelope
     bound = analytic.general_bound(shape, a)
-    grid = solver.problem_grid(shape, a, policy.target_h(a))
-    policy.ensure(grid.h, a)
+    limit = target_h(a)
+    grid = solver.problem_grid(shape, a, limit)
+    if grid.h > limit * (1 + 1e-12):
+        raise UnderResolvedError(
+            f"h = {grid.h} violates the resolution floor h <= sqrt(a)/"
+            f"{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
+        )
     system = solver.assemble_2d(grid, shape, a)
     field = solver.solve_spd(system)
     div = thickness.divergence(field)
@@ -188,6 +178,14 @@ class SweepSample:
     bound: float
     slack: float
     lower_bound: Optional[float] = None
+
+    @classmethod
+    def bracketing(cls, sol: analytic.AnalyticSolution) -> "SweepSample":
+        """The closed-form sample: T^a - T_bar between the solution's two bounds."""
+        return cls(
+            a=sol.a, error=sol.thickness_error, bound=sol.upper_bound, slack=0.0,
+            lower_bound=sol.lower_bound,
+        )
 
     @property
     def passed(self) -> bool:
@@ -228,11 +226,7 @@ class ConvergenceReport:
         }
 
 
-def sweep_a(
-    shape: ShapeSpec,
-    a_values: Sequence[float],
-    policy: Optional[ResolutionPolicy] = None,
-) -> ConvergenceReport:
+def sweep_a(shape: ShapeSpec, a_values: Sequence[float]) -> ConvergenceReport:
     """Sweep the diffusion parameter and compare against the family's bound.
 
     Families with pointwise bounds use the analytic ``T^a - T_bar`` directly;
@@ -247,18 +241,11 @@ def sweep_a(
         raise PdeThickError("a values must be positive")
     if a_values[-1] / a_values[0] < 99.0:
         raise PdeThickError("a values must span at least two decades")
-    policy = policy or ResolutionPolicy()
-    samples: List[SweepSample] = []
-    for a in a_values:
-        if shape.family in analytic.L2_ENVELOPES:
-            sample = run_general_l2_case(shape, a, policy)
-        else:
-            sol = analytic.solve_family(shape, a)
-            sample = SweepSample(
-                a=a, error=sol.thickness_error, bound=sol.upper_bound, slack=0.0,
-                lower_bound=sol.lower_bound,
-            )
-        samples.append(sample)
+    samples = [
+        run_general_l2_case(shape, a) if shape.family in analytic.L2_ENVELOPES
+        else SweepSample.bracketing(analytic.solve_family(shape, a))
+        for a in a_values
+    ]
     try:
         slope, intercept = fit_rate([(s.a, s.error) for s in samples])
     except DegenerateFitError:
@@ -345,11 +332,51 @@ class VerifyReport:
         return buf.getvalue()
 
 
-def _check_interval_whole_equality(rng: np.random.Generator) -> TheoremCheck:
-    check = TheoremCheck(
-        case="interval-whole-equality",
-        statement="T^a - T_bar = 2 sqrt(a) exactly on the whole line",
-    )
+_CheckFn = Callable[[TheoremCheck, np.random.Generator], None]
+
+#: name -> (statement, in the analytic suite, function adding the samples), in run order
+_CHECKS: Dict[str, Tuple[str, bool, _CheckFn]] = {}
+
+
+def _check(name: str, statement: str, analytic: bool = False) -> Callable[[_CheckFn], _CheckFn]:
+    """Register a check; ``analytic`` puts it in the closed-form suite too."""
+
+    def register(fn: _CheckFn) -> _CheckFn:
+        _CHECKS[name] = (statement, analytic, fn)
+        return fn
+
+    return register
+
+
+def _run_check(name: str, rng: np.random.Generator) -> TheoremCheck:
+    """Run one registered check; a raising check is a failed check, not an aborted run."""
+    statement, _, fn = _CHECKS[name]
+    check = TheoremCheck(case=name, statement=statement)
+    try:
+        fn(check, rng)
+    except Exception as exc:
+        return TheoremCheck(
+            case=name, statement="(errored)", passed=False, error_message=f"{type(exc).__name__}: {exc}"
+        )
+    return check
+
+
+def _fit_slope(
+    check: TheoremCheck, points: Sequence[Tuple[float, float]], window: Tuple[float, float], what: str
+) -> None:
+    """Record the log-log slope of ``points``; outside ``window`` the check fails.
+
+    ``what`` formats the slope in the failure message, e.g. ``"fitted slope {:.4f}"``.
+    """
+    check.slope, check.intercept = fit_rate(points)
+    lo, hi = window
+    if not lo <= check.slope <= hi:
+        check.passed = False
+        check.error_message = f"{what.format(check.slope)} outside [{lo}, {hi}]"
+
+
+@_check("interval-whole-equality", "T^a - T_bar = 2 sqrt(a) exactly on the whole line", analytic=True)
+def _check_interval_whole_equality(check: TheoremCheck, rng: np.random.Generator) -> None:
     a_grid = [10.0**e for e in range(-8, 1)]
     for _ in range(20):
         f_l = float(rng.uniform(-3.0, 3.0))
@@ -358,21 +385,19 @@ def _check_interval_whole_equality(rng: np.random.Generator) -> TheoremCheck:
             sol = analytic.interval_whole(f_l, f_l + width, a)
             err = abs(sol.thickness_error - 2.0 * math.sqrt(a))
             check.add(SweepSample(a=a, error=err, bound=1e-12 * width, slack=0.0))
-    return check
 
 
-def _check_interval_general_bounds(rng: np.random.Generator) -> TheoremCheck:
+@_check(
+    "interval-general-bounds",
+    "2 sqrt(a) <= T^a - T_bar <= 2 sqrt(a) + 4 T exp(-2m/sqrt(a)); and in logs, "
+    "the excess E = T^a - T_bar - 2 sqrt(a) has finite log E <= log(4 T) - 2m/sqrt(a)",
+    analytic=True,
+)
+def _check_interval_general_bounds(check: TheoremCheck, rng: np.random.Generator) -> None:
     # the upper envelope is only valid for margins above (log 2 / 2) sqrt(a)
     # (it is exactly tight there for equal margins), so the draws keep
     # m >= 0.5 while a <= 1.  Where 4 T exp(-2m/sqrt(a)) is below an ulp of
     # 2 sqrt(a), only the second sample of a draw sees the upper side.
-    check = TheoremCheck(
-        case="interval-general-bounds",
-        statement=(
-            "2 sqrt(a) <= T^a - T_bar <= 2 sqrt(a) + 4 T exp(-2m/sqrt(a)); and in logs, "
-            "the excess E = T^a - T_bar - 2 sqrt(a) has finite log E <= log(4 T) - 2m/sqrt(a)"
-        ),
-    )
     for _ in range(50):
         f_l = float(rng.uniform(-2.0, 2.0))
         width = float(rng.uniform(0.1, 3.0))
@@ -380,12 +405,7 @@ def _check_interval_general_bounds(rng: np.random.Generator) -> TheoremCheck:
         m_r = float(rng.uniform(0.5, 3.0))
         a = float(10.0 ** rng.uniform(-6.0, 0.0))
         sol = analytic.interval_general(f_l, f_l + width, f_l - m_l, f_l + width + m_r, a)
-        check.add(
-            SweepSample(
-                a=a, error=sol.thickness_error, bound=sol.upper_bound, slack=0.0,
-                lower_bound=sol.lower_bound,
-            )
-        )
+        check.add(SweepSample.bracketing(sol))
         # the most negative double as lower bound: a finite log proves E > 0
         log_bound = math.log(4.0 * width) - 2.0 * min(m_l, m_r) / math.sqrt(a)
         check.add(
@@ -394,55 +414,89 @@ def _check_interval_general_bounds(rng: np.random.Generator) -> TheoremCheck:
                 lower_bound=-sys.float_info.max,
             )
         )
-    return check
 
 
-def _check_band_whole_equality(rng: np.random.Generator) -> TheoremCheck:
-    check = TheoremCheck(
-        case="band-whole-equality",
-        statement="straight band reduces to the 1D problem: T^a = T_bar + 2 sqrt(a)",
-    )
+@_check(
+    "band-whole-equality",
+    "straight band reduces to the 1D problem: T^a = T_bar + 2 sqrt(a)",
+    analytic=True,
+)
+def _check_band_whole_equality(check: TheoremCheck, rng: np.random.Generator) -> None:
     for a in (1e-6, 1e-4, 1e-2, 1.0):
         for (f_l, f_r, L) in ((0.0, 1.0, 1.0), (-1.0, 1.0, 2.0)):
             sol = analytic.band_whole(f_l, f_r, a, L)
             err = abs(sol.thickness_error - 2.0 * math.sqrt(a))
             T = f_r - f_l
             check.add(SweepSample(a=a, error=err, bound=1e-12 * T, slack=0.0))
-    return check
 
 
-def _check_annulus_whole_bounds(rng: np.random.Generator) -> TheoremCheck:
-    check = TheoremCheck(
-        case="annulus-whole-bounds",
-        statement="(3 f_r + f_l)/(2 f_r) sqrt(a) <= T^a - T_bar <= 2 (f_r/f_l) sqrt(a)",
-    )
+@_check(
+    "annulus-whole-bounds",
+    "(3 f_r + f_l)/(2 f_r) sqrt(a) <= T^a - T_bar <= 2 (f_r/f_l) sqrt(a)",
+    analytic=True,
+)
+def _check_annulus_whole_bounds(check: TheoremCheck, rng: np.random.Generator) -> None:
     for _ in range(50):
         f_r = float(rng.uniform(0.5, 5.0))
         f_l = float(rng.uniform(0.05 * f_r, 0.95 * f_r))
         T = f_r - f_l
         a = float(T * T * 10.0 ** rng.uniform(-8.0, 0.0))
-        sol = analytic.annulus_whole(f_l, f_r, a)
-        check.add(
-            SweepSample(
-                a=a, error=sol.thickness_error, bound=sol.upper_bound, slack=0.0,
-                lower_bound=sol.lower_bound,
-            )
-        )
-    return check
+        check.add(SweepSample.bracketing(analytic.annulus_whole(f_l, f_r, a)))
 
 
-def _check_bessel_ratio_bounds(rng: np.random.Generator) -> TheoremCheck:
+@_check("bessel-ratio-bounds", "K and I ratio envelopes and decay of sqrt(x) e^x K_1(x)", analytic=True)
+def _check_bessel_ratio_bounds(check: TheoremCheck, rng: np.random.Generator) -> None:
     """Worst margins of the three ratio properties over 1000 sampled x."""
-    check = TheoremCheck(
-        case="bessel-ratio-bounds",
-        statement="K and I ratio envelopes and decay of sqrt(x) e^x K_1(x)",
-    )
     xs = np.logspace(-6, 3, 1000)
     deficits = np.array([bessel.ratio_deficits(x) for x in xs.tolist()])
     # the worst deficit of each property (k, i, decay) at its first argument; a NaN counts as worst
     for k, i in enumerate(np.argmax(deficits, axis=0)):
         check.add(SweepSample(a=float(xs[i]), error=float(deficits[i, k]), bound=0.0, slack=0.0))
-    return check
+
+
+def canonical_wavy_band() -> ShapeSpec:
+    """The canonical verification band: flat floor, one wavy ceiling (m = 0.4)."""
+    return _shapes.band_general(
+        0.0,
+        1.0,
+        PeriodicBoundary.constant(-0.5, 1.0),
+        PeriodicBoundary(period=1.0, mean=1.5, cosine_coeffs=(0.1,)),
+        L=1.0,
+    )
+
+
+@_check("band-flat-reduction", "flat-band 2D solve carries no x component and matches the 1D profile")
+def _check_band_flat_reduction(check: TheoremCheck, rng: np.random.Generator) -> None:
+    a = 0.04
+    h = 1.0 / 64
+    band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
+    grid2 = solver.band_general_grid(band, h)
+    system2 = solver.assemble_2d(grid2, band, a)
+    field2 = solver.solve_spd(system2)
+    ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
+    grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
+    field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
+    sx, sy = field2.components
+    scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
+    x_err = float(np.max(np.abs(sx)))
+    y_err = float(np.max(np.abs(sy - field1.components[0][:, None])))
+    for err in (x_err, y_err):
+        check.add(SweepSample(a=a, error=err, bound=1e-8 * scale, slack=0.0))
+
+
+@_check("band-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the wavy-band envelope")
+def _check_band_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
+    shape = canonical_wavy_band()
+    for a in (0.04, 0.02, 0.01):
+        check.add(run_general_l2_case(shape, a))
+    _fit_slope(check, [(s.a, s.error) for s in check.samples], (0.4, 0.6), "fitted slope {:.4f}")
+
+
+@_check("annulus-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the boxed-annulus envelope")
+def _check_annulus_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
+    shape = _shapes.annulus_general(1.0, 2.0, 2.5)
+    for a in (0.04, 0.02):
+        check.add(run_general_l2_case(shape, a))
 
 
 def _band_tail_data(grid: StructuredGrid, tail: analytic.AnalyticSolution) -> np.ndarray:
@@ -500,7 +554,7 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
 
     # 9-10: 2D annulus box with constant and tail data
     gshape = _shapes.annulus_general(1.0, 2.0, 2.5)
-    grid_g = solver.annulus_general_grid(gshape, math.sqrt(a) / 8.0)
+    grid_g = solver.annulus_general_grid(gshape, target_h(a))
     sys_g = solver.assemble_2d(grid_g, gshape, a)
     probes.append(("annulus-box-const", sys_g, np.ones(sys_g.n)))
     probes.append(("annulus-box-tail", sys_g, _annulus_tail_data(grid_g, asol)))
@@ -508,19 +562,13 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
 
 
 def _vector_magnitude(field: solver.DiscreteField) -> np.ndarray:
-    if len(field.components) == 1:
-        return np.abs(field.components[0]).ravel()
-    sq = sum(np.asarray(c, dtype=float) ** 2 for c in field.components)
-    return np.sqrt(sq).ravel()
+    return np.sqrt(sum(np.asarray(c, dtype=float) ** 2 for c in field.components)).ravel()
 
 
-def _check_max_principle() -> TheoremCheck:
-    check = TheoremCheck(
-        case="max-principle",
-        statement="homogeneous solutions: sup over the domain <= sup over its boundary",
-    )
+@_check("max-principle", "homogeneous solutions: sup over the domain <= sup over its boundary")
+def _check_max_principle(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
-    for label, system, data in _max_principle_probes(a):
+    for _label, system, data in _max_principle_probes(a):
         field = solver.homogeneous_boundary_probe(system, data)
         mag = _vector_magnitude(field)
         mask1 = system.dirichlet_mask[: len(mag)]
@@ -529,64 +577,10 @@ def _check_max_principle() -> TheoremCheck:
         interior_sup = float(np.max(interior)) if interior.size else 0.0
         slack = 10.0 * solver.REL_TOL * max(boundary_sup, 1.0)
         check.add(SweepSample(a=a, error=interior_sup, bound=boundary_sup, slack=slack))
-    return check
 
 
-def _check_band_general_envelope() -> TheoremCheck:
-    check = TheoremCheck(
-        case="band-general-envelope",
-        statement="L2 error of 1/T^a vs 1/T_bar within the wavy-band envelope",
-    )
-    shape = canonical_wavy_band()
-    for a in (0.04, 0.02, 0.01):
-        check.add(run_general_l2_case(shape, a))
-    slope, intercept = fit_rate([(s.a, s.error) for s in check.samples])
-    check.slope, check.intercept = slope, intercept
-    if not 0.4 <= slope <= 0.6:
-        check.passed = False
-        check.error_message = f"fitted slope {slope:.4f} outside [0.4, 0.6]"
-    return check
-
-
-def _check_annulus_general_envelope() -> TheoremCheck:
-    check = TheoremCheck(
-        case="annulus-general-envelope",
-        statement="L2 error of 1/T^a vs 1/T_bar within the boxed-annulus envelope",
-    )
-    shape = _shapes.annulus_general(1.0, 2.0, 2.5)
-    for a in (0.04, 0.02):
-        check.add(run_general_l2_case(shape, a))
-    return check
-
-
-def _check_band_flat_reduction() -> TheoremCheck:
-    check = TheoremCheck(
-        case="band-flat-reduction",
-        statement="flat-band 2D solve carries no x component and matches the 1D profile",
-    )
-    a = 0.04
-    h = 1.0 / 64
-    band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid2 = solver.band_general_grid(band, h)
-    system2 = solver.assemble_2d(grid2, band, a)
-    field2 = solver.solve_spd(system2)
-    ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-    field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
-    sx, sy = field2.components
-    scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
-    x_err = float(np.max(np.abs(sx)))
-    y_err = float(np.max(np.abs(sy - field1.components[0][:, None])))
-    for err in (x_err, y_err):
-        check.add(SweepSample(a=a, error=err, bound=1e-8 * scale, slack=0.0))
-    return check
-
-
-def _check_solver_1d_convergence() -> TheoremCheck:
-    check = TheoremCheck(
-        case="solver-1d-convergence",
-        statement="1D discrete solution converges to the closed form at second order",
-    )
+@_check("solver-1d-convergence", "1D discrete solution converges to the closed form at second order")
+def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     shape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
@@ -596,21 +590,13 @@ def _check_solver_1d_convergence() -> TheoremCheck:
         field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
         exact = analytic.profile(sol, grid.node_coords(0))
         errors.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
-    final_err = errors[-1][1]
-    check.add(SweepSample(a=a, error=final_err, bound=5e-5, slack=0.0))
-    slope, intercept = fit_rate(errors)  # error vs h: slope is the observed order
-    check.slope, check.intercept = slope, intercept
-    if not 1.7 <= slope <= 2.3:
-        check.passed = False
-        check.error_message = f"observed order {slope:.3f} outside [1.7, 2.3]"
-    return check
+    check.add(SweepSample(a=a, error=errors[-1][1], bound=5e-5, slack=0.0))
+    # error vs h: the slope is the observed order
+    _fit_slope(check, errors, (1.7, 2.3), "observed order {:.3f}")
 
 
-def _check_radial_cross_check() -> TheoremCheck:
-    check = TheoremCheck(
-        case="radial-cross-check",
-        statement="radial solve reproduces the scaled-Bessel slope p* and its constancy",
-    )
+@_check("radial-cross-check", "radial solve reproduces the scaled-Bessel slope p* and its constancy")
+def _check_radial_cross_check(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     shape = _shapes.annulus_whole(1.0, 2.0)
     grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
@@ -625,34 +611,23 @@ def _check_radial_cross_check() -> TheoremCheck:
     spread = float((np.max(p_shape) - np.min(p_shape)) / abs(p_mean))
     check.add(SweepSample(a=a, error=rel, bound=1e-4, slack=0.0))
     check.add(SweepSample(a=a, error=spread, bound=1e-3, slack=0.0))
-    return check
 
 
-def _check_geometric_oracle() -> TheoremCheck:
-    check = TheoremCheck(
-        case="geometric-oracle",
-        statement="inscribed-ball sweep reproduces the constant thickness within 2h",
-    )
+@_check("geometric-oracle", "inscribed-ball sweep reproduces the constant thickness within 2h")
+def _check_geometric_oracle(check: TheoremCheck, rng: np.random.Generator) -> None:
     cases = [
-        ("interval", _shapes.interval_whole(0.0, 1.0), geometry.build_grid([(-1.0, 2.0)], 300), 1.0),
+        (_shapes.interval_whole(0.0, 1.0), geometry.build_grid([(-1.0, 2.0)], 300), 1.0),
         (
-            "band",
             _shapes.band_whole(0.0, 2.0, 1.0),
             geometry.build_grid([(0.0, 1.0), (-1.0, 3.0)], (20, 80), periodic_x=True),
             2.0,
         ),
-        (
-            "annulus",
-            _shapes.annulus_whole(1.0, 2.0),
-            geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 300),
-            1.0,
-        ),
+        (_shapes.annulus_whole(1.0, 2.0), geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 300), 1.0),
     ]
-    for label, shape, grid, t_ref in cases:
+    for shape, grid, t_ref in cases:
         fieldt = geometry.geometric_thickness_oracle(grid, shape)
         dev = fieldt.max_abs_deviation(t_ref)
         check.add(SweepSample(a=grid.h, error=dev, bound=2.0 * grid.h, slack=0.0))
-    return check
 
 
 # cutoffs for the interior gradient-energy estimate
@@ -715,7 +690,7 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     """
     if kind == "band":
         shape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = solver.band_general_grid(shape, math.sqrt(a) / 8.0)
+        grid = solver.band_general_grid(shape, target_h(a))
         system = solver.assemble_2d(grid, shape, a)
         data = _band_tail_data(grid, analytic.interval_whole(0.0, 1.0, a))
         field = solver.homogeneous_boundary_probe(system, data)
@@ -726,15 +701,13 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
         return lhs, rhs, grid.h
     if kind == "annulus":
         shape = _shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(shape, math.sqrt(a) / 8.0)
+        grid = solver.annulus_general_grid(shape, target_h(a))
         system = solver.assemble_2d(grid, shape, a)
         data = _annulus_tail_data(grid, analytic.annulus_whole(1.0, 2.0, a))
         field = solver.homogeneous_boundary_probe(system, data)
         lhs = gradient_energy_on_shape(field, system.classification)
         K = annulus_cutoff_constant(shape.f_r, shape.b_r)
-        ccx = grid.cell_centers(0)
-        ccy = grid.cell_centers(1)
-        cxx, cyy = np.meshgrid(ccx, ccy)
+        cxx, cyy = np.meshgrid(grid.cell_centers(0), grid.cell_centers(1))
         cr = np.hypot(cxx, cyy)
         ramp = (cr > shape.f_r) & (cr < shape.b_r)
         rhs = 0.5 * K * float(np.sum(_cell_magnitude_sq(field)[ramp])) * grid.h**2
@@ -742,80 +715,22 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     raise PdeThickError(f"unknown interior-estimate case {kind}")
 
 
-def _check_interior_h1() -> TheoremCheck:
-    check = TheoremCheck(
-        case="interior-h1-estimate",
-        statement="gradient energy on the shape bounded by the cutoff functional",
-    )
+@_check("interior-h1-estimate", "gradient energy on the shape bounded by the cutoff functional")
+def _check_interior_h1(check: TheoremCheck, rng: np.random.Generator) -> None:
     for kind, m in (("band", 1.0), ("annulus", 0.5)):
         lhs, rhs, h = interior_h1_check(kind)
-        slack = rhs * 10.0 * h / m
-        check.add(
-            SweepSample(a=h, error=lhs, bound=rhs, slack=slack)
-        )
-    return check
+        check.add(SweepSample(a=h, error=lhs, bound=rhs, slack=rhs * 10.0 * h / m))
 
-
-def canonical_wavy_band() -> ShapeSpec:
-    """The canonical verification band: flat floor, one wavy ceiling (m = 0.4)."""
-    return _shapes.band_general(
-        0.0,
-        1.0,
-        PeriodicBoundary.constant(-0.5, 1.0),
-        PeriodicBoundary(period=1.0, mean=1.5, cosine_coeffs=(0.1,)),
-        L=1.0,
-    )
-
-
-_ANALYTIC_CHECKS: List[Tuple[str, Callable]] = [
-    ("interval-whole-equality", _check_interval_whole_equality),
-    ("interval-general-bounds", _check_interval_general_bounds),
-    ("band-whole-equality", _check_band_whole_equality),
-    ("annulus-whole-bounds", _check_annulus_whole_bounds),
-    ("bessel-ratio-bounds", _check_bessel_ratio_bounds),
-]
-
-_DISCRETE_CHECKS: List[Tuple[str, Callable]] = [
-    ("band-flat-reduction", lambda rng: _check_band_flat_reduction()),
-    ("band-general-envelope", lambda rng: _check_band_general_envelope()),
-    ("annulus-general-envelope", lambda rng: _check_annulus_general_envelope()),
-    ("max-principle", lambda rng: _check_max_principle()),
-    ("solver-1d-convergence", lambda rng: _check_solver_1d_convergence()),
-    ("radial-cross-check", lambda rng: _check_radial_cross_check()),
-    ("geometric-oracle", lambda rng: _check_geometric_oracle()),
-    ("interior-h1-estimate", lambda rng: _check_interior_h1()),
-]
 
 SUITES = {
-    "analytic": [name for name, _ in _ANALYTIC_CHECKS],
-    "default": [name for name, _ in _ANALYTIC_CHECKS] + [name for name, _ in _DISCRETE_CHECKS],
+    "analytic": [name for name, (_, in_analytic, _) in _CHECKS.items() if in_analytic],
+    "default": list(_CHECKS),
 }
 
 
 def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run the canonical verification case list.
-
-    Failures and raised errors are aggregated into the report (a check that
-    raises is recorded as failed with its message); the run never aborts on
-    the first failure.
-    """
+    """Run every check of ``suite`` in order; a failing or raising check never aborts the run."""
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
-    wanted = set(SUITES[suite])
     rng = np.random.default_rng(seed)
-    checks: List[TheoremCheck] = []
-    for name, fn in _ANALYTIC_CHECKS + _DISCRETE_CHECKS:
-        if name not in wanted:
-            continue
-        try:
-            checks.append(fn(rng))
-        except Exception as exc:  # a raising check is a failed check, not an aborted run
-            checks.append(
-                TheoremCheck(
-                    case=name,
-                    statement="(errored)",
-                    passed=False,
-                    error_message=f"{type(exc).__name__}: {exc}",
-                )
-            )
-    return VerifyReport(suite=suite, checks=checks)
+    return VerifyReport(suite=suite, checks=[_run_check(name, rng) for name in SUITES[suite]])

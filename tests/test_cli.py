@@ -107,6 +107,26 @@ class TestConfigErrors:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    @pytest.mark.parametrize("cells, config_value", [("0", 0), ("-4", -4), ("2.5", 2.5), ("many", "many")])
+    def test_cells_must_be_a_positive_integer(self, capsys, tmp_path, command, cells, config_value):
+        argv = [
+            command, "--family", "interval-whole", "--fl", "0", "--fr", "1",
+            "--out", str(tmp_path / "f.csv"),
+        ]
+        if command == "solve":
+            argv += ["--a", "0.04"]
+        code, _, err = run([*argv, "--cells", cells], capsys)
+        assert code == 2
+        assert "--cells: expected a positive integer" in err
+        assert not (tmp_path / "f.csv").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cells": config_value}))
+        code, _, err = run([*argv, "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "'cells'" in err and "expected a positive integer" in err
+        assert not (tmp_path / "f.csv").exists()
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
@@ -140,6 +160,38 @@ class TestConfigFile:
             code, _, err = run(["analytic", "--config", str(cfg)], capsys)
             assert code == 2
             assert repr(next(iter(bad))) in err
+
+    def test_explicit_flag_equal_to_its_default_beats_config(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"suite": "analytic"}))
+        suites = []
+        monkeypatch.setattr(
+            harness, "verify_theorems", lambda suite: suites.append(suite) or harness.VerifyReport(suite, [])
+        )
+        csv = ["--csv", str(tmp_path / "v.csv")]
+        code, _, _ = run(["verify", "--suite", "default", "--config", str(cfg), *csv], capsys)
+        assert code == 0
+        assert suites == ["default"]
+        code, _, _ = run(["verify", "--config", str(cfg), *csv], capsys)
+        assert code == 0
+        assert suites == ["default", "analytic"]
+
+    def test_explicit_zero_amplitude_beats_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bl_cos_amp": 0.1}))
+        flat = [
+            "analytic", "--family", "band-general", "--fl", "0", "--fr", "1",
+            "--bl", "-0.5", "--br", "1.5", "--L", "1", "--a", "0.04",
+        ]
+        code, out, _ = run(flat, capsys)
+        assert code == 0
+        envelope = json.loads(out)["l2_envelope"]
+        assert envelope == pytest.approx(0.632, abs=5e-4)
+        code, out, _ = run([*flat, "--bl-cos-amp", "0", "--config", str(cfg)], capsys)
+        assert code == 0
+        assert json.loads(out)["l2_envelope"] == envelope
+        code, out, _ = run([*flat, "--config", str(cfg)], capsys)
+        assert json.loads(out)["l2_envelope"] == pytest.approx(0.828, abs=5e-4)
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -299,13 +351,18 @@ class TestVerifyCommand:
         assert out.splitlines()[-1] == "suite analytic: pass"
 
     def test_pretty_prints_error_message(self, capsys, monkeypatch):
-        def broken(rng):
+        def broken(check, rng):
             raise ValueError("no closed form")
 
-        monkeypatch.setattr(harness, "_ANALYTIC_CHECKS", [("band-whole-equality", broken)])
+        checks = dict(harness._CHECKS)
+        statement, in_analytic, _ = checks["band-whole-equality"]
+        checks["band-whole-equality"] = (statement, in_analytic, broken)
+        monkeypatch.setattr(harness, "_CHECKS", checks)
         code, out, _ = run(["verify", "--suite", "analytic", "--pretty"], capsys)
         assert code == 1
-        first, message = out.splitlines()[:2]
+        lines = out.splitlines()
+        at = [line.split()[0] for line in lines].index("band-whole-equality")
+        first, message = lines[at : at + 2]
         assert first.split() == ["band-whole-equality", "FAIL"]
         assert message.strip() == "ValueError: no closed form"
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pdethick import analytic, bessel, harness, shapes
+from pdethick import analytic, bessel, harness, shapes, solver
 from pdethick.errors import DegenerateFitError, UnderResolvedError
 
 
@@ -72,19 +72,44 @@ class TestSweep:
 
 
 class TestResolutionPolicy:
-    def test_policy_enforced(self):
-        policy = harness.ResolutionPolicy()
-        with pytest.raises(UnderResolvedError):
-            policy.ensure(0.1, 0.04)  # needs h <= 0.025
-        policy.ensure(0.025, 0.04)
-
-    def test_under_resolution_flagged_not_passed(self):
+    def test_policy_enforced(self, monkeypatch):
         shape = harness.canonical_wavy_band()
+        assert harness.target_h(0.04) == 0.025  # the floor h <= sqrt(a)/8
+        assert harness.run_general_l2_case(shape, 0.04).passed  # meshed at the floor
+        original = solver.problem_grid
+        monkeypatch.setattr(solver, "problem_grid", lambda shape, a, h: original(shape, a, 0.1))
         with pytest.raises(UnderResolvedError):
-            harness.run_general_l2_case(shape, 0.04, harness.ResolutionPolicy(layers_per_sqrt_a=0.25))
+            harness.run_general_l2_case(shape, 0.04)  # needs h <= 0.025
+
+    def test_under_resolution_flagged_not_passed(self, monkeypatch):
+        shape = harness.canonical_wavy_band()
+        original = solver.problem_grid
+        # a grid four times coarser than the floor asks for
+        monkeypatch.setattr(solver, "problem_grid", lambda shape, a, h: original(shape, a, 4.0 * h))
+        monkeypatch.setattr(solver, "solve_spd", lambda *args: pytest.fail("solved an under-resolved grid"))
+        with pytest.raises(UnderResolvedError):
+            harness.run_general_l2_case(shape, 0.04)
 
 
 class TestVerify:
+    def test_suites_list_every_check_once_in_run_order(self):
+        assert harness.SUITES["default"] == [
+            "interval-whole-equality",
+            "interval-general-bounds",
+            "band-whole-equality",
+            "annulus-whole-bounds",
+            "bessel-ratio-bounds",
+            "band-flat-reduction",
+            "band-general-envelope",
+            "annulus-general-envelope",
+            "max-principle",
+            "solver-1d-convergence",
+            "radial-cross-check",
+            "geometric-oracle",
+            "interior-h1-estimate",
+        ]
+        assert harness.SUITES["analytic"] == harness.SUITES["default"][:5]
+
     def test_analytic_suite_passes(self):
         report = harness.verify_theorems("analytic")
         assert report.passed
@@ -139,7 +164,8 @@ class TestVerify:
             "interval_general",
             lambda *args: dataclasses.replace(original(*args), log_excess=log_excess),
         )
-        check = harness._check_interval_general_bounds(np.random.default_rng(1))
+        check = harness._run_check("interval-general-bounds", np.random.default_rng(1))
+        assert check.error_message is None
         assert check.passed == passed
 
     def test_nan_ratio_deficit_fails_the_bessel_check(self, monkeypatch):
@@ -150,18 +176,40 @@ class TestVerify:
         assert math.isnan(check.samples[0].error)
         assert [s.passed for s in check.samples] == [False, True, True]
 
+    @pytest.mark.parametrize(
+        "name, message",
+        [
+            ("band-general-envelope", "fitted slope 1.0000 outside [0.4, 0.6]"),
+            ("solver-1d-convergence", "observed order 1.000 outside [1.7, 2.3]"),
+        ],
+    )
+    def test_slope_outside_its_window_fails_the_check(self, monkeypatch, name, message):
+        # error = a on the envelope and every fit reading slope 1: outside both windows
+        monkeypatch.setattr(
+            harness, "run_general_l2_case",
+            lambda shape, a: harness.SweepSample(a=a, error=a, bound=1.0, slack=0.0),
+        )
+        monkeypatch.setattr(harness, "fit_rate", lambda points: (1.0, 0.25))
+        check = harness._run_check(name, np.random.default_rng(0))
+        assert (check.slope, check.intercept) == (1.0, 0.25)
+        assert all(s.passed for s in check.samples) and check.samples
+        assert not check.passed
+        assert check.error_message == message
+
     def test_raising_check_is_recorded_not_fatal(self, monkeypatch):
-        def broken(rng):
+        def broken(check, rng):
+            check.add(harness.SweepSample(a=1.0, error=0.0, bound=1.0, slack=0.0))
             raise ValueError("injected")
 
-        checks = [
-            (name, broken if name == "band-whole-equality" else fn)
-            for name, fn in harness._ANALYTIC_CHECKS
-        ]
-        monkeypatch.setattr(harness, "_ANALYTIC_CHECKS", checks)
+        checks = dict(harness._CHECKS)
+        statement, in_analytic, _ = checks["band-whole-equality"]
+        checks["band-whole-equality"] = (statement, in_analytic, broken)
+        monkeypatch.setattr(harness, "_CHECKS", checks)
         report = harness.verify_theorems("analytic")
         by_name = {c.case: c for c in report.checks}
-        assert list(by_name) == [name for name, _ in checks]
+        assert list(by_name) == harness.SUITES["analytic"]
+        assert by_name["band-whole-equality"].statement == "(errored)"
+        assert by_name["band-whole-equality"].samples == []
         assert not report.passed
         assert not by_name["band-whole-equality"].passed
         assert by_name["band-whole-equality"].error_message == "ValueError: injected"
