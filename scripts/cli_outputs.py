@@ -100,6 +100,16 @@ COMMANDS = (
         ("bad-cells", ["solve", *_shape("annulus-general"), "--a", "0.04", "--cells", "1", "--out", "@field.csv"]),
         ("bad-cells-zero", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "0", "--out", "@field.csv"]),
         ("bad-cells-negative", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "-4", "--out", "@field.csv"]),
+        # a that is not positive and finite, or a NaN shape number, exits 2 before any grid
+        ("bad-a-nan", ["solve", *_shape("interval-whole"), "--a", "nan", "--cells", "64", "--out", "@field.csv"]),
+        ("bad-a-negative", ["solve", *_shape("annulus-whole"), "--a", "-1", "--cells", "64", "--out", "@field.csv"]),
+        ("bad-a-list-nan", ["sweep", *_shape("annulus-general"), "--a-list", "1,0.1,0.01,nan"]),
+        ("bad-fl-nan", ["analytic", "--family", "interval-whole", "--fl", "nan", "--fr", "1", "--a", "0.04"]),
+        # the requested spacing T/cells = 0.5 is coarser than the grid's L/nx = 0.25
+        (
+            "oracle-band-coarse",
+            ["oracle", *_shape("band-whole"), "--cells", "2", "--out", "@thickness.csv"],
+        ),
         ("bad-out-dir", ["oracle", *_shape("interval-whole"), "--cells", "8", "--out", "@missing/thickness.csv"]),
     ]
 )

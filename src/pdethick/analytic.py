@@ -236,8 +236,8 @@ def band_general_bound(L: float, f_l: float, f_r: float, m: float, a: float) -> 
     with |Omega_L| = L * T.  This is the acceptance envelope for the measured
     L2 error of 1/T^a - 1/T_bar from the 2D solver.
     """
-    if L <= 0 or m <= 0 or a <= 0:
-        raise DomainError(f"need positive L, m, a; got {L}, {m}, {a}")
+    if not (L > 0 and m > 0 and 0 < a < math.inf):  # NaN fails too
+        raise DomainError(f"need positive L, m and finite a; got {L}, {m}, {a}")
     if f_l >= f_r:
         raise DomainError(f"need f_l < f_r, got {f_l}, {f_r}")
     T = f_r - f_l
@@ -256,8 +256,8 @@ def annulus_general_bound(f_l: float, f_r: float, b_r: float, a: float) -> float
     """
     if not (0 < f_l < f_r < b_r):
         raise DomainError(f"need 0 < f_l < f_r < b_r, got {f_l}, {f_r}, {b_r}")
-    if a <= 0:
-        raise DomainError(f"need a > 0, got {a}")
+    if not 0 < a < math.inf:  # NaN fails too
+        raise DomainError(f"need a finite a > 0, got {a}")
     T = f_r - f_l
     m = b_r - f_r
     sqrt_a = math.sqrt(a)

@@ -271,10 +271,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         grid = geometry.build_grid([(lo, lo + n * h)], n)
     elif kind == "band":
         nx = max(4, round(shape.L / h))
+        h = shape.L / nx  # the grid's spacing, which the rows are counted in
         lo = shape.f_l - pad
         ny = math.ceil((shape.thickness + 2 * pad) / h)
         grid = geometry.StructuredGrid(
-            dim=2, origin=(0.0, lo), h=shape.L / nx, cells=(nx, ny), periodic_x=True
+            dim=2, origin=(0.0, lo), h=h, cells=(nx, ny), periodic_x=True
         )
     else:
         half_n = math.ceil((shape.f_r + pad) / h)

@@ -136,11 +136,10 @@ def build_grid(
 
 @dataclass(frozen=True)
 class CellClassification:
-    """Per-cell labels and the characteristic function chi (1 on Shape)."""
+    """Per-cell labels; ``shape_mask`` is the characteristic function chi."""
 
     grid: StructuredGrid
     labels: np.ndarray  # CellLabel values; shape (nx,) in 1D, (ny, nx) in 2D
-    chi: np.ndarray
 
     @property
     def shape_mask(self) -> np.ndarray:
@@ -213,9 +212,7 @@ def classify_cells(grid: StructuredGrid, shape: ShapeSpec) -> CellClassification
     labels = np.where(
         in_omega, CellLabel.SHAPE, np.where(in_domain, CellLabel.VOID, CellLabel.OUTSIDE)
     )
-    labels = labels.astype(np.uint8)
-    chi = (labels == CellLabel.SHAPE).astype(float)
-    return CellClassification(grid=grid, labels=labels, chi=chi)
+    return CellClassification(grid=grid, labels=labels.astype(np.uint8))
 
 
 @dataclass(frozen=True)

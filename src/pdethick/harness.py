@@ -237,8 +237,8 @@ def sweep_a(shape: ShapeSpec, a_values: Sequence[float]) -> ConvergenceReport:
     a_values = sorted(float(a) for a in a_values)
     if len(a_values) < 4:
         raise PdeThickError(f"need at least 4 a values, got {len(a_values)}")
-    if any(a <= 0 for a in a_values):
-        raise PdeThickError("a values must be positive")
+    if not all(0 < a < math.inf for a in a_values):  # NaN fails too
+        raise PdeThickError("a values must be positive and finite")
     if a_values[-1] / a_values[0] < 99.0:
         raise PdeThickError("a values must span at least two decades")
     samples = [

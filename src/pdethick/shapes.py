@@ -52,10 +52,12 @@ class PeriodicBoundary:
     sine_coeffs: tuple = ()
 
     def __post_init__(self):
-        if self.period <= 0:
-            raise InvalidShapeError(f"period must be positive, got {self.period}")
+        if not 0 < self.period < math.inf:  # NaN fails too
+            raise InvalidShapeError(f"period must be positive and finite, got {self.period}")
         object.__setattr__(self, "cosine_coeffs", tuple(float(c) for c in self.cosine_coeffs))
         object.__setattr__(self, "sine_coeffs", tuple(float(c) for c in self.sine_coeffs))
+        if not all(math.isfinite(v) for v in (self.mean, *self.cosine_coeffs, *self.sine_coeffs)):
+            raise InvalidShapeError("boundary mean and coefficients must be finite")
 
     @classmethod
     def constant(cls, value: float, period: float = 1.0) -> "PeriodicBoundary":
@@ -139,6 +141,10 @@ class ShapeSpec:
         object.__setattr__(self, "family", Family(self.family))
         object.__setattr__(self, "f_l", float(self.f_l))
         object.__setattr__(self, "f_r", float(self.f_r))
+        for name in ("f_l", "f_r", "L", "b_l", "b_r"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, PeriodicBoundary) and not math.isfinite(value):
+                raise InvalidShapeError(f"{name} must be finite, got {value}")
         if self.f_l >= self.f_r:
             raise InvalidShapeError(f"need f_l < f_r, got f_l={self.f_l}, f_r={self.f_r}")
         width = self.f_r - self.f_l

@@ -20,8 +20,7 @@
 
 The entry points are ``problem_grid(shape, a, h)``, which builds each
 family's solve grid, and ``assemble(grid, shape, a)``, which picks the 1D,
-radial or 2D assembler from the grid.  1D and radial systems share one
-vectorized P1 assembly of 2x2 element matrices.
+radial or 2D assembler from the grid.
 
 Whole-space problems are truncated at distance 28 sqrt(a) beyond the shape
 boundary; the homogeneous-equation decay makes the truncation error at most
@@ -34,13 +33,13 @@ on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
 
-1D and radial assembly sum COO triplets in element order.  2D assembly
-writes the CSR block directly: each node's 9-point row sums the fused
-element matrices of the up to four active cells around it, in the order a
-COO sum over the cells adds them, so the block is bit-identical to one
-summed from 16 triplets per cell without building them.  The solve never copies the block reduced
-to its free nodes: CG and the finest multigrid level apply the whole block
-to free-node vectors spread over every node.  Both orders are fixed
+Every assembler writes its CSR block directly with one stencil builder:
+each node's row sums the element matrices of the cells around it (two on a
+line, four in 2D), in the order a COO sum over the cells adds them, so the
+block is bit-identical to one summed from triplets without building them.
+The solve never copies the block reduced to its free nodes: CG and the
+finest multigrid level apply the whole block to free-node vectors spread
+over every node.  Both orders are fixed
 (deterministic regardless of any outer parallelism over distinct systems),
 and the solver performs the same floating-point operations on every run, so
 repeated solves of one system reproduce bit-identical results on a fixed
@@ -49,6 +48,7 @@ platform and BLAS thread count.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, TextIO, Tuple, Union
@@ -215,6 +215,11 @@ def band_whole_grid(shape: ShapeSpec, h_target: float, a: float) -> StructuredGr
     return StructuredGrid(dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True)
 
 
+def _check_a(a: float) -> None:
+    if not 0 < a < math.inf:  # NaN fails too
+        raise GridError(f"need a finite a > 0, got {a}")
+
+
 # each family's solve grid from (shape, a, target spacing)
 _PROBLEM_GRIDS = {
     Family.INTERVAL_WHOLE: lambda s, a, h: build_interval_grid(s, h, whole_line_box(s, a)),
@@ -232,6 +237,7 @@ def problem_grid(shape: ShapeSpec, a: float, h: float) -> StructuredGrid:
     Intervals get a 1D grid (whole lines truncated 28 sqrt(a) out), whole
     annuli a radial grid, bands and boxed annuli a 2D grid.
     """
+    _check_a(a)
     return _PROBLEM_GRIDS[shape.family](shape, a, h)
 
 
@@ -244,30 +250,10 @@ def assemble(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
     return assemble_1d(grid, shape, a)
 
 
-def _p1_system(grid, cls, blocks, rhs) -> SparseSystem:
-    """One-component system of 2x2 element matrices on nodes (e, e + 1).
-
-    ``blocks`` lists ``(values, keep)``: ``values`` is (cells, 4) in the
-    order 00, 01, 10, 11, and ``keep`` selects the cells that carry it.
-    Element e emits the kept blocks' entries in list order, so the
-    triplets, and the sums tocsr forms from them, are those of a loop over
-    the elements.  Dirichlet nodes: both ends, and any node flanked only by
-    Outside cells.
-    """
-    e = np.arange(grid.cells[0])
-    rows = np.tile(np.stack([e, e, e + 1, e + 1], axis=1), len(blocks))
-    cols = np.tile(np.stack([e, e + 1, e, e + 1], axis=1), len(blocks))
-    vals = np.concatenate([np.broadcast_to(v, (len(e), 4)) for v, _ in blocks], axis=1)
-    keep = np.repeat(np.stack([np.broadcast_to(k, len(e)) for _, k in blocks], axis=1), 4, axis=1)
-    n = len(rhs)
-    block = sp.coo_matrix((vals[keep], (rows[keep], cols[keep])), shape=(n, n)).tocsr()
-    mask = np.zeros(n, dtype=bool)
-    mask[0] = mask[-1] = True
-    outside = cls.labels == CellLabel.OUTSIDE
-    mask[1:-1] = outside[:-1] & outside[1:]
-    return SparseSystem(
-        n=n, block=block, rhs=rhs, dirichlet_mask=mask, grid=grid, classification=cls
-    )
+def _line_dirichlet_mask(labels: np.ndarray) -> np.ndarray:
+    """Dirichlet nodes of a line: both ends, and any node flanked only by Outside cells."""
+    outside = labels == CellLabel.OUTSIDE
+    return np.concatenate([[True], outside[:-1] & outside[1:], [True]])
 
 
 def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> SparseSystem:
@@ -275,18 +261,17 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
 
     ``shape = None`` assembles the all-void homogeneous operator (every cell
     carries the mass term, zero right-hand side), used by boundary probes.
-    Each element emits its stiffness entries, then on void cells its mass
-    entries.
+    Stiffness on every cell and mass on void cells are two blocks, so each
+    entry adds a cell's stiffness, then its mass, before the next cell's.
     """
-    if a <= 0:
-        raise GridError(f"need a > 0, got {a}")
+    _check_a(a)
     nodes = grid.node_coords(0)
     n = len(nodes)
     h = grid.h
     rhs = np.zeros(n)
     if shape is None:
         labels = np.full(grid.cells[0], CellLabel.VOID, dtype=np.uint8)
-        cls = CellClassification(grid=grid, labels=labels, chi=np.zeros(grid.cells[0]))
+        cls = CellClassification(grid=grid, labels=labels)
     else:
         cls = classify_cells(grid, shape)
         idx_l = _locate_node(nodes, shape.f_l, h, "f_l")
@@ -296,8 +281,13 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
 
     stiff = a / h
     m = h / 6.0
-    blocks = [([stiff, -stiff, -stiff, stiff], True), ([2 * m, m, m, 2 * m], cls.labels == CellLabel.VOID)]
-    return _p1_system(grid, cls, blocks, rhs)
+    stiffness = (np.array([[[stiff, -stiff], [-stiff, stiff]]]), np.zeros_like(cls.labels))
+    mass = (np.array([[[2 * m, m], [m, 2 * m]]]), (cls.labels != CellLabel.VOID).astype(np.uint8))
+    block = _stencil_block(grid, [stiffness, mass])
+    return SparseSystem(
+        n=n, block=block, rhs=rhs, dirichlet_mask=_line_dirichlet_mask(cls.labels), grid=grid,
+        classification=cls,
+    )
 
 
 def build_radial_grid(shape: ShapeSpec, h_target: float, R: Optional[float] = None, a: Optional[float] = None) -> StructuredGrid:
@@ -336,8 +326,7 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
     element matrix per cell: stiffness, then the singular mass at each
     Gauss point, then on void cells the void mass at each Gauss point.
     """
-    if a <= 0:
-        raise GridError(f"need a > 0, got {a}")
+    _check_a(a)
     if not grid.radial:
         raise GridError("assemble_radial needs a radial grid")
     cls = classify_cells(grid, shape)
@@ -372,7 +361,11 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
     for gp in g:
         local = np.where(void, local + weighted_mass(w * gp, gp), local)
 
-    return _p1_system(grid, cls, [(local, True)], rhs)
+    block = _stencil_block(grid, [(local.reshape(-1, 2, 2), np.arange(grid.cells[0]))])
+    return SparseSystem(
+        n=n, block=block, rhs=rhs, dirichlet_mask=_line_dirichlet_mask(cls.labels), grid=grid,
+        classification=cls,
+    )
 
 
 # bilinear element matrices on an h x h cell, node order SW, SE, NE, NW
@@ -413,65 +406,70 @@ def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
     return conn, nxn * nyn
 
 
-# the 9-point stencil's (row, column) node offsets, in column order
-_STENCIL = [(dj, di) for dj in (-1, 0, 1) for di in (-1, 0, 1)]
-# the four cells around a node as (row, column) cell offsets, in cell order,
-# with the node's corner in each
-_AROUND = ((-1, -1, 2), (-1, 0, 3), (0, -1, 1), (0, 0, 0))
-# corner of a cell by the (row, column) offset of the node from the cell's SW node
-_CORNER = {(0, 0): 0, (0, 1): 1, (1, 1): 2, (1, 0): 3}
+# each corner of a cell in element order, as its node's offset from the cell's
+# first node, slowest axis first: left, right on a line; SW, SE, NE, NW in 2D
+_CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
 
 
-def _stencil_block(grid: StructuredGrid, labels: np.ndarray, a: float, h: float) -> sp.csr_matrix:
-    """The scalar block as per-node 9-point sums of the adjacent cells' entries.
+def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+    """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
-    Void cells carry the fused element matrix  a K + h^2 M,  shape cells
-    a K,  and Outside cells nothing; an entry is stored where at least one
-    active cell touches both its nodes.  Each sum adds the cells in cell
-    order, lower row first and west before east, except on the first node
-    column of a periodic grid, whose west cells are the last of their row;
-    the columns of the two wrap node columns are sorted.  These are the
-    sums, and the int32 CSR arrays, that summing one 4x4 element matrix per
-    active cell from COO triplets gives, bit for bit.
+    ``blocks`` lists ``(tables, index)``: ``tables`` holds k element
+    matrices over a cell's corners in ``_CORNERS`` order, and ``index``,
+    shaped like the cells slowest axis first, picks each cell's matrix; a
+    cell whose index is k carries nothing in that block.  An entry is stored
+    where at least one cell carries a matrix over both its nodes.  Each sum
+    adds the cells around the node in cell order, lower row first and west
+    before east, and each cell's blocks in list order, except on the first
+    node column of a periodic grid, whose west cells are the last of their
+    row; the columns of the two wrap node columns are sorted.  These are the
+    sums, and the int32 CSR arrays, that summing the element matrices from
+    COO triplets, cell by cell and block by block, gives bit for bit.
     """
-    nx, ny = grid.cells
-    nxn, nyn = grid.node_counts()
-    tables = np.zeros((max(CellLabel) + 1, 4, 4))
-    tables[CellLabel.SHAPE] = a * _K2
-    tables[CellLabel.VOID] = a * _K2 + h * h * _M2
-    # cell (j + cdj, i + cdi) of node (j, i) is padded[j + 1 + cdj, i + 1 + cdi]:
-    # Outside cells around the grid, the last cell column again on a periodic grid
-    padded = np.full((ny + 2, nxn + 1), CellLabel.OUTSIDE, dtype=labels.dtype)
-    padded[1:-1, 1 : nx + 1] = labels
-    if grid.periodic_x:
-        padded[1:-1, 0] = labels[:, -1]
-    vals = np.zeros((nyn, nxn, len(_STENCIL)))
-    present = np.zeros((nyn, nxn, len(_STENCIL)), dtype=bool)
-    for k, (dj, di) in enumerate(_STENCIL):
-        terms = []
-        for cdj, cdi, corner in _AROUND:
-            other = _CORNER.get((dj - cdj, di - cdi))
-            if other is None:
-                continue
-            cells = padded[1 + cdj : 1 + cdj + nyn, 1 + cdi : 1 + cdi + nxn]
-            terms.append((cdj, cdi, tables[:, corner, other][cells]))
-            present[..., k] |= cells != CellLabel.OUTSIDE
-        # an absent cell adds +0.0, which leaves every partial sum as it is
-        vals[..., k] = sum(t for _, _, t in terms)
+    counts = grid.node_counts()[::-1]
+    corners = _CORNERS[grid.dim]
+    stencil = list(itertools.product((-1, 0, 1), repeat=grid.dim))
+    # the cells around a node as cell offsets, in cell order, with the node's corner in each
+    around = [(c, corners.index(tuple(-d for d in c))) for c in itertools.product((-1, 0), repeat=grid.dim)]
+    # cell (node + offset) is padded[node + 1 + offset]: empty cells around the grid,
+    # the last cell column again on a periodic grid
+    padded = []
+    for tables, index in blocks:
+        pad = np.full(tuple(n + 1 for n in counts), len(tables), dtype=index.dtype)
+        pad[tuple(slice(1, 1 + c) for c in index.shape)] = index
         if grid.periodic_x:
-            vals[:, 0, k] = sum(t[:, 0] for _, _, t in sorted(terms, key=lambda t: (t[0], -t[1])))
-    dj, di = np.array(_STENCIL, dtype=np.int32).T
-    j = np.arange(nyn, dtype=np.int32)[:, None, None]
-    i = np.arange(nxn, dtype=np.int32)[None, :, None]
-    cols = (j + dj) * nxn + (i + di) % nxn
+            pad[1:-1, 0] = index[:, -1]
+        padded.append((np.concatenate([tables, np.zeros((1,) + tables.shape[1:])]), pad))
+    vals = np.zeros(counts + (len(stencil),))
+    present = np.zeros(counts + (len(stencil),), dtype=bool)
+    for k, offset in enumerate(stencil):
+        terms = []
+        for cell, corner in around:
+            node = tuple(o - c for o, c in zip(offset, cell))
+            if node not in corners:
+                continue
+            other = corners.index(node)
+            view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
+            for tables, pad in padded:
+                cells = pad[view]
+                terms.append((cell, tables[:, corner, other][cells]))
+                present[..., k] |= cells != len(tables) - 1
+        # an empty cell adds +0.0, which leaves every partial sum as it is
+        vals[..., k] = sum(t for _, t in terms)
+        if grid.periodic_x:
+            vals[:, 0, k] = sum(t[:, 0] for _, t in sorted(terms, key=lambda t: (t[0][0], -t[0][1])))
+    cols = 0
+    for axis, (n, d) in enumerate(zip(counts, np.array(stencil, dtype=np.int32).T)):
+        node = np.arange(n, dtype=np.int32).reshape((-1,) + (1,) * (grid.dim - axis)) + d
+        cols = cols * n + (node % n if grid.periodic_x and axis == grid.dim - 1 else node)
     if grid.periodic_x:  # every row of a wrap node column orders its columns alike
-        for wrap in (0, nxn - 1):
+        for wrap in (0, counts[-1] - 1):
             order = np.argsort(cols[0, wrap], kind="stable")
             for arr in (vals, present, cols):
                 arr[:, wrap] = arr[:, wrap][:, order]
-    n_nodes = nyn * nxn
+    n_nodes = math.prod(counts)
     indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=2).ravel(), out=indptr[1:])
+    np.cumsum(present.sum(axis=-1).ravel(), out=indptr[1:])
     return sp.csr_matrix((vals[present], cols[present], indptr), shape=(n_nodes, n_nodes))
 
 
@@ -485,8 +483,7 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     gradients exactly over shape cells (x gradients for the first
     component, y gradients for the second).
     """
-    if a <= 0:
-        raise GridError(f"need a > 0, got {a}")
+    _check_a(a)
     if grid.dim != 2:
         raise GridError("assemble_2d needs a 2D grid")
     cellsacross = shape.thickness / grid.h
@@ -496,7 +493,9 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
         )
     cls = classify_cells(grid, shape)
     h = grid.h
-    block = _stencil_block(grid, cls.labels, a, h)
+    # fused element matrices of Void and Shape cells; Outside, the last label, carries none
+    tables = np.array([a * _K2 + h * h * _M2, a * _K2])
+    block = _stencil_block(grid, [(tables, cls.labels)])
     labels = cls.labels.ravel()
     conn, n_nodes = _node_ids_2d(grid)
     shape_cells = labels == CellLabel.SHAPE

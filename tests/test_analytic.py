@@ -211,6 +211,9 @@ class TestBandGeneralBound:
             analytic.band_general_bound(1, 0, 1, -0.5, 0.01)
         with pytest.raises(DomainError):
             analytic.band_general_bound(1, 0, 1, 0.5, 0.0)
+        for a in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                analytic.band_general_bound(1, 0, 1, 0.5, a)
 
 
 class TestAnnulusWhole:
@@ -261,6 +264,9 @@ class TestAnnulusGeneralBound:
             analytic.annulus_general_bound(2, 1, 3, 0.01)
         with pytest.raises(DomainError):
             analytic.annulus_general_bound(1, 2, 1.5, 0.01)
+        for a in (math.nan, math.inf, 0.0):
+            with pytest.raises(DomainError):
+                analytic.annulus_general_bound(1, 2, 3, a)
 
 
 class TestEvalSolution:

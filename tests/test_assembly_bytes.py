@@ -116,6 +116,27 @@ def ref_block_2d(grid, labels, a):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n_nodes, n_nodes)).tocsr()
 
 
+def ref_block_1d(grid, labels, a):
+    """The 1D block on arbitrary labels from COO triplets, summed by tocsr.
+
+    Each element emits its stiffness, then its mass if it is void.
+    """
+    h = grid.h
+    stiff, m = a / h, h / 6.0
+    rows, cols, vals = [], [], []
+    for e, label in enumerate(labels):
+        for values, carried in (
+            ([stiff, -stiff, -stiff, stiff], True),
+            ([2 * m, m, m, 2 * m], label == CellLabel.VOID),
+        ):
+            if carried:
+                rows += [e, e, e + 1, e + 1]
+                cols += [e, e + 1, e, e + 1]
+                vals += values
+    n = len(labels) + 1
+    return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+
+
 def _assert_same_csr(got, want):
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
@@ -162,6 +183,24 @@ def test_assemble_1d_bits(kind, a):
     assert outside.any() == kind.startswith("general-")
     assert system.dirichlet_mask[1:-1].any() == (kind == "general-padded")
     _assert_same(system, ref_assemble_1d(grid, shape, a))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("a", [0.05, 0.003])
+def test_assemble_1d_bits_on_random_labels(monkeypatch, seed, a):
+    # Outside cells inside the grid, between Shape and Void ones, which no shape gives;
+    # at these a, summing a node's stiffness before its mass moves its diagonal's last bit
+    shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
+    grid = solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0))
+    labels = np.random.default_rng(seed).integers(0, 3, size=grid.cells[0]).astype(np.uint8)
+    monkeypatch.setattr(
+        solver, "classify_cells", lambda g, s: geometry.CellClassification(grid=g, labels=labels)
+    )
+    system = solver.assemble_1d(grid, shape, a)
+    _assert_same_csr(system.block, ref_block_1d(grid, labels, a))
+    outside = labels == CellLabel.OUTSIDE
+    flanked = [outside[i - 1] and outside[i] for i in range(1, len(labels))]
+    assert system.dirichlet_mask.tolist() == [True, *flanked, True]
 
 
 @pytest.mark.parametrize("h", [1.0 / 64, 1.0 / 200])
@@ -213,7 +252,8 @@ def test_stencil_block_bits_on_random_labels(periodic, nx):
     grid = geometry.StructuredGrid(dim=2, origin=(0.0, 0.0), h=0.05, cells=(nx, ny), periodic_x=periodic)
     labels = np.random.default_rng(nx).integers(0, 3, size=(ny, nx)).astype(np.uint8)
     a = 0.0123
-    _assert_same_csr(solver._stencil_block(grid, labels, a, grid.h), ref_block_2d(grid, labels, a))
+    tables = np.array([a * solver._K2 + grid.h * grid.h * solver._M2, a * solver._K2])
+    _assert_same_csr(solver._stencil_block(grid, [(tables, labels)]), ref_block_2d(grid, labels, a))
 
 
 # -- solve grids -----------------------------------------------------------------

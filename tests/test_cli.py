@@ -127,6 +127,51 @@ class TestConfigErrors:
         assert "'cells'" in err and "expected a positive integer" in err
         assert not (tmp_path / "f.csv").exists()
 
+    @pytest.mark.parametrize(
+        "shape, a, cells",
+        [
+            (["--family", "annulus-general", "--fl", "1", "--fr", "2", "--br", "2.5"], "inf", "32"),
+            (["--family", "interval-whole", "--fl", "0", "--fr", "1"], "nan", "64"),
+            (["--family", "interval-whole", "--fl", "0", "--fr", "1"], "-1", "8"),
+            (["--family", "band-whole", "--fl", "0", "--fr", "1", "--L", "1"], "-1", "8"),
+            (["--family", "annulus-whole", "--fl", "1", "--fr", "2"], "-1", "8"),
+        ],
+    )
+    def test_solve_rejects_a_not_positive_and_finite(self, capsys, tmp_path, shape, a, cells):
+        out = tmp_path / "f.csv"
+        code, _, err = run(["solve", *shape, "--a", a, "--cells", cells, "--out", str(out)], capsys)
+        assert code == 2
+        assert f"need a finite a > 0, got {float(a)}" in err
+        assert not out.exists()
+
+    def test_sweep_rejects_nan_a(self, capsys):
+        code, out, err = run(
+            [
+                "sweep", "--family", "annulus-general", "--fl", "1", "--fr", "2", "--br", "2.5",
+                "--a-list", "0.1,0.01,0.001,nan",
+            ],
+            capsys,
+        )
+        assert code == 2
+        assert "a values must be positive and finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--family", "interval-whole", "--fl", "nan", "--fr", "1", "--a", "0.04"], "f_l must be finite"),
+            (
+                ["--family", "annulus-general", "--fl", "1", "--fr", "2", "--br", "2.5", "--a", "nan"],
+                "need a finite a > 0, got nan",
+            ),
+        ],
+    )
+    def test_analytic_rejects_nan(self, capsys, argv, message):
+        code, out, err = run(["analytic", *argv], capsys)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, capsys, tmp_path):
@@ -289,6 +334,24 @@ class TestOracleCommand:
         cols = harness.load_csv(str(path))
         vals = np.array(cols["thickness"])
         assert np.max(np.abs(vals - 1.0)) <= 2 * 0.01
+
+    @pytest.mark.parametrize("L, cells", [("1", "2"), ("0.3", "7")])
+    def test_band_oracle_rows_follow_the_grid_spacing(self, capsys, tmp_path, L, cells):
+        # the requested spacing T/cells is coarser than the grid's L/nx here
+        path = tmp_path / "oracle.csv"
+        code, _, err = run(
+            [
+                "oracle", "--family", "band-whole", "--fl", "0", "--fr", "1", "--L", L,
+                "--cells", cells, "--out", str(path),
+            ],
+            capsys,
+        )
+        assert code == 0, err
+        h = float(L) / 4  # nx = max(4, round(L / (T / cells))) = 4
+        cols = harness.load_csv(str(path))
+        y = np.array(cols["y"])
+        assert y.min() < h and y.max() > 1.0 - h
+        assert np.max(np.abs(np.array(cols["thickness"]) - 1.0)) <= 2 * h
 
 
 class TestVerifyCommand:

@@ -46,7 +46,6 @@ class TestClassifyCells:
         centers = g.cell_centers(0)
         expected = (centers > 0) & (centers < 1)
         assert np.array_equal(cls.shape_mask, expected)
-        assert np.array_equal(cls.chi, expected.astype(float))
 
     def test_annulus_cell_count(self):
         g = geometry.build_grid([(-3, 3), (-3, 3)], 60)

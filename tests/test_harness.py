@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pdethick import analytic, bessel, harness, shapes, solver
-from pdethick.errors import DegenerateFitError, UnderResolvedError
+from pdethick.errors import DegenerateFitError, PdeThickError, UnderResolvedError
 
 
 class TestFitRate:
@@ -59,6 +59,11 @@ class TestSweep:
             harness.sweep_a(shapes.interval_whole(0, 1), [1e-3, 1e-2])
         with pytest.raises(Exception):
             harness.sweep_a(shapes.interval_whole(0, 1), [1e-3, 2e-3, 3e-3, 4e-3])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0])
+    def test_a_values_must_be_positive_and_finite(self, bad):
+        with pytest.raises(PdeThickError, match="a values must be positive and finite"):
+            harness.sweep_a(shapes.annulus_general(1.0, 2.0, 2.5), [0.1, 0.01, 0.001, bad])
 
     @pytest.mark.slow
     def test_band_general_discrete_sweep(self):

@@ -28,6 +28,22 @@ class TestShapeValidation:
         with pytest.raises(InvalidShapeError):
             shapes.annulus_general(1.0, 2.0, 1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_numbers_rejected(self, bad):
+        # written so that NaN, which fails every comparison, cannot slip through
+        for make in (
+            lambda: shapes.interval_whole(bad, 1.0),
+            lambda: shapes.interval_whole(0.0, bad),
+            lambda: shapes.interval_general(0.0, 1.0, -1.0, abs(bad)),
+            lambda: shapes.interval_general(0.0, 1.0, -abs(bad), 2.0),
+            lambda: shapes.annulus_general(1.0, 2.0, abs(bad)),
+            lambda: shapes.band_whole(0.0, 1.0, abs(bad)),
+            lambda: shapes.band_general(0.0, 1.0, -abs(bad), 2.0, 1.0),
+            lambda: shapes.PeriodicBoundary(period=1.0, mean=2.0, cosine_coeffs=(bad,)),
+        ):
+            with pytest.raises(InvalidShapeError):
+                make()
+
     def test_band_needs_period(self):
         with pytest.raises(InvalidShapeError):
             shapes.ShapeSpec(shapes.Family.BAND_WHOLE, 0.0, 1.0)

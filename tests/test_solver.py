@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -70,6 +71,21 @@ class TestAssembleRadial:
         rng = np.random.default_rng(11)
         for v in rng.standard_normal((10, A.shape[0])):
             assert v @ (A @ v) > 0
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.0, -1.0])
+    def test_a_must_be_positive_and_finite(self, a):
+        interval, annulus = shapes.interval_whole(0.0, 1.0), shapes.annulus_whole(1.0, 2.0)
+        band = shapes.band_whole(0.0, 1.0, 1.0)
+        for shape in (interval, annulus, band):
+            with pytest.raises(GridError, match="need a finite a > 0"):
+                solver.problem_grid(shape, a, 0.05)
+        for assemble, shape, grid in (
+            (solver.assemble_1d, interval, solver.build_interval_grid(interval, 0.1, (-1.0, 2.0))),
+            (solver.assemble_radial, annulus, solver.build_radial_grid(annulus, 0.1, R=3.0)),
+            (solver.assemble_2d, band, solver.band_whole_grid(band, 0.1, 0.04)),
+        ):
+            with pytest.raises(GridError, match="need a finite a > 0"):
+                assemble(grid, shape, a)
 
     def test_axis_resolution_guard(self):
         # f_l lands on a node but sits closer than 10 h to the axis
