@@ -37,9 +37,9 @@ Every assembler writes its CSR block directly with one stencil builder:
 each node's row sums the element matrices of the cells around it (two on a
 line, four in 2D), in the order a COO sum over the cells adds them, so the
 block is bit-identical to one summed from triplets without building them.
-The solve never copies the block reduced to its free nodes: CG and the
-finest multigrid level apply the whole block to free-node vectors spread
-over every node.  Both orders are fixed
+The solve never copies the block reduced to its free nodes: CG and each
+multigrid level work on vectors over every node of their grid, held at 0 on
+the fixed nodes, and no level stores a 2D prolongation.  Both orders are fixed
 (deterministic regardless of any outer parallelism over distinct systems),
 and the solver performs the same floating-point operations on every run, so
 repeated solves of one system reproduce bit-identical results on a fixed
@@ -537,8 +537,12 @@ _SMOOTH_SWEEPS = 2
 _COARSEST_UNKNOWNS = 600
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
+#: Coarse rows per strip of a Galerkin product, so only large levels are split.
+_GALERKIN_STRIP = 16384
 #: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
 REL_TOL = 1e-10
+#: Default cap on the CG iterations of each component.
+MAX_ITERATIONS = 100
 
 
 def _field_from_vector(system: SparseSystem, x: np.ndarray, iterations: int) -> DiscreteField:
@@ -570,106 +574,107 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc)), coarse
 
 
-class _FreeBlock:
-    """A block applied to its free nodes alone, without a reduced copy.
+def _along_axes(factors, x: np.ndarray) -> np.ndarray:
+    """A flat node vector of a tensor grid with factor k applied along axis k."""
+    x = x.reshape([f.shape[1] for f in factors])
+    for axis, factor in enumerate(factors):
+        moved = x.swapaxes(0, axis)
+        x = (factor @ moved.reshape(len(moved), -1)).reshape((-1,) + moved.shape[1:]).swapaxes(0, axis)
+    return x.ravel()
 
-    ``A @ x`` scatters the free-node vector ``x`` into a zeroed vector over
-    every node, multiplies by the whole block and keeps the free rows.  The
-    products with the zeros add +0.0 or -0.0 to a partial sum that starts at
-    +0.0, which changes nothing, so the result is bit-identical to that of
-    the reduced block.
+
+def _galerkin(A: sp.csr_matrix, factors, free: np.ndarray, coarse_free: np.ndarray) -> sp.csr_matrix:
+    """The coarse operator  P^T A P  over every coarse node, in strips of coarse rows.
+
+    ``P``, the ``kron`` of the axis factors, has its fixed fine rows and fixed
+    coarse columns emptied by index; a fixed column of ``A`` meets an empty
+    row of ``P``, so each sum adds the free-node product's terms in order.
     """
-
-    def __init__(self, block: sp.csr_matrix, free: np.ndarray):
-        self.block = block
-        self.free = free
-        n_free = int(np.count_nonzero(free))
-        self.shape = (n_free, n_free)
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        spread = np.zeros(len(self.free))
-        spread[self.free] = x
-        return (self.block @ spread)[self.free]
-
-    def diagonal(self) -> np.ndarray:
-        return self.block.diagonal()[self.free]
-
-    def toarray(self) -> np.ndarray:
-        return self.block[self.free][:, self.free].toarray()
-
-
-def _galerkin(A, P: sp.csr_matrix) -> sp.csr_matrix:
-    """The coarse operator  P^T A P,  formed with a transient CSR transpose.
-
-    For a :class:`_FreeBlock` the free rows of ``P`` are spread over every
-    node, the Dirichlet rows left empty, and multiplied with the whole
-    block: every sum meets the same terms in the same order as with the
-    reduced block, so the product is the same, entry for entry.
-    """
-    if isinstance(A, _FreeBlock):
-        indptr = np.zeros(len(A.free) + 1, dtype=P.indptr.dtype)
-        indptr[1:][A.free] = np.diff(P.indptr)
-        np.cumsum(indptr, out=indptr)
-        A, P = A.block, sp.csr_matrix((P.data, P.indices, indptr), shape=(len(A.free), P.shape[1]))
-    return (P.T.tocsr() @ A @ P).tocsr()
+    P = sp.kron(*factors, format="csr") if len(factors) == 2 else factors[0]
+    cols = np.flatnonzero(coarse_free)
+    P = P[free.ravel()][:, cols]
+    indptr = np.zeros(free.size + 1, dtype=P.indptr.dtype)
+    indptr[1:][free.ravel()] = np.diff(P.indptr)
+    np.cumsum(indptr, out=indptr)
+    P = sp.csr_matrix((P.data, cols[P.indices], indptr), shape=(free.size, coarse_free.size))
+    PT = P.T.tocsr()
+    if PT.shape[0] <= _GALERKIN_STRIP:
+        return PT @ A @ P
+    strips = [PT[s:s + _GALERKIN_STRIP] @ A @ P for s in range(0, PT.shape[0], _GALERKIN_STRIP)]
+    return sp.vstack(strips, format="csr")
 
 
 class _Multigrid:
-    """Galerkin multigrid V-cycle for the free nodes of any system's block.
+    """Galerkin multigrid V-cycle on vectors over every node of each level.
 
-    Each level keeps the free nodes of a tensor grid, whose node counts are
-    read slowest axis first: ``(ny, nx)`` in 2D, ``(n,)`` on 1D and radial
-    grids, ``(m,)`` for a block with no grid.  The finest level applies the
-    whole block to its free nodes (:class:`_FreeBlock`); the coarser levels
-    hold their operators.  The prolongation is the Kronecker product of the
-    per-axis factors, ``kron(P_y, P_x)`` in 2D, restricted to the free fine
-    rows and to the coarse nodes whose injected fine node is free, so it has
-    full column rank and every coarse operator ``P^T A P`` stays SPD; the
-    restriction applies the ``P.T`` view.  The same damped-Jacobi sweeps
-    before and after each coarse correction keep the cycle symmetric, which
-    makes it a valid CG preconditioner.
+    Each level is a tensor grid, node counts slowest axis first (``(ny,
+    nx)``, ``(n,)``, or ``(m,)`` for a block with no grid), whose vectors
+    are 0 on its fixed nodes: the Dirichlet nodes, then the coarse nodes
+    whose injected fine node is fixed.  A level keeps its operator (the
+    whole block on the finest), smoother weights (0 on fixed nodes), the
+    fixed nodes and its per-axis prolongation factors, applied one axis at
+    a time, transposed to restrict.  Zeroing the residual and the prolonged
+    correction on fixed nodes makes the transfers the ``kron`` of the
+    factors with fixed fine rows and fixed coarse columns empty, of full
+    column rank, so each ``P^T A P`` stays SPD on the free nodes.  The
+    coarsest level has a dense inverse over its free nodes.  The same
+    sweeps before and after each coarse correction keep the cycle
+    symmetric, a valid CG preconditioner.
     """
 
     def __init__(self, block: sp.csr_matrix, grid: Optional[StructuredGrid], free: np.ndarray):
         counts = free.shape if grid is None else grid.node_counts()[::-1]
         periodic = [False] * (len(counts) - 1) + [grid is not None and grid.periodic_x]
-        A = _FreeBlock(block, free)
+        A = block
         free = free.reshape(counts)
         self.levels = []
-        while A.shape[0] > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
-            factors = [_axis_prolongation(n, p) for n, p in zip(counts, periodic)]
-            P = factors[0][0]
-            for factor, _ in factors[1:]:
-                P = sp.kron(P, factor, format="csr")
-            coarse_free = free[np.ix_(*(keep for _, keep in factors))]
-            P = P[free.ravel()][:, coarse_free.ravel()]
-            self.levels.append((A, _SMOOTH_OMEGA / A.diagonal(), P))
-            A = _galerkin(A, P)
+        while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
+            factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(counts, periodic)))
+            coarse_free = free[np.ix_(*keep)]
+            weight = _SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)
+            self.levels.append((A, weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
+            A = _galerkin(A, factors, free, coarse_free)
             counts, free = coarse_free.shape, coarse_free
-        self.coarse_inverse = np.linalg.inv(A.toarray())
+        self.coarse_free = np.flatnonzero(free)
+        self.coarse_inverse = np.linalg.inv(A[self.coarse_free][:, self.coarse_free].toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
-            return self.coarse_inverse @ r
-        A, weight, P = self.levels[level]
+            x = np.zeros(len(r))
+            x[self.coarse_free] = self.coarse_inverse @ r[self.coarse_free]
+            return x
+        A, weight, fixed, factors, restrictions = self.levels[level]
         x = weight * r
         for _ in range(_SMOOTH_SWEEPS - 1):
             x += weight * (r - A @ x)
-        x += P @ self(P.T @ (r - A @ x), level + 1)
+        residual = r - A @ x
+        residual[fixed] = 0.0
+        correction = _along_axes(factors, self(_along_axes(restrictions, residual), level + 1))
+        correction[fixed] = 0.0
+        x += correction
         for _ in range(_SMOOTH_SWEEPS):
             x += weight * (r - A @ x)
         return x
 
 
-def _pcg(A, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
-    """CG from x = 0 until ||r|| <= REL_TOL * b_norm; returns x and the iterations."""
+def _free_product(A: sp.csr_matrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``A @ x`` with the ``fixed`` rows zeroed: for an ``x`` that is 0 on
+    the fixed nodes, the product with ``A`` restricted to the free nodes."""
+    y = A @ x
+    y[fixed] = 0.0
+    return y
+
+
+def _pcg(A, fixed, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
+    """CG from x = 0 until ||r|| <= REL_TOL * b_norm; returns x and the iterations.
+
+    Vectors are 0 on the ``fixed`` nodes; ``b`` is overwritten by the residual."""
     x = np.zeros(len(b))
-    r = b.copy()
-    z = precondition(r)
-    p = z.copy()
-    rz = float(r @ z)
+    r = b
+    p = precondition(r)
+    rz = float(r @ p)
     for iterations in range(1, max_iterations + 1):
-        Ap = A @ p
+        Ap = _free_product(A, fixed, p)
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise NonConvergenceError("nonpositive curvature; system not SPD")
@@ -680,63 +685,58 @@ def _pcg(A, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
             return x, iterations
         z = precondition(r)
         rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
+        p *= rz_new / rz
+        z += p  # the next direction, in z's storage, so no vector is left over
+        p = z
         rz = rz_new
     raise NonConvergenceError(
-        f"CG did not reach {REL_TOL} in {max_iterations} iterations"
+        f"CG did not reach {REL_TOL} within the cap of {max_iterations} iterations per component"
     )
 
 
-def solve_spd(system: SparseSystem, max_iterations: Optional[int] = None) -> DiscreteField:
+def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> DiscreteField:
     """Preconditioned conjugate gradients on the free nodes, per component.
 
-    No reduced copy of the shared block is made: CG and the finest level
-    of the multigrid V-cycle apply the whole block to free-node vectors
-    spread over every node (:class:`_FreeBlock`), and the Dirichlet data
-    enter the load as  -(block @ x_dirichlet)  on the free rows.  The
-    V-cycle runs on the system's grid (a lone axis for a block with no
-    grid); its hierarchy is built once and serves every component.  Each
-    component iterates until ||r_k|| <= REL_TOL * ||b_k||; one whose
-    reduced right-hand side is zero stays zero after 0 iterations.  Raises
-    :class:`NonConvergenceError` when a component needs more than
-    ``max_iterations``, by default max(200, 50 sqrt(n)) for the n free
-    unknowns of all components, which indicates an assembly bug or an
-    indefinite system.  The returned iteration count is the sum over
-    components and is deterministic for fixed inputs.
+    No reduced copy of the block is made: CG runs on vectors over every
+    node, 0 on the Dirichlet nodes (:func:`_free_product`).  Each load, the
+    right-hand side less  block @ x_dirichlet  on the free rows, is formed
+    when its component is solved.  One V-cycle hierarchy (:class:`_Multigrid`)
+    on the system's grid serves every component.  Each component iterates
+    until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load.  More than
+    ``max_iterations`` per component, by default ``MAX_ITERATIONS`` at any
+    size, raise :class:`NonConvergenceError`: a healthy V-cycle needs far
+    fewer, so it means an assembly bug or an indefinite system.  The
+    iteration count returned is the sum over components, deterministic for
+    fixed inputs.
     """
     k = system.n_components
     m = system.n // k
     mask = system.dirichlet_mask[:m]
     free = ~mask
-    n_free = int(np.count_nonzero(free))
     x_full = np.zeros(system.n)
     if system.dirichlet_values is not None:
         x_full[system.dirichlet_mask] = system.dirichlet_values[system.dirichlet_mask]
-    if n_free == 0:
+    if not free.any():
         return _field_from_vector(system, x_full, 0)
-    A = _FreeBlock(system.block, free)
+    fixed = np.flatnonzero(mask)
     x_comps = x_full.reshape(k, m)
-    loads = []
-    for c in range(k):
-        b = system.rhs[c * m:(c + 1) * m][free]
-        if np.any(x_comps[c][mask] != 0.0):
-            b = b - (system.block @ x_comps[c])[free]
-        loads.append(b)
-    if max_iterations is None:
-        max_iterations = max(200, 50 * math.ceil(math.sqrt(k * n_free)))
     precondition = None
     iterations = 0
-    for c, b in enumerate(loads):
+    for c in range(k):
+        b = np.where(mask, 0.0, system.rhs[c * m:(c + 1) * m])
+        if np.any(x_comps[c][mask] != 0.0):
+            b = np.where(mask, 0.0, b - system.block @ x_comps[c])
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             continue
         if precondition is None:
-            if np.any(A.diagonal() <= 0):
+            if np.any(system.block.diagonal()[free] <= 0):
                 raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
             precondition = _Multigrid(system.block, system.grid, free)
-        x, its = _pcg(A, b, b_norm, precondition, max_iterations)
-        x_comps[c][free] = x
+        x, its = _pcg(system.block, fixed, b, b_norm, precondition, max_iterations)
+        np.copyto(x_comps[c], x, where=free)
         iterations += its
+        del x, b  # before the next load, which would otherwise sit beside them
     return _field_from_vector(system, x_full, iterations)
 
 

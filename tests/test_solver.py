@@ -1,4 +1,9 @@
 import math
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -170,6 +175,23 @@ class TestSolveSpd:
         system, _, _ = _interval_system(n=3072)
         with pytest.raises(NonConvergenceError):
             solver.solve_spd(system, max_iterations=3)
+
+    def test_corrupted_stencil_corner_stops_at_the_cap(self):
+        # every node's NE corner entry with the wrong sign, as one wrong corner in
+        # the stencil builder gives: CG stalls on the unsymmetric block and must
+        # stop at the fixed cap, not at one that grows with the grid
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = solver.annulus_general_grid(ann, 0.05)
+        system = solver.assemble_2d(grid, ann, 0.04)
+        block = system.block.copy()
+        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
+        block.data[block.indices == rows + grid.node_counts()[0] + 1] *= -1.0
+        broken = solver.SparseSystem(
+            n=system.n, block=block, rhs=system.rhs, dirichlet_mask=system.dirichlet_mask, grid=grid,
+            n_components=2,
+        )
+        with pytest.raises(NonConvergenceError, match="cap of 100 iterations"):
+            solver.solve_spd(broken)
 
     def test_matches_analytic_interval(self):
         a = 0.04
@@ -460,9 +482,39 @@ class TestMultigrid:
         assert np.max(np.abs(block @ field.components[0] - b)) <= 1e-8 * np.max(np.abs(b))
 
     def test_2d_prolongation_is_the_kron_of_the_axes(self):
+        # every level's axis-by-axis transfers against kron(P_y, P_x) with the fixed
+        # fine rows and fixed coarse columns emptied; the wavy band's x axis is
+        # periodic, and its open y axis has 108 nodes at h = 0.02 and 87 at 0.025
         band = harness.canonical_wavy_band()
-        grid = solver.band_general_grid(band, 0.02)
-        system = solver.assemble_2d(grid, band, 0.02)
+        rng = np.random.default_rng(7)
+        for h, ny in ((0.02, 108), (0.025, 87)):
+            grid = solver.band_general_grid(band, h)
+            system = solver.assemble_2d(grid, band, 0.02)
+            free = ~system.dirichlet_mask[: system.n // 2].reshape(grid.node_counts()[::-1])
+            mg = solver._Multigrid(system.block, grid, free.ravel())
+            assert len(mg.levels) >= 2 and free.shape[0] == ny
+            for _, _, fixed, factors, restrictions in mg.levels:
+                keep = [solver._axis_prolongation(n, p)[1] for n, p in zip(free.shape, (False, True))]
+                coarse_free = free[np.ix_(*keep)]
+                assert np.array_equal(fixed, np.flatnonzero(~free))
+                P = sp.kron(*factors, format="csr").multiply(free.reshape(-1, 1))
+                P = P.multiply(coarse_free.reshape(1, -1)).tocsr()
+                # positive entries, so no sum cancels and both orders agree to rounding
+                e = rng.random(coarse_free.size) * coarse_free.ravel()
+                got = solver._along_axes(factors, e)
+                got[fixed] = 0.0
+                np.testing.assert_allclose(got, P @ e, rtol=1e-14, atol=0)
+                r = rng.random(free.size) * free.ravel()
+                got = solver._along_axes(restrictions, r)[coarse_free.ravel()]
+                np.testing.assert_allclose(got, (P.T @ r)[coarse_free.ravel()], rtol=1e-14, atol=0)
+                free = coarse_free
+
+    def test_finest_coarse_operator_matches_the_reduced_product(self):
+        # formed in strips from the whole block and P with empty fixed rows, against
+        # the product with the reduced block; at a = 0.001 the columns are unsorted
+        band = harness.canonical_wavy_band()
+        grid = solver.band_general_grid(band, np.sqrt(0.001) / 8)
+        system = solver.assemble_2d(grid, band, 0.001)
         free = ~system.dirichlet_mask[: system.n // 2]
         mg = solver._Multigrid(system.block, grid, free)
         nx, ny = grid.node_counts()
@@ -470,20 +522,11 @@ class TestMultigrid:
         py, keep_y = solver._axis_prolongation(ny, False)
         coarse_free = free.reshape(ny, nx)[np.ix_(keep_y, keep_x)].ravel()
         P = sp.kron(py, px, format="csr")[free][:, coarse_free]
-        P0 = mg.levels[0][2]
-        assert P0.shape == P.shape and (P0 != P).nnz == 0
-
-    def test_finest_coarse_operator_matches_the_reduced_product(self):
-        # formed from the whole block and P's rows spread over every node, against
-        # the product with the reduced block; at a = 0.001 the columns are unsorted
-        band = harness.canonical_wavy_band()
-        grid = solver.band_general_grid(band, np.sqrt(0.001) / 8)
-        system = solver.assemble_2d(grid, band, 0.001)
-        free = ~system.dirichlet_mask[: system.n // 2]
-        mg = solver._Multigrid(system.block, grid, free)
-        P = mg.levels[0][2]
         want = (P.T.tocsr() @ system.block[free][:, free] @ P).tocsr()
-        got = mg.levels[1][0]
+        level_1 = mg.levels[1][0]
+        assert level_1.shape[0] > 2 * solver._GALERKIN_STRIP
+        got = level_1[coarse_free][:, coarse_free]
+        assert got.nnz == level_1.nnz  # fixed coarse rows and columns are empty
         assert not want.has_sorted_indices
         for name in ("indptr", "indices", "data"):  # same stored order, too
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -495,17 +538,59 @@ class TestMultigrid:
     def test_free_block_matvec_matches_the_reduced_block(self):
         band = harness.canonical_wavy_band()
         system = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        mask = system.dirichlet_mask[: system.n // 2]
+        free = ~mask
+        x = np.where(free, np.random.default_rng(5).standard_normal(free.size), 0.0)
+        got = solver._free_product(system.block, np.flatnonzero(mask), x)
+        assert got[free].tobytes() == (system.block[free][:, free] @ x[free]).tobytes()
+        assert not got[mask].any()
+
+    def test_vcycle_is_symmetric_and_zero_on_fixed_nodes(self):
+        # CG needs a symmetric preconditioner; a residual left nonzero on the
+        # Dirichlet rows before restriction breaks the symmetry at about 1e-2
+        band = harness.canonical_wavy_band()
+        wavy = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        rng = np.random.default_rng(3)
+        for system in (wavy, _interval_holes_system()):
+            mask = system.dirichlet_mask[: system.n // system.n_components]
+            mg = solver._Multigrid(system.block, system.grid, ~mask)
+            u, v = (np.where(mask, 0.0, rng.standard_normal(mask.size)) for _ in range(2))
+            Mu, Mv = mg(u), mg(v)
+            assert abs(u @ Mv - v @ Mu) <= 1e-12 * abs(u @ Mv)
+            assert u @ Mu > 0 and not Mu[mask].any()
+
+    def test_hierarchy_keeps_less_than_half_a_block(self):
+        """tracemalloc on the 284^2 boxed annulus, in units of the block's bytes.
+
+        With stored prolongations and free-node weights the hierarchy kept
+        0.85 blocks; with transfers from the axis factors it keeps 0.50.
+        """
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = solver.annulus_general_grid(ann, np.sqrt(0.02) / 8)
+        assert grid.cells == (284, 284)
+        system = solver.assemble_2d(grid, ann, 0.02)
         free = ~system.dirichlet_mask[: system.n // 2]
-        x = np.random.default_rng(5).standard_normal(np.count_nonzero(free))
-        got = solver._FreeBlock(system.block, free) @ x
-        assert got.tobytes() == (system.block[free][:, free] @ x).tobytes()
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            mg = solver._Multigrid(system.block, grid, free)
+            kept = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        block = system.block
+        block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+        assert kept < 0.6 * block_bytes
+        # no level holds a fine-by-coarse matrix; the dense inverse covers free nodes only
+        assert all(e.shape[0] == e.shape[1] for level in mg.levels for e in level if sp.issparse(e))
+        assert mg.coarse_inverse.shape == (len(mg.coarse_free),) * 2
 
     def test_assembly_and_solve_memory_scale_with_the_block(self):
         """tracemalloc peaks on the 284^2 boxed annulus, in units of the block's bytes.
 
         Summing COO triplets peaked at 4.42 blocks in ``assemble_2d``, and the
         reduced copy of the block at 3.09 in ``solve_spd``; the 9-point sums
-        and the free-node products peak at 2.21 and 1.85.
+        peak at 2.21, and the solve peaked at 1.85 on free-node vectors with
+        stored prolongations and at 1.58 on node-length vectors without them.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.annulus_general_grid(ann, np.sqrt(0.02) / 8)
@@ -578,3 +663,24 @@ class TestMultigrid:
             solver.SparseSystem(
                 n=system.n, block=system.block, rhs=system.rhs, dirichlet_mask=mask, n_components=2
             )
+
+
+def test_solve_imports_no_scipy_linalg():
+    """A fresh ``import pdethick`` and a 2D solve leave both linalg modules unloaded.
+
+    Importing ``scipy.linalg`` or ``scipy.sparse.linalg`` costs 8-10 MiB of
+    RSS and 0.16-0.2 s of start-up, and the V-cycle needs neither.
+    """
+    code = textwrap.dedent("""
+        import sys
+        import pdethick
+        from pdethick import shapes, solver
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = solver.assemble_2d(solver.annulus_general_grid(ann, 0.05), ann, 0.04)
+        assert solver.solve_spd(system).iterations > 0
+        print(sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
+    """)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
