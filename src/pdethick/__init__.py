@@ -17,10 +17,6 @@ from .analytic import (
     interval_whole,
 )
 from .bessel import (
-    BesselKind,
-    ScaledBessel,
-    bessel_scaled,
-    check_ratio_inequalities,
     i0_scaled,
     i1_scaled,
     k0_scaled,
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalyticSolution",
-    "BesselKind",
     "CellClassification",
     "CellLabel",
     "ConvergenceReport",
@@ -72,7 +67,6 @@ __all__ = [
     "Family",
     "InverseThicknessField",
     "PeriodicBoundary",
-    "ScaledBessel",
     "ShapeSpec",
     "SparseSystem",
     "StructuredGrid",
@@ -85,9 +79,7 @@ __all__ = [
     "assemble_radial",
     "band_general_bound",
     "band_whole",
-    "bessel_scaled",
     "build_grid",
-    "check_ratio_inequalities",
     "classify_cells",
     "divergence",
     "error_norms",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Tuple, Union
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -60,15 +60,6 @@ class AnalyticSolution:
     lower_bound: float
     upper_bound: float
     log_excess: Optional[float] = None
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Pointwise value of an analytic solution: scalar profile and, for the
-    two-dimensional families, the vector field value."""
-
-    scalar: float
-    vector: Optional[Tuple[float, float]] = None
 
 
 def _require_positive_a(a: float) -> float:
@@ -236,10 +227,10 @@ def band_general_bound(L: float, f_l: float, f_r: float, m: float, a: float) -> 
     with |Omega_L| = L * T.  This is the acceptance envelope for the measured
     L2 error of 1/T^a - 1/T_bar from the 2D solver.
     """
-    if not (L > 0 and m > 0 and 0 < a < math.inf):  # NaN fails too
-        raise DomainError(f"need positive L, m and finite a; got {L}, {m}, {a}")
-    if f_l >= f_r:
-        raise DomainError(f"need f_l < f_r, got {f_l}, {f_r}")
+    if not (0 < L < math.inf and m > 0 and 0 < a < math.inf):  # NaN fails too
+        raise DomainError(f"need finite positive L and a, positive m; got {L}, {m}, {a}")
+    if not -math.inf < f_l < f_r < math.inf:
+        raise DomainError(f"need finite f_l < f_r, got {f_l}, {f_r}")
     T = f_r - f_l
     sqrt_a = math.sqrt(a)
     area = L * T
@@ -348,34 +339,15 @@ def _eval_annulus_scalar(sol: AnalyticSolution, r: float) -> float:
     return c["mid_linear"] * r + c["mid_reciprocal"] / r
 
 
-def eval_solution(
-    sol: AnalyticSolution, point: Union[float, Sequence[float]]
-) -> EvalResult:
-    """Evaluate the piecewise closed form.
+def eval_solution(sol: AnalyticSolution, t: float) -> float:
+    """Evaluate the piecewise scalar closed form at ``t``.
 
-    A scalar ``point`` is the 1D coordinate (intervals), the cross coordinate
-    y (bands) or the radius (annuli); a 2-sequence is a plane point, read by
-    :meth:`ShapeSpec.across`, for which the vector field value (0, S(y)) or
-    S(r) (cos t, sin t) is returned too.
+    ``t`` is the 1D coordinate (intervals), the cross coordinate y (bands) or
+    the radius (annuli).
     """
-    shape = sol.shape
-    kind = shape.family.kind
-    if np.ndim(point) == 0:
-        t, xy = float(point), None
-    elif kind == "interval":
-        raise DomainError(f"plane-point evaluation undefined for family {shape.family}")
-    else:
-        xy = (float(point[0]), float(point[1]))
-        t = float(shape.across(*xy))
-    if kind == "annulus":
-        scalar = _eval_annulus_scalar(sol, t)
-        if xy is None:
-            return EvalResult(scalar=scalar)
-        if t == 0.0:
-            return EvalResult(scalar=scalar, vector=(0.0, 0.0))
-        return EvalResult(scalar=scalar, vector=(scalar * xy[0] / t, scalar * xy[1] / t))
-    scalar = _eval_interval_scalar(sol, t)
-    return EvalResult(scalar=scalar, vector=(0.0, scalar) if kind == "band" else None)
+    if sol.shape.family.kind == "annulus":
+        return _eval_annulus_scalar(sol, float(t))
+    return _eval_interval_scalar(sol, float(t))
 
 
 def profile(sol: AnalyticSolution, coords: np.ndarray) -> np.ndarray:
@@ -386,7 +358,7 @@ def profile(sol: AnalyticSolution, coords: np.ndarray) -> np.ndarray:
     """
     coords = np.asarray(coords, dtype=float)
     distinct, inverse = np.unique(coords.ravel(), return_inverse=True)
-    values = np.array([eval_solution(sol, t).scalar for t in distinct.tolist()])
+    values = np.array([eval_solution(sol, t) for t in distinct.tolist()])
     return values[inverse].reshape(coords.shape)
 
 

@@ -29,8 +29,6 @@ any number of threads concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 from ._bessel_tables import (
     I0_TAIL,
@@ -48,11 +46,6 @@ I_SERIES_CUTOFF = 8.0
 K_SERIES_CUTOFF = 2.0
 
 _EULER_GAMMA = 0.5772156649015328606
-
-
-class BesselKind(str, Enum):
-    I = "I"
-    K = "K"
 
 
 def _chebyshev(coeffs, w: float) -> float:
@@ -151,52 +144,6 @@ def k1_scaled(x: float) -> float:
     return math.exp(x) * (1.0 / x + math.log(0.5 * x) * i1 - 0.25 * x * csum)
 
 
-_DISPATCH = {
-    (BesselKind.I, 0): i0_scaled,
-    (BesselKind.I, 1): i1_scaled,
-    (BesselKind.K, 0): k0_scaled,
-    (BesselKind.K, 1): k1_scaled,
-}
-
-
-def bessel_scaled(kind: BesselKind | str, order: int, x: float) -> float:
-    """Scaled modified Bessel value: exp(-x) I_n(x) or exp(x) K_n(x).
-
-    ``x = 0`` is accepted for kind I only; negative arguments and
-    nonpositive arguments for kind K raise :class:`DomainError`.
-    """
-    kind = BesselKind(kind)
-    if order not in (0, 1):
-        raise DomainError(f"order must be 0 or 1, got {order}")
-    return _DISPATCH[(kind, order)](float(x))
-
-
-@dataclass(frozen=True)
-class ScaledBessel:
-    """A scaled modified Bessel value together with its provenance."""
-
-    kind: BesselKind
-    order: int
-    argument: float
-    scaled_value: float
-
-    @classmethod
-    def compute(cls, kind: BesselKind | str, order: int, x: float) -> "ScaledBessel":
-        kind = BesselKind(kind)
-        return cls(kind, order, float(x), bessel_scaled(kind, order, x))
-
-    def unscaled(self) -> float:
-        """Raw I_n(x) or K_n(x).
-
-        Overflows (I, large x) or underflows (K, large x) outside roughly
-        |x| < 700; use the scaled value and cancel exponents analytically
-        instead wherever possible.
-        """
-        if self.kind == BesselKind.I:
-            return self.scaled_value * math.exp(self.argument)
-        return self.scaled_value * math.exp(-self.argument)
-
-
 def k_ratio_lower_bound(x: float) -> float:
     """Lower envelope for K_0(x)/K_1(x): x / (1/2 + sqrt(1/4 + x^2))."""
     return x / (0.5 + math.sqrt(0.25 + x * x))
@@ -211,16 +158,6 @@ def i_ratio_upper_bound(x: float) -> float:
 K1_DECAY_PROBE_STEP = 1.01
 
 
-@dataclass(frozen=True)
-class RatioChecks:
-    k_lower_holds: bool
-    i_upper_holds: bool
-    k1_decay_holds: bool
-
-    def all_hold(self) -> bool:
-        return self.k_lower_holds and self.i_upper_holds and self.k1_decay_holds
-
-
 def ratio_deficits(x: float) -> tuple:
     """How far each ratio property misses at ``x``; each holds where its deficit is <= 0.
 
@@ -231,6 +168,8 @@ def ratio_deficits(x: float) -> tuple:
       * I_0(x)/I_1(x) <= (1/2 + sqrt(9/4 + x^2)) / x
       * sqrt(y) e^y K_1(y) <= sqrt(x) e^x K_1(x) at y = 1.01 x
         (discrete probe of the decay of sqrt(x) e^x K_1).
+
+    ``x <= 0`` raises :class:`DomainError`.
     """
     k1 = k1_scaled(x)
     y = K1_DECAY_PROBE_STEP * x
@@ -239,10 +178,3 @@ def ratio_deficits(x: float) -> tuple:
         i0_scaled(x) / i1_scaled(x) - i_ratio_upper_bound(x),
         math.sqrt(y) * k1_scaled(y) - math.sqrt(x) * k1,
     )
-
-
-def check_ratio_inequalities(x: float) -> RatioChecks:
-    """Check the three ratio/monotonicity properties of :func:`ratio_deficits` at one argument."""
-    if x <= 0:
-        raise DomainError(f"need x > 0, got {x}")
-    return RatioChecks(*(d <= 0 for d in ratio_deficits(x)))

@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence, TextIO, Tuple, Union
 
 import numpy as np
 
-from .errors import CoverageError, EmptyShapeError, GridError
+from .errors import CoverageError, GridError
 from .shapes import Family, ShapeSpec
 
 #: Hard cap on oracle grid size (documented limit, not a silent truncation).
@@ -144,17 +144,6 @@ class CellClassification:
     @property
     def shape_mask(self) -> np.ndarray:
         return self.labels == CellLabel.SHAPE
-
-    @property
-    def void_mask(self) -> np.ndarray:
-        return self.labels == CellLabel.VOID
-
-    @property
-    def outside_mask(self) -> np.ndarray:
-        return self.labels == CellLabel.OUTSIDE
-
-    def n_shape_cells(self) -> int:
-        return int(np.count_nonzero(self.shape_mask))
 
 
 def signed_distance(shape: ShapeSpec, point) -> float:
@@ -345,12 +334,3 @@ def write_thickness_csv(field: ThicknessField, target: Union[str, TextIO]) -> No
     grid = field.grid
     axes = [grid.cell_centers(d) for d in range(grid.dim)]
     write_grid_csv(target, axes, ["thickness"], [field.values], field.mask)
-
-
-def shape_area(classification: CellClassification) -> float:
-    """Measure of the shape region implied by the classification."""
-    grid = classification.grid
-    n = classification.n_shape_cells()
-    if n == 0:
-        raise EmptyShapeError("no shape cells")
-    return n * grid.h**grid.dim

@@ -76,7 +76,8 @@ class SparseSystem:
     The operator is block diagonal: ``n_components`` copies of one scalar
     ``block``, since the bilinear form decouples componentwise.  Reading
     ``matrix`` builds the full n x n operator anew on each read; the solver
-    works on ``block`` alone.
+    works on ``block`` alone.  ``matrix`` stays because the benchmark's span
+    tracer (``perfbench/spans.py``) reads it to count the assembled bytes.
 
     ``dirichlet_mask`` marks constrained nodes, the same ones in every
     component, and ``dirichlet_values`` their prescribed values (zero unless
@@ -115,10 +116,6 @@ class SparseSystem:
         if self.n_components == 1:
             return self.block
         return sp.block_diag([self.block] * self.n_components, format="csr")
-
-    def symmetry_defect(self) -> float:
-        d = self.block - self.block.T
-        return 0.0 if d.nnz == 0 else float(np.max(np.abs(d.data)))
 
 
 @dataclass

@@ -72,8 +72,8 @@ def inverse_thickness(
     div_cells: np.ndarray, a: float, classification: CellClassification
 ) -> InverseThicknessField:
     """Inverse PDE thickness sqrt(a)/2 * div on the shape cells."""
-    if a <= 0:
-        raise DomainError(f"need a > 0, got {a}")
+    if not 0 < a < math.inf:  # NaN fails too
+        raise DomainError(f"need a finite a > 0, got {a}")
     mask = classification.shape_mask
     values = np.full(div_cells.shape, np.nan)
     values[mask] = 0.5 * math.sqrt(a) * div_cells[mask]

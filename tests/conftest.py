@@ -1,3 +1,4 @@
+import csv
 import json
 import pathlib
 
@@ -14,3 +15,26 @@ def oracle():
     """
     with open(DATA_DIR / "bessel_oracle.json") as handle:
         return json.load(handle)
+
+
+def _csv_columns(path):
+    with open(path, newline="") as handle:
+        header, *rows = csv.reader(handle)
+
+    def parse(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    return {name: [parse(row[i]) for row in rows] for i, name in enumerate(header)}
+
+
+@pytest.fixture(scope="session")
+def read_csv():
+    """Read a CSV written by pdethick back into columns.
+
+    Numeric fields are parsed as floats (including nan); everything else
+    stays a string.
+    """
+    return _csv_columns

@@ -63,7 +63,7 @@ def test_c03_discrete_vs_analytic_1d():
             grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
             field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
             nodes = grid.node_coords(0)
-            exact = np.array([analytic.eval_solution(sol, float(x)).scalar for x in nodes])
+            exact = np.array([analytic.eval_solution(sol, float(x)) for x in nodes])
             errors.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
         assert errors[-1][1] <= 5e-5
         order, _ = harness.fit_rate(errors)
@@ -122,7 +122,7 @@ def test_c06_bessel_accuracy(oracle):
 def test_c07_bessel_inequalities():
     with criterion(7, "Bessel ratio envelopes and K1 decay"):
         for x in np.logspace(-6, 3, 1000):
-            assert bessel.check_ratio_inequalities(float(x)).all_hold()
+            assert all(d <= 0 for d in bessel.ratio_deficits(float(x)))
 
 
 def test_c08_annulus_whole_bounds():

@@ -135,7 +135,7 @@ class TestProfile:
         sol = analytic.annulus_whole(1.0, 2.0, 0.04)
         xx, yy = np.meshgrid(np.linspace(-2.5, 2.5, 41), np.linspace(-2.5, 2.5, 41))
         rr = np.hypot(xx, yy)
-        ref = np.array([analytic.eval_solution(sol, float(r)).scalar for r in rr.ravel()])
+        ref = np.array([analytic.eval_solution(sol, float(r)) for r in rr.ravel()])
         out = analytic.profile(sol, rr)
         assert out.shape == rr.shape
         assert out.tobytes() == ref.reshape(rr.shape).tobytes()
@@ -153,7 +153,7 @@ class TestProfile:
         out = analytic.profile(sol, np.array([0.5, -0.5, 0.5, 1.5, -0.5]))
         assert sorted(calls) == [-0.5, 0.5, 1.5]
         assert out[0] == out[2] and out[1] == out[4]
-        assert out[3] == original(sol, 1.5).scalar
+        assert out[3] == original(sol, 1.5)
 
 
 class TestBandWhole:
@@ -215,6 +215,17 @@ class TestBandGeneralBound:
             with pytest.raises(DomainError):
                 analytic.band_general_bound(1, 0, 1, 0.5, a)
 
+    def test_rejects_non_finite_period_and_interfaces(self):
+        # L = inf gives an infinite envelope that passes any error, f_l = nan a NaN one
+        bad = [(math.inf, 0, 1), (math.nan, 0, 1), (1, math.nan, 1), (1, 0, math.nan), (1, -math.inf, 1)]
+        for L, f_l, f_r in bad:
+            with pytest.raises(DomainError):
+                analytic.band_general_bound(L, f_l, f_r, 0.5, 0.01)
+
+    def test_infinite_margin_is_the_whole_band_limit(self):
+        bound = analytic.band_general_bound(1, 0, 1, math.inf, 0.01)
+        assert bound == 2.0 * math.sqrt(0.01)
+
 
 class TestAnnulusWhole:
     def test_bound_envelope_1_2(self):
@@ -272,26 +283,26 @@ class TestAnnulusGeneralBound:
 class TestEvalSolution:
     def test_interval_symmetry_and_interface_value(self):
         sol = analytic.interval_whole(0, 1, 0.04)
-        assert analytic.eval_solution(sol, 0.5).scalar == 0.0
-        assert analytic.eval_solution(sol, 1.0).scalar == pytest.approx(
+        assert analytic.eval_solution(sol, 0.5) == 0.0
+        assert analytic.eval_solution(sol, 1.0) == pytest.approx(
             sol.p_star * 0.5, rel=1e-14
         )
 
     def test_interval_tail_decay(self):
         sol = analytic.interval_whole(0, 1, 0.04)
-        s1 = analytic.eval_solution(sol, 1.2).scalar
+        s1 = analytic.eval_solution(sol, 1.2)
         assert s1 == pytest.approx(sol.p_star * 0.5 * math.exp(-1.0), rel=1e-13)
-        s_far = analytic.eval_solution(sol, 0.0 - 50.0).scalar
+        s_far = analytic.eval_solution(sol, 0.0 - 50.0)
         assert abs(s_far) < 1e-100
 
     def test_interval_general_continuity(self):
         sol = analytic.interval_general(0, 1, -1, 2, 0.04)
         for x in (0.0, 1.0):
-            inner = analytic.eval_solution(sol, x).scalar
-            shifted = analytic.eval_solution(sol, x + (1e-9 if x == 1.0 else -1e-9)).scalar
+            inner = analytic.eval_solution(sol, x)
+            shifted = analytic.eval_solution(sol, x + (1e-9 if x == 1.0 else -1e-9))
             assert inner == pytest.approx(shifted, abs=1e-7)
-        assert analytic.eval_solution(sol, -1.0).scalar == 0.0
-        assert analytic.eval_solution(sol, 2.0).scalar == 0.0
+        assert analytic.eval_solution(sol, -1.0) == 0.0
+        assert analytic.eval_solution(sol, 2.0) == 0.0
 
     def test_interval_general_out_of_domain(self):
         sol = analytic.interval_general(0, 1, -1, 2, 0.04)
@@ -310,22 +321,6 @@ class TestEvalSolution:
         s_mid_fl = c["mid_linear"] * 1.0 + c["mid_reciprocal"] / 1.0
         s_in_fl = c["inner_amp_scaled"] * bessel.i1_scaled(1.0 / sqrt_a)
         assert abs(s_mid_fl - s_in_fl) <= 1e-10 * abs(s_in_fl)
-
-    def test_band_vector_value(self):
-        sol = analytic.band_whole(0, 1, 0.04, 1.0)
-        res = analytic.eval_solution(sol, (3.7, 0.75))
-        assert res.vector[0] == 0.0
-        assert res.vector[1] == res.scalar
-        assert res.scalar == pytest.approx(sol.p_star * 0.25, rel=1e-13)
-
-    def test_annulus_vector_is_radial(self):
-        sol = analytic.annulus_whole(1, 2, 0.04)
-        r, theta = 1.5, 0.7
-        pt = (r * math.cos(theta), r * math.sin(theta))
-        res = analytic.eval_solution(sol, pt)
-        mag = math.hypot(*res.vector)
-        assert mag == pytest.approx(abs(res.scalar), rel=1e-12)
-        assert res.vector[0] == pytest.approx(res.scalar * math.cos(theta), rel=1e-12)
 
 
 class TestInterfaceJumps:

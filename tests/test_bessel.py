@@ -16,25 +16,26 @@ FUNCS = {
 }
 
 
+def all_hold(x: float) -> bool:
+    """Every ratio property holds at ``x``; a NaN deficit fails."""
+    return all(d <= 0 for d in bessel.ratio_deficits(x))
+
+
 class TestTrivialValues:
     def test_i0_at_zero(self):
-        assert bessel.bessel_scaled("I", 0, 0.0) == 1.0
+        assert bessel.i0_scaled(0.0) == 1.0
 
     def test_i1_at_zero(self):
-        assert bessel.bessel_scaled("I", 1, 0.0) == 0.0
+        assert bessel.i1_scaled(0.0) == 0.0
 
     def test_k_rejects_zero(self):
         with pytest.raises(DomainError):
-            bessel.bessel_scaled("K", 0, 0.0)
+            bessel.k0_scaled(0.0)
 
     def test_negative_argument_rejected(self):
-        for kind in ("I", "K"):
+        for fn in (bessel.i0_scaled, bessel.k0_scaled):
             with pytest.raises(DomainError):
-                bessel.bessel_scaled(kind, 0, -1.0)
-
-    def test_bad_order_rejected(self):
-        with pytest.raises(DomainError):
-            bessel.bessel_scaled("I", 2, 1.0)
+                fn(-1.0)
 
 
 class TestSpotValues:
@@ -44,13 +45,6 @@ class TestSpotValues:
         for key, fn in FUNCS.items():
             ref = float(oracle["spots"][f"{key}_at_1"])
             assert fn(1.0) == pytest.approx(ref, rel=1e-14)
-
-    def test_unscaled_accessor(self, oracle):
-        v = bessel.ScaledBessel.compute("K", 1, 1.0)
-        # e^1 K_1(1) stored; unscaled recovers K_1(1)
-        assert v.unscaled() == pytest.approx(
-            float(oracle["spots"]["k1e_at_1"]) / math.e, rel=1e-13
-        )
 
 
 class TestOracleGrid:
@@ -120,19 +114,19 @@ class TestRatioInequalities:
         assert bessel.k_ratio_lower_bound(1.0) == pytest.approx(0.618034, rel=1e-5)
         assert i0 / i1 == pytest.approx(2.2401937, rel=1e-6)
         assert bessel.i_ratio_upper_bound(1.0) == pytest.approx(2.3027756, rel=1e-6)
-        assert bessel.check_ratio_inequalities(1.0).all_hold()
+        assert all_hold(1.0)
 
     def test_asymptotic_and_tiny_regimes(self):
-        assert bessel.check_ratio_inequalities(100.0).all_hold()
-        assert bessel.check_ratio_inequalities(1e-4).all_hold()
+        assert all_hold(100.0)
+        assert all_hold(1e-4)
 
     def test_thousand_samples(self):
         for x in np.logspace(-6, 3, 1000):
-            assert bessel.check_ratio_inequalities(float(x)).all_hold()
+            assert all_hold(float(x))
 
     def test_rejects_nonpositive(self):
         with pytest.raises(DomainError):
-            bessel.check_ratio_inequalities(0.0)
+            bessel.ratio_deficits(0.0)
 
     def test_deficit_signs_are_the_comparisons(self):
         step = bessel.K1_DECAY_PROBE_STEP
@@ -152,8 +146,6 @@ class TestRatioInequalities:
                 decay <= math.sqrt(x) * k1,
             )
             assert tuple(d <= 0 for d in deficits) == holds
-            checks = bessel.check_ratio_inequalities(x)
-            assert (checks.k_lower_holds, checks.i_upper_holds, checks.k1_decay_holds) == holds
 
     def test_deficits_at_one(self):
         dk, di, dd = bessel.ratio_deficits(1.0)
@@ -219,4 +211,4 @@ def test_scaled_invariants(x):
 @given(x=st.floats(min_value=1e-5, max_value=1e3))
 @settings(max_examples=100, deadline=None)
 def test_ratio_properties_hold_everywhere(x):
-    assert bessel.check_ratio_inequalities(x).all_hold()
+    assert all_hold(x)

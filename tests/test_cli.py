@@ -247,7 +247,7 @@ class TestConfigFile:
 
 
 class TestSolveCommand:
-    def test_radial_solve_outputs(self, capsys, tmp_path):
+    def test_radial_solve_outputs(self, capsys, tmp_path, read_csv):
         out_csv = tmp_path / "s.csv"
         thick_csv = tmp_path / "t.csv"
         code, _, _ = run(
@@ -259,9 +259,9 @@ class TestSolveCommand:
             capsys,
         )
         assert code == 0
-        field = harness.load_csv(str(out_csv))
+        field = read_csv(out_csv)
         assert list(field) == ["x", "s_x"]
-        cols = harness.load_csv(str(thick_csv))
+        cols = read_csv(thick_csv)
         p = 2.0 * np.array(cols["inv_thickness"]) / math.sqrt(0.04)
         ref = analytic.annulus_whole(1, 2, 0.04).p_star
         assert abs(p.mean() - ref) / ref <= 1e-4
@@ -321,7 +321,7 @@ class TestSweepCommand:
 
 
 class TestOracleCommand:
-    def test_interval_oracle_csv(self, capsys, tmp_path):
+    def test_interval_oracle_csv(self, capsys, tmp_path, read_csv):
         path = tmp_path / "oracle.csv"
         code, _, _ = run(
             [
@@ -331,12 +331,12 @@ class TestOracleCommand:
             capsys,
         )
         assert code == 0
-        cols = harness.load_csv(str(path))
+        cols = read_csv(path)
         vals = np.array(cols["thickness"])
         assert np.max(np.abs(vals - 1.0)) <= 2 * 0.01
 
     @pytest.mark.parametrize("L, cells", [("1", "2"), ("0.3", "7")])
-    def test_band_oracle_rows_follow_the_grid_spacing(self, capsys, tmp_path, L, cells):
+    def test_band_oracle_rows_follow_the_grid_spacing(self, capsys, tmp_path, L, cells, read_csv):
         # the requested spacing T/cells is coarser than the grid's L/nx here
         path = tmp_path / "oracle.csv"
         code, _, err = run(
@@ -348,7 +348,7 @@ class TestOracleCommand:
         )
         assert code == 0, err
         h = float(L) / 4  # nx = max(4, round(L / (T / cells))) = 4
-        cols = harness.load_csv(str(path))
+        cols = read_csv(path)
         y = np.array(cols["y"])
         assert y.min() < h and y.max() > 1.0 - h
         assert np.max(np.abs(np.array(cols["thickness"]) - 1.0)) <= 2 * h
@@ -391,14 +391,14 @@ class TestVerifyCommand:
         assert run(["verify", "--suite", "analytic", "--json", str(p2)], capsys)[0] == 0
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_csv_mirror(self, capsys, tmp_path):
+    def test_csv_mirror(self, capsys, tmp_path, read_csv):
         path = tmp_path / "verify.csv"
         code, _, _ = run(
             ["verify", "--suite", "analytic", "--csv", str(path), "--json", str(tmp_path / "v.json")],
             capsys,
         )
         assert code == 0
-        cols = harness.load_csv(str(path))
+        cols = read_csv(path)
         assert list(cols) == ["case", "a", "error", "bound", "slack", "passed"]
 
     def test_pretty_prints_each_tightest_margin(self, capsys, tmp_path):

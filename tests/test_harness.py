@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -121,6 +122,12 @@ class TestVerify:
         names = [c.case for c in report.checks]
         assert "interval-whole-equality" in names
         assert "bessel-ratio-bounds" in names
+
+    def test_1d_convergence_intercept_is_the_fitted_finest_error(self):
+        # the fit is centred at the finest h, so it does not extrapolate to h = 1
+        check = harness._run_check("solver-1d-convergence", np.random.default_rng(0))
+        assert check.passed
+        assert math.exp(check.intercept) == pytest.approx(check.samples[-1].error, rel=1e-3)
 
     def test_reports_are_byte_identical(self):
         r1 = harness.dumps_json(harness.verify_theorems("analytic").to_dict())
@@ -262,7 +269,7 @@ class TestCsvReports:
         report = harness.sweep_a(shapes.interval_whole(0.0, 1.0), [1e-4, 1e-3, 1e-2, 1e-1])
         jpath = tmp_path / "sweep.json"
         harness.write_report_json(report, str(jpath))
-        back = harness.load_json(str(jpath))
+        back = json.loads(jpath.read_text())
         assert back["slope"] == pytest.approx(0.5, abs=1e-10)
         assert len(back["samples"]) == 4
         csv_text = harness.report_csv_text(report)
