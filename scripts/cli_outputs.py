@@ -99,6 +99,17 @@ COMMANDS = (
         ("missing-a", ["analytic", *_shape("annulus-whole")]),
         ("bad-cells", ["solve", *_shape("annulus-general"), "--a", "0.04", "--cells", "1", "--out", "@field.csv"]),
         ("bad-cells-zero", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "0", "--out", "@field.csv"]),
+        # the radial grid's refusals: f_l = 1 within 10 h of the axis at h = 1, and
+        # f_l = 0.3 off the nodes at h = 1/64
+        (
+            "bad-radial-axis",
+            ["solve", *_shape("annulus-whole"), "--a", "0.04", "--cells", "1", "--out", "@field.csv"],
+        ),
+        (
+            "bad-radial-inner",
+            ["solve", "--family", "annulus-whole", "--fl", "0.3", "--fr", "1.3", "--a", "0.04",
+             "--cells", "64", "--out", "@field.csv"],
+        ),
         ("bad-cells-negative", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "-4", "--out", "@field.csv"]),
         # a that is not positive and finite, or a NaN shape number, exits 2 before any grid
         ("bad-a-nan", ["solve", *_shape("interval-whole"), "--a", "nan", "--cells", "64", "--out", "@field.csv"]),

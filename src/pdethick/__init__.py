@@ -12,7 +12,6 @@ from .analytic import (
     band_general_bound,
     band_whole,
     eval_solution,
-    interface_jumps,
     interval_general,
     interval_whole,
 )
@@ -43,10 +42,9 @@ from .shapes import Family, PeriodicBoundary, ShapeSpec
 from .solver import (
     DiscreteField,
     SparseSystem,
-    assemble_1d,
-    assemble_2d,
-    assemble_radial,
+    assemble,
     homogeneous_boundary_probe,
+    problem_grid,
     solve_spd,
 )
 from .thickness import (
@@ -74,9 +72,7 @@ __all__ = [
     "VerifyReport",
     "annulus_general_bound",
     "annulus_whole",
-    "assemble_1d",
-    "assemble_2d",
-    "assemble_radial",
+    "assemble",
     "band_general_bound",
     "band_whole",
     "build_grid",
@@ -89,12 +85,12 @@ __all__ = [
     "homogeneous_boundary_probe",
     "i0_scaled",
     "i1_scaled",
-    "interface_jumps",
     "interval_general",
     "interval_whole",
     "inverse_thickness",
     "k0_scaled",
     "k1_scaled",
+    "problem_grid",
     "signed_distance",
     "solve_spd",
     "sweep_a",

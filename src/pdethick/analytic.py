@@ -360,45 +360,3 @@ def profile(sol: AnalyticSolution, coords: np.ndarray) -> np.ndarray:
     distinct, inverse = np.unique(coords.ravel(), return_inverse=True)
     values = np.array([eval_solution(sol, t) for t in distinct.tolist()])
     return values[inverse].reshape(coords.shape)
-
-
-def interface_jumps(sol: AnalyticSolution) -> Mapping[str, float]:
-    """The interface relations produced by the distributional right-hand side.
-
-    For interval families returns a * (s'(f+0) - s'(f-0)) at both interfaces
-    (each should equal 1); for the annulus returns a * (p* - p(f_l-0)) and
-    a * (p* - p(f_r+0)) computed from the Bessel branches.
-    """
-    shape = sol.shape
-    a = sol.a
-    sqrt_a = math.sqrt(a)
-    c = sol.coefficients
-    fam = shape.family
-    if fam in (Family.INTERVAL_WHOLE, Family.BAND_WHOLE):
-        slope_out_l = c["amp_left"] / sqrt_a  # d/dx of amp_left * exp((x-f_l)/sqrt a)
-        slope_out_r = -c["amp_right"] / sqrt_a
-        return {
-            "left": a * (c["slope"] - slope_out_l),
-            "right": a * (c["slope"] - slope_out_r),
-        }
-    if fam == Family.INTERVAL_GENERAL:
-        k = shape.thickness / sqrt_a
-        denom = c["tanh_alpha"] + c["tanh_beta"] + k
-        # s'(f_l - 0) = -(C_l/sqrt a) cosh(alpha) = -k / (a * denom)
-        slope_out_l = -k / (a * denom)
-        slope_out_r = -k / (a * denom)
-        return {
-            "left": a * (c["slope"] - slope_out_l),
-            "right": a * (c["slope"] - slope_out_r),
-        }
-    if fam == Family.ANNULUS_WHOLE:
-        x_l = shape.f_l / sqrt_a
-        x_r = shape.f_r / sqrt_a
-        # p(r) = (C/sqrt a) I_0 inside the hole, -(D/sqrt a) K_0 outside
-        p_inner = c["inner_amp_scaled"] / sqrt_a * bessel.i0_scaled(x_l)
-        p_outer = -c["outer_amp_scaled"] / sqrt_a * bessel.k0_scaled(x_r)
-        return {
-            "left": a * (sol.p_star - p_inner),
-            "right": a * (sol.p_star - p_outer),
-        }
-    raise DomainError(f"no interface jumps for family {fam}")

@@ -17,6 +17,10 @@ than that raises :class:`UnderResolvedError` before any solve happens
 (flagged in reports, no false passes).  a-grids are fixed geometric
 sequences, never auto-chosen.
 
+Every PDE solve gets its grid from ``solver.problem_grid`` and its system
+from ``solver.assemble``; the one direct assembler call is the all-void
+probe's ``solver.assemble_1d(grid, None, a)``, which has no shape.
+
 Reports serialize deterministically: fixed key order, floats at 17
 significant digits; identical configuration yields byte-identical JSON.
 """
@@ -117,6 +121,11 @@ def target_h(a: float) -> float:
     return math.sqrt(a) / REQUIRED_LAYERS_PER_SQRT_A
 
 
+def _solve(shape: ShapeSpec, a: float, h: float) -> solver.DiscreteField:
+    """The discrete field of ``shape`` on its solve grid at target spacing ``h``."""
+    return solver.solve_spd(solver.assemble(solver.problem_grid(shape, a, h), shape, a))
+
+
 def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
     """One 2D solve of a general band/annulus; returns its envelope sample.
 
@@ -134,7 +143,7 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
             f"h = {grid.h} violates the resolution floor h <= sqrt(a)/"
             f"{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
         )
-    system = solver.assemble_2d(grid, shape, a)
+    system = solver.assemble(grid, shape, a)
     field = solver.solve_spd(system)
     div = thickness.divergence(field)
     inv = thickness.inverse_thickness(div, a, system.classification)
@@ -446,12 +455,8 @@ def _check_band_flat_reduction(check: TheoremCheck, rng: np.random.Generator) ->
     a = 0.04
     h = 1.0 / 64
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid2 = solver.band_general_grid(band, h)
-    system2 = solver.assemble_2d(grid2, band, a)
-    field2 = solver.solve_spd(system2)
-    ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-    field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
+    field2 = _solve(band, a, h)
+    field1 = _solve(_shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, h)
     sx, sy = field2.components
     scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
     x_err = float(np.max(np.abs(sx)))
@@ -501,8 +506,8 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
 
     # 1-3: 1D interval-general with constant, tail, and random smooth data
     ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid1 = solver.build_interval_grid(ishape, 1.0 / 64, (-1.0, 2.0))
-    sys1 = solver.assemble_1d(grid1, ishape, a)
+    grid1 = solver.problem_grid(ishape, a, 1.0 / 64)
+    sys1 = solver.assemble(grid1, ishape, a)
     nodes = grid1.node_coords(0)
     probes.append(("interval-const", sys1, np.ones(sys1.n)))
     tail = analytic.interval_whole(0.0, 1.0, a)
@@ -515,23 +520,23 @@ def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSyst
 
     # 5-6: radial annulus with constant and tail data
     ashape = _shapes.annulus_whole(1.0, 2.0)
-    grid_r = solver.build_radial_grid(ashape, 1.0 / 128, a=a)
-    sys_r = solver.assemble_radial(grid_r, ashape, a)
+    grid_r = solver.problem_grid(ashape, a, 1.0 / 128)
+    sys_r = solver.assemble(grid_r, ashape, a)
     asol = analytic.annulus_whole(1.0, 2.0, a)
     probes.append(("radial-const", sys_r, np.ones(sys_r.n)))
     probes.append(("radial-tail", sys_r, analytic.profile(asol, grid_r.node_coords(0))))
 
     # 7-8: 2D flat band with constant and tail data
     bshape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid_b = solver.band_general_grid(bshape, 1.0 / 16)
-    sys_b = solver.assemble_2d(grid_b, bshape, a)
+    grid_b = solver.problem_grid(bshape, a, 1.0 / 16)
+    sys_b = solver.assemble(grid_b, bshape, a)
     probes.append(("band-const", sys_b, np.ones(sys_b.n)))
     probes.append(("band-tail", sys_b, _band_tail_data(grid_b, tail)))
 
     # 9-10: 2D annulus box with constant and tail data
     gshape = _shapes.annulus_general(1.0, 2.0, 2.5)
-    grid_g = solver.annulus_general_grid(gshape, target_h(a))
-    sys_g = solver.assemble_2d(grid_g, gshape, a)
+    grid_g = solver.problem_grid(gshape, a, target_h(a))
+    sys_g = solver.assemble(grid_g, gshape, a)
     probes.append(("annulus-box-const", sys_g, np.ones(sys_g.n)))
     probes.append(("annulus-box-tail", sys_g, _annulus_tail_data(grid_g, asol)))
     return probes
@@ -547,9 +552,9 @@ def _check_max_principle(check: TheoremCheck, rng: np.random.Generator) -> None:
     for _label, system, data in _max_principle_probes(a):
         field = solver.homogeneous_boundary_probe(system, data)
         mag = _vector_magnitude(field)
-        mask1 = system.dirichlet_mask[: len(mag)]
-        boundary_sup = float(np.max(mag[mask1]))
-        interior = mag[~mask1]
+        mask = system.dirichlet_nodes
+        boundary_sup = float(np.max(mag[mask]))
+        interior = mag[~mask]
         interior_sup = float(np.max(interior)) if interior.size else 0.0
         slack = 10.0 * solver.REL_TOL * max(boundary_sup, 1.0)
         check.add(SweepSample(a=a, error=interior_sup, bound=boundary_sup, slack=slack))
@@ -563,9 +568,8 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) 
     cells = (128, 256, 512)
     errors = []
     for n in cells:
-        grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
-        field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
-        exact = analytic.profile(sol, grid.node_coords(0))
+        field = _solve(shape, a, 1.0 / n)
+        exact = analytic.profile(sol, field.grid.node_coords(0))
         errors.append((cells[-1] / n, float(np.max(np.abs(field.components[0] - exact)))))
     check.add(SweepSample(a=a, error=errors[-1][1], bound=5e-5, slack=0.0))
     # error vs h / h_finest: the slope is the observed order, and the intercept
@@ -577,8 +581,7 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) 
 def _check_radial_cross_check(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     shape = _shapes.annulus_whole(1.0, 2.0)
-    grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
-    system = solver.assemble_radial(grid, shape, a)
+    system = solver.assemble(solver.problem_grid(shape, a, 1.0 / 1024), shape, a)
     field = solver.solve_spd(system)
     p = thickness.divergence(field)
     mask = system.classification.shape_mask
@@ -668,8 +671,8 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     """
     if kind == "band":
         shape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = solver.band_general_grid(shape, target_h(a))
-        system = solver.assemble_2d(grid, shape, a)
+        grid = solver.problem_grid(shape, a, target_h(a))
+        system = solver.assemble(grid, shape, a)
         data = _band_tail_data(grid, analytic.interval_whole(0.0, 1.0, a))
         field = solver.homogeneous_boundary_probe(system, data)
         lhs = gradient_energy_on_shape(field, system.classification)
@@ -679,8 +682,8 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
         return lhs, rhs, grid.h
     if kind == "annulus":
         shape = _shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(shape, target_h(a))
-        system = solver.assemble_2d(grid, shape, a)
+        grid = solver.problem_grid(shape, a, target_h(a))
+        system = solver.assemble(grid, shape, a)
         data = _annulus_tail_data(grid, analytic.annulus_whole(1.0, 2.0, a))
         field = solver.homogeneous_boundary_probe(system, data)
         lhs = gradient_energy_on_shape(field, system.classification)

@@ -18,9 +18,10 @@
     Dirichlet values on the box boundary plus every node touching an Outside
     cell (staircase boundary).
 
-The entry points are ``problem_grid(shape, a, h)``, which builds each
-family's solve grid, and ``assemble(grid, shape, a)``, which picks the 1D,
-radial or 2D assembler from the grid.
+A solve has one way in: ``problem_grid(shape, a, h)`` is the one place
+that builds each family's solve grid, and ``assemble(grid, shape, a)`` picks
+the 1D, radial or 2D assembler from the grid and returns a
+:class:`SparseSystem` bound to that grid, which ``solve_spd`` solves.
 
 Whole-space problems are truncated at distance 28 sqrt(a) beyond the shape
 boundary; the homogeneous-equation decay makes the truncation error at most
@@ -50,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, TextIO, Tuple, Union
 
 import numpy as np
@@ -70,46 +71,45 @@ MIN_CELLS_ACROSS = 4
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
 
 
+@dataclass(eq=False)
 class SparseSystem:
-    """Assembled symmetric system with Dirichlet bookkeeping.
+    """Assembled symmetric system on its grid, with Dirichlet bookkeeping.
 
-    The operator is block diagonal: ``n_components`` copies of one scalar
-    ``block``, since the bilinear form decouples componentwise.  Reading
-    ``matrix`` builds the full n x n operator anew on each read; the solver
-    works on ``block`` alone.  ``matrix`` stays because the benchmark's span
-    tracer (``perfbench/spans.py``) reads it to count the assembled bytes.
+    The operator is block diagonal: one copy of the scalar ``block`` per
+    vector component, ``n_components == grid.dim`` of them, since the
+    bilinear form decouples componentwise.  ``rhs`` stacks the components'
+    loads.  ``dirichlet_nodes`` marks the constrained grid nodes, the same in
+    every component, and ``dirichlet_values`` (full length, zero unless a
+    boundary probe sets them) their prescribed values.  The block restricted
+    to the free nodes is symmetric positive definite; the solver applies it
+    through the whole block and never builds it.  A 2D ``block`` is int32
+    CSR with sorted columns, whose rows at nodes touching only Outside cells
+    are empty.
 
-    ``dirichlet_mask`` marks constrained nodes, the same ones in every
-    component, and ``dirichlet_values`` their prescribed values (zero unless
-    a boundary probe sets them).  The block restricted to the free nodes is
-    symmetric positive definite; the solver applies it through the whole
-    block and never builds it.  A 2D ``block`` is int32 CSR with sorted
-    columns, whose rows at nodes touching only Outside cells are empty.
+    ``matrix`` (the full operator, built anew on each read) and the
+    full-length ``dirichlet_mask`` stay because the benchmark's span tracer
+    (``perfbench/spans.py``) reads them; the solver works on ``block`` and
+    ``dirichlet_nodes`` alone.
     """
 
-    def __init__(
-        self,
-        *,
-        n: int,
-        rhs: np.ndarray,
-        dirichlet_mask: np.ndarray,
-        block: sp.csr_matrix,
-        grid: Optional[StructuredGrid] = None,
-        n_components: int = 1,
-        classification: Optional[CellClassification] = None,
-        dirichlet_values: Optional[np.ndarray] = None,
-    ):
-        m = n // n_components
-        if not (dirichlet_mask.reshape(n_components, m) == dirichlet_mask[:m]).all():
-            raise GridError("every component needs the same Dirichlet mask")
-        self.n = n
-        self.block = block
-        self.rhs = rhs
-        self.dirichlet_mask = dirichlet_mask
-        self.grid = grid
-        self.n_components = n_components
-        self.classification = classification
-        self.dirichlet_values = dirichlet_values
+    block: sp.csr_matrix
+    rhs: np.ndarray
+    dirichlet_nodes: np.ndarray
+    grid: StructuredGrid
+    classification: Optional[CellClassification] = None
+    dirichlet_values: Optional[np.ndarray] = None
+
+    @property
+    def n_components(self) -> int:
+        return self.grid.dim
+
+    @property
+    def n(self) -> int:
+        return len(self.rhs)
+
+    @property
+    def dirichlet_mask(self) -> np.ndarray:
+        return np.tile(self.dirichlet_nodes, self.n_components)
 
     @property
     def matrix(self) -> sp.csr_matrix:
@@ -127,7 +127,7 @@ class DiscreteField:
     the components.
     """
 
-    grid: Optional[StructuredGrid]
+    grid: StructuredGrid
     components: Tuple[np.ndarray, ...]
     iterations: Optional[int] = None
 
@@ -144,8 +144,9 @@ def _locate_node(coords: np.ndarray, value: float, h: float, what: str) -> int:
     return idx
 
 
-def build_interval_grid(shape: ShapeSpec, h_target: float, box: Tuple[float, float]) -> StructuredGrid:
-    """1D grid over ``box`` whose nodes hit f_l and f_r exactly.
+def _interval_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
+    """1D grid over (b_l, b_r), or the whole line truncated 28 sqrt(a) out,
+    whose nodes hit f_l and f_r exactly.
 
     h is snapped to divide the shape width; the box ends are moved outward to
     the nearest node if they are not commensurate.
@@ -153,7 +154,11 @@ def build_interval_grid(shape: ShapeSpec, h_target: float, box: Tuple[float, flo
     T = shape.thickness
     n_shape = max(1, round(T / h_target))
     h = T / n_shape
-    lo, hi = box
+    if shape.family == Family.INTERVAL_WHOLE:
+        pad = TRUNCATION_LAYERS * math.sqrt(a)
+        lo, hi = shape.f_l - pad, shape.f_r + pad
+    else:
+        lo, hi = shape.b_l, shape.b_r
     n_left = max(1, math.ceil((shape.f_l - lo) / h - 1e-9))
     n_right = max(1, math.ceil((hi - shape.f_r) / h - 1e-9))
     origin = shape.f_l - n_left * h
@@ -161,31 +166,52 @@ def build_interval_grid(shape: ShapeSpec, h_target: float, box: Tuple[float, flo
     return StructuredGrid(dim=1, origin=(origin,), h=h, cells=(cells,))
 
 
-def whole_line_box(shape: ShapeSpec, a: float) -> Tuple[float, float]:
-    pad = TRUNCATION_LAYERS * math.sqrt(a)
-    return (shape.f_l - pad, shape.f_r + pad)
+def _radial_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
+    """Radial grid on (0, f_r + 28 sqrt(a)] with nodes at multiples of h,
+    innermost node at r = h.
+
+    Requires f_l and f_r to be integer multiples of the snapped spacing
+    (h = T / round(T/h_target)) and f_l >= 10 h; raises otherwise.
+    """
+    T = shape.thickness
+    n_shape = max(1, round(T / h_target))
+    h = T / n_shape
+    ratio = shape.f_l / h
+    if abs(ratio - round(ratio)) > 1e-9:
+        raise NonNodalInterfaceError(
+            f"inner radius {shape.f_l} is not a node multiple of h = {h}"
+        )
+    if shape.f_l < 10 * h - 1e-12:
+        raise GridError(f"grid too coarse near the axis: need f_l >= 10 h, got h = {h}")
+    n_total = math.ceil((shape.f_r + TRUNCATION_LAYERS * math.sqrt(a)) / h - 1e-9)
+    # nodes at h, 2h, ..., n_total * h
+    return StructuredGrid(dim=1, origin=(h,), h=h, cells=(n_total - 1,), radial=True)
 
 
-def band_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
-    """Periodic-x grid for a general band, f_l/f_r on nodes.
+def _band_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
+    """Periodic-x grid over one period, f_l/f_r on nodes.
 
-    Constant, h-commensurate boundaries produce the exact strip (no Outside
-    cells); wavy boundaries get one padding row beyond their extremes and a
+    A whole band is truncated 28 sqrt(a) beyond the band.  Constant,
+    h-commensurate boundaries produce the exact strip (no Outside cells);
+    wavy boundaries get one padding row beyond their extremes and a
     staircase Dirichlet boundary.
     """
     nx = max(4, math.ceil(shape.L / h_target - 1e-9))
     h = shape.L / nx
-    min_bl, max_bl = shape.b_l.extremes()
-    min_br, max_br = shape.b_r.extremes()
-    flat = shape.b_l.is_constant and shape.b_r.is_constant
-    down = (shape.f_l - min_bl) / h
-    up = (max_br - shape.f_r) / h
-    if flat and abs(down - round(down)) < 1e-9 and abs(up - round(up)) < 1e-9:
-        n_down = round(down)
-        n_up = round(up)
+    if shape.family == Family.BAND_WHOLE:
+        n_down = n_up = math.ceil(TRUNCATION_LAYERS * math.sqrt(a) / h - 1e-9)
     else:
-        n_down = math.ceil(down + 1.0 - 1e-9)
-        n_up = math.ceil(up + 1.0 - 1e-9)
+        min_bl, max_bl = shape.b_l.extremes()
+        min_br, max_br = shape.b_r.extremes()
+        flat = shape.b_l.is_constant and shape.b_r.is_constant
+        down = (shape.f_l - min_bl) / h
+        up = (max_br - shape.f_r) / h
+        if flat and abs(down - round(down)) < 1e-9 and abs(up - round(up)) < 1e-9:
+            n_down = round(down)
+            n_up = round(up)
+        else:
+            n_down = math.ceil(down + 1.0 - 1e-9)
+            n_up = math.ceil(up + 1.0 - 1e-9)
     origin_y = shape.f_l - n_down * h
     ny = n_down + round(shape.thickness / h) + n_up
     return StructuredGrid(
@@ -193,23 +219,13 @@ def band_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
     )
 
 
-def annulus_general_grid(shape: ShapeSpec, h_target: float) -> StructuredGrid:
+def _box_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
     """Square box [-b_r, b_r]^2; the box is the fictitious domain itself."""
     half = shape.b_r
     n_half = max(4, math.ceil(half / h_target - 1e-9))
     h = half / n_half
     n = 2 * n_half
     return StructuredGrid(dim=2, origin=(-half, -half), h=h, cells=(n, n))
-
-
-def band_whole_grid(shape: ShapeSpec, h_target: float, a: float) -> StructuredGrid:
-    """Periodic flat-band grid truncated 28 sqrt(a) beyond the band."""
-    nx = max(4, math.ceil(shape.L / h_target - 1e-9))
-    h = shape.L / nx
-    pad_cells = math.ceil(TRUNCATION_LAYERS * math.sqrt(a) / h - 1e-9)
-    origin_y = shape.f_l - pad_cells * h
-    ny = pad_cells + round(shape.thickness / h) + pad_cells
-    return StructuredGrid(dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True)
 
 
 def _check_a(a: float) -> None:
@@ -219,12 +235,12 @@ def _check_a(a: float) -> None:
 
 # each family's solve grid from (shape, a, target spacing)
 _PROBLEM_GRIDS = {
-    Family.INTERVAL_WHOLE: lambda s, a, h: build_interval_grid(s, h, whole_line_box(s, a)),
-    Family.INTERVAL_GENERAL: lambda s, a, h: build_interval_grid(s, h, (s.b_l, s.b_r)),
-    Family.BAND_WHOLE: lambda s, a, h: band_whole_grid(s, h, a),
-    Family.BAND_GENERAL: lambda s, a, h: band_general_grid(s, h),
-    Family.ANNULUS_WHOLE: lambda s, a, h: build_radial_grid(s, h, a=a),
-    Family.ANNULUS_GENERAL: lambda s, a, h: annulus_general_grid(s, h),
+    Family.INTERVAL_WHOLE: _interval_grid,
+    Family.INTERVAL_GENERAL: _interval_grid,
+    Family.BAND_WHOLE: _band_grid,
+    Family.BAND_GENERAL: _band_grid,
+    Family.ANNULUS_WHOLE: _radial_grid,
+    Family.ANNULUS_GENERAL: _box_grid,
 }
 
 
@@ -281,36 +297,7 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
     stiffness = (np.array([[[stiff, -stiff], [-stiff, stiff]]]), np.zeros_like(cls.labels))
     mass = (np.array([[[2 * m, m], [m, 2 * m]]]), (cls.labels != CellLabel.VOID).astype(np.uint8))
     block = _stencil_block(grid, [stiffness, mass])
-    return SparseSystem(
-        n=n, block=block, rhs=rhs, dirichlet_mask=_line_dirichlet_mask(cls.labels), grid=grid,
-        classification=cls,
-    )
-
-
-def build_radial_grid(shape: ShapeSpec, h_target: float, R: Optional[float] = None, a: Optional[float] = None) -> StructuredGrid:
-    """Radial grid with nodes at multiples of h, innermost node at r = h.
-
-    Requires f_l and f_r to be integer multiples of the snapped spacing
-    (h = T / round(T/h_target)); raises otherwise.  R defaults to
-    f_r + 28 sqrt(a).
-    """
-    T = shape.thickness
-    n_shape = max(1, round(T / h_target))
-    h = T / n_shape
-    ratio = shape.f_l / h
-    if abs(ratio - round(ratio)) > 1e-9:
-        raise NonNodalInterfaceError(
-            f"inner radius {shape.f_l} is not a node multiple of h = {h}"
-        )
-    if shape.f_l < 10 * h - 1e-12:
-        raise GridError(f"grid too coarse near the axis: need f_l >= 10 h, got h = {h}")
-    if R is None:
-        if a is None:
-            raise GridError("need either R or a to size the radial grid")
-        R = shape.f_r + TRUNCATION_LAYERS * math.sqrt(a)
-    n_total = math.ceil(R / h - 1e-9)
-    # nodes at h, 2h, ..., n_total * h
-    return StructuredGrid(dim=1, origin=(h,), h=h, cells=(n_total - 1,), radial=True)
+    return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -359,10 +346,7 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
         local = np.where(void, local + weighted_mass(w * gp, gp), local)
 
     block = _stencil_block(grid, [(local.reshape(-1, 2, 2), np.arange(grid.cells[0]))])
-    return SparseSystem(
-        n=n, block=block, rhs=rhs, dirichlet_mask=_line_dirichlet_mask(cls.labels), grid=grid,
-        classification=cls,
-    )
+    return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 # bilinear element matrices on an h x h cell, node order SW, SE, NE, NW
@@ -505,25 +489,16 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
 
     # Dirichlet: box boundary + any node of an Outside cell
     nxn, nyn = grid.node_counts()
-    mask1 = np.zeros(n_nodes, dtype=bool)
+    mask = np.zeros(n_nodes, dtype=bool)
     jj = np.arange(n_nodes) // nxn
     ii = np.arange(n_nodes) % nxn
-    mask1 |= (jj == 0) | (jj == nyn - 1)
+    mask |= (jj == 0) | (jj == nyn - 1)
     if not grid.periodic_x:
-        mask1 |= (ii == 0) | (ii == nxn - 1)
+        mask |= (ii == 0) | (ii == nxn - 1)
     out_cells = np.flatnonzero(labels == CellLabel.OUTSIDE)
     if len(out_cells):
-        mask1[np.unique(conn[out_cells].ravel())] = True
-    mask = np.concatenate([mask1, mask1])
-    return SparseSystem(
-        n=2 * n_nodes,
-        block=block,
-        rhs=rhs,
-        dirichlet_mask=mask,
-        grid=grid,
-        n_components=2,
-        classification=cls,
-    )
+        mask[np.unique(conn[out_cells].ravel())] = True
+    return SparseSystem(block, rhs, mask, grid, classification=cls)
 
 
 #: Damped-Jacobi weight of the multigrid smoother.
@@ -534,7 +509,7 @@ _SMOOTH_SWEEPS = 2
 _COARSEST_UNKNOWNS = 600
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
-#: Coarse rows per strip of a Galerkin product, so only large levels are split.
+#: Coarse rows per strip of a Galerkin product; a small level is one strip.
 _GALERKIN_STRIP = 16384
 #: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
 REL_TOL = 1e-10
@@ -543,10 +518,9 @@ MAX_ITERATIONS = 100
 
 
 def _field_from_vector(system: SparseSystem, x: np.ndarray, iterations: int) -> DiscreteField:
-    grid = system.grid
-    counts = (-1,) if grid is None else grid.node_counts()[::-1]  # slowest axis first
+    counts = system.grid.node_counts()[::-1]  # slowest axis first
     comps = tuple(c.reshape(counts) for c in x.reshape(system.n_components, -1))
-    return DiscreteField(grid=grid, components=comps, iterations=iterations)
+    return DiscreteField(grid=system.grid, components=comps, iterations=iterations)
 
 
 def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarray]:
@@ -595,8 +569,6 @@ def _galerkin(A: sp.csr_matrix, factors, free: np.ndarray, coarse_free: np.ndarr
     np.cumsum(indptr, out=indptr)
     P = sp.csr_matrix((P.data, cols[P.indices], indptr), shape=(free.size, coarse_free.size))
     PT = P.T.tocsr()
-    if PT.shape[0] <= _GALERKIN_STRIP:
-        return PT @ A @ P
     strips = [PT[s:s + _GALERKIN_STRIP] @ A @ P for s in range(0, PT.shape[0], _GALERKIN_STRIP)]
     return sp.vstack(strips, format="csr")
 
@@ -605,8 +577,7 @@ class _Multigrid:
     """Galerkin multigrid V-cycle on vectors over every node of each level.
 
     Each level is a tensor grid, node counts slowest axis first (``(ny,
-    nx)``, ``(n,)``, or ``(m,)`` for a block with no grid), whose vectors
-    are 0 on its fixed nodes: the Dirichlet nodes, then the coarse nodes
+    nx)`` or ``(n,)``), whose vectors are 0 on its fixed nodes: the Dirichlet nodes, then the coarse nodes
     whose injected fine node is fixed.  A level keeps its operator (the
     whole block on the finest), smoother weights (0 on fixed nodes), the
     fixed nodes and its per-axis prolongation factors, applied one axis at
@@ -619,9 +590,9 @@ class _Multigrid:
     symmetric, a valid CG preconditioner.
     """
 
-    def __init__(self, block: sp.csr_matrix, grid: Optional[StructuredGrid], free: np.ndarray):
-        counts = free.shape if grid is None else grid.node_counts()[::-1]
-        periodic = [False] * (len(counts) - 1) + [grid is not None and grid.periodic_x]
+    def __init__(self, block: sp.csr_matrix, grid: StructuredGrid, free: np.ndarray):
+        counts = grid.node_counts()[::-1]
+        periodic = [False] * (len(counts) - 1) + [grid.periodic_x]
         A = block
         free = free.reshape(counts)
         self.levels = []
@@ -707,16 +678,16 @@ def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> Dis
     fixed inputs.
     """
     k = system.n_components
-    m = system.n // k
-    mask = system.dirichlet_mask[:m]
+    mask = system.dirichlet_nodes
+    m = mask.size
     free = ~mask
     x_full = np.zeros(system.n)
+    x_comps = x_full.reshape(k, m)
     if system.dirichlet_values is not None:
-        x_full[system.dirichlet_mask] = system.dirichlet_values[system.dirichlet_mask]
+        np.copyto(x_comps, system.dirichlet_values.reshape(k, m), where=mask)
     if not free.any():
         return _field_from_vector(system, x_full, 0)
     fixed = np.flatnonzero(mask)
-    x_comps = x_full.reshape(k, m)
     precondition = None
     iterations = 0
     for c in range(k):
@@ -747,27 +718,15 @@ def homogeneous_boundary_probe(
     zeroed, which turns the assembled system into the homogeneous equation
     used by the maximum-principle and interior-estimate checks.
     """
-    values = np.zeros(system.n)
     if np.isscalar(boundary_values):
-        values[:] = float(boundary_values)
+        values = np.full(system.n, float(boundary_values))
     else:
-        flat = np.asarray(boundary_values, dtype=float).ravel()
-        if flat.size != system.n:
+        values = np.asarray(boundary_values, dtype=float).ravel()
+        if values.size != system.n:
             raise GridError(
-                f"boundary data length {flat.size} does not match system size {system.n}"
+                f"boundary data length {values.size} does not match system size {system.n}"
             )
-        values = flat
-    probe = SparseSystem(
-        n=system.n,
-        block=system.block,
-        rhs=np.zeros(system.n),
-        dirichlet_mask=system.dirichlet_mask,
-        grid=system.grid,
-        n_components=system.n_components,
-        classification=system.classification,
-        dirichlet_values=values,
-    )
-    return solve_spd(probe)
+    return solve_spd(replace(system, rhs=np.zeros(system.n), dirichlet_values=values))
 
 
 def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:
@@ -789,7 +748,5 @@ def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:
 def write_field_csv(field: DiscreteField, target: Union[str, TextIO]) -> None:
     """CSV dump ``x[,y],s_x[,s_y]`` over nodes, 17 significant digits."""
     grid = field.grid
-    if grid is None:
-        raise GridError("field has no grid attached")
     axes = [grid.node_coords(d) for d in range(grid.dim)]
     write_grid_csv(target, axes, ["s_x", "s_y"][: grid.dim], field.components)

@@ -19,7 +19,7 @@ from typing import TextIO, Union
 
 import numpy as np
 
-from .errors import DomainError, EmptyShapeError, GridError
+from .errors import DomainError, EmptyShapeError
 from .geometry import CellClassification, StructuredGrid, write_grid_csv
 from .solver import DiscreteField
 
@@ -34,8 +34,6 @@ def divergence(field: DiscreteField) -> np.ndarray:
     2D: the cell-center divergence from the bilinear basis gradients.
     """
     grid = field.grid
-    if grid is None:
-        raise GridError("field has no grid attached")
     if grid.dim == 1:
         s = field.components[0]
         slope = np.diff(s) / grid.h

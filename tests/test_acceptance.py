@@ -60,8 +60,8 @@ def test_c03_discrete_vs_analytic_1d():
         sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
         errors = []
         for n in (128, 256, 512):
-            grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
-            field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
+            grid = solver.problem_grid(shape, a, 1.0 / n)
+            field = solver.solve_spd(solver.assemble(grid, shape, a))
             nodes = grid.node_coords(0)
             exact = np.array([analytic.eval_solution(sol, float(x)) for x in nodes])
             errors.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
@@ -75,11 +75,11 @@ def test_c04_band_reduction():
         a = 0.04
         h = 1.0 / 64
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid2 = solver.band_general_grid(band, h)
-        field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a))
+        grid2 = solver.problem_grid(band, a, h)
+        field2 = solver.solve_spd(solver.assemble(grid2, band, a))
         ishape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-        field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
+        grid1 = solver.problem_grid(ishape, a, h)
+        field1 = solver.solve_spd(solver.assemble(grid1, ishape, a))
         sx, sy = field2.components
         scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
         assert float(np.max(np.abs(sx))) <= 1e-8 * scale
@@ -145,8 +145,8 @@ def test_c09_radial_solver_cross_check():
     with criterion(9, "radial solver vs scaled-Bessel closed form"):
         a = 0.04
         shape = shapes.annulus_whole(1.0, 2.0)
-        grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
-        system = solver.assemble_radial(grid, shape, a)
+        grid = solver.problem_grid(shape, a, 1.0 / 1024)
+        system = solver.assemble(grid, shape, a)
         field = solver.solve_spd(system)
         p = thickness.divergence(field)
         p_shape = p[system.classification.shape_mask]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdethick import analytic, shapes
+from pdethick import analytic, bessel, shapes
 from pdethick.errors import DomainError, InvalidShapeError
 
 
@@ -312,8 +312,6 @@ class TestEvalSolution:
     def test_annulus_continuity_at_interfaces(self):
         sol = analytic.annulus_whole(1, 2, 0.04)
         c = sol.coefficients
-        import pdethick.bessel as bessel
-
         sqrt_a = math.sqrt(sol.a)
         s_mid_fr = c["mid_linear"] * 2.0 + c["mid_reciprocal"] / 2.0
         s_out_fr = c["outer_amp_scaled"] * bessel.k1_scaled(2.0 / sqrt_a)
@@ -321,6 +319,48 @@ class TestEvalSolution:
         s_mid_fl = c["mid_linear"] * 1.0 + c["mid_reciprocal"] / 1.0
         s_in_fl = c["inner_amp_scaled"] * bessel.i1_scaled(1.0 / sqrt_a)
         assert abs(s_mid_fl - s_in_fl) <= 1e-10 * abs(s_in_fl)
+
+
+def interface_jumps(sol):
+    """The interface relations produced by the distributional right-hand side.
+
+    For interval families returns a * (s'(f+0) - s'(f-0)) at both interfaces
+    (each should equal 1); for the annulus returns a * (p* - p(f_l-0)) and
+    a * (p* - p(f_r+0)) computed from the Bessel branches.
+    """
+    shape = sol.shape
+    a = sol.a
+    sqrt_a = math.sqrt(a)
+    c = sol.coefficients
+    fam = shape.family
+    if fam in (shapes.Family.INTERVAL_WHOLE, shapes.Family.BAND_WHOLE):
+        slope_out_l = c["amp_left"] / sqrt_a  # d/dx of amp_left * exp((x-f_l)/sqrt a)
+        slope_out_r = -c["amp_right"] / sqrt_a
+        return {
+            "left": a * (c["slope"] - slope_out_l),
+            "right": a * (c["slope"] - slope_out_r),
+        }
+    if fam == shapes.Family.INTERVAL_GENERAL:
+        k = shape.thickness / sqrt_a
+        denom = c["tanh_alpha"] + c["tanh_beta"] + k
+        # s'(f_l - 0) = -(C_l/sqrt a) cosh(alpha) = -k / (a * denom)
+        slope_out_l = -k / (a * denom)
+        slope_out_r = -k / (a * denom)
+        return {
+            "left": a * (c["slope"] - slope_out_l),
+            "right": a * (c["slope"] - slope_out_r),
+        }
+    if fam == shapes.Family.ANNULUS_WHOLE:
+        x_l = shape.f_l / sqrt_a
+        x_r = shape.f_r / sqrt_a
+        # p(r) = (C/sqrt a) I_0 inside the hole, -(D/sqrt a) K_0 outside
+        p_inner = c["inner_amp_scaled"] / sqrt_a * bessel.i0_scaled(x_l)
+        p_outer = -c["outer_amp_scaled"] / sqrt_a * bessel.k0_scaled(x_r)
+        return {
+            "left": a * (sol.p_star - p_inner),
+            "right": a * (sol.p_star - p_outer),
+        }
+    raise DomainError(f"no interface jumps for family {fam}")
 
 
 class TestInterfaceJumps:
@@ -334,7 +374,7 @@ class TestInterfaceJumps:
             analytic.annulus_whole(0.5, 3, 0.09),
         ]
         for sol in cases:
-            jumps = analytic.interface_jumps(sol)
+            jumps = interface_jumps(sol)
             assert jumps["left"] == pytest.approx(1.0, abs=1e-10)
             assert jumps["right"] == pytest.approx(1.0, abs=1e-10)
 

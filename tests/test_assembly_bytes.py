@@ -7,7 +7,8 @@ arrays that scipy sums from them must agree bit for bit, not just to a
 tolerance.  The 2D reference sums one fused 4x4 element matrix per active
 cell from COO triplets, the way ``assemble_2d`` did before it built the
 9-point stencil directly.  The grid test pins ``solver.problem_grid`` to the
-per-family grids the ``solve`` command built before it.
+per-family grids the ``solve`` command built before it, which the per-family
+grid builders gave.
 """
 
 import math
@@ -158,20 +159,21 @@ def _assert_same(system, reference):
 
 
 def _interval_case(kind):
+    # the grid of a whole line is truncated 28 sqrt(0.01) out, whatever a is assembled
     if kind == "general":
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        return solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0)), shape
+        return solver.problem_grid(shape, 0.01, 1.0 / 64), shape
     if kind == "general-outside":  # box not commensurate with h: Outside end cells
         shape = shapes.interval_general(0.0, 1.0, -0.95, 2.04)
-        return solver.build_interval_grid(shape, 0.1, (shape.b_l, shape.b_r)), shape
-    if kind == "general-padded":  # grid beyond the box: nodes between Outside cells
+        return solver.problem_grid(shape, 0.01, 0.1), shape
+    if kind == "general-padded":  # grid [-1.3, 2.3] beyond the box: nodes between Outside cells
         shape = shapes.interval_general(0.0, 1.0, -0.95, 2.04)
-        return solver.build_interval_grid(shape, 0.1, (-1.25, 2.3)), shape
+        return geometry.StructuredGrid(dim=1, origin=(-1.3,), h=0.1, cells=(36,)), shape
     if kind == "whole":
         shape = shapes.interval_whole(-0.3, 0.9)
-        return solver.build_interval_grid(shape, 0.03, solver.whole_line_box(shape, 0.01)), shape
+        return solver.problem_grid(shape, 0.01, 0.03), shape
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    return solver.build_interval_grid(shape, 1.0 / 48, (-1.0, 2.0)), None
+    return solver.problem_grid(shape, 0.01, 1.0 / 48), None
 
 
 @pytest.mark.parametrize("kind", ["general", "general-outside", "general-padded", "whole", "no-shape"])
@@ -191,7 +193,7 @@ def test_assemble_1d_bits_on_random_labels(monkeypatch, seed, a):
     # Outside cells inside the grid, between Shape and Void ones, which no shape gives;
     # at these a, summing a node's stiffness before its mass moves its diagonal's last bit
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid = solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0))
+    grid = solver.problem_grid(shape, a, 1.0 / 64)
     labels = np.random.default_rng(seed).integers(0, 3, size=grid.cells[0]).astype(np.uint8)
     monkeypatch.setattr(
         solver, "classify_cells", lambda g, s: geometry.CellClassification(grid=g, labels=labels)
@@ -207,19 +209,19 @@ def test_assemble_1d_bits_on_random_labels(monkeypatch, seed, a):
 @pytest.mark.parametrize("a", [0.04, 0.0025])
 def test_assemble_radial_bits(h, a):
     shape = shapes.annulus_whole(1.0, 2.0)
-    grid = solver.build_radial_grid(shape, h, a=a)
+    grid = solver.problem_grid(shape, a, h)
     _assert_same(solver.assemble_radial(grid, shape, a), ref_assemble_radial(grid, shape, a))
 
 
 def _case_2d(kind, a):
     if kind == "annulus":
         shape = shapes.annulus_general(1.0, 2.0, 2.5)
-        return solver.annulus_general_grid(shape, math.sqrt(a) / 8), shape
+        return solver.problem_grid(shape, a, math.sqrt(a) / 8), shape
     if kind == "wavy-band":
         shape = harness.canonical_wavy_band()
-        return solver.band_general_grid(shape, math.sqrt(a) / 8), shape
+        return solver.problem_grid(shape, a, math.sqrt(a) / 8), shape
     shape = shapes.band_whole(0.0, 1.0, 0.25 if kind == "narrow-band" else 1.0)
-    return solver.band_whole_grid(shape, 1.0 / 16, a), shape
+    return solver.problem_grid(shape, a, 1.0 / 16), shape
 
 
 @pytest.mark.parametrize(
@@ -259,22 +261,6 @@ def test_stencil_block_bits_on_random_labels(periodic, nx):
 # -- solve grids -----------------------------------------------------------------
 
 
-def ref_grid_for_solve(shape, a, cells):
-    """The per-family grid of the ``solve`` command before ``problem_grid``."""
-    h = shape.thickness / cells
-    if shape.family == Family.INTERVAL_WHOLE:
-        return solver.build_interval_grid(shape, h, solver.whole_line_box(shape, a))
-    if shape.family == Family.INTERVAL_GENERAL:
-        return solver.build_interval_grid(shape, h, (shape.b_l, shape.b_r))
-    if shape.family == Family.ANNULUS_WHOLE:
-        return solver.build_radial_grid(shape, h, a=a)
-    if shape.family == Family.BAND_WHOLE:
-        return solver.band_whole_grid(shape, h, a)
-    if shape.family == Family.BAND_GENERAL:
-        return solver.band_general_grid(shape, h)
-    return solver.annulus_general_grid(shape, h)
-
-
 SOLVE_CASES = {
     "interval-whole": (shapes.interval_whole(0.0, 1.0), 0.04, 32),
     "interval-general": (shapes.interval_general(0.0, 1.0, -0.95, 2.0), 0.04, 10),
@@ -290,12 +276,26 @@ SOLVE_CASES = {
     "annulus-general": (shapes.annulus_general(1.0, 2.0, 2.5), 0.04, 10),
 }
 
+# the grid of each case above as the per-family builders gave it before ``problem_grid``
+SOLVE_GRIDS = {
+    "interval-whole": geometry.StructuredGrid(dim=1, origin=(-5.625,), h=0.03125, cells=(392,)),
+    "interval-general": geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.1, cells=(30,)),
+    "band-whole": geometry.StructuredGrid(
+        dim=2, origin=(0.0, -5.625), h=0.0625, cells=(16, 196), periodic_x=True
+    ),
+    "band-general": geometry.StructuredGrid(
+        dim=2, origin=(0.0, -0.5625), h=0.0625, cells=(16, 36), periodic_x=True
+    ),
+    "annulus-whole": geometry.StructuredGrid(dim=1, origin=(0.015625,), h=0.015625, cells=(486,), radial=True),
+    "annulus-general": geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=0.1, cells=(50, 50)),
+}
+
 
 @pytest.mark.parametrize("family", [f.value for f in Family])
 def test_problem_grid_matches_solve_grid(family):
     shape, a, cells = SOLVE_CASES[family]
     assert shape.family.value == family
     got = solver.problem_grid(shape, a, shape.thickness / cells)
-    want = ref_grid_for_solve(shape, a, cells)
+    want = SOLVE_GRIDS[family]
     for attr in ("dim", "origin", "h", "cells", "periodic_x", "radial"):
         assert getattr(got, attr) == getattr(want, attr), attr

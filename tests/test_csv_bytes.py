@@ -106,16 +106,15 @@ def _wavy_band():
 def _system(kind):
     if kind == "interval":
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid = solver.build_interval_grid(shape, 3.0 / 48, (-1.0, 2.0))
-        return solver.assemble_1d(grid, shape, 0.04)
+        return solver.assemble(solver.problem_grid(shape, 0.04, 3.0 / 48), shape, 0.04)
     if kind == "radial":
         shape = shapes.annulus_whole(1.0, 2.0)
-        return solver.assemble_radial(solver.build_radial_grid(shape, 1.0 / 64, R=4.0), shape, 0.04)
+        return solver.assemble(solver.problem_grid(shape, 0.04, 1.0 / 64), shape, 0.04)
     if kind == "annulus-box":
         shape = shapes.annulus_general(1.0, 2.0, 2.5)
-        return solver.assemble_2d(solver.annulus_general_grid(shape, 0.1), shape, 0.04)
+        return solver.assemble(solver.problem_grid(shape, 0.04, 0.1), shape, 0.04)
     shape = _wavy_band()
-    return solver.assemble_2d(solver.band_general_grid(shape, 1.0 / 16), shape, 0.02)
+    return solver.assemble(solver.problem_grid(shape, 0.02, 1.0 / 16), shape, 0.02)
 
 
 def _check(tmp_path, write, expected):
@@ -151,7 +150,7 @@ def test_field_csv_bytes_special_values(tmp_path, chunk):
 
 def _inverse_field_1d():
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid = solver.build_interval_grid(shape, 3.0 / 48, (-1.0, 2.0))
+    grid = solver.problem_grid(shape, 0.04, 3.0 / 48)
     cls = geometry.classify_cells(grid, shape)
     div = np.linspace(-3.0, 3.0, grid.cells[0])
     return thickness.inverse_thickness(div, 0.04, cls), shape
@@ -192,7 +191,7 @@ def test_thickness_csv_bytes(tmp_path, chunk, dim):
         grid = geometry.build_grid([(-1, 2)], 60)
         field = geometry.geometric_thickness_oracle(grid, shapes.interval_whole(0, 1))
     else:
-        grid = solver.annulus_general_grid(shapes.annulus_general(1.0, 2.0, 2.5), 0.1)
+        grid = solver.problem_grid(shapes.annulus_general(1.0, 2.0, 2.5), 0.04, 0.1)
         field = geometry.geometric_thickness_oracle(grid, shapes.annulus_whole(1.0, 2.0))
     _check(tmp_path, lambda t: geometry.write_thickness_csv(field, t), ref_thickness_csv(field))
 

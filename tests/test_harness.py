@@ -116,6 +116,30 @@ class TestVerify:
         ]
         assert harness.SUITES["analytic"] == harness.SUITES["default"][:5]
 
+    def test_every_pde_solve_gets_its_grid_from_problem_grid(self, monkeypatch):
+        # with problem_grid refusing, every check that solves a PDE errors on it,
+        # and the closed-form checks and the oracle, which solve none, still pass
+        def refuse(shape, a, h):
+            raise RuntimeError("no solve grid")
+
+        monkeypatch.setattr(solver, "problem_grid", refuse)
+        report = harness.verify_theorems("default")
+        errored = {c.case for c in report.checks if c.statement == "(errored)"}
+        assert errored == {
+            "band-flat-reduction",
+            "band-general-envelope",
+            "annulus-general-envelope",
+            "max-principle",
+            "solver-1d-convergence",
+            "radial-cross-check",
+            "interior-h1-estimate",
+        }
+        for check in report.checks:
+            if check.case in errored:
+                assert check.error_message == "RuntimeError: no solve grid", check.case
+            else:
+                assert check.passed, check.case
+
     def test_analytic_suite_passes(self):
         report = harness.verify_theorems("analytic")
         assert report.passed

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import pathlib
@@ -21,14 +22,14 @@ def _symmetry_defect(system):
 
 def _interval_system(n=96, a=0.04):
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid = solver.build_interval_grid(shape, 3.0 / n, (-1.0, 2.0))
-    return solver.assemble_1d(grid, shape, a), grid, shape
+    grid = solver.problem_grid(shape, a, 3.0 / n)
+    return solver.assemble(grid, shape, a), grid, shape
 
 
 class TestAssemble1d:
     def test_rhs_is_interface_functional(self):
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid = solver.build_interval_grid(shape, 1.0, (-1.0, 2.0))
+        grid = solver.problem_grid(shape, 0.5, 1.0)
         system = solver.assemble_1d(grid, shape, 0.5)
         nz = np.flatnonzero(system.rhs)
         nodes = grid.node_coords(0)
@@ -55,7 +56,7 @@ class TestAssemble1d:
 
     def test_void_only_variant(self):
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 16, (-1.0, 2.0))
+        grid = solver.problem_grid(shape, 0.04, 1.0 / 16)
         system = solver.assemble_1d(grid, None, 0.04)
         assert not system.rhs.any()
         assert (system.classification.labels == geometry.CellLabel.VOID).all()
@@ -64,7 +65,7 @@ class TestAssemble1d:
 class TestAssembleRadial:
     def test_rhs_entries(self):
         shape = shapes.annulus_whole(1.0, 2.0)
-        grid = solver.build_radial_grid(shape, 1.0 / 64, R=4.0)
+        grid = solver.problem_grid(shape, 0.04, 1.0 / 64)
         system = solver.assemble_radial(grid, shape, 0.04)
         nz = np.flatnonzero(system.rhs)
         nodes = grid.node_coords(0)
@@ -73,7 +74,7 @@ class TestAssembleRadial:
 
     def test_symmetry_and_spd(self):
         shape = shapes.annulus_whole(1.0, 2.0)
-        grid = solver.build_radial_grid(shape, 1.0 / 64, R=4.0)
+        grid = solver.problem_grid(shape, 0.04, 1.0 / 64)
         system = solver.assemble_radial(grid, shape, 0.04)
         assert _symmetry_defect(system) == 0.0
         free = ~system.dirichlet_mask
@@ -90,9 +91,9 @@ class TestAssembleRadial:
             with pytest.raises(GridError, match="need a finite a > 0"):
                 solver.problem_grid(shape, a, 0.05)
         for assemble, shape, grid in (
-            (solver.assemble_1d, interval, solver.build_interval_grid(interval, 0.1, (-1.0, 2.0))),
-            (solver.assemble_radial, annulus, solver.build_radial_grid(annulus, 0.1, R=3.0)),
-            (solver.assemble_2d, band, solver.band_whole_grid(band, 0.1, 0.04)),
+            (solver.assemble_1d, interval, solver.problem_grid(interval, 0.04, 0.1)),
+            (solver.assemble_radial, annulus, solver.problem_grid(annulus, 0.04, 0.1)),
+            (solver.assemble_2d, band, solver.problem_grid(band, 0.04, 0.1)),
         ):
             with pytest.raises(GridError, match="need a finite a > 0"):
                 assemble(grid, shape, a)
@@ -101,25 +102,25 @@ class TestAssembleRadial:
         # f_l lands on a node but sits closer than 10 h to the axis
         shape = shapes.annulus_whole(0.125, 1.125)
         with pytest.raises(GridError):
-            solver.build_radial_grid(shape, 1.0 / 16, R=2.0)
+            solver.problem_grid(shape, 0.04, 1.0 / 16)
 
     def test_non_nodal_inner_radius_rejected(self):
         shape = shapes.annulus_whole(0.3, 1.3)
         with pytest.raises(NonNodalInterfaceError):
-            solver.build_radial_grid(shape, 1.0 / 64, R=2.0)
+            solver.problem_grid(shape, 0.04, 1.0 / 64)
 
 
 class TestAssemble2d:
     def test_flat_band_x_rhs_zero(self):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = solver.band_general_grid(band, 1.0 / 16)
+        grid = solver.problem_grid(band, 0.04, 1.0 / 16)
         system = solver.assemble_2d(grid, band, 0.04)
         n_nodes = system.n // 2
         assert np.max(np.abs(system.rhs[:n_nodes])) == 0.0
 
     def test_annulus_y_rhs_sums_to_zero(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, 0.05)
+        grid = solver.problem_grid(ann, 0.04, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         n_nodes = system.n // 2
         assert abs(system.rhs[n_nodes:].sum()) < 1e-12
@@ -127,7 +128,7 @@ class TestAssemble2d:
 
     def test_symmetry_and_spd(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, 0.1)
+        grid = solver.problem_grid(ann, 0.04, 0.1)
         system = solver.assemble_2d(grid, ann, 0.04)
         assert _symmetry_defect(system) == 0.0
         free = ~system.dirichlet_mask
@@ -138,7 +139,7 @@ class TestAssemble2d:
 
     def test_under_resolved_shape_rejected(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, 0.5)
+        grid = solver.problem_grid(ann, 0.04, 0.5)
         with pytest.raises(GridError):
             solver.assemble_2d(grid, ann, 0.04)
 
@@ -158,12 +159,8 @@ class TestSolveSpd:
         n = 40
         rng = np.random.default_rng(5)
         b = rng.standard_normal(n)
-        system = solver.SparseSystem(
-            n=n,
-            block=sp.identity(n, format="csr"),
-            rhs=b,
-            dirichlet_mask=np.zeros(n, dtype=bool),
-        )
+        grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(n - 1,))
+        system = solver.SparseSystem(sp.identity(n, format="csr"), b, np.zeros(n, dtype=bool), grid)
         field = solver.solve_spd(system)
         assert field.iterations == 1
         assert np.allclose(field.components[0], b, rtol=0, atol=1e-14)
@@ -186,15 +183,12 @@ class TestSolveSpd:
         # the stencil builder gives: CG stalls on the unsymmetric block and must
         # stop at the fixed cap, not at one that grows with the grid
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, 0.05)
+        grid = solver.problem_grid(ann, 0.04, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         block = system.block.copy()
         rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
         block.data[block.indices == rows + grid.node_counts()[0] + 1] *= -1.0
-        broken = solver.SparseSystem(
-            n=system.n, block=block, rhs=system.rhs, dirichlet_mask=system.dirichlet_mask, grid=grid,
-            n_components=2,
-        )
+        broken = dataclasses.replace(system, block=block)
         with pytest.raises(NonConvergenceError, match="cap of 100 iterations"):
             solver.solve_spd(broken)
 
@@ -213,8 +207,8 @@ class TestSolveSpd:
         sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
         errs = []
         for n in (128, 256, 512):
-            grid = solver.build_interval_grid(shape, 1.0 / n, (-1.0, 2.0))
-            field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
+            grid = solver.problem_grid(shape, a, 1.0 / n)
+            field = solver.solve_spd(solver.assemble(grid, shape, a))
             nodes = grid.node_coords(0)
             exact = np.array([analytic.eval_solution(sol, float(x)) for x in nodes])
             errs.append((1.0 / n, float(np.max(np.abs(field.components[0] - exact)))))
@@ -224,8 +218,8 @@ class TestSolveSpd:
     def test_radial_reproduces_p_star(self):
         a = 0.04
         shape = shapes.annulus_whole(1.0, 2.0)
-        grid = solver.build_radial_grid(shape, 1.0 / 1024, a=a)
-        system = solver.assemble_radial(grid, shape, a)
+        grid = solver.problem_grid(shape, a, 1.0 / 1024)
+        system = solver.assemble(grid, shape, a)
         field = solver.solve_spd(system)
         p = thickness.divergence(field)
         p_shape = p[system.classification.shape_mask]
@@ -236,8 +230,8 @@ class TestSolveSpd:
     def test_whole_line_truncation(self):
         a = 0.04
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 256, solver.whole_line_box(shape, a))
-        field = solver.solve_spd(solver.assemble_1d(grid, shape, a))
+        grid = solver.problem_grid(shape, a, 1.0 / 256)
+        field = solver.solve_spd(solver.assemble(grid, shape, a))
         sol = analytic.interval_whole(0.0, 1.0, a)
         nodes = grid.node_coords(0)
         exact = np.array([analytic.eval_solution(sol, float(x)) for x in nodes])
@@ -249,11 +243,11 @@ class TestBandReduction:
         a = 0.04
         h = 1.0 / 64
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid2 = solver.band_general_grid(band, h)
-        field2 = solver.solve_spd(solver.assemble_2d(grid2, band, a))
+        grid2 = solver.problem_grid(band, a, h)
+        field2 = solver.solve_spd(solver.assemble(grid2, band, a))
         ishape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid1 = solver.build_interval_grid(ishape, h, (-1.0, 2.0))
-        field1 = solver.solve_spd(solver.assemble_1d(grid1, ishape, a))
+        grid1 = solver.problem_grid(ishape, a, h)
+        field1 = solver.solve_spd(solver.assemble(grid1, ishape, a))
         sx, sy = field2.components
         scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
         assert np.max(np.abs(sx)) <= 1e-8 * scale
@@ -269,7 +263,7 @@ class TestHomogeneousProbes:
 
     def test_constant_data_max_principle(self):
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0))
+        grid = solver.problem_grid(shape, 0.04, 1.0 / 64)
         system = solver.assemble_1d(grid, None, 0.04)
         field = solver.homogeneous_boundary_probe(system, 1.0)
         assert np.max(np.abs(field.components[0])) <= 1.0 + 1e-10
@@ -277,8 +271,8 @@ class TestHomogeneousProbes:
     def test_tail_data_max_principle(self):
         a = 0.04
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0))
-        system = solver.assemble_1d(grid, shape, a)
+        grid = solver.problem_grid(shape, a, 1.0 / 64)
+        system = solver.assemble(grid, shape, a)
         tail = analytic.interval_whole(0.0, 1.0, a)
         nodes = grid.node_coords(0)
         data = np.array([analytic.eval_solution(tail, float(x)) for x in nodes])
@@ -319,8 +313,8 @@ class TestSerialization:
 
     def test_field_csv_roundtrip_2d(self, tmp_path, read_csv):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = solver.band_general_grid(band, 1.0 / 8)
-        field = solver.solve_spd(solver.assemble_2d(grid, band, 0.04))
+        grid = solver.problem_grid(band, 0.04, 1.0 / 8)
+        field = solver.solve_spd(solver.assemble(grid, band, 0.04))
         path = tmp_path / "field2.csv"
         solver.write_field_csv(field, str(path))
         cols = read_csv(path)
@@ -337,15 +331,7 @@ def _component_iterations(system):
     for c in range(system.n_components):
         rhs = np.zeros(system.n)
         rhs[c * m:(c + 1) * m] = system.rhs[c * m:(c + 1) * m]
-        alone = solver.SparseSystem(
-            n=system.n,
-            block=system.block,
-            rhs=rhs,
-            dirichlet_mask=system.dirichlet_mask,
-            grid=system.grid,
-            n_components=system.n_components,
-        )
-        counts.append(solver.solve_spd(alone).iterations)
+        counts.append(solver.solve_spd(dataclasses.replace(system, rhs=rhs)).iterations)
     return counts
 
 
@@ -370,54 +356,47 @@ def _narrow_band_system(a=0.04):
     # 7 periodic x nodes: after one coarsening the x axis has 4 nodes and
     # only y is coarsened further
     band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=0.05)
-    grid = solver.band_general_grid(band, 1.0 / 128)
+    grid = solver.problem_grid(band, a, 1.0 / 128)
     assert grid.node_counts()[0] == 7
-    return solver.assemble_2d(grid, band, a)
+    return solver.assemble(grid, band, a)
 
 
 def _interval_holes_system(a=0.04):
-    # the grid reaches past the box (-0.95, 2.04), so the nodes between its
-    # Outside cells are Dirichlet holes inside the node range
+    # the grid [-1.25, 2.30078125] reaches past the box (-0.95, 2.04), so the
+    # nodes between its Outside cells are Dirichlet holes inside the node range
     shape = shapes.interval_general(0.0, 1.0, -0.95, 2.04)
-    grid = solver.build_interval_grid(shape, 1.0 / 256, (-1.25, 2.3))
-    system = solver.assemble_1d(grid, shape, a)
+    grid = geometry.StructuredGrid(dim=1, origin=(-1.25,), h=1.0 / 256, cells=(909,))
+    system = solver.assemble(grid, shape, a)
     assert system.dirichlet_mask[1:-1].any()
     return system
 
 
 def _radial_system(h, a=0.04):
     ann = shapes.annulus_whole(1.0, 2.0)
-    return solver.assemble_radial(solver.build_radial_grid(ann, h, a=a), ann, a)
+    return solver.assemble(solver.problem_grid(ann, a, h), ann, a)
 
 
 def _void_probe_system(a=0.04):
     """The all-void 1D system with Dirichlet data 1 at both ends."""
-    grid = solver.build_interval_grid(shapes.interval_general(0.0, 1.0, -1.0, 2.0), 1.0 / 256, (-1.0, 2.0))
+    grid = solver.problem_grid(shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, 1.0 / 256)
     void = solver.assemble_1d(grid, None, a)
-    return solver.SparseSystem(
-        n=void.n,
-        block=void.block,
-        rhs=void.rhs,
-        dirichlet_mask=void.dirichlet_mask,
-        grid=grid,
-        dirichlet_values=np.ones(void.n),
-    )
+    return dataclasses.replace(void, dirichlet_values=np.ones(void.n))
 
 
 class TestMultigrid:
     @pytest.mark.parametrize("a", [0.04, 0.01])
     def test_annulus_iterations_flat_in_h(self, a):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, np.sqrt(a) / 8)
-        counts = _component_iterations(solver.assemble_2d(grid, ann, a))
+        grid = solver.problem_grid(ann, a, np.sqrt(a) / 8)
+        counts = _component_iterations(solver.assemble(grid, ann, a))
         assert all(0 < k <= 12 for k in counts), counts
 
     @pytest.mark.parametrize("a", [0.02, 0.004])
     def test_wavy_band_iterations_flat_in_h(self, a):
         band = harness.canonical_wavy_band()
-        grid = solver.band_general_grid(band, np.sqrt(a) / 8)
+        grid = solver.problem_grid(band, a, np.sqrt(a) / 8)
         assert grid.node_counts()[0] % 2 == 1
-        counts = _component_iterations(solver.assemble_2d(grid, band, a))
+        counts = _component_iterations(solver.assemble(grid, band, a))
         assert counts[0] == 0  # flat interfaces: no x load
         assert 0 < counts[1] <= 12, counts
 
@@ -443,10 +422,10 @@ class TestMultigrid:
     def test_matches_sparse_direct(self, case):
         if case == "annulus":
             ann = shapes.annulus_general(1.0, 2.0, 2.5)
-            system = solver.assemble_2d(solver.annulus_general_grid(ann, 0.025), ann, 0.04)
+            system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
         elif case == "wavy":
             band = harness.canonical_wavy_band()
-            system = solver.assemble_2d(solver.band_general_grid(band, np.sqrt(0.02) / 8), band, 0.02)
+            system = solver.assemble(solver.problem_grid(band, 0.02, np.sqrt(0.02) / 8), band, 0.02)
         elif case == "narrow":
             system = _narrow_band_system()
         elif case == "interval-holes":
@@ -473,12 +452,14 @@ class TestMultigrid:
         assert 0 < solver.solve_spd(system).iterations <= 12
 
     def test_gridless_block_coarsens_as_one_axis(self):
-        # a 1D Laplacian with a small shift and no grid: (m,) node counts
+        # a 1D Laplacian with a small shift that no assembler built, on a bare
+        # 1D grid of m nodes: (m,) node counts
         m = 2000
         block = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
         b = np.random.default_rng(3).standard_normal(m)
-        system = solver.SparseSystem(n=m, block=block, rhs=b, dirichlet_mask=np.zeros(m, bool))
-        mg = solver._Multigrid(block, None, np.ones(m, bool))
+        grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
+        system = solver.SparseSystem(block, b, np.zeros(m, bool), grid)
+        mg = solver._Multigrid(block, grid, np.ones(m, bool))
         # an open even axis keeps its last node: 2000 -> 1001 -> 501 nodes
         assert [lv[0].shape[0] for lv in mg.levels] == [2000, 1001]
         assert mg.coarse_inverse.shape == (501, 501)
@@ -493,8 +474,8 @@ class TestMultigrid:
         band = harness.canonical_wavy_band()
         rng = np.random.default_rng(7)
         for h, ny in ((0.02, 108), (0.025, 87)):
-            grid = solver.band_general_grid(band, h)
-            system = solver.assemble_2d(grid, band, 0.02)
+            grid = solver.problem_grid(band, 0.02, h)
+            system = solver.assemble(grid, band, 0.02)
             free = ~system.dirichlet_mask[: system.n // 2].reshape(grid.node_counts()[::-1])
             mg = solver._Multigrid(system.block, grid, free.ravel())
             assert len(mg.levels) >= 2 and free.shape[0] == ny
@@ -518,8 +499,8 @@ class TestMultigrid:
         # formed in strips from the whole block and P with empty fixed rows, against
         # the product with the reduced block; at a = 0.001 the columns are unsorted
         band = harness.canonical_wavy_band()
-        grid = solver.band_general_grid(band, np.sqrt(0.001) / 8)
-        system = solver.assemble_2d(grid, band, 0.001)
+        grid = solver.problem_grid(band, 0.001, np.sqrt(0.001) / 8)
+        system = solver.assemble(grid, band, 0.001)
         free = ~system.dirichlet_mask[: system.n // 2]
         mg = solver._Multigrid(system.block, grid, free)
         nx, ny = grid.node_counts()
@@ -542,7 +523,7 @@ class TestMultigrid:
 
     def test_free_block_matvec_matches_the_reduced_block(self):
         band = harness.canonical_wavy_band()
-        system = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        system = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
         mask = system.dirichlet_mask[: system.n // 2]
         free = ~mask
         x = np.where(free, np.random.default_rng(5).standard_normal(free.size), 0.0)
@@ -554,7 +535,7 @@ class TestMultigrid:
         # CG needs a symmetric preconditioner; a residual left nonzero on the
         # Dirichlet rows before restriction breaks the symmetry at about 1e-2
         band = harness.canonical_wavy_band()
-        wavy = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        wavy = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
         rng = np.random.default_rng(3)
         for system in (wavy, _interval_holes_system()):
             mask = system.dirichlet_mask[: system.n // system.n_components]
@@ -571,9 +552,9 @@ class TestMultigrid:
         0.85 blocks; with transfers from the axis factors it keeps 0.50.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, np.sqrt(0.02) / 8)
+        grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
         assert grid.cells == (284, 284)
-        system = solver.assemble_2d(grid, ann, 0.02)
+        system = solver.assemble(grid, ann, 0.02)
         free = ~system.dirichlet_mask[: system.n // 2]
         tracemalloc.start()
         try:
@@ -598,7 +579,7 @@ class TestMultigrid:
         stored prolongations and at 1.58 on node-length vectors without them.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, np.sqrt(0.02) / 8)
+        grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
         assert grid.cells == (284, 284)
         tracemalloc.start()
         try:
@@ -617,7 +598,7 @@ class TestMultigrid:
 
     def test_probe_with_data_on_both_components(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.annulus_general_grid(ann, 0.05)
+        grid = solver.problem_grid(ann, 0.04, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         X, Y = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
         data = np.concatenate([(np.cos(X) * Y).ravel(), (X + Y**2).ravel()])
@@ -625,19 +606,12 @@ class TestMultigrid:
         assert field.iterations > 0
         flat = field.flat()
         assert np.array_equal(flat[system.dirichlet_mask], data[system.dirichlet_mask])
-        probe = solver.SparseSystem(
-            n=system.n,
-            block=system.block,
-            rhs=np.zeros(system.n),
-            dirichlet_mask=system.dirichlet_mask,
-            n_components=2,
-        )
-        ref = _direct_reference(probe, data)
+        ref = _direct_reference(dataclasses.replace(system, rhs=np.zeros(system.n)), data)
         assert np.max(np.abs(flat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_repeat_solves_bit_identical(self):
         band = harness.canonical_wavy_band()
-        system = solver.assemble_2d(solver.band_general_grid(band, 0.02), band, 0.02)
+        system = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
         f1 = solver.solve_spd(system)
         f2 = solver.solve_spd(system)
         assert f1.iterations == f2.iterations
@@ -645,7 +619,7 @@ class TestMultigrid:
 
     def test_zero_load_component_is_exactly_zero(self):
         band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        system = solver.assemble_2d(solver.band_general_grid(band, 1.0 / 32), band, 0.04)
+        system = solver.assemble(solver.problem_grid(band, 0.04, 1.0 / 32), band, 0.04)
         field = solver.solve_spd(system)
         assert not np.any(field.components[0])
         assert np.any(field.components[1])
@@ -660,15 +634,6 @@ class TestMultigrid:
         assert (A[m:, m:] != system.block).nnz == 0
         assert A[:m, m:].nnz == 0
 
-    def test_components_must_share_the_mask(self):
-        system = _narrow_band_system()
-        mask = system.dirichlet_mask.copy()
-        mask[-1] = not mask[-1]
-        with pytest.raises(GridError):
-            solver.SparseSystem(
-                n=system.n, block=system.block, rhs=system.rhs, dirichlet_mask=mask, n_components=2
-            )
-
 
 def test_solve_imports_no_scipy_linalg():
     """A fresh ``import pdethick`` and a 2D solve leave both linalg modules unloaded.
@@ -681,7 +646,7 @@ def test_solve_imports_no_scipy_linalg():
         import pdethick
         from pdethick import shapes, solver
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        system = solver.assemble_2d(solver.annulus_general_grid(ann, 0.05), ann, 0.04)
+        system = solver.assemble(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
         assert solver.solve_spd(system).iterations > 0
         print(sorted(m for m in ("scipy.linalg", "scipy.sparse.linalg") if m in sys.modules))
     """)

@@ -88,10 +88,15 @@ class TestEastColumn:
         assert harness._cell_magnitude_sq(field).tobytes() == ref.tobytes()
 
 
+def _line_grid(h):
+    """The line [-1, 2] at spacing h, around the unit interval (0, 1)."""
+    return geometry.StructuredGrid(dim=1, origin=(-1.0,), h=h, cells=(round(3.0 / h),))
+
+
 class TestInverseThickness:
     def test_definition(self):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 8, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 8)
         cls = geometry.classify_cells(grid, shape)
         a = 0.04
         div = np.full(grid.cells[0], 7.142857142857143)
@@ -102,7 +107,7 @@ class TestInverseThickness:
 
     def test_zero_divergence_is_kept_as_zero(self):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 8, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 8)
         cls = geometry.classify_cells(grid, shape)
         inv = thickness.inverse_thickness(np.zeros(grid.cells[0]), 0.04, cls)
         assert np.all(inv.shape_values() == 0.0)
@@ -111,7 +116,7 @@ class TestInverseThickness:
     def test_rejects_non_finite_or_nonpositive_a(self, a):
         # NaN and inf a would give an all-NaN or all-inf field
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 8, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 8)
         cls = geometry.classify_cells(grid, shape)
         with pytest.raises(DomainError):
             thickness.inverse_thickness(np.full(grid.cells[0], 2.0), a, cls)
@@ -122,13 +127,13 @@ class TestInverseThickness:
         a = 0.01
         cases = []
         ishape = shapes.interval_whole(0.0, 1.0)
-        igrid = solver.build_interval_grid(ishape, 1.0 / 128, solver.whole_line_box(ishape, a))
+        igrid = solver.problem_grid(ishape, a, 1.0 / 128)
         isol = analytic.interval_whole(0.0, 1.0, a)
         nodes = igrid.node_coords(0)
         s = np.array([analytic.eval_solution(isol, float(x)) for x in nodes])
         cases.append((igrid, ishape, s, isol))
         gshape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-        ggrid = solver.build_interval_grid(gshape, 1.0 / 128, (-1.0, 2.0))
+        ggrid = solver.problem_grid(gshape, a, 1.0 / 128)
         gsol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
         nodes = ggrid.node_coords(0)
         s = np.array([analytic.eval_solution(gsol, float(x)) for x in nodes])
@@ -145,7 +150,7 @@ class TestInverseThickness:
 class TestErrorNorms:
     def test_zero_for_exact_reference(self):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 16, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 16)
         cls = geometry.classify_cells(grid, shape)
         inv = thickness.inverse_thickness(np.full(grid.cells[0], 2.0), 0.04, cls)
         norms = thickness.error_norms(inv, inv.shape_values().copy())
@@ -154,7 +159,7 @@ class TestErrorNorms:
 
     def test_constant_offset(self):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 64, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 64)
         cls = geometry.classify_cells(grid, shape)
         inv = thickness.inverse_thickness(np.full(grid.cells[0], 2.0), 0.04, cls)
         c = 0.3
@@ -167,7 +172,7 @@ class TestErrorNorms:
         # analytic inverse thickness vs 1/T_bar at a = 0.01: |1/1.2 - 1| = 1/6
         a = 0.01
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 512, solver.whole_line_box(shape, a))
+        grid = solver.problem_grid(shape, a, 1.0 / 512)
         cls = geometry.classify_cells(grid, shape)
         sol = analytic.interval_whole(0.0, 1.0, a)
         div = np.full(grid.cells[0], sol.p_star)
@@ -178,8 +183,8 @@ class TestErrorNorms:
     def test_triangle_inequality(self):
         a = 0.04
         band = harness.canonical_wavy_band()
-        res_grid = solver.band_general_grid(band, math.sqrt(a) / 8)
-        system = solver.assemble_2d(res_grid, band, a)
+        res_grid = solver.problem_grid(band, a, math.sqrt(a) / 8)
+        system = solver.assemble(res_grid, band, a)
         field = solver.solve_spd(system)
         inv = thickness.inverse_thickness(
             thickness.divergence(field), a, system.classification
@@ -194,7 +199,7 @@ class TestErrorNorms:
 
     def test_empty_shape_rejected(self):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 16, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 16)
         cls = geometry.classify_cells(grid, shape)
         inv = thickness.inverse_thickness(np.full(grid.cells[0], 2.0), 0.04, cls)
         empty = thickness.InverseThicknessField(
@@ -208,7 +213,7 @@ class TestCsv:
     def test_roundtrip_with_thickness_column(self, tmp_path, read_csv):
         a = 0.04
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 32, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 32)
         cls = geometry.classify_cells(grid, shape)
         sol = analytic.interval_whole(0.0, 1.0, a)
         inv = thickness.inverse_thickness(np.full(grid.cells[0], sol.p_star), a, cls)
@@ -221,7 +226,7 @@ class TestCsv:
 
     def test_singular_cells_marked_nan(self, tmp_path, read_csv):
         shape = shapes.interval_whole(0.0, 1.0)
-        grid = solver.build_interval_grid(shape, 1.0 / 32, (-1.0, 2.0))
+        grid = _line_grid(1.0 / 32)
         cls = geometry.classify_cells(grid, shape)
         inv = thickness.inverse_thickness(np.zeros(grid.cells[0]), 0.04, cls)
         path = tmp_path / "sing.csv"
