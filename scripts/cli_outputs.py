@@ -121,6 +121,12 @@ COMMANDS = (
             "oracle-band-coarse",
             ["oracle", *_shape("band-whole"), "--cells", "2", "--out", "@thickness.csv"],
         ),
+        # one cell across bounds 1.02 apart leaves a line of 2 cells, which the oracle refuses
+        (
+            "bad-oracle-line-cells",
+            ["oracle", "--family", "interval-general", "--fl", "0", "--fr", "1", "--bl", "-0.01",
+             "--br", "1.01", "--cells", "1", "--out", "@thickness.csv"],
+        ),
         ("bad-out-dir", ["oracle", *_shape("interval-whole"), "--cells", "8", "--out", "@missing/thickness.csv"]),
     ]
 )

@@ -26,9 +26,9 @@ from .geometry import (
     CellLabel,
     StructuredGrid,
     ThicknessField,
-    build_grid,
     classify_cells,
     geometric_thickness_oracle,
+    oracle_grid,
     signed_distance,
 )
 from .harness import (
@@ -75,7 +75,6 @@ __all__ = [
     "assemble",
     "band_general_bound",
     "band_whole",
-    "build_grid",
     "classify_cells",
     "divergence",
     "error_norms",
@@ -90,6 +89,7 @@ __all__ = [
     "inverse_thickness",
     "k0_scaled",
     "k1_scaled",
+    "oracle_grid",
     "problem_grid",
     "signed_distance",
     "solve_spd",

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from typing import Optional, Sequence
 
 from . import analytic, geometry, harness, solver, thickness
 from .errors import PdeThickError
-from .shapes import Family, PeriodicBoundary, ShapeSpec
+from .shapes import FIELDS, Family, PeriodicBoundary, ShapeSpec
 
 _FAMILIES = [f.value for f in Family]
 
@@ -152,23 +151,12 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise _CliError(f"missing required parameter --{name}")
 
 
-#: The flags each family needs beyond --fl and --fr, and the ShapeSpec field each sets.
-_SHAPE_FLAGS = {
-    Family.INTERVAL_WHOLE: {},
-    Family.INTERVAL_GENERAL: {"bl": "b_l", "br": "b_r"},
-    Family.BAND_WHOLE: {"L": "L"},
-    Family.BAND_GENERAL: {"bl": "b_l", "br": "b_r", "L": "L"},
-    Family.ANNULUS_WHOLE: {},
-    Family.ANNULUS_GENERAL: {"br": "b_r"},
-}
-
-
 def _shape_from_args(args: argparse.Namespace) -> ShapeSpec:
     _require(args, "family", "fl", "fr")
     family = Family(args.family)
-    flags = _SHAPE_FLAGS[family]
-    _require(args, *flags)
-    fields = {name: getattr(args, flag) for flag, name in flags.items()}
+    # each field's flag is its name without the underscore
+    _require(args, *(name.replace("_", "") for name in FIELDS[family]))
+    fields = {name: getattr(args, name.replace("_", "")) for name in FIELDS[family]}
     if family == Family.BAND_GENERAL:
         # the band-general boundaries: a mean level plus a first cosine harmonic
         for side, amp in (("b_l", args.bl_cos_amp), ("b_r", args.br_cos_amp)):
@@ -261,27 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     _require(args, "cells", "out")
-    h = shape.thickness / args.cells
-    pad = max(shape.thickness, 2 * h)
-    kind = shape.family.kind
-    if kind == "interval":
-        lo = shape.f_l - pad if shape.b_l is None else shape.b_l
-        hi = shape.f_r + pad if shape.b_r is None else shape.b_r
-        n = math.ceil((hi - lo) / h)
-        grid = geometry.build_grid([(lo, lo + n * h)], n)
-    elif kind == "band":
-        nx = max(4, round(shape.L / h))
-        h = shape.L / nx  # the grid's spacing, which the rows are counted in
-        lo = shape.f_l - pad
-        ny = math.ceil((shape.thickness + 2 * pad) / h)
-        grid = geometry.StructuredGrid(
-            dim=2, origin=(0.0, lo), h=h, cells=(nx, ny), periodic_x=True
-        )
-    else:
-        half_n = math.ceil((shape.f_r + pad) / h)
-        grid = geometry.StructuredGrid(
-            dim=2, origin=(-half_n * h, -half_n * h), h=h, cells=(2 * half_n, 2 * half_n)
-        )
+    grid = geometry.oracle_grid(shape, args.cells)
     field = geometry.geometric_thickness_oracle(grid, shape)
     geometry.write_thickness_csv(field, args.out)
     return EXIT_OK

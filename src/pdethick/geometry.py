@@ -19,6 +19,7 @@ O(n_cells * ball cells) and refuses grids beyond 1024^2 cells.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
@@ -34,8 +35,6 @@ ORACLE_MAX_CELLS = 1024 * 1024
 
 #: Candidate (source, target) pairs the oracle stamps at once; caps its scratch memory.
 ORACLE_BATCH = 1 << 17
-
-_SPACING_RTOL = 1e-12
 
 
 class CellLabel(IntEnum):
@@ -95,42 +94,34 @@ class StructuredGrid:
         return int(np.prod(self.cells))
 
 
-def build_grid(
-    domain_box: Sequence[Sequence[float]],
-    resolution: Union[int, Sequence[int]],
-    periodic_x: bool = False,
-) -> StructuredGrid:
-    """Uniform grid over ``domain_box`` with ``resolution`` cells per axis.
+def oracle_grid(shape: ShapeSpec, cells: int) -> StructuredGrid:
+    """The inscribed-ball oracle's grid, with ``cells`` cells across the shape.
 
-    The per-axis spacings must agree to within 1e-12 relative, otherwise an
-    anisotropic-spacing error is raised.
+    The grid reaches a pad of one thickness (at least 2h) past the shape.  A
+    line runs over ``(b_l, b_r)`` where the family bounds it; a band grid is
+    periodic with at least 4 whole cells along its period, whose length then
+    sets h; an annulus sits in a square box centred on the origin.  A line of
+    fewer than 4 cells is refused with :class:`GridError`.
     """
-    box = [(float(lo), float(hi)) for lo, hi in domain_box]
-    dim = len(box)
-    if dim not in (1, 2):
-        raise GridError(f"only 1D/2D boxes supported, got {dim} axes")
-    if np.isscalar(resolution):
-        resolution = [int(resolution)] * dim
-    resolution = [int(r) for r in resolution]
-    if len(resolution) != dim:
-        raise GridError("resolution does not match the box dimension")
-    for lo, hi in box:
-        if not hi > lo:
-            raise GridError(f"degenerate box axis [{lo}, {hi}]")
-    for r in resolution:
-        if r < 4:
-            raise GridError(f"need at least 4 cells per axis, got {r}")
-    spacings = [(hi - lo) / r for (lo, hi), r in zip(box, resolution)]
-    h = spacings[0]
-    for other in spacings[1:]:
-        if abs(other - h) > _SPACING_RTOL * max(abs(h), abs(other)):
-            raise GridError(f"anisotropic spacing: {spacings}")
+    h = shape.thickness / cells
+    pad = max(shape.thickness, 2 * h)
+    kind = shape.family.kind
+    if kind == "interval":
+        lo = shape.f_l - pad if shape.b_l is None else shape.b_l
+        hi = shape.f_r + pad if shape.b_r is None else shape.b_r
+        n = math.ceil((hi - lo) / h)
+        if n < 4:
+            raise GridError(f"need at least 4 cells per axis, got {n}")
+        return StructuredGrid(dim=1, origin=(lo,), h=(lo + n * h - lo) / n, cells=(n,))
+    if kind == "band":
+        nx = max(4, round(shape.L / h))
+        h = shape.L / nx  # the grid's spacing, which the rows are counted in
+        lo = shape.f_l - pad
+        ny = math.ceil((shape.thickness + 2 * pad) / h)
+        return StructuredGrid(dim=2, origin=(0.0, lo), h=h, cells=(nx, ny), periodic_x=True)
+    half_n = math.ceil((shape.f_r + pad) / h)
     return StructuredGrid(
-        dim=dim,
-        origin=tuple(lo for lo, _ in box),
-        h=h,
-        cells=tuple(resolution),
-        periodic_x=periodic_x,
+        dim=2, origin=(-half_n * h, -half_n * h), h=h, cells=(2 * half_n, 2 * half_n)
     )
 
 

@@ -37,6 +37,17 @@ class Family(str, Enum):
         return self.value.partition("-")[0]
 
 
+#: The fields each family needs beyond ``f_l`` and ``f_r``.
+FIELDS = {
+    Family.INTERVAL_WHOLE: (),
+    Family.INTERVAL_GENERAL: ("b_l", "b_r"),
+    Family.BAND_WHOLE: ("L",),
+    Family.BAND_GENERAL: ("b_l", "b_r", "L"),
+    Family.ANNULUS_WHOLE: (),
+    Family.ANNULUS_GENERAL: ("b_r",),
+}
+
+
 @dataclass(frozen=True)
 class PeriodicBoundary:
     """Truncated Fourier series describing one wavy boundary of a band domain.
@@ -113,8 +124,8 @@ class PeriodicBoundary:
 BoundarySpec = Union[float, PeriodicBoundary, None]
 
 
-def _as_boundary(value: BoundarySpec, period: float) -> Optional[PeriodicBoundary]:
-    if value is None or isinstance(value, PeriodicBoundary):
+def _as_boundary(value: Union[float, PeriodicBoundary], period: float) -> PeriodicBoundary:
+    if isinstance(value, PeriodicBoundary):
         return value
     return PeriodicBoundary.constant(float(value), period)
 
@@ -153,9 +164,12 @@ class ShapeSpec:
             raise InvalidShapeError(
                 f"degenerate shape: width {width} below {DEGENERATE_WIDTH_REL} * {scale}"
             )
+        missing = [name for name in FIELDS[self.family] if getattr(self, name) is None]
+        if missing:
+            raise InvalidShapeError(f"{self.family.value} needs {' and '.join(missing)}")
         kind = self.family.kind
         if kind == "band":
-            if self.L is None or self.L <= 0:
+            if self.L <= 0:
                 raise InvalidShapeError("band shapes need a positive period L")
             object.__setattr__(self, "L", float(self.L))
         elif kind == "annulus" and self.f_l <= 0:
@@ -163,8 +177,6 @@ class ShapeSpec:
         if self.family.value.endswith("-whole"):
             return
         if kind == "interval":
-            if self.b_l is None or self.b_r is None:
-                raise InvalidShapeError("interval-general needs b_l and b_r")
             b_l, b_r = float(self.b_l), float(self.b_r)
             if not (b_l < self.f_l and self.f_r < b_r):
                 raise InvalidShapeError(
@@ -173,8 +185,6 @@ class ShapeSpec:
         elif kind == "band":
             b_l = _as_boundary(self.b_l, self.L)
             b_r = _as_boundary(self.b_r, self.L)
-            if b_l is None or b_r is None:
-                raise InvalidShapeError("band-general needs b_l and b_r boundaries")
             if not (
                 math.isclose(b_l.period, self.L, rel_tol=1e-12)
                 and math.isclose(b_r.period, self.L, rel_tol=1e-12)
@@ -186,8 +196,6 @@ class ShapeSpec:
             if not (max_b_l < self.f_l and self.f_r < min_b_r):
                 raise InvalidShapeError("need max b_l < f_l < f_r < min b_r")
         else:
-            if self.b_r is None:
-                raise InvalidShapeError("annulus-general needs b_r")
             b_l, b_r = self.b_l, float(self.b_r)
             if b_r <= self.f_r:
                 raise InvalidShapeError(f"need f_r < b_r, got {self.f_r}, {b_r}")

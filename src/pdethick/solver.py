@@ -131,9 +131,6 @@ class DiscreteField:
     components: Tuple[np.ndarray, ...]
     iterations: Optional[int] = None
 
-    def flat(self) -> np.ndarray:
-        return np.concatenate([c.ravel() for c in self.components])
-
 
 def _locate_node(coords: np.ndarray, value: float, h: float, what: str) -> int:
     idx = int(round((value - coords[0]) / h))
@@ -709,23 +706,20 @@ def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> Dis
 
 
 def homogeneous_boundary_probe(
-    system: SparseSystem, boundary_values: Union[float, np.ndarray]
+    system: SparseSystem, boundary_values: np.ndarray
 ) -> DiscreteField:
     """Solve the homogeneous equation with prescribed Dirichlet data.
 
-    ``boundary_values`` is either a constant or a full-length nodal vector;
-    only the entries at constrained nodes are used.  The right-hand side is
-    zeroed, which turns the assembled system into the homogeneous equation
-    used by the maximum-principle and interior-estimate checks.
+    ``boundary_values`` is a full-length nodal vector; only the entries at
+    constrained nodes are used.  The right-hand side is zeroed, which turns
+    the assembled system into the homogeneous equation used by the
+    maximum-principle and interior-estimate checks.
     """
-    if np.isscalar(boundary_values):
-        values = np.full(system.n, float(boundary_values))
-    else:
-        values = np.asarray(boundary_values, dtype=float).ravel()
-        if values.size != system.n:
-            raise GridError(
-                f"boundary data length {values.size} does not match system size {system.n}"
-            )
+    values = np.asarray(boundary_values, dtype=float).ravel()
+    if values.size != system.n:
+        raise GridError(
+            f"boundary data length {values.size} does not match system size {system.n}"
+        )
     return solve_spd(replace(system, rhs=np.zeros(system.n), dirichlet_values=values))
 
 

@@ -181,15 +181,17 @@ def test_c11_maximum_principle():
 def test_c12_geometric_oracle():
     with criterion(12, "inscribed-ball oracle within 2h"):
         cases = [
-            (shapes.interval_whole(0.0, 1.0), geometry.build_grid([(-1.0, 2.0)], 300), 1.0),
+            (shapes.interval_whole(0.0, 1.0), geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.01, cells=(300,)), 1.0),
             (
                 shapes.band_whole(0.0, 2.0, 1.0),
-                geometry.build_grid([(0.0, 1.0), (-1.0, 3.0)], (20, 80), periodic_x=True),
+                geometry.StructuredGrid(
+                    dim=2, origin=(0.0, -1.0), h=0.05, cells=(20, 80), periodic_x=True
+                ),
                 2.0,
             ),
             (
                 shapes.annulus_whole(1.0, 2.0),
-                geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 300),
+                geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.02, cells=(300, 300)),
                 1.0,
             ),
         ]

@@ -188,7 +188,7 @@ def test_inverse_thickness_csv_bytes(tmp_path, chunk, make):
 @pytest.mark.parametrize("dim", [1, 2])
 def test_thickness_csv_bytes(tmp_path, chunk, dim):
     if dim == 1:
-        grid = geometry.build_grid([(-1, 2)], 60)
+        grid = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.05, cells=(60,))
         field = geometry.geometric_thickness_oracle(grid, shapes.interval_whole(0, 1))
     else:
         grid = solver.problem_grid(shapes.annulus_general(1.0, 2.0, 2.5), 0.04, 0.1)

@@ -10,37 +10,99 @@ from pdethick.errors import CoverageError, GridError
 
 
 class TestBuildGrid:
+    """Grids built as a StructuredGrid, or by the oracle's ``oracle_grid``."""
+
     def test_1d_basic(self):
-        g = geometry.build_grid([(0, 1)], 8)
-        assert g.h == 0.125
+        g = geometry.StructuredGrid(dim=1, origin=(0.0,), h=0.125, cells=(8,))
         assert g.node_counts() == (9,)
         assert np.allclose(g.node_coords(0), np.linspace(0, 1, 9))
 
     def test_2d_equal_spacing(self):
-        g = geometry.build_grid([(0, 1), (-1, 2)], (8, 24))
-        assert g.h == 0.125
+        g = geometry.StructuredGrid(dim=2, origin=(0.0, -1.0), h=0.125, cells=(8, 24))
+        assert g.extent == (1.0, 3.0)
         assert g.node_counts() == (9, 25)
 
-    def test_anisotropic_rejected(self):
-        with pytest.raises(GridError):
-            geometry.build_grid([(0, 1), (0, 1)], (8, 16))
-
     def test_degenerate_box_rejected(self):
-        with pytest.raises(GridError):
-            geometry.build_grid([(1, 1)], 8)
+        for bad in ({"h": 0.0, "cells": (8,)}, {"h": 0.125, "cells": (0,)}):
+            with pytest.raises(GridError):
+                geometry.StructuredGrid(dim=1, origin=(1.0,), **bad)
 
     def test_minimum_resolution(self):
-        with pytest.raises(GridError):
-            geometry.build_grid([(0, 1)], 3)
+        # one cell across a shape whose bounds are 1.02 apart makes a line of 2 cells
+        shape = shapes.interval_general(0.0, 1.0, -0.01, 1.01)
+        with pytest.raises(GridError, match="need at least 4 cells per axis, got 2"):
+            geometry.oracle_grid(shape, 1)
+        assert geometry.oracle_grid(shape, 3).cells == (4,)
 
     def test_periodic_node_count(self):
-        g = geometry.build_grid([(0, 1), (0, 2)], (8, 16), periodic_x=True)
+        g = geometry.StructuredGrid(
+            dim=2, origin=(0.0, 0.0), h=0.125, cells=(8, 16), periodic_x=True
+        )
         assert g.node_counts() == (8, 17)
+
+
+WAVY = shapes.band_general(
+    0.0, 1.0, -0.5, shapes.PeriodicBoundary(period=1.0, mean=1.5, cosine_coeffs=(0.1,)), L=1.0
+)
+
+# name -> (shape, cells, grid): the grid the oracle command built for each oracle
+# command of scripts/cli_outputs.py before oracle_grid, and the geometric-oracle
+# check's three grids, of which the interval and annulus ones are the boxes it built
+ORACLE_GRIDS = {
+    "oracle-interval": (
+        shapes.interval_whole(0.0, 1.0), 50,
+        geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.02, cells=(150,)),
+    ),
+    "oracle-wavy-band": (
+        WAVY, 16,
+        geometry.StructuredGrid(dim=2, origin=(0.0, -1.0), h=0.0625, cells=(16, 48), periodic_x=True),
+    ),
+    "oracle-annulus": (
+        shapes.annulus_whole(1.0, 2.0), 20,
+        geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.05, cells=(120, 120)),
+    ),
+    "oracle-interval-general": (
+        shapes.interval_general(0.0, 1.0, -0.01, 1.01), 50,
+        geometry.StructuredGrid(dim=1, origin=(-0.01,), h=0.02, cells=(51,)),
+    ),
+    "oracle-band-narrow": (
+        shapes.band_whole(0.0, 1.0, 0.25), 16,
+        geometry.StructuredGrid(dim=2, origin=(0.0, -1.0), h=0.0625, cells=(4, 48), periodic_x=True),
+    ),
+    "oracle-band-coarse": (
+        shapes.band_whole(0.0, 1.0, 1.0), 2,
+        geometry.StructuredGrid(dim=2, origin=(0.0, -1.0), h=0.25, cells=(4, 12), periodic_x=True),
+    ),
+    "bad-out-dir": (
+        shapes.interval_whole(0.0, 1.0), 8,
+        geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.125, cells=(24,)),
+    ),
+    "check-interval": (
+        shapes.interval_whole(0.0, 1.0), 100,
+        geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.01, cells=(300,)),
+    ),
+    "check-band": (
+        shapes.band_whole(0.0, 2.0, 1.0), 40,
+        geometry.StructuredGrid(dim=2, origin=(0.0, -2.0), h=0.05, cells=(20, 120), periodic_x=True),
+    ),
+    "check-annulus": (
+        shapes.annulus_whole(1.0, 2.0), 50,
+        geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.02, cells=(300, 300)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_GRIDS))
+def test_oracle_grid_matches_the_command_grid(name):
+    shape, cells, want = ORACLE_GRIDS[name]
+    got = geometry.oracle_grid(shape, cells)
+    for attr in ("dim", "origin", "h", "cells", "periodic_x", "radial"):
+        assert getattr(got, attr) == getattr(want, attr), attr
 
 
 class TestClassifyCells:
     def test_1d_interval_labels(self):
-        g = geometry.build_grid([(-1, 2)], 12)
+        g = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.25, cells=(12,))
         cls = geometry.classify_cells(g, shapes.interval_general(0, 1, -1, 2))
         assert np.count_nonzero(cls.shape_mask) == 4
         centers = g.cell_centers(0)
@@ -48,7 +110,7 @@ class TestClassifyCells:
         assert np.array_equal(cls.shape_mask, expected)
 
     def test_annulus_cell_count(self):
-        g = geometry.build_grid([(-3, 3), (-3, 3)], 60)
+        g = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.1, cells=(60, 60))
         cls = geometry.classify_cells(g, shapes.annulus_whole(1, 2))
         # brute-force recount, independently of the vectorized path
         count = 0
@@ -81,10 +143,10 @@ class TestClassifyCells:
             assert y < band.b_l(cx[i]) or y > band.b_r(cx[i])
 
     def test_coverage_error(self):
-        g = geometry.build_grid([(0, 1)], 8)
+        g = geometry.StructuredGrid(dim=1, origin=(0.0,), h=0.125, cells=(8,))
         with pytest.raises(CoverageError):
             geometry.classify_cells(g, shapes.interval_whole(0.5, 1.5))
-        g2 = geometry.build_grid([(-2, 2), (-2, 2)], 16)
+        g2 = geometry.StructuredGrid(dim=2, origin=(-2.0, -2.0), h=0.25, cells=(16, 16))
         with pytest.raises(CoverageError):
             geometry.classify_cells(g2, shapes.annulus_whole(1, 2))
 
@@ -106,8 +168,13 @@ class TestClassifyCells:
         ],
     )
     def test_coverage_error_cases(self, shape, box, cells):
+        cells = (cells,) if isinstance(cells, int) else cells
+        (lo, hi), *_ = box
+        grid = geometry.StructuredGrid(
+            dim=len(box), origin=tuple(float(o) for o, _ in box), h=(hi - lo) / cells[0], cells=cells
+        )
         with pytest.raises(CoverageError):
-            geometry.classify_cells(geometry.build_grid(box, cells), shape)
+            geometry.classify_cells(grid, shape)
 
     @pytest.mark.parametrize("f_r", [2.0, 2.5])
     def test_radial_grid_must_end_past_outer_radius(self, f_r):
@@ -118,10 +185,10 @@ class TestClassifyCells:
         assert np.count_nonzero(cls.shape_mask) == 3
 
     def test_covering_grids_pass(self):
-        box = geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 24)
+        box = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.25, cells=(24, 24))
         cls = geometry.classify_cells(box, shapes.annulus_whole(1.0, 2.0))
         assert np.count_nonzero(cls.shape_mask) > 0
-        band = geometry.build_grid([(0, 1), (-0.5, 1.0)], (4, 6))
+        band = geometry.StructuredGrid(dim=2, origin=(0.0, -0.5), h=0.25, cells=(4, 6))
         cls = geometry.classify_cells(band, shapes.band_whole(0.0, 0.75, 1.0))
         assert np.count_nonzero(cls.shape_mask) == 12
 
@@ -129,7 +196,7 @@ class TestClassifyCells:
         shape = shapes.annulus_whole(1, 2)
         errs = []
         for n in (60, 120, 240):
-            g = geometry.build_grid([(-3, 3), (-3, 3)], n)
+            g = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=6.0 / n, cells=(n, n))
             cls = geometry.classify_cells(g, shape)
             errs.append(abs(np.count_nonzero(cls.shape_mask) * g.h**2 - 3 * math.pi))
         assert errs[2] <= errs[0]
@@ -183,17 +250,19 @@ class TestSignedDistance:
 
 class TestThicknessOracle:
     def test_interval(self):
-        g = geometry.build_grid([(-1, 2)], 300)
+        g = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.01, cells=(300,))
         f = geometry.geometric_thickness_oracle(g, shapes.interval_whole(0, 1))
         assert f.max_abs_deviation(1.0) <= 2 * g.h
 
     def test_flat_band(self):
-        g = geometry.build_grid([(0, 1), (-1, 3)], (20, 80), periodic_x=True)
+        g = geometry.StructuredGrid(
+            dim=2, origin=(0.0, -1.0), h=0.05, cells=(20, 80), periodic_x=True
+        )
         f = geometry.geometric_thickness_oracle(g, shapes.band_whole(0, 2, 1))
         assert f.max_abs_deviation(2.0) <= 2 * g.h
 
     def test_annulus(self):
-        g = geometry.build_grid([(-3, 3), (-3, 3)], 300)
+        g = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=0.02, cells=(300, 300))
         f = geometry.geometric_thickness_oracle(g, shapes.annulus_whole(1, 2))
         assert f.max_abs_deviation(1.0) <= 2 * g.h
 
@@ -201,13 +270,13 @@ class TestThicknessOracle:
         shape = shapes.annulus_whole(1, 2)
         devs = []
         for n in (75, 150):
-            g = geometry.build_grid([(-3, 3), (-3, 3)], n)
+            g = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=6.0 / n, cells=(n, n))
             f = geometry.geometric_thickness_oracle(g, shape)
             devs.append(f.max_abs_deviation(1.0))
         assert devs[1] <= devs[0] + 1e-12
 
     def test_values_only_on_shape_cells(self):
-        g = geometry.build_grid([(-1, 2)], 60)
+        g = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.05, cells=(60,))
         f = geometry.geometric_thickness_oracle(g, shapes.interval_whole(0, 1))
         assert np.all(np.isnan(f.values[~f.mask]))
         assert np.all(f.values[f.mask] > 0)
@@ -220,7 +289,7 @@ class TestThicknessOracle:
 
 class TestThicknessCsv:
     def test_roundtrip(self, tmp_path, read_csv):
-        g = geometry.build_grid([(-1, 2)], 60)
+        g = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.05, cells=(60,))
         f = geometry.geometric_thickness_oracle(g, shapes.interval_whole(0, 1))
         path = tmp_path / "thick.csv"
         geometry.write_thickness_csv(f, str(path))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from pdethick import analytic, bessel, harness, shapes, solver
+from pdethick import analytic, bessel, geometry, harness, shapes, solver
 from pdethick.errors import DegenerateFitError, PdeThickError, UnderResolvedError
 
 
@@ -137,6 +137,34 @@ class TestVerify:
         for check in report.checks:
             if check.case in errored:
                 assert check.error_message == "RuntimeError: no solve grid", check.case
+            else:
+                assert check.passed, check.case
+
+    def test_every_grid_comes_from_problem_grid_or_oracle_grid(self, monkeypatch):
+        # with both grid builders refusing, exactly the checks that use a grid
+        # error on it, and the closed-form checks still pass
+        def refuse(*args):
+            raise RuntimeError("no grid")
+
+        monkeypatch.setattr(solver, "problem_grid", refuse)
+        monkeypatch.setattr(geometry, "oracle_grid", refuse)
+        report = harness.verify_theorems("default")
+        errored = {c.case for c in report.checks if c.statement == "(errored)"}
+        assert errored == {
+            "band-flat-reduction",
+            "band-general-envelope",
+            "annulus-general-envelope",
+            "max-principle",
+            "solver-1d-convergence",
+            "radial-cross-check",
+            "interior-h1-estimate",
+            "geometric-oracle",
+        }
+        passed = [c.case for c in report.checks if c.case not in errored]
+        assert passed == harness.SUITES["analytic"]
+        for check in report.checks:
+            if check.case in errored:
+                assert check.error_message == "RuntimeError: no grid", check.case
             else:
                 assert check.passed, check.case
 

@@ -60,6 +60,14 @@ def reference_oracle(grid, shape):
     return values, mask
 
 
+def _line(lo, h, n):
+    return geometry.StructuredGrid(dim=1, origin=(lo,), h=h, cells=(n,))
+
+
+def _box(half, h, n):
+    return geometry.StructuredGrid(dim=2, origin=(-half, -half), h=h, cells=(n, n))
+
+
 def _band_grid(nx, ny, h, y0):
     return geometry.StructuredGrid(
         dim=2, origin=(0.0, y0), h=h, cells=(nx, ny), periodic_x=True
@@ -72,27 +80,18 @@ WAVY = shapes.band_general(
 
 # name -> (shape, grid); the grids of the verify check, of the CLI and off the grid lines
 CASES = {
-    "interval-whole": (shapes.interval_whole(0.0, 1.0), geometry.build_grid([(-1.0, 2.0)], 300)),
+    "interval-whole": (shapes.interval_whole(0.0, 1.0), _line(-1.0, 0.01, 300)),
     # the shape reaches within h of both grid ends, so windows clip on both sides
-    "interval-general": (
-        shapes.interval_general(0.0, 1.0, -0.01, 1.01),
-        geometry.build_grid([(-0.01, 1.01)], 51),
-    ),
-    # nx = 20 and reach up to 20: windows 41 cells wide wrap past the period twice
-    "verify-band": (
-        shapes.band_whole(0.0, 2.0, 1.0),
-        geometry.build_grid([(0.0, 1.0), (-1.0, 3.0)], (20, 80), periodic_x=True),
-    ),
+    "interval-general": (shapes.interval_general(0.0, 1.0, -0.01, 1.01), _line(-0.01, 0.02, 51)),
+    # the verify check's band, on the oracle command's grid: nx = 20 and reach
+    # up to 20, so windows 41 cells wide wrap past the period twice
+    "verify-band": (shapes.band_whole(0.0, 2.0, 1.0), _band_grid(20, 120, 0.05, -2.0)),
+    # the same band with a pad of half its thickness, [-1, 3]
+    "band-80": (shapes.band_whole(0.0, 2.0, 1.0), _band_grid(20, 80, 0.05, -1.0)),
     "wavy-band": (WAVY, _band_grid(16, 48, 1.0 / 16, -1.0)),
-    "annulus-300": (
-        shapes.annulus_whole(1.0, 2.0),
-        geometry.build_grid([(-3.0, 3.0), (-3.0, 3.0)], 300),
-    ),
+    "annulus-300": (shapes.annulus_whole(1.0, 2.0), _box(3.0, 0.02, 300)),
     # radii off the grid lines
-    "annulus-173": (
-        shapes.annulus_whole(0.7, 1.9),
-        geometry.build_grid([(-2.5, 2.5), (-2.5, 2.5)], 173),
-    ),
+    "annulus-173": (shapes.annulus_whole(0.7, 1.9), _box(2.5, 5.0 / 173, 173)),
 }
 
 

@@ -48,6 +48,15 @@ class TestShapeValidation:
         with pytest.raises(InvalidShapeError):
             shapes.ShapeSpec(shapes.Family.BAND_WHOLE, 0.0, 1.0)
 
+    @pytest.mark.parametrize("family", list(shapes.Family))
+    def test_each_required_field_is_checked(self, family):
+        values = {"b_l": 0.0, "b_r": 3.0, "L": 1.0}
+        needed = {name: values[name] for name in shapes.FIELDS[family]}
+        shapes.ShapeSpec(family, 1.0, 2.0, **needed)
+        for name in needed:
+            with pytest.raises(InvalidShapeError, match=f"{family.value} needs .*{name}"):
+                shapes.ShapeSpec(family, 1.0, 2.0, **{**needed, name: None})
+
     def test_band_general_boundary_clearance(self):
         with pytest.raises(InvalidShapeError):
             # wavy floor reaches up to f_l
