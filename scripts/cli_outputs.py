@@ -58,11 +58,12 @@ COMMANDS = (
     + [
         # b_l = -0.95 leaves Outside cells at the left end
         ("solve-interval-outside", _solve("interval-general", "0.04", "10", "--bl", "-0.95")),
-        # above 600 free unknowns, so these reach the 1D multigrid hierarchy
+        # above solver._COARSEST_UNKNOWNS free unknowns, so these reach the 1D multigrid hierarchy
         ("solve-annulus-whole-fine", _solve("annulus-whole", "0.04", "256")),
         ("solve-interval-whole-fine", _solve("interval-whole", "0.04", "128")),
-        # above 600 free unknowns per component: 2D multigrid on periodic grids, with
-        # Outside cells on the wavy band and nx = 4 cells along the period on the narrow ring
+        # above solver._COARSEST_UNKNOWNS free unknowns per component: 2D multigrid on
+        # periodic grids, with Outside cells on the wavy band and nx = 4 cells along the
+        # period on the narrow ring
         ("solve-band-general-fine", _solve("band-general", "0.02", "32")),
         ("solve-band-narrow", _solve("band-whole", "0.04", "16", "--L", "0.25")),
         ("oracle-interval", ["oracle", *_shape("interval-whole"), "--cells", "50", "--out", "@thickness.csv"]),
@@ -97,6 +98,9 @@ COMMANDS = (
         ("missing-L", ["analytic", "--family", "band-whole", "--fl", "0", "--fr", "1", "--a", "0.01"]),
         ("missing-br", ["analytic", "--family", "annulus-general", "--fl", "1", "--fr", "2", "--a", "0.01"]),
         ("missing-a", ["analytic", *_shape("annulus-whole")]),
+        # shape flags the family does not take exit 2, naming them
+        ("stray-bl", ["analytic", *_shape("interval-whole"), "--bl", "0.5", "--a", "0.01"]),
+        ("stray-cos-amp", ["analytic", *_shape("band-whole"), "--br-cos-amp", "0.1", "--a", "0.01"]),
         ("bad-cells", ["solve", *_shape("annulus-general"), "--a", "0.04", "--cells", "1", "--out", "@field.csv"]),
         ("bad-cells-zero", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "0", "--out", "@field.csv"]),
         # the radial grid's refusals: f_l = 1 within 10 h of the axis at h = 1, and

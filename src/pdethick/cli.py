@@ -156,6 +156,14 @@ def _shape_from_args(args: argparse.Namespace) -> ShapeSpec:
     family = Family(args.family)
     # each field's flag is its name without the underscore
     _require(args, *(name.replace("_", "") for name in FIELDS[family]))
+    # a flag of a field the family does not take, or a cosine term off band-general
+    flags = dict.fromkeys(name.replace("_", "") for names in FIELDS.values() for name in names)
+    taken = {name.replace("_", "") for name in FIELDS[family]}
+    stray = [flag for flag in flags if flag not in taken and getattr(args, flag) is not None]
+    if family != Family.BAND_GENERAL:
+        stray += [f"{side}-cos-amp" for side in ("bl", "br") if getattr(args, f"{side}_cos_amp")]
+    if stray:
+        raise _CliError(f"{family.value} takes no {', '.join('--' + flag for flag in stray)}")
     fields = {name: getattr(args, name.replace("_", "")) for name in FIELDS[family]}
     if family == Family.BAND_GENERAL:
         # the band-general boundaries: a mean level plus a first cosine harmonic

@@ -502,8 +502,10 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
 _SMOOTH_OMEGA = 0.8
 #: Smoothing sweeps before and after each coarse correction.
 _SMOOTH_SWEEPS = 2
-#: Coarsening stops at this many unknowns; that level is solved densely.
-_COARSEST_UNKNOWNS = 600
+#: Coarsening stops at the first level of at most this many free unknowns,
+#: which is inverted densely once per hierarchy.  The inverse costs about
+#: 8n^3/3 flops, so a few hundred keep it below a small system's CG solve.
+_COARSEST_UNKNOWNS = 256
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
 #: Coarse rows per strip of a Galerkin product; a small level is one strip.
@@ -554,17 +556,13 @@ def _along_axes(factors, x: np.ndarray) -> np.ndarray:
 def _galerkin(A: sp.csr_matrix, factors, free: np.ndarray, coarse_free: np.ndarray) -> sp.csr_matrix:
     """The coarse operator  P^T A P  over every coarse node, in strips of coarse rows.
 
-    ``P``, the ``kron`` of the axis factors, has its fixed fine rows and fixed
-    coarse columns emptied by index; a fixed column of ``A`` meets an empty
-    row of ``P``, so each sum adds the free-node product's terms in order.
+    ``P``, the ``kron`` of the axis factors, keeps only the triplets of a
+    free fine row and a free coarse column; a fixed column of ``A`` meets an
+    empty row of ``P``, so each sum adds the free-node product's terms in order.
     """
-    P = sp.kron(*factors, format="csr") if len(factors) == 2 else factors[0]
-    cols = np.flatnonzero(coarse_free)
-    P = P[free.ravel()][:, cols]
-    indptr = np.zeros(free.size + 1, dtype=P.indptr.dtype)
-    indptr[1:][free.ravel()] = np.diff(P.indptr)
-    np.cumsum(indptr, out=indptr)
-    P = sp.csr_matrix((P.data, cols[P.indices], indptr), shape=(free.size, coarse_free.size))
+    P = sp.kron(*factors, format="coo") if len(factors) == 2 else factors[0].tocoo()
+    keep = free.ravel()[P.row] & coarse_free.ravel()[P.col]
+    P = sp.csr_matrix((P.data[keep], (P.row[keep], P.col[keep])), shape=P.shape)
     PT = P.T.tocsr()
     strips = [PT[s:s + _GALERKIN_STRIP] @ A @ P for s in range(0, PT.shape[0], _GALERKIN_STRIP)]
     return sp.vstack(strips, format="csr")
@@ -584,7 +582,9 @@ class _Multigrid:
     column rank, so each ``P^T A P`` stays SPD on the free nodes.  The
     coarsest level has a dense inverse over its free nodes.  The same
     sweeps before and after each coarse correction keep the cycle
-    symmetric, a valid CG preconditioner.
+    symmetric, a valid CG preconditioner.  A free node whose diagonal entry
+    is not positive raises :class:`NonConvergenceError` before any level
+    is built: the block is not SPD.
     """
 
     def __init__(self, block: sp.csr_matrix, grid: StructuredGrid, free: np.ndarray):
@@ -592,14 +592,18 @@ class _Multigrid:
         periodic = [False] * (len(counts) - 1) + [grid.periodic_x]
         A = block
         free = free.reshape(counts)
+        diagonal = A.diagonal()
+        if np.any(diagonal[free.ravel()] <= 0):
+            raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
         self.levels = []
         while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
             factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(counts, periodic)))
             coarse_free = free[np.ix_(*keep)]
-            weight = _SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)
+            weight = _SMOOTH_OMEGA / np.where(free.ravel(), diagonal, np.inf)
             self.levels.append((A, weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             A = _galerkin(A, factors, free, coarse_free)
             counts, free = coarse_free.shape, coarse_free
+            diagonal = A.diagonal()
         self.coarse_free = np.flatnonzero(free)
         self.coarse_inverse = np.linalg.inv(A[self.coarse_free][:, self.coarse_free].toarray())
 
@@ -695,8 +699,6 @@ def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> Dis
         if b_norm == 0.0:
             continue
         if precondition is None:
-            if np.any(system.block.diagonal()[free] <= 0):
-                raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
             precondition = _Multigrid(system.block, system.grid, free)
         x, its = _pcg(system.block, fixed, b, b_norm, precondition, max_iterations)
         np.copyto(x_comps[c], x, where=free)

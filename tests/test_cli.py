@@ -86,6 +86,40 @@ class TestConfigErrors:
         assert out == ""
         assert err == f"pdethick: error: missing required parameter {missing}\n"
 
+    @pytest.mark.parametrize(
+        "family, given, stray",
+        [
+            ("interval-whole", ["--bl", "0.5"], "--bl"),
+            ("interval-whole", ["--bl", "0.5", "--br", "0.7", "--L", "3"], "--bl, --br, --L"),
+            ("interval-general", ["--bl", "-1", "--br", "2", "--L", "1"], "--L"),
+            ("band-whole", ["--L", "1", "--br", "2"], "--br"),
+            ("band-whole", ["--L", "1", "--bl-cos-amp", "0.1"], "--bl-cos-amp"),
+            ("annulus-whole", ["--br-cos-amp", "-0.1"], "--br-cos-amp"),
+            ("annulus-general", ["--br", "2.5", "--bl", "0"], "--bl"),
+        ],
+    )
+    def test_flag_outside_family_exits_2(self, capsys, family, given, stray):
+        argv = ["analytic", "--family", family, "--fl", "1", "--fr", "1.5", *given, "--a", "0.01"]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (2, "", f"pdethick: error: {family} takes no {stray}\n")
+
+    def test_config_flag_outside_family_exits_2_before_any_output(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"bl": 0.5}))
+        out_file = tmp_path / "t.csv"
+        argv = ["oracle", "--family", "interval-whole", "--fl", "0", "--fr", "1", "--cells", "8",
+                "--out", str(out_file), "--config", str(cfg)]
+        code, _, err = run(argv, capsys)
+        assert (code, err) == (2, "pdethick: error: interval-whole takes no --bl\n")
+        assert not out_file.exists()
+
+    def test_zero_cosine_amplitude_off_band_general_is_accepted(self, capsys):
+        argv = ["analytic", "--family", "band-whole", "--fl", "0", "--fr", "1", "--L", "1",
+                "--bl-cos-amp", "0", "--a", "0.01"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["family"] == "band-whole"
+
     def test_unknown_flag_exits_2(self, capsys):
         code, _, _ = run(["analytic", "--nonsense", "1"], capsys)
         assert code == 2

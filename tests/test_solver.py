@@ -178,6 +178,15 @@ class TestSolveSpd:
         with pytest.raises(NonConvergenceError):
             solver.solve_spd(system, max_iterations=3)
 
+    def test_nonpositive_free_diagonal_is_refused(self):
+        system, _, _ = _interval_system()
+        block = system.block.copy()
+        block[0, 0] = -1.0  # a Dirichlet node: not checked
+        solver.solve_spd(dataclasses.replace(system, block=block))
+        block[5, 5] = 0.0
+        with pytest.raises(NonConvergenceError, match="^nonpositive diagonal entry; system not SPD$"):
+            solver.solve_spd(dataclasses.replace(system, block=block))
+
     def test_corrupted_stencil_corner_stops_at_the_cap(self):
         # every node's NE corner entry with the wrong sign, as one wrong corner in
         # the stencil builder gives: CG stalls on the unsymmetric block and must
@@ -411,11 +420,18 @@ class TestMultigrid:
         assert solver._axis_prolongation(10, True)[0].toarray()[9].tolist() == [0.5, 0, 0, 0, 0.5]
 
     def test_semi_coarsening(self):
+        # 421 x 7 nodes: level 0 halves both axes; below level 1 the x axis stays
+        # at 4 nodes and only y halves, an open axis of n nodes to n // 2 + 1
         system = _narrow_band_system()
         free = ~system.dirichlet_mask[: system.n // 2]
         mg = solver._Multigrid(system.block, system.grid, free)
-        assert len(mg.levels) == 2
-        assert mg.coarse_inverse.shape[0] < mg.levels[1][0].shape[0] < mg.levels[0][0].shape[0]
+        assert [f.shape for f in mg.levels[0][3]] == [(421, 211), (7, 4)]
+        assert len(mg.levels) >= 3
+        for (_, _, _, (py, px), _), below in zip(mg.levels[1:], mg.levels[2:] + [None]):
+            assert px.shape == (4, 4) and not (px != sp.identity(4)).nnz
+            assert py.shape[1] == py.shape[0] // 2 + 1
+            if below is not None:
+                assert below[3][0].shape[0] == py.shape[1]
         assert _component_iterations(system)[1] <= 12
 
     @pytest.mark.parametrize("case", ["annulus", "wavy", "narrow", "interval-holes", "radial", "void-probe"])
@@ -435,7 +451,7 @@ class TestMultigrid:
         else:
             system = _void_probe_system()
         if system.grid.dim == 1:  # large enough to reach the 1D hierarchy
-            assert np.count_nonzero(~system.dirichlet_mask) > 600
+            assert np.count_nonzero(~system.dirichlet_mask) > solver._COARSEST_UNKNOWNS
         field = solver.solve_spd(system)
         ref = _direct_reference(system, system.dirichlet_values)
         flat = np.concatenate([c.ravel() for c in field.components])
@@ -449,8 +465,30 @@ class TestMultigrid:
             system = _radial_system(h)
         else:
             system, _, _ = _interval_system(n=round(3 / h))
-        assert np.count_nonzero(~system.dirichlet_mask) > 600  # above the dense coarse solve
+        assert np.count_nonzero(~system.dirichlet_mask) > solver._COARSEST_UNKNOWNS  # above the dense coarse solve
         assert 0 < solver.solve_spd(system).iterations <= 12
+
+    @pytest.mark.parametrize("case", ["interval", "radial", "wavy", "annulus", "narrow"])
+    def test_dense_level_is_the_first_within_the_coarsest_size(self, case):
+        # coarsening stops at the first level of at most _COARSEST_UNKNOWNS free nodes
+        if case == "interval":
+            system, _, _ = _interval_system(n=3072)
+        elif case == "radial":
+            system = _radial_system(1.0 / 1024)
+        elif case == "wavy":
+            band = harness.canonical_wavy_band()
+            system = solver.assemble(solver.problem_grid(band, 0.004, np.sqrt(0.004) / 8), band, 0.004)
+        elif case == "annulus":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
+        else:
+            system = _narrow_band_system()
+        mask = system.dirichlet_mask[: system.n // system.n_components]
+        mg = solver._Multigrid(system.block, system.grid, ~mask)
+        assert mg.coarse_inverse.shape == (len(mg.coarse_free),) * 2
+        assert 0 < len(mg.coarse_free) <= solver._COARSEST_UNKNOWNS
+        above, _, fixed, _, _ = mg.levels[-1]
+        assert above.shape[0] - len(fixed) > solver._COARSEST_UNKNOWNS
 
     def test_gridless_block_coarsens_as_one_axis(self):
         # a 1D Laplacian with a small shift that no assembler built, on a bare
@@ -461,9 +499,9 @@ class TestMultigrid:
         grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
         system = solver.SparseSystem(block, b, np.zeros(m, bool), grid)
         mg = solver._Multigrid(block, grid, np.ones(m, bool))
-        # an open even axis keeps its last node: 2000 -> 1001 -> 501 nodes
-        assert [lv[0].shape[0] for lv in mg.levels] == [2000, 1001]
-        assert mg.coarse_inverse.shape == (501, 501)
+        # an open even axis keeps its last node: 2000 -> 1001 -> 501 -> 251 nodes
+        assert [lv[0].shape[0] for lv in mg.levels] == [2000, 1001, 501]
+        assert mg.coarse_inverse.shape == (251, 251)
         field = solver.solve_spd(system)
         assert 0 < field.iterations <= 12
         assert np.max(np.abs(block @ field.components[0] - b)) <= 1e-8 * np.max(np.abs(b))
