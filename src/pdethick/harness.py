@@ -1,10 +1,13 @@
 """Parameter sweeps, rate fitting and automated verification of every bound.
 
 Each verification check is registered once, with its name, its statement and
-whether the closed-form ``analytic`` suite runs it; registration order is run
-order, and the ``default`` suite runs every check.  A check that raises is
-recorded as failed, with statement ``(errored)`` and no samples, and the run
-goes on.  Each check states both sides of its inequality numerically: a
+whether the closed-form ``analytic`` suite runs it; registration order is
+report order, and the ``default`` suite runs every check.  The analytic
+checks run in the calling process, in registration order, drawing from the
+run's one seeded generator; every other check runs in a forked worker
+process and draws from nothing.  A check that raises, or whose worker dies,
+is recorded as failed, with statement ``(errored)`` and no samples, and the
+run goes on.  Each check states both sides of its inequality numerically: a
 sample ``{a, error, bound, slack, passed}`` passes iff
 ``error <= bound + slack``.  Discrete 2D cases declare the additive
 discretization slack ``2 h / T^2`` on inverse-thickness L2 errors next to the
@@ -27,12 +30,14 @@ significant digits; identical configuration yields byte-identical JSON.
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +46,9 @@ from .errors import DegenerateFitError, PdeThickError, UnderResolvedError
 from .geometry import StructuredGrid
 from .shapes import PeriodicBoundary, ShapeSpec
 from . import shapes as _shapes
+
+if TYPE_CHECKING:  # the pool's modules load only where a pool starts, so solve and sweep skip them
+    from concurrent.futures import Future
 
 #: Default seed for the randomized shape draws in the verification suites.
 DEFAULT_SEED = 20260809
@@ -317,14 +325,21 @@ class VerifyReport:
         return buf.getvalue()
 
 
-_CheckFn = Callable[[TheoremCheck, np.random.Generator], None]
+# an analytic check draws from the run's one generator, in the calling process
+# and in registration order; every other check gets None and runs in a worker
+_CheckFn = Callable[[TheoremCheck, Optional[np.random.Generator]], None]
 
-#: name -> (statement, in the analytic suite, function adding the samples), in run order
+#: name -> (statement, in the analytic suite, function adding the samples), in report order
 _CHECKS: Dict[str, Tuple[str, bool, _CheckFn]] = {}
 
 
 def _check(name: str, statement: str, analytic: bool = False) -> Callable[[_CheckFn], _CheckFn]:
-    """Register a check; ``analytic`` puts it in the closed-form suite too."""
+    """Register a check; ``analytic`` puts it in the closed-form suite too.
+
+    An analytic check draws from the run's one seeded generator, in the
+    calling process and in registration order.  Every other check gets
+    ``None`` for its generator and runs in a forked worker process.
+    """
 
     def register(fn: _CheckFn) -> _CheckFn:
         _CHECKS[name] = (statement, analytic, fn)
@@ -333,16 +348,20 @@ def _check(name: str, statement: str, analytic: bool = False) -> Callable[[_Chec
     return register
 
 
-def _run_check(name: str, rng: np.random.Generator) -> TheoremCheck:
+def _errored(name: str, exc: Exception) -> TheoremCheck:
+    return TheoremCheck(
+        case=name, statement="(errored)", passed=False, error_message=f"{type(exc).__name__}: {exc}"
+    )
+
+
+def _run_check(name: str, rng: Optional[np.random.Generator]) -> TheoremCheck:
     """Run one registered check; a raising check is a failed check, not an aborted run."""
     statement, _, fn = _CHECKS[name]
     check = TheoremCheck(case=name, statement=statement)
     try:
         fn(check, rng)
     except Exception as exc:
-        return TheoremCheck(
-            case=name, statement="(errored)", passed=False, error_message=f"{type(exc).__name__}: {exc}"
-        )
+        return _errored(name, exc)
     return check
 
 
@@ -451,7 +470,7 @@ def canonical_wavy_band() -> ShapeSpec:
 
 
 @_check("band-flat-reduction", "flat-band 2D solve carries no x component and matches the 1D profile")
-def _check_band_flat_reduction(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_band_flat_reduction(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     h = 1.0 / 64
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
@@ -466,7 +485,7 @@ def _check_band_flat_reduction(check: TheoremCheck, rng: np.random.Generator) ->
 
 
 @_check("band-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the wavy-band envelope")
-def _check_band_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_band_general_envelope(check: TheoremCheck, rng: None) -> None:
     shape = canonical_wavy_band()
     for a in (0.04, 0.02, 0.01):
         check.add(run_general_l2_case(shape, a))
@@ -474,7 +493,7 @@ def _check_band_general_envelope(check: TheoremCheck, rng: np.random.Generator) 
 
 
 @_check("annulus-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the boxed-annulus envelope")
-def _check_annulus_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_annulus_general_envelope(check: TheoremCheck, rng: None) -> None:
     shape = _shapes.annulus_general(1.0, 2.0, 2.5)
     for a in (0.04, 0.02):
         check.add(run_general_l2_case(shape, a))
@@ -547,7 +566,7 @@ def _vector_magnitude(field: solver.DiscreteField) -> np.ndarray:
 
 
 @_check("max-principle", "homogeneous solutions: sup over the domain <= sup over its boundary")
-def _check_max_principle(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_max_principle(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     for _label, system, data in _max_principle_probes(a):
         field = solver.homogeneous_boundary_probe(system, data)
@@ -561,7 +580,7 @@ def _check_max_principle(check: TheoremCheck, rng: np.random.Generator) -> None:
 
 
 @_check("solver-1d-convergence", "1D discrete solution converges to the closed form at second order")
-def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_solver_1d_convergence(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     shape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
@@ -578,7 +597,7 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) 
 
 
 @_check("radial-cross-check", "radial solve reproduces the scaled-Bessel slope p* and its constancy")
-def _check_radial_cross_check(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_radial_cross_check(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     shape = _shapes.annulus_whole(1.0, 2.0)
     system = solver.assemble(solver.problem_grid(shape, a, 1.0 / 1024), shape, a)
@@ -595,7 +614,7 @@ def _check_radial_cross_check(check: TheoremCheck, rng: np.random.Generator) -> 
 
 
 @_check("geometric-oracle", "inscribed-ball sweep reproduces the constant thickness within 2h")
-def _check_geometric_oracle(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_geometric_oracle(check: TheoremCheck, rng: None) -> None:
     # (shape, cells across it) on the grids of the oracle command
     cases = [
         (_shapes.interval_whole(0.0, 1.0), 100),
@@ -695,7 +714,7 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
 
 
 @_check("interior-h1-estimate", "gradient energy on the shape bounded by the cutoff functional")
-def _check_interior_h1(check: TheoremCheck, rng: np.random.Generator) -> None:
+def _check_interior_h1(check: TheoremCheck, rng: None) -> None:
     for kind, m in (("band", 1.0), ("annulus", 0.5)):
         lhs, rhs, h = interior_h1_check(kind)
         check.add(SweepSample(a=h, error=lhs, bound=rhs, slack=rhs * 10.0 * h / m))
@@ -707,9 +726,69 @@ SUITES = {
 }
 
 
+#: the variables that set OpenBLAS's thread count, in the order it reads them
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _blas_threads(cpus: int) -> int:
+    """The BLAS threads of each process, as OpenBLAS reads them from the environment.
+
+    The first positive count set wins, capped at ``cpus``; with none set,
+    OpenBLAS runs one thread per CPU.
+    """
+    for key in _BLAS_THREAD_VARIABLES:
+        value = os.environ.get(key, "")
+        if value.isdigit() and int(value) > 0:
+            return min(int(value), cpus)
+    return cpus
+
+
+@contextlib.contextmanager
+def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
+    """Start the checks ``names`` in forked workers, in order; yields name -> future.
+
+    One worker per available CPU, divided by the BLAS threads of each
+    process and at most one per check; an empty ``names`` starts no pool.
+    Every worker has exited when the block is left.
+    """
+    if not names:
+        yield {}
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    cpus = len(os.sched_getaffinity(0))
+    # a forked worker keeps the parent's BLAS threads, so the pool splits the CPUs among them
+    workers = min(len(names), cpus // _blas_threads(cpus))
+    # fork: the workers inherit the imported modules, monkeypatches included
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield {name: pool.submit(_run_check, name, None) for name in names}
+
+
+def _worker_result(name: str, future: Future) -> TheoremCheck:
+    """The check its worker returned, or the check errored where the worker died."""
+    try:
+        return future.result()
+    except Exception as exc:  # BrokenProcessPool: a worker of the pool died
+        return _errored(name, exc)
+
+
 def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyReport:
-    """Run every check of ``suite`` in order; a failing or raising check never aborts the run."""
+    """Run every check of ``suite``; a failing or raising check never aborts the run.
+
+    The non-analytic checks start first, in registration order, in forked
+    worker processes, each with ``None`` for its generator.  Meanwhile the
+    analytic checks run here in registration order, drawing from the run's
+    one ``default_rng(seed)``.  The report lists the checks in registration
+    order, so it is byte-identical to running them all in one process.  A
+    check whose worker dies is reported as errored, and no worker outlives
+    the call.
+    """
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    names = SUITES[suite]
     rng = np.random.default_rng(seed)
-    return VerifyReport(suite=suite, checks=[_run_check(name, rng) for name in SUITES[suite]])
+    with _in_workers([name for name in names if not _CHECKS[name][1]]) as pending:
+        done = {name: _run_check(name, rng) for name in names if name not in pending}
+        done.update((name, _worker_result(name, future)) for name, future in pending.items())
+    return VerifyReport(suite=suite, checks=[done[name] for name in names])

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import time
 
 import numpy as np
 import pytest
@@ -280,6 +282,73 @@ class TestVerify:
         for name, check in by_name.items():
             if name != "band-whole-equality":
                 assert check.passed, name
+
+    @pytest.mark.parametrize(
+        "suite, seed", [("default", harness.DEFAULT_SEED), ("default", 7), ("analytic", harness.DEFAULT_SEED)]
+    )
+    def test_report_bytes_match_a_one_process_run(self, suite, seed):
+        rng = np.random.default_rng(seed)
+        serial = harness.VerifyReport(suite, [harness._run_check(name, rng) for name in harness.SUITES[suite]])
+        pooled = harness.verify_theorems(suite, seed)
+        assert harness.dumps_json(pooled.to_dict()) == harness.dumps_json(serial.to_dict())
+
+    @pytest.mark.parametrize(
+        "env, threads",
+        [
+            ({}, 4),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
+            ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
+            ({"OMP_NUM_THREADS": "16"}, 4),
+        ],
+    )
+    def test_blas_threads_as_openblas_reads_them(self, monkeypatch, env, threads):
+        for key in harness._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        assert harness._blas_threads(4) == threads
+
+    def test_analytic_suite_starts_no_pool(self, monkeypatch):
+        import concurrent.futures
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("pool"))
+        assert harness.verify_theorems("analytic").passed
+
+    def test_non_analytic_check_gets_no_generator(self, monkeypatch):
+        def draws(check, rng):
+            check.add(harness.SweepSample(a=float(rng.uniform()), error=0.0, bound=1.0, slack=0.0))
+
+        checks = dict(harness._CHECKS)
+        statement, in_analytic, _ = checks["geometric-oracle"]
+        assert not in_analytic
+        checks["geometric-oracle"] = (statement, in_analytic, draws)
+        monkeypatch.setattr(harness, "_CHECKS", checks)
+        monkeypatch.setitem(harness.SUITES, "default", ["interval-whole-equality", "geometric-oracle"])
+        report = harness.verify_theorems("default")
+        first, drawn = report.checks
+        assert first.passed
+        assert drawn.statement == "(errored)"
+        assert drawn.error_message == "AttributeError: 'NoneType' object has no attribute 'uniform'"
+
+    def test_dead_worker_is_an_errored_check(self, monkeypatch):
+        import multiprocessing
+
+        checks = dict(harness._CHECKS)
+        statement, in_analytic, _ = checks["band-flat-reduction"]
+        checks["band-flat-reduction"] = (statement, in_analytic, lambda check, rng: os._exit(3))
+        monkeypatch.setattr(harness, "_CHECKS", checks)
+        start = time.monotonic()
+        report = harness.verify_theorems("default")
+        assert time.monotonic() - start < 30.0
+        assert [c.case for c in report.checks] == harness.SUITES["default"]
+        by_name = {c.case: c for c in report.checks}
+        dead = by_name["band-flat-reduction"]
+        assert (dead.statement, dead.passed, dead.samples) == ("(errored)", False, [])
+        assert dead.error_message.startswith("BrokenProcessPool: ")
+        for name in harness.SUITES["analytic"]:
+            assert by_name[name].passed, name
+        assert not report.passed
+        assert multiprocessing.active_children() == []
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(Exception):
