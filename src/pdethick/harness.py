@@ -35,6 +35,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -730,16 +731,25 @@ SUITES = {
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 
 
-def _blas_threads(cpus: int) -> int:
-    """The BLAS threads of each process, as OpenBLAS reads them from the environment.
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the OS keeps one, else all."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    The first positive count set wins, capped at ``cpus``; with none set,
-    OpenBLAS runs one thread per CPU.
+
+def _blas_threads(cpus: int) -> int:
+    """The BLAS threads of each process, as numpy's OpenBLAS reads them at start-up.
+
+    The first variable whose leading integer (C ``atoi``) is positive wins,
+    capped at ``cpus``; with none, OpenBLAS runs one thread per CPU.  Other
+    BLAS libraries read other variables, and a limit set at run time is not
+    seen.
     """
     for key in _BLAS_THREAD_VARIABLES:
-        value = os.environ.get(key, "")
-        if value.isdigit() and int(value) > 0:
-            return min(int(value), cpus)
+        match = re.match(r"\s*[+-]?\d+", os.environ.get(key, ""))
+        if match and int(match.group()) > 0:
+            return min(int(match.group()), cpus)
     return cpus
 
 
@@ -749,7 +759,7 @@ def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
 
     One worker per available CPU, divided by the BLAS threads of each
     process and at most one per check; an empty ``names`` starts no pool.
-    Every worker has exited when the block is left.
+    Every worker has exited, and every future is done, when the block is left.
     """
     if not names:
         yield {}
@@ -757,7 +767,7 @@ def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    cpus = len(os.sched_getaffinity(0))
+    cpus = _cpus()
     # a forked worker keeps the parent's BLAS threads, so the pool splits the CPUs among them
     workers = min(len(names), cpus // _blas_threads(cpus))
     # fork: the workers inherit the imported modules, monkeypatches included
@@ -765,11 +775,22 @@ def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
         yield {name: pool.submit(_run_check, name, None) for name in names}
 
 
-def _worker_result(name: str, future: Future) -> TheoremCheck:
-    """The check its worker returned, or the check errored where the worker died."""
+def _worker_result(name: str, future: Future, rerun: bool = True) -> TheoremCheck:
+    """The check its worker returned, or the check errored where its worker died.
+
+    A dying worker breaks its whole pool, which fails every unfinished check
+    with it; so a check whose pool broke runs once more, alone in a fresh
+    worker, and is errored only if that worker dies too.
+    """
+    from concurrent.futures.process import BrokenProcessPool
+
     try:
         return future.result()
-    except Exception as exc:  # BrokenProcessPool: a worker of the pool died
+    except Exception as exc:
+        if rerun and isinstance(exc, BrokenProcessPool):
+            with _in_workers([name]) as alone:
+                pass
+            return _worker_result(name, alone[name], rerun=False)
         return _errored(name, exc)
 
 
@@ -781,8 +802,10 @@ def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyR
     analytic checks run here in registration order, drawing from the run's
     one ``default_rng(seed)``.  The report lists the checks in registration
     order, so it is byte-identical to running them all in one process.  A
-    check whose worker dies is reported as errored, and no worker outlives
-    the call.
+    check whose worker dies is run once more alone and, if its worker dies
+    again, reported as errored; no worker outlives the call.  The pool needs
+    the ``fork`` start method, so a suite with discrete checks runs on POSIX
+    systems only.
     """
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
@@ -790,5 +813,5 @@ def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyR
     rng = np.random.default_rng(seed)
     with _in_workers([name for name in names if not _CHECKS[name][1]]) as pending:
         done = {name: _run_check(name, rng) for name in names if name not in pending}
-        done.update((name, _worker_result(name, future)) for name, future in pending.items())
+    done.update((name, _worker_result(name, future)) for name, future in pending.items())
     return VerifyReport(suite=suite, checks=[done[name] for name in names])

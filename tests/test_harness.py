@@ -2,6 +2,8 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -299,6 +301,9 @@ class TestVerify:
             ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "2"}, 1),
             ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "x", "OMP_NUM_THREADS": "2"}, 2),
             ({"OMP_NUM_THREADS": "16"}, 4),
+            ({"OPENBLAS_NUM_THREADS": "-1", "OMP_NUM_THREADS": "3"}, 3),
+            ({"OPENBLAS_NUM_THREADS": " 1x"}, 1),
+            ({"OMP_NUM_THREADS": "1,2"}, 1),
         ],
     )
     def test_blas_threads_as_openblas_reads_them(self, monkeypatch, env, threads):
@@ -307,6 +312,32 @@ class TestVerify:
         for key, value in env.items():
             monkeypatch.setenv(key, value)
         assert harness._blas_threads(4) == threads
+
+    @pytest.mark.parametrize(
+        "env", [{}, {"OMP_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": " 1x", "OMP_NUM_THREADS": "2"}]
+    )
+    def test_blas_threads_match_the_linked_openblas(self, monkeypatch, env):
+        # ask numpy's own OpenBLAS, in a fresh process, how many threads it started
+        probe = """
+import ctypes, glob, os, numpy
+for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs", "*openblas*")):
+    for symbol in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+        if hasattr(ctypes.CDLL(path), symbol):
+            print(getattr(ctypes.CDLL(path), symbol)())
+"""
+        for key in harness._BLAS_THREAD_VARIABLES:
+            monkeypatch.delenv(key, raising=False)
+        for key, value in env.items():
+            monkeypatch.setenv(key, value)
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout
+        if not out:
+            pytest.skip("no OpenBLAS in numpy.libs")
+        assert int(out.split()[0]) == harness._blas_threads(harness._cpus())
+
+    def test_cpus_without_an_affinity_set(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert harness._cpus() == os.cpu_count()
+        assert harness.verify_theorems("default").passed
 
     def test_analytic_suite_starts_no_pool(self, monkeypatch):
         import concurrent.futures
@@ -345,8 +376,8 @@ class TestVerify:
         dead = by_name["band-flat-reduction"]
         assert (dead.statement, dead.passed, dead.samples) == ("(errored)", False, [])
         assert dead.error_message.startswith("BrokenProcessPool: ")
-        for name in harness.SUITES["analytic"]:
-            assert by_name[name].passed, name
+        for name in harness.SUITES["default"]:
+            assert by_name[name].passed or name == "band-flat-reduction", name
         assert not report.passed
         assert multiprocessing.active_children() == []
 
