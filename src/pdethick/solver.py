@@ -34,13 +34,16 @@ on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
 
-Every assembler writes its CSR block directly with one stencil builder:
-each node's row sums the element matrices of the cells around it (two on a
-line, four in 2D), in the order a COO sum over the cells adds them, so the
-block is bit-identical to one summed from triplets without building them.
-The solve never copies the block reduced to its free nodes: CG and each
-multigrid level work on vectors over every node of their grid, held at 0 on
-the fixed nodes, and no level stores a 2D prolongation.  Both orders are fixed
+Every assembler writes its block directly with one stencil builder, as
+diagonals (DIA; Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
+ed., SIAM 2003, section 3.4): each node's row sums the element matrices of
+the cells around it (two on a line, four in 2D), in the order a COO sum over
+the cells adds them, so the block is bit-identical to one summed from
+triplets without building them, and its products to those of that CSR
+block.  The solve never copies the block reduced to its free nodes: CG and
+each multigrid level work on vectors over every node of their grid, held at
+0 on the fixed nodes, and no level stores a 2D prolongation; the coarse
+operators are formed strip by strip of coarse rows.  Both orders are fixed
 (deterministic regardless of any outer parallelism over distinct systems),
 and the solver performs the same floating-point operations on every run, so
 repeated solves of one system reproduce bit-identical results on a fixed
@@ -82,17 +85,19 @@ class SparseSystem:
     every component, and ``dirichlet_values`` (full length, zero unless a
     boundary probe sets them) their prescribed values.  The block restricted
     to the free nodes is symmetric positive definite; the solver applies it
-    through the whole block and never builds it.  A 2D ``block`` is int32
-    CSR with sorted columns, whose rows at nodes touching only Outside cells
-    are empty.
+    through the whole block and never builds it.  ``block`` is stored as
+    diagonals (DIA, 3 on a line, 9 in 2D and 11 on a periodic grid), with 0
+    wherever no cell carries an entry, so the rows at nodes touching only
+    Outside cells are 0.  ``block.tocsr()`` is the int32 CSR block with
+    sorted columns and no stored zeros.
 
-    ``matrix`` (the full operator, built anew on each read) and the
-    full-length ``dirichlet_mask`` stay because the benchmark's span tracer
-    (``perfbench/spans.py``) reads them; the solver works on ``block`` and
-    ``dirichlet_nodes`` alone.
+    ``matrix`` (the full operator as that CSR, built anew on each read) and
+    the full-length ``dirichlet_mask`` stay because the benchmark's span
+    tracer (``perfbench/spans.py``) reads them; the solver works on
+    ``block`` and ``dirichlet_nodes`` alone.
     """
 
-    block: sp.csr_matrix
+    block: sp.dia_matrix
     rhs: np.ndarray
     dirichlet_nodes: np.ndarray
     grid: StructuredGrid
@@ -113,9 +118,10 @@ class SparseSystem:
 
     @property
     def matrix(self) -> sp.csr_matrix:
+        block = self.block.tocsr()
         if self.n_components == 1:
-            return self.block
-        return sp.block_diag([self.block] * self.n_components, format="csr")
+            return block
+        return sp.block_diag([block] * self.n_components, format="csr")
 
 
 @dataclass
@@ -389,20 +395,26 @@ def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
 _CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
 
 
-def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.csr_matrix:
+def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.dia_matrix:
     """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
     ``blocks`` lists ``(tables, index)``: ``tables`` holds k element
     matrices over a cell's corners in ``_CORNERS`` order, and ``index``,
     shaped like the cells slowest axis first, picks each cell's matrix; a
-    cell whose index is k carries nothing in that block.  An entry is stored
-    where at least one cell carries a matrix over both its nodes.  Each sum
-    adds the cells around the node in cell order, lower row first and west
-    before east, and each cell's blocks in list order, except on the first
-    node column of a periodic grid, whose west cells are the last of their
-    row; the columns of the two wrap node columns are sorted.  These are the
-    sums, and the int32 CSR arrays, that summing the element matrices from
-    COO triplets, cell by cell and block by block, gives bit for bit.
+    cell whose index is k carries nothing in that block.  Each sum adds the
+    cells around the node in cell order, lower row first and west before
+    east, and each cell's blocks in list order, except on the first node
+    column of a periodic grid, whose west cells are the last of their row.
+    These are the sums that summing the element matrices from COO triplets,
+    cell by cell and block by block, gives bit for bit.
+
+    Each stencil sum goes straight into its diagonal, in ascending offset
+    order: 3 diagonals on a line, 9 in 2D.  On a periodic grid the wrap
+    entries of node column 0 fill its unused W and NW slots and those of
+    node column nx - 1 its unused SE and E slots, and the rest go to the two
+    diagonals at +-(2 nx - 1), 11 in all.  An entry no cell carries is 0, so
+    ``tocsr()`` gives the sorted int32 CSR block that the triplet sum gives;
+    a product adds each row's terms in ascending column order, as CSR does.
     """
     counts = grid.node_counts()[::-1]
     corners = _CORNERS[grid.dim]
@@ -418,37 +430,40 @@ def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarr
         if grid.periodic_x:
             pad[1:-1, 0] = index[:, -1]
         padded.append((np.concatenate([tables, np.zeros((1,) + tables.shape[1:])]), pad))
-    vals = np.zeros(counts + (len(stencil),))
-    present = np.zeros(counts + (len(stencil),), dtype=bool)
-    for k, offset in enumerate(stencil):
+    strides = [math.prod(counts[axis + 1:]) for axis in range(grid.dim)]
+    stencil_offsets = [sum(d * s for d, s in zip(delta, strides)) for delta in stencil]
+    nx = counts[-1]
+    offsets = sorted(stencil_offsets + ([1 - 2 * nx, 2 * nx - 1] if grid.periodic_x else []))
+    n_nodes = math.prod(counts)
+    data = np.zeros((len(offsets), n_nodes))
+
+    def diagonal(offset):  # the diagonal as node-shaped, indexed by the column's node
+        return data[offsets.index(offset)].reshape(counts)
+
+    for delta, offset in zip(stencil, stencil_offsets):
         terms = []
         for cell, corner in around:
-            node = tuple(o - c for o, c in zip(offset, cell))
-            if node not in corners:
-                continue
-            other = corners.index(node)
-            view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
-            for tables, pad in padded:
-                cells = pad[view]
-                terms.append((cell, tables[:, corner, other][cells]))
-                present[..., k] |= cells != len(tables) - 1
+            node = tuple(d - c for d, c in zip(delta, cell))
+            if node in corners:
+                view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
+                terms += [(cell, tables[:, corner, corners.index(node)], pad[view]) for tables, pad in padded]
         # an empty cell adds +0.0, which leaves every partial sum as it is
-        vals[..., k] = sum(t for _, t in terms)
+        vals = np.zeros(counts)
+        for _, entries, cells in terms:
+            vals += entries[cells]
         if grid.periodic_x:
-            vals[:, 0, k] = sum(t[:, 0] for _, t in sorted(terms, key=lambda t: (t[0][0], -t[0][1])))
-    cols = 0
-    for axis, (n, d) in enumerate(zip(counts, np.array(stencil, dtype=np.int32).T)):
-        node = np.arange(n, dtype=np.int32).reshape((-1,) + (1,) * (grid.dim - axis)) + d
-        cols = cols * n + (node % n if grid.periodic_x and axis == grid.dim - 1 else node)
-    if grid.periodic_x:  # every row of a wrap node column orders its columns alike
-        for wrap in (0, counts[-1] - 1):
-            order = np.argsort(cols[0, wrap], kind="stable")
-            for arr in (vals, present, cols):
-                arr[:, wrap] = arr[:, wrap][:, order]
-    n_nodes = math.prod(counts)
-    indptr = np.zeros(n_nodes + 1, dtype=np.int32)
-    np.cumsum(present.sum(axis=-1).ravel(), out=indptr[1:])
-    return sp.csr_matrix((vals[present], cols[present], indptr), shape=(n_nodes, n_nodes))
+            vals[:, 0] = 0.0
+            for _, entries, cells in sorted(terms, key=lambda t: (t[0][0], -t[0][1])):
+                vals[:, 0] += entries[cells[:, 0]]
+        # row node + delta is column node: node-shaped slices of the rows and of their columns
+        rows = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, counts))
+        cols = tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, counts))
+        diagonal(offset)[cols] = vals[rows]
+        dx = delta[-1]
+        if grid.periodic_x and dx:  # the wrap column: node column 0 west, nx - 1 east
+            edge = 0 if dx < 0 else nx - 1
+            diagonal(offset - dx * nx)[cols[:-1] + (nx - 1 - edge,)] = vals[rows[:-1] + (edge,)]
+    return sp.dia_matrix((data, np.array(offsets, dtype=np.int32)), shape=(n_nodes, n_nodes))
 
 
 def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -508,8 +523,12 @@ _SMOOTH_SWEEPS = 2
 _COARSEST_UNKNOWNS = 256
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
-#: Coarse rows per strip of a Galerkin product; a small level is one strip.
-_GALERKIN_STRIP = 16384
+#: A Galerkin product is formed in strips of whole coarse rows of the slowest
+#: axis.  A strip's temporaries scale with it, and each strip costs about
+#: 2 ms of scipy calls, so a strip holds at least this many coarse nodes (a
+#: small level is one strip) and a level has at most _GALERKIN_STRIPS strips.
+_GALERKIN_STRIP = 3072
+_GALERKIN_STRIPS = 16
 #: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
 REL_TOL = 1e-10
 #: Default cap on the CG iterations of each component.
@@ -553,18 +572,56 @@ def _along_axes(factors, x: np.ndarray) -> np.ndarray:
     return x.ravel()
 
 
-def _galerkin(A: sp.csr_matrix, factors, free: np.ndarray, coarse_free: np.ndarray) -> sp.csr_matrix:
+def _masked_kron(slow: sp.csr_matrix, fast, row_free: np.ndarray, col_free: np.ndarray) -> sp.csr_matrix:
+    """``kron(slow, fast)`` without the triplets of a fixed row or a fixed column."""
+    K = sp.kron(slow, fast, format="coo")
+    keep = row_free[K.row] & col_free[K.col]
+    return sp.csr_matrix((K.data[keep], (K.row[keep], K.col[keep])), shape=K.shape)
+
+
+def _band(A: sp.spmatrix, r0: int, r1: int, c0: int, c1: int) -> sp.csr_matrix:
+    """Rows ``r0:r1`` of ``A`` over columns ``c0:c1``, which hold all their
+    entries, as CSR in the order of ``A``'s product: ascending columns
+    without stored zeros for a DIA block, the stored order for CSR."""
+    if A.format == "dia":  # the rows as diagonals over the whole stored data, which is not copied
+        rows = sp.dia_matrix((A.data, A.offsets + r0), shape=(r1 - r0, A.shape[1])).tocsr()
+        data, indices, indptr = rows.data, rows.indices, rows.indptr
+    else:  # views of the rows' stored entries
+        lo, hi = A.indptr[r0], A.indptr[r1]
+        data, indices, indptr = A.data[lo:hi], A.indices[lo:hi], A.indptr[r0:r1 + 1] - lo
+    return sp.csr_matrix((data, indices - c0, indptr), shape=(r1 - r0, c1 - c0))
+
+
+def _galerkin(A: sp.spmatrix, factors, free: np.ndarray, coarse_free: np.ndarray) -> sp.csr_matrix:
     """The coarse operator  P^T A P  over every coarse node, in strips of coarse rows.
 
-    ``P``, the ``kron`` of the axis factors, keeps only the triplets of a
-    free fine row and a free coarse column; a fixed column of ``A`` meets an
-    empty row of ``P``, so each sum adds the free-node product's terms in order.
+    ``P`` is the ``kron`` of the axis factors without the triplets of a
+    fixed fine row or a fixed coarse column; a fixed column of ``A`` meets
+    an empty row of ``P``, so each sum adds the free-node product's terms in
+    order.  No whole ``P`` is built, and a DIA ``A`` is never converted
+    whole.  A strip of coarse rows along the slowest axis reads the fine
+    rows it interpolates from and the rows next to them; every operator
+    couples neighbouring rows of that axis only (a 9-point stencil, 3-point
+    on a line).  The strip's ``P`` is the ``kron`` of a slice of that axis's
+    factor over those rows, its ``P^T`` the transpose of a slice of it,
+    and its rows of ``A`` a band (:func:`_band`).  Each strip's rows hold
+    the terms, in the stored order, of the whole product.
     """
-    P = sp.kron(*factors, format="coo") if len(factors) == 2 else factors[0].tocoo()
-    keep = free.ravel()[P.row] & coarse_free.ravel()[P.col]
-    P = sp.csr_matrix((P.data[keep], (P.row[keep], P.col[keep])), shape=P.shape)
-    PT = P.T.tocsr()
-    strips = [PT[s:s + _GALERKIN_STRIP] @ A @ P for s in range(0, PT.shape[0], _GALERKIN_STRIP)]
+    slow, fast = factors[0], (factors[1] if len(factors) == 2 else sp.identity(1, format="csr"))
+    free, coarse_free = free.ravel(), coarse_free.ravel()
+    (n_slow, nc_slow), (n_fast, nc_fast) = slow.shape, fast.shape
+    slow_t = slow.T.tocsr()
+    step = max(1, _GALERKIN_STRIP // nc_fast, -(-nc_slow // _GALERKIN_STRIPS))
+    strips = []
+    for J0 in range(0, nc_slow, step):
+        J1 = min(J0 + step, nc_slow)
+        rows_t = slow_t[J0:J1]
+        j0, j1 = int(rows_t.indices.min()), int(rows_t.indices.max()) + 1  # fine rows of the strip
+        k0, k1 = max(0, j0 - 1), min(n_slow, j1 + 1)  # and the rows next to them
+        P = _masked_kron(slow[k0:k1], fast, free[k0 * n_fast:k1 * n_fast], coarse_free)
+        PT = P[(j0 - k0) * n_fast:(j1 - k0) * n_fast, J0 * nc_fast:J1 * nc_fast].T.tocsr()
+        # the band is a temporary, freed before the product with P
+        strips.append(PT @ _band(A, j0 * n_fast, j1 * n_fast, k0 * n_fast, k1 * n_fast) @ P)
     return sp.vstack(strips, format="csr")
 
 
@@ -587,7 +644,7 @@ class _Multigrid:
     is built: the block is not SPD.
     """
 
-    def __init__(self, block: sp.csr_matrix, grid: StructuredGrid, free: np.ndarray):
+    def __init__(self, block: sp.spmatrix, grid: StructuredGrid, free: np.ndarray):
         counts = grid.node_counts()[::-1]
         periodic = [False] * (len(counts) - 1) + [grid.periodic_x]
         A = block
@@ -605,7 +662,8 @@ class _Multigrid:
             counts, free = coarse_free.shape, coarse_free
             diagonal = A.diagonal()
         self.coarse_free = np.flatnonzero(free)
-        self.coarse_inverse = np.linalg.inv(A[self.coarse_free][:, self.coarse_free].toarray())
+        # with no level, the coarsest operator is the DIA block itself
+        self.coarse_inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
         if level == len(self.levels):
@@ -615,18 +673,35 @@ class _Multigrid:
         A, weight, fixed, factors, restrictions = self.levels[level]
         x = weight * r
         for _ in range(_SMOOTH_SWEEPS - 1):
-            x += weight * (r - A @ x)
-        residual = r - A @ x
+            _smooth(A, weight, r, x)
+        residual = _residual(A, r, x)
         residual[fixed] = 0.0
-        correction = _along_axes(factors, self(_along_axes(restrictions, residual), level + 1))
+        coarse = _along_axes(restrictions, residual)
+        del residual  # before the prolongation's temporaries
+        correction = _along_axes(factors, self(coarse, level + 1))
         correction[fixed] = 0.0
         x += correction
+        del correction
         for _ in range(_SMOOTH_SWEEPS):
-            x += weight * (r - A @ x)
+            _smooth(A, weight, r, x)
         return x
 
 
-def _free_product(A: sp.csr_matrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _residual(A: sp.spmatrix, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``r - A @ x`` in the product's own storage."""
+    t = A @ x
+    np.subtract(r, t, out=t)
+    return t
+
+
+def _smooth(A: sp.spmatrix, weight: np.ndarray, r: np.ndarray, x: np.ndarray) -> None:
+    """One damped-Jacobi sweep  x += weight * (r - A @ x),  in one temporary."""
+    t = _residual(A, r, x)
+    t *= weight
+    x += t
+
+
+def _free_product(A: sp.spmatrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``A @ x`` with the ``fixed`` rows zeroed: for an ``x`` that is 0 on
     the fixed nodes, the product with ``A`` restricted to the free nodes."""
     y = A @ x
@@ -729,10 +804,10 @@ def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:
     """Debug dump ``row col value`` with 1-based indices.
 
     Entries follow ``system.matrix.tocoo()``: component ``k`` repeats the
-    shared block's entries shifted by ``k*m`` rows and columns, so the full
-    operator is never built.
+    shared block's CSR entries shifted by ``k*m`` rows and columns, so the
+    full operator is never built.
     """
-    coo = system.block.tocoo()
+    coo = system.block.tocsr().tocoo()
     m = coo.shape[0]
     blocks = (
         ("%d %d %.17g\n", [coo.row + (k * m + 1), coo.col + (k * m + 1), coo.data])

@@ -4,9 +4,10 @@ The 1D and radial reference assemblers below loop over the elements in
 Python, the way ``assemble_1d`` and ``assemble_radial`` did before they were
 vectorized.  They emit the same COO triplets in the same order, so the CSR
 arrays that scipy sums from them must agree bit for bit, not just to a
-tolerance.  The 2D reference sums one fused 4x4 element matrix per active
-cell from COO triplets, the way ``assemble_2d`` did before it built the
-9-point stencil directly.  The grid test pins ``solver.problem_grid`` to the
+tolerance, with the diagonal-stored block read as CSR (``block.tocsr()``).
+The 2D reference sums one fused 4x4 element matrix per active cell from COO
+triplets, the way ``assemble_2d`` did before it built the 9-point stencil
+directly.  The grid test pins ``solver.problem_grid`` to the
 per-family grids the ``solve`` command built before it, which the per-family
 grid builders gave.
 """
@@ -138,7 +139,10 @@ def ref_block_1d(grid, labels, a):
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
 
-def _assert_same_csr(got, want):
+def _assert_same_csr(block, want):
+    """The DIA ``block`` read as CSR: the reference's arrays, a stored zero dropped or not."""
+    assert block.format == "dia"
+    got = block.tocsr()
     for name in ("data", "indices", "indptr"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
@@ -147,10 +151,7 @@ def _assert_same_csr(got, want):
 
 def _assert_same(system, reference):
     matrix, rhs, mask = reference
-    for name in ("data", "indices", "indptr"):
-        got, want = getattr(system.matrix, name), getattr(matrix, name)
-        assert got.dtype == want.dtype, name
-        assert got.tobytes() == want.tobytes(), name
+    _assert_same_csr(system.block, matrix)
     assert system.rhs.tobytes() == rhs.tobytes()
     assert np.array_equal(system.dirichlet_mask, mask)
 

@@ -17,7 +17,14 @@ from pdethick.errors import GridError, NonConvergenceError, NonNodalInterfaceErr
 
 def _symmetry_defect(system):
     """Largest absolute entry of ``block - block.T``."""
-    return abs(system.block - system.block.T).max()
+    A = system.block.tocsr()
+    return abs(A - A.T).max()
+
+
+def _diagonal(block, offset):
+    """The stored diagonal ``offset`` of a DIA block, indexed by column."""
+    (k,) = np.flatnonzero(block.offsets == offset)
+    return block.data[k]
 
 
 def _interval_system(n=96, a=0.04):
@@ -181,9 +188,9 @@ class TestSolveSpd:
     def test_nonpositive_free_diagonal_is_refused(self):
         system, _, _ = _interval_system()
         block = system.block.copy()
-        block[0, 0] = -1.0  # a Dirichlet node: not checked
+        _diagonal(block, 0)[0] = -1.0  # a Dirichlet node: not checked
         solver.solve_spd(dataclasses.replace(system, block=block))
-        block[5, 5] = 0.0
+        _diagonal(block, 0)[5] = 0.0
         with pytest.raises(NonConvergenceError, match="^nonpositive diagonal entry; system not SPD$"):
             solver.solve_spd(dataclasses.replace(system, block=block))
 
@@ -195,8 +202,7 @@ class TestSolveSpd:
         grid = solver.problem_grid(ann, 0.04, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
         block = system.block.copy()
-        rows = np.repeat(np.arange(block.shape[0]), np.diff(block.indptr))
-        block.data[block.indices == rows + grid.node_counts()[0] + 1] *= -1.0
+        _diagonal(block, grid.node_counts()[0] + 1)[:] *= -1.0
         broken = dataclasses.replace(system, block=block)
         with pytest.raises(NonConvergenceError, match="cap of 100 iterations"):
             solver.solve_spd(broken)
@@ -351,7 +357,7 @@ def _direct_reference(system, values=None):
     m = system.n // system.n_components
     mask = system.dirichlet_mask[:m]
     free = ~mask
-    A = system.block
+    A = system.block.tocsr()
     A_ff = A[free][:, free].tocsc()
     x = np.zeros(system.n) if values is None else np.where(system.dirichlet_mask, values, 0.0)
     for c in range(system.n_components):
@@ -390,6 +396,52 @@ def _void_probe_system(a=0.04):
     grid = solver.problem_grid(shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, 1.0 / 256)
     void = solver.assemble_1d(grid, None, a)
     return dataclasses.replace(void, dirichlet_values=np.ones(void.n))
+
+
+def _csr_bytes(block):
+    csr = block.tocsr()
+    return csr.data.nbytes + csr.indices.nbytes + csr.indptr.nbytes
+
+
+def _box_284():
+    ann = shapes.annulus_general(1.0, 2.0, 2.5)
+    grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
+    assert grid.cells == (284, 284)
+    return solver.assemble(grid, ann, 0.02)
+
+
+def _wavy_253():
+    band = harness.canonical_wavy_band()
+    grid = solver.problem_grid(band, 0.001, np.sqrt(0.001) / 8)
+    assert grid.cells == (253, 534) and grid.periodic_x
+    return solver.assemble(grid, band, 0.001)
+
+
+class TestDiagonalBlock:
+    def test_stored_block_is_smaller_than_its_csr(self):
+        # 9 diagonals store 72 bytes a node against CSR's 12 a stored entry plus 4 a row;
+        # the periodic band's 11 diagonals pay for 2 wrap diagonals and its empty Outside rows
+        for system, bound in ((_box_284(), 0.65), (_wavy_253(), 0.83)):
+            block = system.block
+            assert block.format == "dia"
+            assert block.data.nbytes + block.offsets.nbytes <= bound * _csr_bytes(block)
+
+    @pytest.mark.parametrize("case", ["box", "wavy", "interval", "radial"])
+    def test_product_has_the_bits_of_the_csr_product(self, case):
+        # each row adds its diagonals in ascending offset, CSR's ascending column order,
+        # and a stored 0 adds +-0.0, which leaves a partial sum as it is
+        if case == "box":
+            system = _box_284()
+        elif case == "wavy":
+            system = _wavy_253()
+        elif case == "interval":
+            system, _, _ = _interval_system(n=3072)
+        else:
+            system = _radial_system(1.0 / 1024)
+        block = system.block
+        assert block.format == "dia" and np.all(np.diff(block.offsets) > 0)
+        x = np.random.default_rng(11).standard_normal(block.shape[0])
+        assert (block @ x).tobytes() == (block.tocsr() @ x).tobytes()
 
 
 class TestMultigrid:
@@ -547,7 +599,7 @@ class TestMultigrid:
         py, keep_y = solver._axis_prolongation(ny, False)
         coarse_free = free.reshape(ny, nx)[np.ix_(keep_y, keep_x)].ravel()
         P = sp.kron(py, px, format="csr")[free][:, coarse_free]
-        want = (P.T.tocsr() @ system.block[free][:, free] @ P).tocsr()
+        want = (P.T.tocsr() @ system.block.tocsr()[free][:, free] @ P).tocsr()
         level_1 = mg.levels[1][0]
         assert level_1.shape[0] > 2 * solver._GALERKIN_STRIP
         got = level_1[coarse_free][:, coarse_free]
@@ -567,7 +619,7 @@ class TestMultigrid:
         free = ~mask
         x = np.where(free, np.random.default_rng(5).standard_normal(free.size), 0.0)
         got = solver._free_product(system.block, np.flatnonzero(mask), x)
-        assert got[free].tobytes() == (system.block[free][:, free] @ x[free]).tobytes()
+        assert got[free].tobytes() == (system.block.tocsr()[free][:, free] @ x[free]).tobytes()
         assert not got[mask].any()
 
     def test_vcycle_is_symmetric_and_zero_on_fixed_nodes(self):
@@ -585,37 +637,39 @@ class TestMultigrid:
             assert u @ Mu > 0 and not Mu[mask].any()
 
     def test_hierarchy_keeps_less_than_half_a_block(self):
-        """tracemalloc on the 284^2 boxed annulus, in units of the block's bytes.
+        """tracemalloc on the 284^2 boxed annulus, in units of the CSR block's bytes.
 
         With stored prolongations and free-node weights the hierarchy kept
         0.85 blocks; with transfers from the axis factors it keeps 0.50.
+        The build peaked 19.9 node vectors above its entry while ``_galerkin``
+        built the whole ``kron`` prolongation and its transpose, and 8.8 with
+        strip-local transfers.
         """
-        ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
-        assert grid.cells == (284, 284)
-        system = solver.assemble(grid, ann, 0.02)
+        system = _box_284()
+        grid = system.grid
         free = ~system.dirichlet_mask[: system.n // 2]
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
             mg = solver._Multigrid(system.block, grid, free)
-            kept = tracemalloc.get_traced_memory()[0] - held
+            kept, peak = (m - held for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        block = system.block
-        block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
-        assert kept < 0.6 * block_bytes
+        assert kept < 0.6 * _csr_bytes(system.block)
+        assert peak < 10 * 8 * system.block.shape[0]
         # no level holds a fine-by-coarse matrix; the dense inverse covers free nodes only
         assert all(e.shape[0] == e.shape[1] for level in mg.levels for e in level if sp.issparse(e))
         assert mg.coarse_inverse.shape == (len(mg.coarse_free),) * 2
 
     def test_assembly_and_solve_memory_scale_with_the_block(self):
-        """tracemalloc peaks on the 284^2 boxed annulus, in units of the block's bytes.
+        """tracemalloc peaks on the 284^2 boxed annulus, in units of the CSR block's bytes.
 
         Summing COO triplets peaked at 4.42 blocks in ``assemble_2d``, and the
         reduced copy of the block at 3.09 in ``solve_spd``; the 9-point sums
-        peak at 2.21, and the solve peaked at 1.85 on free-node vectors with
-        stored prolongations and at 1.58 on node-length vectors without them.
+        into CSR peaked at 2.21, and the solve peaked at 1.85 on free-node
+        vectors with stored prolongations and at 1.58 on node-length vectors
+        without them.  Sums written straight into diagonals peak at 1.23, and
+        the solve with strip-local transfers at 1.14.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
@@ -630,8 +684,7 @@ class TestMultigrid:
             solve_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
-        block = system.block
-        block_bytes = block.data.nbytes + block.indices.nbytes + block.indptr.nbytes
+        block_bytes = _csr_bytes(system.block)
         assert assemble_peak < 3.0 * block_bytes
         assert solve_peak < 2.5 * block_bytes
 
@@ -669,8 +722,9 @@ class TestMultigrid:
         m = system.n // 2
         A = system.matrix
         assert A.shape == (system.n, system.n)
-        assert (A[:m, :m] != system.block).nnz == 0
-        assert (A[m:, m:] != system.block).nnz == 0
+        block = system.block.tocsr()
+        assert (A[:m, :m] != block).nnz == 0
+        assert (A[m:, m:] != block).nnz == 0
         assert A[:m, m:].nnz == 0
 
 
