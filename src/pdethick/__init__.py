@@ -29,7 +29,6 @@ from .geometry import (
     classify_cells,
     geometric_thickness_oracle,
     oracle_grid,
-    signed_distance,
 )
 from .harness import (
     ConvergenceReport,
@@ -91,7 +90,6 @@ __all__ = [
     "k1_scaled",
     "oracle_grid",
     "problem_grid",
-    "signed_distance",
     "solve_spd",
     "sweep_a",
     "verify_theorems",

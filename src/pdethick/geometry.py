@@ -61,8 +61,8 @@ class StructuredGrid:
     radial: bool = False
 
     def __post_init__(self):
-        if self.h <= 0:
-            raise GridError(f"spacing must be positive, got {self.h}")
+        if not 0 < self.h < math.inf:  # NaN fails too
+            raise GridError(f"spacing must be finite and positive, got {self.h}")
         if self.dim not in (1, 2):
             raise GridError(f"only 1D/2D grids supported, got dim={self.dim}")
         if len(self.cells) != self.dim or len(self.origin) != self.dim:
@@ -137,15 +137,6 @@ class CellClassification:
         return self.labels == CellLabel.SHAPE
 
 
-def signed_distance(shape: ShapeSpec, point) -> float:
-    """Exact signed distance to the shape boundary, positive inside.
-
-    ``point`` holds one or two coordinates, read by :meth:`ShapeSpec.across`.
-    """
-    t = shape.across(*np.asarray(point, dtype=float).reshape(-1))
-    return float(min(t - shape.f_l, shape.f_r - t))
-
-
 def _cross_coordinate(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
     """:meth:`ShapeSpec.across` at every cell center, shaped like the cell labels."""
     if grid.dim == 1:
@@ -154,7 +145,7 @@ def _cross_coordinate(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
 
 
 def _signed_distance_grid(shape: ShapeSpec, grid: StructuredGrid) -> np.ndarray:
-    """Vectorized signed distance at all cell centers."""
+    """Signed distance to the shape boundary at all cell centers, positive inside."""
     t = _cross_coordinate(shape, grid)
     return np.minimum(t - shape.f_l, shape.f_r - t)
 

@@ -655,26 +655,21 @@ def annulus_cutoff_constant(f: float, b: float) -> float:
 
 def gradient_energy_on_shape(field: solver.DiscreteField, classification) -> float:
     """sum over shape cells of int_cell |grad d_h|^2, exactly (element matrices)."""
-    grid = field.grid
-    conn, _ = solver._node_ids_2d(grid)
-    mask = classification.shape_mask.ravel()
+    mask = classification.shape_mask
     total = 0.0
     K = solver._K2
     for comp in field.components:
-        flat = comp.ravel()
-        vals = flat[conn[mask]]
+        vals = np.stack([corner[mask] for corner in solver._cell_corners(field.grid, comp)], axis=1)
         total += float(np.einsum("ei,ij,ej->", vals, K, vals))
     return total
 
 
 def _cell_magnitude_sq(field: solver.DiscreteField) -> np.ndarray:
     """|d|^2 of the average of each cell's four corner values, per cell."""
-    grid = field.grid
-    west = np.arange(grid.cells[0])
-    east = (west + 1) % grid.node_counts()[0]  # wraps only on a periodic x axis
-    mag2 = np.zeros(grid.cells[::-1])
+    mag2 = np.zeros(field.grid.cells[::-1])
     for comp in field.components:
-        center = 0.25 * (comp[:-1, west] + comp[1:, west] + comp[:-1, east] + comp[1:, east])
+        sw, se, ne, nw = solver._cell_corners(field.grid, comp)
+        center = 0.25 * (sw + nw + se + ne)
         mag2 += center * center
     return mag2
 

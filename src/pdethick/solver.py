@@ -40,14 +40,17 @@ ed., SIAM 2003, section 3.4): each node's row sums the element matrices of
 the cells around it (two on a line, four in 2D), in the order a COO sum over
 the cells adds them, so the block is bit-identical to one summed from
 triplets without building them, and its products to those of that CSR
-block.  The solve never copies the block reduced to its free nodes: CG and
-each multigrid level work on vectors over every node of their grid, held at
-0 on the fixed nodes, and no level stores a 2D prolongation; the coarse
-operators are formed strip by strip of coarse rows.  Both orders are fixed
-(deterministic regardless of any outer parallelism over distinct systems),
-and the solver performs the same floating-point operations on every run, so
-repeated solves of one system reproduce bit-identical results on a fixed
-platform and BLAS thread count.
+block.  The same per-node sum writes the 2D load and the 2D Dirichlet
+nodes, and one corner gather reads each cell's four corner values back
+from the nodes; only these two know the SW, SE, NE, NW corner order and
+the periodic seam.  The solve never copies the block reduced to its free
+nodes: CG and each multigrid level work on vectors over every node of their
+grid, held at 0 on the fixed nodes, and no level stores a 2D prolongation;
+the coarse operators are formed strip by strip of coarse rows.  Both
+orders are fixed (deterministic regardless of any outer parallelism over
+distinct systems), and the solver performs the same floating-point
+operations on every run, so repeated solves of one system reproduce
+bit-identical results on a fixed platform and BLAS thread count.
 """
 
 from __future__ import annotations
@@ -231,9 +234,9 @@ def _box_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
     return StructuredGrid(dim=2, origin=(-half, -half), h=h, cells=(n, n))
 
 
-def _check_a(a: float) -> None:
-    if not 0 < a < math.inf:  # NaN fails too
-        raise GridError(f"need a finite a > 0, got {a}")
+def _check_positive(what: str, value: float) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise GridError(f"need a finite {what} > 0, got {value}")
 
 
 # each family's solve grid from (shape, a, target spacing)
@@ -251,9 +254,11 @@ def problem_grid(shape: ShapeSpec, a: float, h: float) -> StructuredGrid:
     """The solve grid of ``shape`` at target spacing ``h``.
 
     Intervals get a 1D grid (whole lines truncated 28 sqrt(a) out), whole
-    annuli a radial grid, bands and boxed annuli a 2D grid.
+    annuli a radial grid, bands and boxed annuli a 2D grid.  ``a`` and ``h``
+    outside ``(0, inf)`` raise :class:`GridError`.
     """
-    _check_a(a)
+    _check_positive("a", a)
+    _check_positive("h", h)
     return _PROBLEM_GRIDS[shape.family](shape, a, h)
 
 
@@ -280,7 +285,7 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
     Stiffness on every cell and mass on void cells are two blocks, so each
     entry adds a cell's stiffness, then its mass, before the next cell's.
     """
-    _check_a(a)
+    _check_positive("a", a)
     nodes = grid.node_coords(0)
     n = len(nodes)
     h = grid.h
@@ -313,7 +318,7 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
     element matrix per cell: stiffness, then the singular mass at each
     Gauss point, then on void cells the void mass at each Gauss point.
     """
-    _check_a(a)
+    _check_positive("a", a)
     if not grid.radial:
         raise GridError("assemble_radial needs a radial grid")
     cls = classify_cells(grid, shape)
@@ -374,39 +379,71 @@ _GRAD_X = np.array([-0.5, 0.5, 0.5, -0.5])
 _GRAD_Y = np.array([-0.5, -0.5, 0.5, 0.5])
 
 
-def _node_ids_2d(grid: StructuredGrid) -> Tuple[np.ndarray, int]:
-    """(cells, 4) int32 array of global node ids in SW, SE, NE, NW order."""
-    nx, ny = grid.cells
-    nxn, nyn = grid.node_counts()
-    ii = np.arange(nx, dtype=np.int32)
-    jj = np.arange(ny, dtype=np.int32)
-    i_east = (ii + 1) % nxn  # wraps only on a periodic x axis, where nxn = nx
-    jje = jj + 1
-    sw = jj[:, None] * nxn + ii[None, :]
-    se = jj[:, None] * nxn + i_east[None, :]
-    ne = jje[:, None] * nxn + i_east[None, :]
-    nw = jje[:, None] * nxn + ii[None, :]
-    conn = np.stack([sw, se, ne, nw], axis=-1).reshape(-1, 4)
-    return conn, nxn * nyn
-
-
 # each corner of a cell in element order, as its node's offset from the cell's
 # first node, slowest axis first: left, right on a line; SW, SE, NE, NW in 2D
 _CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
+
+
+def _node_sums(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]], entries) -> np.ndarray:
+    """Each node's sum of the entries of the cells around it, node-shaped.
+
+    ``blocks`` lists ``(tables, index)``: ``index``, shaped like the cells
+    slowest axis first, picks each cell's table; an index of ``len(tables)``
+    carries nothing.  ``entries(tables, cell, corner)`` gives per table what
+    the cell at offset ``cell`` adds to the node, its corner ``corner``, or
+    None where no table adds anything.  Each sum adds the cells in cell
+    order, lower row first and west before east, and each cell's blocks in
+    list order, except on node column 0 of a periodic grid, whose west cells
+    are the last of their row: the sums that scattering the entries cell by
+    cell (COO triplets, ``np.add.at``) gives bit for bit.  An empty cell
+    adds +0.0, which leaves every partial sum as it is.
+    """
+    counts = grid.node_counts()[::-1]
+    corners = _CORNERS[grid.dim]
+    # cell (node + offset) is padded[node + 1 + offset]: empty cells around the grid,
+    # the last cell column again on a periodic grid
+    padded = []
+    for tables, index in blocks:
+        pad = np.full(tuple(n + 1 for n in counts), len(tables), dtype=index.dtype)
+        pad[tuple(slice(1, 1 + c) for c in index.shape)] = index
+        if grid.periodic_x:
+            pad[1:-1, 0] = index[:, -1]
+        padded.append((np.concatenate([tables, np.zeros((1,) + tables.shape[1:])]), pad))
+    terms = []
+    for cell in itertools.product((-1, 0), repeat=grid.dim):
+        corner = corners.index(tuple(-c for c in cell))
+        view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
+        for tables, pad in padded:
+            values = entries(tables, cell, corner)
+            if values is not None:
+                terms.append((cell, values, pad[view]))
+    sums = np.zeros(counts)
+    for _, values, cells in terms:
+        sums += values[cells]
+    if grid.periodic_x:
+        sums[:, 0] = 0.0
+        for _, values, cells in sorted(terms, key=lambda t: (t[0][0], -t[0][1])):
+            sums[:, 0] += values[cells[:, 0]]
+    return sums
+
+
+def _cell_corners(grid: StructuredGrid, nodal: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """The SW, SE, NE, NW corner values of every cell of a 2D grid, each
+    shaped like the cells, from node-shaped values; the east corners of the
+    last cell column are node column 0 on a periodic grid."""
+    west = nodal[:, :grid.cells[0]]
+    east = np.concatenate([nodal[:, 1:], nodal[:, :1]], axis=1) if grid.periodic_x else nodal[:, 1:]
+    return west[:-1], east[:-1], east[1:], west[1:]
 
 
 def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.dia_matrix:
     """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
     ``blocks`` lists ``(tables, index)``: ``tables`` holds k element
-    matrices over a cell's corners in ``_CORNERS`` order, and ``index``,
-    shaped like the cells slowest axis first, picks each cell's matrix; a
-    cell whose index is k carries nothing in that block.  Each sum adds the
-    cells around the node in cell order, lower row first and west before
-    east, and each cell's blocks in list order, except on the first node
-    column of a periodic grid, whose west cells are the last of their row.
-    These are the sums that summing the element matrices from COO triplets,
-    cell by cell and block by block, gives bit for bit.
+    matrices over a cell's corners in ``_CORNERS`` order, and ``index``
+    picks each cell's matrix, as :func:`_node_sums` reads them; its sums are
+    the ones that summing the element matrices from COO triplets, cell by
+    cell and block by block, gives bit for bit.
 
     Each stencil sum goes straight into its diagonal, in ascending offset
     order: 3 diagonals on a line, 9 in 2D.  On a periodic grid the wrap
@@ -419,17 +456,6 @@ def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarr
     counts = grid.node_counts()[::-1]
     corners = _CORNERS[grid.dim]
     stencil = list(itertools.product((-1, 0, 1), repeat=grid.dim))
-    # the cells around a node as cell offsets, in cell order, with the node's corner in each
-    around = [(c, corners.index(tuple(-d for d in c))) for c in itertools.product((-1, 0), repeat=grid.dim)]
-    # cell (node + offset) is padded[node + 1 + offset]: empty cells around the grid,
-    # the last cell column again on a periodic grid
-    padded = []
-    for tables, index in blocks:
-        pad = np.full(tuple(n + 1 for n in counts), len(tables), dtype=index.dtype)
-        pad[tuple(slice(1, 1 + c) for c in index.shape)] = index
-        if grid.periodic_x:
-            pad[1:-1, 0] = index[:, -1]
-        padded.append((np.concatenate([tables, np.zeros((1,) + tables.shape[1:])]), pad))
     strides = [math.prod(counts[axis + 1:]) for axis in range(grid.dim)]
     stencil_offsets = [sum(d * s for d, s in zip(delta, strides)) for delta in stencil]
     nx = counts[-1]
@@ -441,20 +467,12 @@ def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarr
         return data[offsets.index(offset)].reshape(counts)
 
     for delta, offset in zip(stencil, stencil_offsets):
-        terms = []
-        for cell, corner in around:
+
+        def entries(tables, cell, corner):  # the column node's entry, if it is a corner of the cell too
             node = tuple(d - c for d, c in zip(delta, cell))
-            if node in corners:
-                view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
-                terms += [(cell, tables[:, corner, corners.index(node)], pad[view]) for tables, pad in padded]
-        # an empty cell adds +0.0, which leaves every partial sum as it is
-        vals = np.zeros(counts)
-        for _, entries, cells in terms:
-            vals += entries[cells]
-        if grid.periodic_x:
-            vals[:, 0] = 0.0
-            for _, entries, cells in sorted(terms, key=lambda t: (t[0][0], -t[0][1])):
-                vals[:, 0] += entries[cells[:, 0]]
+            return tables[:, corner, corners.index(node)] if node in corners else None
+
+        vals = _node_sums(grid, blocks, entries)
         # row node + delta is column node: node-shaped slices of the rows and of their columns
         rows = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, counts))
         cols = tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, counts))
@@ -474,9 +492,10 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     sums of the fused 4x4 element matrices of the active cells around each
     node (``_stencil_block``);  the load integrates the basis
     gradients exactly over shape cells (x gradients for the first
-    component, y gradients for the second).
+    component, y gradients for the second).  The load and the Outside
+    cells' Dirichlet nodes are per-node sums (:func:`_node_sums`) too.
     """
-    _check_a(a)
+    _check_positive("a", a)
     if grid.dim != 2:
         raise GridError("assemble_2d needs a 2D grid")
     cellsacross = shape.thickness / grid.h
@@ -489,28 +508,18 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     # fused element matrices of Void and Shape cells; Outside, the last label, carries none
     tables = np.array([a * _K2 + h * h * _M2, a * _K2])
     block = _stencil_block(grid, [(tables, cls.labels)])
-    labels = cls.labels.ravel()
-    conn, n_nodes = _node_ids_2d(grid)
-    shape_cells = labels == CellLabel.SHAPE
-
-    rhs = np.zeros(2 * n_nodes)
-    c_s = conn[shape_cells]
-    if len(c_s):
-        np.add.at(rhs, c_s.ravel(), np.tile(h * _GRAD_X, len(c_s)))
-        np.add.at(rhs[n_nodes:], c_s.ravel(), np.tile(h * _GRAD_Y, len(c_s)))
-
-    # Dirichlet: box boundary + any node of an Outside cell
-    nxn, nyn = grid.node_counts()
-    mask = np.zeros(n_nodes, dtype=bool)
-    jj = np.arange(n_nodes) // nxn
-    ii = np.arange(n_nodes) % nxn
-    mask |= (jj == 0) | (jj == nyn - 1)
+    # Shape cells add their basis gradients' integrals, Void cells 0 and Outside cells nothing
+    rhs = np.concatenate([
+        _node_sums(grid, [(np.array([np.zeros(4), h * grad]), cls.labels)], lambda t, cell, corner: t[:, corner]).ravel()
+        for grad in (_GRAD_X, _GRAD_Y)
+    ])
+    # Outside cells pick table 0, a 1 at every corner; the other cells carry nothing
+    outside = (cls.labels != CellLabel.OUTSIDE).astype(np.uint8)
+    mask = _node_sums(grid, [(np.ones(1), outside)], lambda t, cell, corner: t) > 0
+    mask[[0, -1]] = True
     if not grid.periodic_x:
-        mask |= (ii == 0) | (ii == nxn - 1)
-    out_cells = np.flatnonzero(labels == CellLabel.OUTSIDE)
-    if len(out_cells):
-        mask[np.unique(conn[out_cells].ravel())] = True
-    return SparseSystem(block, rhs, mask, grid, classification=cls)
+        mask[:, [0, -1]] = True
+    return SparseSystem(block, rhs, mask.ravel(), grid, classification=cls)
 
 
 #: Damped-Jacobi weight of the multigrid smoother.
@@ -531,7 +540,7 @@ _GALERKIN_STRIP = 3072
 _GALERKIN_STRIPS = 16
 #: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
 REL_TOL = 1e-10
-#: Default cap on the CG iterations of each component.
+#: Cap on the CG iterations of each component.
 MAX_ITERATIONS = 100
 
 
@@ -709,7 +718,7 @@ def _free_product(A: sp.spmatrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarra
     return y
 
 
-def _pcg(A, fixed, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray, int]:
+def _pcg(A, fixed, b, b_norm, precondition) -> Tuple[np.ndarray, int]:
     """CG from x = 0 until ||r|| <= REL_TOL * b_norm; returns x and the iterations.
 
     Vectors are 0 on the ``fixed`` nodes; ``b`` is overwritten by the residual."""
@@ -717,7 +726,7 @@ def _pcg(A, fixed, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray,
     r = b
     p = precondition(r)
     rz = float(r @ p)
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         Ap = _free_product(A, fixed, p)
         pAp = float(p @ Ap)
         if pAp <= 0:
@@ -734,11 +743,11 @@ def _pcg(A, fixed, b, b_norm, precondition, max_iterations) -> Tuple[np.ndarray,
         p = z
         rz = rz_new
     raise NonConvergenceError(
-        f"CG did not reach {REL_TOL} within the cap of {max_iterations} iterations per component"
+        f"CG did not reach {REL_TOL} within the cap of {MAX_ITERATIONS} iterations per component"
     )
 
 
-def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> DiscreteField:
+def solve_spd(system: SparseSystem) -> DiscreteField:
     """Preconditioned conjugate gradients on the free nodes, per component.
 
     No reduced copy of the block is made: CG runs on vectors over every
@@ -747,9 +756,9 @@ def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> Dis
     when its component is solved.  One V-cycle hierarchy (:class:`_Multigrid`)
     on the system's grid serves every component.  Each component iterates
     until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load.  More than
-    ``max_iterations`` per component, by default ``MAX_ITERATIONS`` at any
-    size, raise :class:`NonConvergenceError`: a healthy V-cycle needs far
-    fewer, so it means an assembly bug or an indefinite system.  The
+    ``MAX_ITERATIONS`` per component, at any size, raise
+    :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it
+    means an assembly bug or an indefinite system.  The
     iteration count returned is the sum over components, deterministic for
     fixed inputs.
     """
@@ -775,7 +784,7 @@ def solve_spd(system: SparseSystem, max_iterations: int = MAX_ITERATIONS) -> Dis
             continue
         if precondition is None:
             precondition = _Multigrid(system.block, system.grid, free)
-        x, its = _pcg(system.block, fixed, b, b_norm, precondition, max_iterations)
+        x, its = _pcg(system.block, fixed, b, b_norm, precondition)
         np.copyto(x_comps[c], x, where=free)
         iterations += its
         del x, b  # before the next load, which would otherwise sit beside them

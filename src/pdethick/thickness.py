@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, EmptyShapeError
 from .geometry import CellClassification, StructuredGrid, write_grid_csv
-from .solver import DiscreteField
+from .solver import DiscreteField, _cell_corners
 
 #: |div| below DIV_FLOOR_REL * (2 / (sqrt(a) T_bar)) counts as singular.
 DIV_FLOOR_REL = 1e-12
@@ -43,13 +43,11 @@ def divergence(field: DiscreteField) -> np.ndarray:
         r_mid = 0.5 * (r[:-1] + r[1:])
         s_mid = 0.5 * (s[:-1] + s[1:])
         return slope + s_mid / r_mid
-    sx, sy = field.components
     h = grid.h
-    west = np.arange(grid.cells[0])
-    east = (west + 1) % grid.node_counts()[0]  # wraps only on a periodic x axis
-    sx_w, sx_e, sy_w, sy_e = sx[:, west], sx[:, east], sy[:, west], sy[:, east]
-    dsx = ((sx_e[:-1] + sx_e[1:]) - (sx_w[:-1] + sx_w[1:])) / (2 * h)
-    dsy = ((sy_w[1:] + sy_e[1:]) - (sy_w[:-1] + sy_e[:-1])) / (2 * h)
+    sw, se, ne, nw = _cell_corners(grid, field.components[0])
+    dsx = ((se + ne) - (sw + nw)) / (2 * h)
+    sw, se, ne, nw = _cell_corners(grid, field.components[1])
+    dsy = ((nw + ne) - (sw + se)) / (2 * h)
     return dsx + dsy
 
 

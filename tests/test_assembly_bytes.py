@@ -6,8 +6,11 @@ vectorized.  They emit the same COO triplets in the same order, so the CSR
 arrays that scipy sums from them must agree bit for bit, not just to a
 tolerance, with the diagonal-stored block read as CSR (``block.tocsr()``).
 The 2D reference sums one fused 4x4 element matrix per active cell from COO
-triplets, the way ``assemble_2d`` did before it built the 9-point stencil
-directly.  The grid test pins ``solver.problem_grid`` to the
+triplets over a (cells, 4) connectivity array, the way ``assemble_2d`` did
+before it built the 9-point stencil directly, and scatters the load with
+``np.add.at`` and marks the Outside cells' nodes with ``np.unique`` over the
+same array, the way it did before one per-node sum wrote the load and the
+Dirichlet nodes too.  The grid test pins ``solver.problem_grid`` to the
 per-family grids the ``solve`` command built before it, which the per-family
 grid builders gave.
 """
@@ -100,14 +103,56 @@ def ref_assemble_radial(grid, shape, a):
     return matrix, rhs, mask
 
 
+def ref_node_ids_2d(grid):
+    """(cells, 4) int32 array of global node ids in SW, SE, NE, NW order."""
+    nx, ny = grid.cells
+    nxn, nyn = grid.node_counts()
+    ii = np.arange(nx, dtype=np.int32)
+    jj = np.arange(ny, dtype=np.int32)
+    i_east = (ii + 1) % nxn  # wraps only on a periodic x axis, where nxn = nx
+    jje = jj + 1
+    sw = jj[:, None] * nxn + ii[None, :]
+    se = jj[:, None] * nxn + i_east[None, :]
+    ne = jje[:, None] * nxn + i_east[None, :]
+    nw = jje[:, None] * nxn + ii[None, :]
+    conn = np.stack([sw, se, ne, nw], axis=-1).reshape(-1, 4)
+    return conn, nxn * nyn
+
+
 def ref_assemble_2d(grid, shape, a):
-    """The scalar 2D block from one COO triplet per cell entry, summed by tocsr."""
-    return ref_block_2d(grid, geometry.classify_cells(grid, shape).labels, a)
+    """The scalar 2D block, the load and the Dirichlet nodes of ``shape`` by reference."""
+    labels = geometry.classify_cells(grid, shape).labels
+    return (ref_block_2d(grid, labels, a),) + ref_load_and_mask_2d(grid, labels)
+
+
+def ref_load_and_mask_2d(grid, labels):
+    """The load scattered by ``np.add.at``; the box boundary and, by ``np.unique``,
+    every node of an Outside cell."""
+    labels = labels.ravel()
+    conn, n_nodes = ref_node_ids_2d(grid)
+    h = grid.h
+    rhs = np.zeros(2 * n_nodes)
+    c_s = conn[labels == CellLabel.SHAPE]
+    if len(c_s):
+        np.add.at(rhs, c_s.ravel(), np.tile(h * solver._GRAD_X, len(c_s)))
+        np.add.at(rhs[n_nodes:], c_s.ravel(), np.tile(h * solver._GRAD_Y, len(c_s)))
+    nxn, nyn = grid.node_counts()
+    mask = np.zeros(n_nodes, dtype=bool)
+    jj = np.arange(n_nodes) // nxn
+    ii = np.arange(n_nodes) % nxn
+    mask |= (jj == 0) | (jj == nyn - 1)
+    if not grid.periodic_x:
+        mask |= (ii == 0) | (ii == nxn - 1)
+    out_cells = np.flatnonzero(labels == CellLabel.OUTSIDE)
+    if len(out_cells):
+        mask[np.unique(conn[out_cells].ravel())] = True
+    return rhs, mask
 
 
 def ref_block_2d(grid, labels, a):
+    """The scalar 2D block from one COO triplet per cell entry, summed by tocsr."""
     labels = labels.ravel()
-    conn, n_nodes = solver._node_ids_2d(grid)
+    conn, n_nodes = ref_node_ids_2d(grid)
     h = grid.h
     active = labels != CellLabel.OUTSIDE
     void = labels[active] == CellLabel.VOID
@@ -243,20 +288,32 @@ def test_assemble_2d_bits(kind, a):
     assert (system.classification.labels == CellLabel.OUTSIDE).any() == (kind == "wavy-band")
     if kind == "narrow-band":
         assert grid.cells[0] == 4
-    _assert_same_csr(system.block, ref_assemble_2d(grid, shape, a))
+    _assert_same_2d(system, ref_assemble_2d(grid, shape, a))
+
+
+def _assert_same_2d(system, reference):
+    block, rhs, mask = reference
+    _assert_same_csr(system.block, block)
+    assert system.rhs.tobytes() == rhs.tobytes()
+    assert system.dirichlet_nodes.dtype == bool
+    assert system.dirichlet_nodes.tobytes() == mask.tobytes()
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("nx", [4, 23])
-def test_stencil_block_bits_on_random_labels(periodic, nx):
+@pytest.mark.parametrize("nx", [4, 5, 23])
+def test_stencil_block_bits_on_random_labels(monkeypatch, periodic, nx):
     # arbitrary labels put unequal cells on both sides of the periodic seam, where
     # the order of the sum over the four cells around a node shows in the last bit
     ny = 31
     grid = geometry.StructuredGrid(dim=2, origin=(0.0, 0.0), h=0.05, cells=(nx, ny), periodic_x=periodic)
     labels = np.random.default_rng(nx).integers(0, 3, size=(ny, nx)).astype(np.uint8)
+    monkeypatch.setattr(
+        solver, "classify_cells", lambda g, s: geometry.CellClassification(grid=g, labels=labels)
+    )
     a = 0.0123
-    tables = np.array([a * solver._K2 + grid.h * grid.h * solver._M2, a * solver._K2])
-    _assert_same_csr(solver._stencil_block(grid, [(tables, labels)]), ref_block_2d(grid, labels, a))
+    system = solver.assemble_2d(grid, shapes.band_whole(0.0, 1.0, 1.0), a)
+    assert system.rhs.any() and system.dirichlet_nodes[grid.node_counts()[0]:-grid.node_counts()[0]].any()
+    _assert_same_2d(system, (ref_block_2d(grid, labels, a),) + ref_load_and_mask_2d(grid, labels))
 
 
 # -- solve grids -----------------------------------------------------------------

@@ -23,7 +23,8 @@ class TestBuildGrid:
         assert g.node_counts() == (9, 25)
 
     def test_degenerate_box_rejected(self):
-        for bad in ({"h": 0.0, "cells": (8,)}, {"h": 0.125, "cells": (0,)}):
+        bad_h = [{"h": h, "cells": (8,)} for h in (0.0, -0.1, math.inf, math.nan)]
+        for bad in bad_h + [{"h": 0.125, "cells": (0,)}]:
             with pytest.raises(GridError):
                 geometry.StructuredGrid(dim=1, origin=(1.0,), **bad)
 
@@ -203,11 +204,20 @@ class TestClassifyCells:
         assert errs[2] <= 3 * math.pi * (6.0 / 240) * 2  # O(h) with a lax constant
 
 
+def _signed_distance(shape, point):
+    """``_signed_distance_grid`` at ``point``, one or two coordinates, the center of a one-cell grid."""
+    point = np.asarray(point, dtype=float).reshape(-1)
+    h = 1.0 / 16
+    grid = geometry.StructuredGrid(dim=len(point), origin=tuple(point - h / 2), h=h, cells=(1,) * len(point))
+    assert tuple(grid.cell_centers(d)[0] for d in range(grid.dim)) == pytest.approx(tuple(point), abs=1e-15)
+    return float(geometry._signed_distance_grid(shape, grid).item())
+
+
 class TestSignedDistance:
     def test_trivial_points(self):
-        assert geometry.signed_distance(shapes.annulus_whole(1, 2), (1.5, 0)) == 0.5
-        assert geometry.signed_distance(shapes.interval_whole(0, 1), 0.25) == 0.25
-        assert geometry.signed_distance(shapes.band_whole(0, 1, 1), (7.3, -0.2)) == pytest.approx(-0.2)
+        assert _signed_distance(shapes.annulus_whole(1, 2), (1.5, 0)) == 0.5
+        assert _signed_distance(shapes.interval_whole(0, 1), 0.25) == 0.25
+        assert _signed_distance(shapes.band_whole(0, 1, 1), (7.3, -0.2)) == pytest.approx(-0.2)
 
     @pytest.mark.parametrize(
         "shape, one, two",
@@ -219,33 +229,46 @@ class TestSignedDistance:
         ],
     )
     def test_one_and_two_coordinates(self, shape, one, two):
-        assert geometry.signed_distance(shape, one) == 0.25
-        assert geometry.signed_distance(shape, one[0]) == 0.25
-        assert geometry.signed_distance(shape, two) == 0.25
+        assert _signed_distance(shape, one) == 0.25
+        assert _signed_distance(shape, one[0]) == 0.25
+        assert _signed_distance(shape, two) == 0.25
 
     def test_negative_outside(self):
-        assert geometry.signed_distance(shapes.interval_whole(0, 1), (1.5, 0.0)) == -0.5
-        assert geometry.signed_distance(shapes.band_whole(0, 1, 1), (0.0, -0.5)) == -0.5
-        assert geometry.signed_distance(shapes.annulus_whole(1, 2), (0.0, 0.0)) == -1.0
-        assert geometry.signed_distance(shapes.annulus_whole(1, 2), -2.5) == -0.5
+        assert _signed_distance(shapes.interval_whole(0, 1), (1.5, 0.0)) == -0.5
+        assert _signed_distance(shapes.band_whole(0, 1, 1), (0.0, -0.5)) == -0.5
+        assert _signed_distance(shapes.annulus_whole(1, 2), (0.0, 0.0)) == -1.0
+        assert _signed_distance(shapes.annulus_whole(1, 2), -2.5) == -0.5
 
     def test_zero_on_boundary(self):
         ann = shapes.annulus_whole(1, 2)
         for theta in np.linspace(0, 2 * math.pi, 17):
             for r in (1.0, 2.0):
                 p = (r * math.cos(theta), r * math.sin(theta))
-                assert abs(geometry.signed_distance(ann, p)) <= 1e-12
+                assert abs(_signed_distance(ann, p)) <= 1e-12
         band = shapes.band_whole(0.25, 1.5, 1.0)
         for x in np.linspace(-5, 5, 7):
-            assert abs(geometry.signed_distance(band, (x, 0.25))) <= 1e-12
-            assert abs(geometry.signed_distance(band, (x, 1.5))) <= 1e-12
+            assert abs(_signed_distance(band, (x, 0.25))) <= 1e-12
+            assert abs(_signed_distance(band, (x, 1.5))) <= 1e-12
 
     @given(r=st.floats(0.0, 4.0), theta=st.floats(0.0, 2 * math.pi))
     @settings(max_examples=100, deadline=None)
     def test_annulus_formula_property(self, r, theta):
         ann = shapes.annulus_whole(1, 2)
         p = (r * math.cos(theta), r * math.sin(theta))
-        assert geometry.signed_distance(ann, p) == pytest.approx(min(r - 1, 2 - r), abs=1e-12)
+        assert _signed_distance(ann, p) == pytest.approx(min(r - 1, 2 - r), abs=1e-12)
+
+    def test_small_annulus_grid(self):
+        # a 6 x 6 box of spacing 1 centred on the origin: centers at radii
+        # sqrt(0.5^2 + 0.5^2) ... sqrt(2.5^2 + 2.5^2), negative in the hole and beyond r = 2,
+        # largest at r = sqrt(0.5^2 + 1.5^2)
+        grid = geometry.StructuredGrid(dim=2, origin=(-3.0, -3.0), h=1.0, cells=(6, 6))
+        c = grid.cell_centers(0)
+        r = np.hypot(*np.meshgrid(c, c))
+        rho = geometry._signed_distance_grid(shapes.annulus_whole(1, 2), grid)
+        assert rho.shape == (6, 6)
+        assert rho.tobytes() == np.minimum(r - 1, 2 - r).tobytes()
+        assert (rho[2:4, 2:4] < 0).all() and (rho[[0, -1]] < 0).all() and (rho[:, [0, -1]] < 0).all()
+        assert rho.max() == pytest.approx(2 - math.hypot(0.5, 1.5))
 
 
 class TestThicknessOracle:

@@ -154,11 +154,29 @@ class TestAssemble2d:
     @pytest.mark.parametrize("periodic, east", [(False, 4), (True, 0)])
     def test_east_corners_wrap_only_on_periodic_grids(self, periodic, east):
         grid = geometry.StructuredGrid(dim=2, origin=(0.0, 0.0), h=0.25, cells=(4, 2), periodic_x=periodic)
-        conn, n_nodes = solver._node_ids_2d(grid)
         nxn = grid.node_counts()[0]
-        assert conn.dtype == np.int32 and n_nodes == 3 * nxn
+        node_ids = np.arange(3 * nxn).reshape(3, nxn)
+        corners = solver._cell_corners(grid, node_ids)
+        assert [c.shape for c in corners] == [(2, 4)] * 4
         # the last cell of the first row: SW, SE, NE, NW
-        assert conn[3].tolist() == [3, east, nxn + east, nxn + 3]
+        assert [int(c[0, 3]) for c in corners] == [3, east, nxn + east, nxn + 3]
+        # and the first cell of the second row
+        assert [int(c[1, 0]) for c in corners] == [nxn, nxn + 1, 2 * nxn + 1, 2 * nxn]
+
+
+@pytest.mark.parametrize("h", [-0.1, 0.0, math.inf, math.nan])
+@pytest.mark.parametrize(
+    "shape",
+    [
+        shapes.interval_general(0.0, 1.0, -1.0, 2.0),
+        shapes.annulus_whole(1.0, 2.0),
+        shapes.annulus_general(1.0, 2.0, 2.5),
+    ],
+    ids=["interval-general", "annulus-whole", "annulus-general"],
+)
+def test_problem_grid_refuses_h_outside_the_positive_reals(shape, h):
+    with pytest.raises(GridError, match=f"^need a finite h > 0, got {h}$"):
+        solver.problem_grid(shape, 0.04, h)
 
 
 class TestSolveSpd:
@@ -180,10 +198,11 @@ class TestSolveSpd:
         assert f1.iterations == f2.iterations
         assert np.array_equal(f1.components[0], f2.components[0])
 
-    def test_nonconvergence_reported(self):
+    def test_nonconvergence_reported(self, monkeypatch):
         system, _, _ = _interval_system(n=3072)
-        with pytest.raises(NonConvergenceError):
-            solver.solve_spd(system, max_iterations=3)
+        monkeypatch.setattr(solver, "MAX_ITERATIONS", 3)
+        with pytest.raises(NonConvergenceError, match="within the cap of 3 iterations"):
+            solver.solve_spd(system)
 
     def test_nonpositive_free_diagonal_is_refused(self):
         system, _, _ = _interval_system()
