@@ -101,8 +101,10 @@ def oracle_grid(shape: ShapeSpec, cells: int) -> StructuredGrid:
     line runs over ``(b_l, b_r)`` where the family bounds it; a band grid is
     periodic with at least 4 whole cells along its period, whose length then
     sets h; an annulus sits in a square box centred on the origin.  A line of
-    fewer than 4 cells is refused with :class:`GridError`.
+    fewer than 4 cells, or ``cells`` not an int >= 1, raise :class:`GridError`.
     """
+    if not isinstance(cells, (int, np.integer)) or cells < 1:
+        raise GridError(f"need an int number of cells >= 1 across the shape, got {cells!r}")
     h = shape.thickness / cells
     pad = max(shape.thickness, 2 * h)
     kind = shape.family.kind

@@ -34,23 +34,19 @@ on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
 
-Every assembler writes its block directly with one stencil builder, as
-diagonals (DIA; Saad, *Iterative Methods for Sparse Linear Systems*, 2nd
-ed., SIAM 2003, section 3.4): each node's row sums the element matrices of
-the cells around it (two on a line, four in 2D), in the order a COO sum over
-the cells adds them, so the block is bit-identical to one summed from
-triplets without building them, and its products to those of that CSR
-block.  The same per-node sum writes the 2D load and the 2D Dirichlet
-nodes, and one corner gather reads each cell's four corner values back
-from the nodes; only these two know the SW, SE, NE, NW corner order and
-the periodic seam.  The solve never copies the block reduced to its free
-nodes: CG and each multigrid level work on vectors over every node of their
-grid, held at 0 on the fixed nodes, and no level stores a 2D prolongation;
-the coarse operators are formed strip by strip of coarse rows.  Both
-orders are fixed (deterministic regardless of any outer parallelism over
-distinct systems), and the solver performs the same floating-point
-operations on every run, so repeated solves of one system reproduce
-bit-identical results on a fixed platform and BLAS thread count.
+Every level's operator is a nearest-neighbour stencil per node, stored as
+diagonals in one layout (DIA; Saad, *Iterative Methods for Sparse Linear
+Systems*, 2nd ed., SIAM 2003, section 3.4).  Each block row sums the element
+matrices of the cells around its node in the order a COO sum over the cells
+adds them, so the block and its products have the bits of that CSR block;
+the same per-node sum writes the 2D load and Dirichlet nodes, and one
+corner gather hands each cell its corner values, so only these two know the
+corner order and the periodic seam.  Coarse operators are formed stencil
+by stencil, axis by axis.  CG and every level work on vectors over all
+nodes of their grid, 0 on the fixed nodes, so no reduced block and no 2D
+prolongation is stored.  The operations and their order are fixed, so
+repeated solves of one system give the same bits on a fixed platform and
+BLAS thread count, whatever runs beside them.
 """
 
 from __future__ import annotations
@@ -88,10 +84,9 @@ class SparseSystem:
     every component, and ``dirichlet_values`` (full length, zero unless a
     boundary probe sets them) their prescribed values.  The block restricted
     to the free nodes is symmetric positive definite; the solver applies it
-    through the whole block and never builds it.  ``block`` is stored as
-    diagonals (DIA, 3 on a line, 9 in 2D and 11 on a periodic grid), with 0
-    wherever no cell carries an entry, so the rows at nodes touching only
-    Outside cells are 0.  ``block.tocsr()`` is the int32 CSR block with
+    through the whole block and never builds it.  ``block`` is stored in
+    :func:`_dia_layout`'s diagonals, with 0 wherever no cell carries an
+    entry, so the rows at nodes touching only Outside cells are 0.  ``block.tocsr()`` is the int32 CSR block with
     sorted columns and no stored zeros.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
@@ -436,52 +431,72 @@ def _cell_corners(grid: StructuredGrid, nodal: np.ndarray) -> Tuple[np.ndarray, 
     return west[:-1], east[:-1], east[1:], west[1:]
 
 
+def _dia_layout(counts: Tuple[int, ...], periodic: bool):
+    """The one DIA layout of a nearest-neighbour operator on ``counts`` nodes,
+    slowest axis first: the ascending diagonal offsets (3 on a line, 9 in
+    2D) and, by stencil offset in ``itertools.product((-1, 0, 1))`` order,
+    its places ``(offset, rows, cols)``: row nodes ``rows`` couple to column
+    nodes ``cols`` (node-shaped slices) in diagonal ``offset``, by column.
+    On a periodic grid the wrap entries of node column 0 fill its unused W
+    and NW slots, those of column nx - 1 its SE and E slots, and the rest the
+    diagonals at +-(2 nx - 1), 11 in all."""
+    strides = [math.prod(counts[axis + 1:]) for axis in range(len(counts))]
+    nx = counts[-1]
+    places = {}
+    for delta in itertools.product((-1, 0, 1), repeat=len(counts)):
+        offset = sum(d * s for d, s in zip(delta, strides))
+        rows = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, counts))
+        cols = tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, counts))
+        places[delta] = [(offset, rows, cols)]
+        if periodic and delta[-1]:  # the wrap column: node column 0 west, nx - 1 east
+            edge = 0 if delta[-1] < 0 else nx - 1
+            places[delta].append((offset - delta[-1] * nx, rows[:-1] + (edge,), cols[:-1] + (nx - 1 - edge,)))
+    return sorted({offset for here in places.values() for offset, _, _ in here}), places
+
+
+def _dia_block(counts: Tuple[int, ...], periodic: bool, stencils, free: Optional[np.ndarray] = None) -> sp.dia_matrix:
+    """The operator of the node-shaped ``stencils``, one per stencil offset of
+    :func:`_dia_layout`, 0 where the row or the column node is not ``free``.
+    A row's product adds its entries in ascending offset order, as CSR does."""
+    offsets, places = _dia_layout(counts, periodic)
+    data = np.zeros((len(offsets), math.prod(counts)))
+    for here, vals in zip(places.values(), stencils):
+        for offset, rows, cols in here:
+            diagonal = data[offsets.index(offset)].reshape(counts)
+            np.copyto(diagonal[cols], vals[rows], where=True if free is None else free[rows] & free[cols])
+    return sp.dia_matrix((data, np.array(offsets, dtype=np.int32)), shape=(data.shape[1],) * 2)
+
+
+def _read_stencil(A: sp.dia_matrix, here, free: np.ndarray) -> np.ndarray:
+    """The entries of ``A``, in :func:`_dia_layout`'s layout, at one stencil
+    offset's places ``here``, 0 where the row or the column node is not free."""
+    vals = np.zeros(free.shape)
+    for offset, rows, cols in here:
+        diagonal = A.data[A.offsets.tolist().index(offset)].reshape(free.shape)
+        np.copyto(vals[rows], diagonal[cols], where=free[rows] & free[cols])
+    return vals
+
+
 def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.dia_matrix:
     """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
-    ``blocks`` lists ``(tables, index)``: ``tables`` holds k element
-    matrices over a cell's corners in ``_CORNERS`` order, and ``index``
-    picks each cell's matrix, as :func:`_node_sums` reads them; its sums are
-    the ones that summing the element matrices from COO triplets, cell by
-    cell and block by block, gives bit for bit.
-
-    Each stencil sum goes straight into its diagonal, in ascending offset
-    order: 3 diagonals on a line, 9 in 2D.  On a periodic grid the wrap
-    entries of node column 0 fill its unused W and NW slots and those of
-    node column nx - 1 its unused SE and E slots, and the rest go to the two
-    diagonals at +-(2 nx - 1), 11 in all.  An entry no cell carries is 0, so
-    ``tocsr()`` gives the sorted int32 CSR block that the triplet sum gives;
-    a product adds each row's terms in ascending column order, as CSR does.
+    ``blocks`` lists ``(tables, index)``: k element matrices over a cell's
+    corners in ``_CORNERS`` order and each cell's pick, as :func:`_node_sums`
+    reads them, whose sums are the COO triplet sums bit for bit.  They go
+    straight into their diagonals (:func:`_dia_block`), 0 where no cell
+    carries an entry, so ``tocsr()`` is the triplet sum's sorted CSR block.
     """
-    counts = grid.node_counts()[::-1]
     corners = _CORNERS[grid.dim]
-    stencil = list(itertools.product((-1, 0, 1), repeat=grid.dim))
-    strides = [math.prod(counts[axis + 1:]) for axis in range(grid.dim)]
-    stencil_offsets = [sum(d * s for d, s in zip(delta, strides)) for delta in stencil]
-    nx = counts[-1]
-    offsets = sorted(stencil_offsets + ([1 - 2 * nx, 2 * nx - 1] if grid.periodic_x else []))
-    n_nodes = math.prod(counts)
-    data = np.zeros((len(offsets), n_nodes))
 
-    def diagonal(offset):  # the diagonal as node-shaped, indexed by the column's node
-        return data[offsets.index(offset)].reshape(counts)
-
-    for delta, offset in zip(stencil, stencil_offsets):
-
+    def sums(delta):  # each node's entry towards its neighbour at delta
         def entries(tables, cell, corner):  # the column node's entry, if it is a corner of the cell too
             node = tuple(d - c for d, c in zip(delta, cell))
             return tables[:, corner, corners.index(node)] if node in corners else None
 
-        vals = _node_sums(grid, blocks, entries)
-        # row node + delta is column node: node-shaped slices of the rows and of their columns
-        rows = tuple(slice(max(0, -d), n - max(0, d)) for d, n in zip(delta, counts))
-        cols = tuple(slice(max(0, d), n + min(0, d)) for d, n in zip(delta, counts))
-        diagonal(offset)[cols] = vals[rows]
-        dx = delta[-1]
-        if grid.periodic_x and dx:  # the wrap column: node column 0 west, nx - 1 east
-            edge = 0 if dx < 0 else nx - 1
-            diagonal(offset - dx * nx)[cols[:-1] + (nx - 1 - edge,)] = vals[rows[:-1] + (edge,)]
-    return sp.dia_matrix((data, np.array(offsets, dtype=np.int32)), shape=(n_nodes, n_nodes))
+        return _node_sums(grid, blocks, entries)
+
+    stencils = map(sums, itertools.product((-1, 0, 1), repeat=grid.dim))
+    return _dia_block(grid.node_counts()[::-1], grid.periodic_x, stencils)
 
 
 def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -532,12 +547,6 @@ _SMOOTH_SWEEPS = 2
 _COARSEST_UNKNOWNS = 256
 #: An axis with fewer nodes than this is not coarsened.
 _MIN_COARSEN_NODES = 5
-#: A Galerkin product is formed in strips of whole coarse rows of the slowest
-#: axis.  A strip's temporaries scale with it, and each strip costs about
-#: 2 ms of scipy calls, so a strip holds at least this many coarse nodes (a
-#: small level is one strip) and a level has at most _GALERKIN_STRIPS strips.
-_GALERKIN_STRIP = 3072
-_GALERKIN_STRIPS = 16
 #: CG stops once ||r|| <= REL_TOL * ||b|| for each component.
 REL_TOL = 1e-10
 #: Cap on the CG iterations of each component.
@@ -581,97 +590,102 @@ def _along_axes(factors, x: np.ndarray) -> np.ndarray:
     return x.ravel()
 
 
-def _masked_kron(slow: sp.csr_matrix, fast, row_free: np.ndarray, col_free: np.ndarray) -> sp.csr_matrix:
-    """``kron(slow, fast)`` without the triplets of a fixed row or a fixed column."""
-    K = sp.kron(slow, fast, format="coo")
-    keep = row_free[K.row] & col_free[K.col]
-    return sp.csr_matrix((K.data[keep], (K.row[keep], K.col[keep])), shape=K.shape)
+def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
+    """One axis's Galerkin weights  W_d[D, I, i] = P[i, I] P[i + d, I + D]  of
+    its factor ``P``, ``i + d`` and ``I + D`` wrapped on a ring.  Maps the fine
+    offset d to ``(k, W_d)``: ``k`` slices the coarse offsets D + 1 that
+    occur, and W_d has a CSR row per such D and coarse node I, in that order."""
+    n, nc = factor.shape
+    first, last = factor.indptr[:-1], factor.indptr[1:] - 1  # each fine node's one or two coarse nodes
+    parent = np.stack([factor.indices[first], factor.indices[last]])
+    weight = np.stack([factor.data[first], np.where(last > first, factor.data[last], 0.0)])
+    j = np.arange(n) + np.arange(-1, 2)[:, None]  # [d, i]: the fine node i + d
+    # [d, parent I of i, parent J of i + d, i]: the weight of row (d, D + 1 = J - I + 1, I), column i
+    w = weight[None, :, None] * ((periodic | (0 <= j) & (j < n)) * weight[:, j % n]).swapaxes(0, 1)[:, None]
+    D1 = parent[:, j % n].swapaxes(0, 1)[:, None] - parent[None, :, None] + 1
+    if periodic:
+        D1 %= nc
+    row = ((3 * np.arange(3)[:, None, None, None] + D1) * nc + parent[None, :, None])[w != 0]
+    order = np.argsort(row, kind="stable")
+    data, cols = w[w != 0][order], np.broadcast_to(np.arange(n, dtype=np.int32), w.shape)[w != 0][order]
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=9 * nc))]).astype(np.int32)
+    weights = {}
+    for d in (-1, 0, 1):
+        base = 3 * (d + 1)  # the first row block of offset d
+        used = np.flatnonzero(np.diff(indptr[base * nc:(base + 3) * nc + 1:nc]))
+        k = slice(used[0], used[-1] + 1)
+        r0, r1 = (base + k.start) * nc, (base + k.stop) * nc
+        lo, hi = indptr[r0], indptr[r1]
+        weights[d] = (k, sp.csr_matrix((data[lo:hi], cols[lo:hi], indptr[r0:r1 + 1] - lo), shape=(r1 - r0, n)))
+    return weights
 
 
-def _band(A: sp.spmatrix, r0: int, r1: int, c0: int, c1: int) -> sp.csr_matrix:
-    """Rows ``r0:r1`` of ``A`` over columns ``c0:c1``, which hold all their
-    entries, as CSR in the order of ``A``'s product: ascending columns
-    without stored zeros for a DIA block, the stored order for CSR."""
-    if A.format == "dia":  # the rows as diagonals over the whole stored data, which is not copied
-        rows = sp.dia_matrix((A.data, A.offsets + r0), shape=(r1 - r0, A.shape[1])).tocsr()
-        data, indices, indptr = rows.data, rows.indices, rows.indptr
-    else:  # views of the rows' stored entries
-        lo, hi = A.indptr[r0], A.indptr[r1]
-        data, indices, indptr = A.data[lo:hi], A.indices[lo:hi], A.indptr[r0:r1 + 1] - lo
-    return sp.csr_matrix((data, indices - c0, indptr), shape=(r1 - r0, c1 - c0))
+def _galerkin(A: sp.dia_matrix, factors, periodic, free: np.ndarray, coarse_free: np.ndarray) -> sp.dia_matrix:
+    """The coarse operator  P^T A P  over every coarse node, stencil by stencil.
 
-
-def _galerkin(A: sp.spmatrix, factors, free: np.ndarray, coarse_free: np.ndarray) -> sp.csr_matrix:
-    """The coarse operator  P^T A P  over every coarse node, in strips of coarse rows.
-
-    ``P`` is the ``kron`` of the axis factors without the triplets of a
-    fixed fine row or a fixed coarse column; a fixed column of ``A`` meets
-    an empty row of ``P``, so each sum adds the free-node product's terms in
-    order.  No whole ``P`` is built, and a DIA ``A`` is never converted
-    whole.  A strip of coarse rows along the slowest axis reads the fine
-    rows it interpolates from and the rows next to them; every operator
-    couples neighbouring rows of that axis only (a 9-point stencil, 3-point
-    on a line).  The strip's ``P`` is the ``kron`` of a slice of that axis's
-    factor over those rows, its ``P^T`` the transpose of a slice of it,
-    and its rows of ``A`` a band (:func:`_band`).  Each strip's rows hold
-    the terms, in the stored order, of the whole product.
+    ``A`` is a nearest-neighbour operator in :func:`_dia_layout`'s layout on
+    the node grid of ``free``, ``P`` the ``kron`` of the axis ``factors``
+    with fixed fine rows and fixed coarse columns empty, and so is the
+    product (Dendy, "Black box multigrid", *J. Comput. Phys.* 48, 1982):
+    C[I, I + D] = sum over i, d of P[i, I] A[i, i + d] P[i + d, I + D].
+    Each fine stencil, its fixed nodes' couplings zeroed, is contracted along
+    the slowest axis, summed over its offsets, and contracted along the
+    fastest (:func:`_axis_weights`) into the coarse stencils.
     """
-    slow, fast = factors[0], (factors[1] if len(factors) == 2 else sp.identity(1, format="csr"))
-    free, coarse_free = free.ravel(), coarse_free.ravel()
-    (n_slow, nc_slow), (n_fast, nc_fast) = slow.shape, fast.shape
-    slow_t = slow.T.tocsr()
-    step = max(1, _GALERKIN_STRIP // nc_fast, -(-nc_slow // _GALERKIN_STRIPS))
-    strips = []
-    for J0 in range(0, nc_slow, step):
-        J1 = min(J0 + step, nc_slow)
-        rows_t = slow_t[J0:J1]
-        j0, j1 = int(rows_t.indices.min()), int(rows_t.indices.max()) + 1  # fine rows of the strip
-        k0, k1 = max(0, j0 - 1), min(n_slow, j1 + 1)  # and the rows next to them
-        P = _masked_kron(slow[k0:k1], fast, free[k0 * n_fast:k1 * n_fast], coarse_free)
-        PT = P[(j0 - k0) * n_fast:(j1 - k0) * n_fast, J0 * nc_fast:J1 * nc_fast].T.tocsr()
-        # the band is a temporary, freed before the product with P
-        strips.append(PT @ _band(A, j0 * n_fast, j1 * n_fast, k0 * n_fast, k1 * n_fast) @ P)
-    return sp.vstack(strips, format="csr")
+    counts, coarse_counts = free.shape, coarse_free.shape
+    places = _dia_layout(counts, periodic[-1])[1]
+    weights = [_axis_weights(f, p) for f, p in zip(factors, periodic)]
+    nc = coarse_counts[0]
+    coarse = np.zeros((3,) * len(counts) + coarse_counts[::-1])  # [D_y, D_x, I_x, I_y] in 2D
+    for d_fast in itertools.product((-1, 0, 1), repeat=len(counts) - 1):  # (d_x,) in 2D, () on a line
+        half = np.zeros((3, nc) + counts[1:])  # [D_y, I_y, i_x]
+        for d in (-1, 0, 1):
+            k, W = weights[0][d]
+            S = _read_stencil(A, places[(d,) + d_fast], free).reshape(counts[0], -1)
+            half[k] += (W @ S).reshape((-1, nc) + counts[1:])
+        if d_fast:  # contract the fastest axis
+            k, W = weights[1][d_fast[0]]
+            for D_y in range(3):
+                coarse[D_y, k] += (W @ half[D_y].T).reshape(-1, *coarse.shape[2:])
+        else:
+            coarse = half
+        del half
+    stencils = (coarse[D].T for D in itertools.product(range(3), repeat=len(counts)))
+    return _dia_block(coarse_counts, periodic[-1], stencils, coarse_free)
 
 
 class _Multigrid:
     """Galerkin multigrid V-cycle on vectors over every node of each level.
 
-    Each level is a tensor grid, node counts slowest axis first (``(ny,
-    nx)`` or ``(n,)``), whose vectors are 0 on its fixed nodes: the Dirichlet nodes, then the coarse nodes
-    whose injected fine node is fixed.  A level keeps its operator (the
-    whole block on the finest), smoother weights (0 on fixed nodes), the
-    fixed nodes and its per-axis prolongation factors, applied one axis at
-    a time, transposed to restrict.  Zeroing the residual and the prolonged
-    correction on fixed nodes makes the transfers the ``kron`` of the
-    factors with fixed fine rows and fixed coarse columns empty, of full
-    column rank, so each ``P^T A P`` stays SPD on the free nodes.  The
-    coarsest level has a dense inverse over its free nodes.  The same
-    sweeps before and after each coarse correction keep the cycle
+    Each level is a tensor grid, node counts slowest axis first, whose
+    vectors are 0 on its fixed nodes: the Dirichlet nodes, then the coarse
+    nodes whose injected fine node is fixed.  A level keeps its operator in
+    :func:`_dia_layout`'s diagonals (the whole block on the finest; a CSR
+    block enters through ``todia()``), smoother weights (0 on fixed nodes),
+    the fixed nodes and its per-axis prolongation factors, applied one axis
+    at a time, transposed to restrict.  So the transfers are the ``kron`` of
+    the factors with fixed fine rows and fixed coarse columns empty, of full
+    column rank, and each ``P^T A P`` (:func:`_galerkin`) is SPD on the free
+    nodes.  The coarsest level has a dense inverse over its free nodes.
+    Equal sweeps before and after each coarse correction keep the cycle
     symmetric, a valid CG preconditioner.  A free node whose diagonal entry
-    is not positive raises :class:`NonConvergenceError` before any level
-    is built: the block is not SPD.
+    is not positive raises :class:`NonConvergenceError`: not SPD.
     """
 
     def __init__(self, block: sp.spmatrix, grid: StructuredGrid, free: np.ndarray):
-        counts = grid.node_counts()[::-1]
-        periodic = [False] * (len(counts) - 1) + [grid.periodic_x]
-        A = block
-        free = free.reshape(counts)
-        diagonal = A.diagonal()
-        if np.any(diagonal[free.ravel()] <= 0):
+        A = block.todia()
+        free = free.reshape(grid.node_counts()[::-1])
+        periodic = [False] * (free.ndim - 1) + [grid.periodic_x]
+        if np.any(A.diagonal()[free.ravel()] <= 0):
             raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
         self.levels = []
-        while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(counts) >= _MIN_COARSEN_NODES:
-            factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(counts, periodic)))
-            coarse_free = free[np.ix_(*keep)]
-            weight = _SMOOTH_OMEGA / np.where(free.ravel(), diagonal, np.inf)
+        while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(free.shape) >= _MIN_COARSEN_NODES:
+            factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
+            weight = _SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)
             self.levels.append((A, weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
-            A = _galerkin(A, factors, free, coarse_free)
-            counts, free = coarse_free.shape, coarse_free
-            diagonal = A.diagonal()
+            coarse_free = free[np.ix_(*keep)]
+            A, free = _galerkin(A, factors, periodic, free, coarse_free), coarse_free
         self.coarse_free = np.flatnonzero(free)
-        # with no level, the coarsest operator is the DIA block itself
         self.coarse_inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
 
     def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:

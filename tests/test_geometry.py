@@ -35,6 +35,11 @@ class TestBuildGrid:
             geometry.oracle_grid(shape, 1)
         assert geometry.oracle_grid(shape, 3).cells == (4,)
 
+    @pytest.mark.parametrize("cells", [0, -3, 2.5, math.nan, math.inf, 4.0])
+    def test_oracle_grid_refuses_cells_that_are_not_positive_ints(self, cells):
+        with pytest.raises(GridError, match="int number of cells"):
+            geometry.oracle_grid(shapes.interval_whole(0, 1), cells)
+
     def test_periodic_node_count(self):
         g = geometry.StructuredGrid(
             dim=2, origin=(0.0, 0.0), h=0.125, cells=(8, 16), periodic_x=True

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -463,6 +464,74 @@ class TestDiagonalBlock:
         assert (block @ x).tobytes() == (block.tocsr() @ x).tobytes()
 
 
+def _neighbours(counts, periodic, delta):
+    """Flat row and column node of every coupling at ``delta``, and which exist."""
+    node = np.indices(counts).reshape(len(counts), -1)
+    other = node + np.array(delta)[:, None]
+    if periodic:
+        other[-1] %= counts[-1]
+    valid = np.all((0 <= other) & (other < np.array(counts)[:, None]), axis=0)
+    flat = lambda idx: np.ravel_multi_index(np.clip(idx, 0, np.array(counts)[:, None] - 1), counts)
+    return flat(node), flat(other), valid
+
+
+class TestDiaLayout:
+    @pytest.mark.parametrize("case", ["interval", "box", "wavy"])
+    def test_reading_the_block_gives_its_stencil_sums(self, case):
+        # every entry of the CSR block sits at one stencil offset of its row node
+        if case == "interval":
+            system, _, _ = _interval_system(n=96)
+        elif case == "box":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            system = solver.assemble(solver.problem_grid(ann, 0.04, 0.1), ann, 0.04)
+        else:
+            band = harness.canonical_wavy_band()
+            system = solver.assemble(solver.problem_grid(band, 0.1, np.sqrt(0.1) / 8), band, 0.1)
+        grid = system.grid
+        counts = grid.node_counts()[::-1]
+        csr = system.block.tocsr()
+        offsets, places = solver._dia_layout(counts, grid.periodic_x)
+        assert system.block.offsets.tolist() == offsets
+        if grid.periodic_x:  # the NW and SE wrap entries of the band's 11 diagonals
+            nx = counts[-1]
+            assert {1 - 2 * nx, 2 * nx - 1} < set(offsets)
+            for offset in (1 - 2 * nx, 2 * nx - 1):
+                assert np.count_nonzero(_diagonal(system.block, offset))
+        free = np.ones(counts, bool)
+        stored = 0
+        for delta, here in places.items():
+            got = solver._read_stencil(system.block, here, free)
+            rows, cols, valid = _neighbours(counts, grid.periodic_x, delta)
+            want = np.zeros(rows.size)
+            want[valid] = np.asarray(csr[rows[valid], cols[valid]]).ravel()
+            assert got.tobytes() == want.reshape(counts).tobytes(), delta
+            stored += np.count_nonzero(got)
+        assert stored == csr.count_nonzero()
+
+    @pytest.mark.parametrize("counts, periodic", [((11,), False), ((7, 9), False), ((7, 9), True), ((5, 3), True)])
+    def test_writing_then_reading_is_the_identity(self, counts, periodic):
+        rng = np.random.default_rng(13)
+        stencils, masked = [], []
+        free = rng.random(counts) < 0.8
+        for delta in itertools.product((-1, 0, 1), repeat=len(counts)):
+            rows, cols, valid = _neighbours(counts, periodic, delta)
+            stencil = np.where(valid, rng.standard_normal(rows.size), 0.0)
+            stencils.append(stencil.reshape(counts))
+            both = valid & free.ravel()[rows] & free.ravel()[cols]
+            masked.append(np.where(both, stencil, 0.0).reshape(counts))
+        offsets, places = solver._dia_layout(counts, periodic)
+        block = solver._dia_block(counts, periodic, stencils)
+        assert block.format == "dia" and block.offsets.tolist() == offsets
+        everywhere = np.ones(counts, bool)
+        for stencil, want, here in zip(stencils, masked, places.values()):
+            assert np.array_equal(solver._read_stencil(block, here, everywhere), stencil)
+            assert np.array_equal(solver._read_stencil(block, here, free), want)
+        # a free mask on writing zeros the same couplings
+        written = solver._dia_block(counts, periodic, stencils, free)
+        for want, here in zip(masked, places.values()):
+            assert np.array_equal(solver._read_stencil(written, here, everywhere), want)
+
+
 class TestMultigrid:
     @pytest.mark.parametrize("a", [0.04, 0.01])
     def test_annulus_iterations_flat_in_h(self, a):
@@ -606,30 +675,94 @@ class TestMultigrid:
                 free = coarse_free
 
     def test_finest_coarse_operator_matches_the_reduced_product(self):
-        # formed in strips from the whole block and P with empty fixed rows, against
-        # the product with the reduced block; at a = 0.001 the columns are unsorted
+        # the hierarchy's level-1 operator on the odd ring of 253 nodes, against the
+        # product with the reduced block, to rounding
         band = harness.canonical_wavy_band()
         grid = solver.problem_grid(band, 0.001, np.sqrt(0.001) / 8)
         system = solver.assemble(grid, band, 0.001)
         free = ~system.dirichlet_mask[: system.n // 2]
         mg = solver._Multigrid(system.block, grid, free)
         nx, ny = grid.node_counts()
+        assert nx == 253
         px, keep_x = solver._axis_prolongation(nx, True)
         py, keep_y = solver._axis_prolongation(ny, False)
         coarse_free = free.reshape(ny, nx)[np.ix_(keep_y, keep_x)].ravel()
         P = sp.kron(py, px, format="csr")[free][:, coarse_free]
-        want = (P.T.tocsr() @ system.block.tocsr()[free][:, free] @ P).tocsr()
-        level_1 = mg.levels[1][0]
-        assert level_1.shape[0] > 2 * solver._GALERKIN_STRIP
+        want = P.T @ system.block.tocsr()[free][:, free] @ P
+        bound = abs(P).T @ abs(system.block.tocsr()[free][:, free]) @ abs(P)
+        level_1 = mg.levels[1][0].tocsr()
+        assert mg.levels[1][0].format == "dia"
+        assert level_1[~coarse_free].count_nonzero() == level_1[:, ~coarse_free].count_nonzero() == 0
         got = level_1[coarse_free][:, coarse_free]
-        assert got.nnz == level_1.nnz  # fixed coarse rows and columns are empty
-        assert not want.has_sorted_indices
-        for name in ("indptr", "indices", "data"):  # same stored order, too
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-        got.sort_indices()
-        want.sort_indices()
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert (abs(got - want) > 1e-14 * bound).nnz == 0
+
+    @pytest.mark.parametrize("case", ["box", "wavy-even", "narrow", "interval", "radial", "gridless"])
+    def test_coarse_operators_match_the_kron_product(self, case):
+        """Every level's ``P^T A P`` against the product with ``kron`` transfers.
+
+        The boxed annulus at a = 0.005 has odd open axes of 571 nodes and an
+        even open axis of 286 on level 1, whose last node is kept; the wavy
+        band at h = 0.02 has an even ring of 50 nodes; the narrow band keeps
+        its 4-node ring below level 1 (an identity factor).
+        """
+        if case == "box":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            system = solver.assemble(solver.problem_grid(ann, 0.005, 1.0 / 114), ann, 0.005)
+            assert system.grid.node_counts() == (571, 571)
+        elif case == "wavy-even":
+            band = harness.canonical_wavy_band()
+            system = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
+            assert system.grid.node_counts()[0] == 50
+        elif case == "narrow":
+            system = _narrow_band_system()
+        elif case == "interval":
+            system, _, _ = _interval_system(n=3072)
+        elif case == "radial":
+            system = _radial_system(1.0 / 1024)
+        else:
+            m = 2000
+            block = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
+            grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
+            system = solver.SparseSystem(block, np.ones(m), np.zeros(m, bool), grid)
+        grid = system.grid
+        periodic = [False] * (grid.dim - 1) + [grid.periodic_x]
+        mg = solver._Multigrid(system.block, grid, ~system.dirichlet_mask[: system.n // system.n_components])
+        if case == "box":
+            assert [lv[0].shape[0] for lv in mg.levels[:2]] == [571**2, 286**2]
+        for k, (A, _, fixed, factors, _) in enumerate(mg.levels):
+            assert A.format == "dia"
+            counts = tuple(f.shape[0] for f in factors)
+            free = np.ones(A.shape[0], bool)
+            free[fixed] = False
+            free = free.reshape(counts)
+            keep = [solver._axis_prolongation(n, p)[1] for n, p in zip(counts, periodic)]
+            coarse_free = free[np.ix_(*keep)]
+            C = solver._galerkin(A, factors, periodic, free, coarse_free)
+            if k + 1 < len(mg.levels):
+                assert mg.levels[k + 1][0].data.tobytes() == C.data.tobytes()
+            assert C.offsets.tolist() == solver._dia_layout(coarse_free.shape, periodic[-1])[0]
+            P = factors[0] if len(factors) == 1 else sp.kron(*factors, format="csr")
+            P = (sp.diags(free.ravel() * 1.0) @ P @ sp.diags(coarse_free.ravel() * 1.0)).tocsr()
+            want = P.T @ A.tocsr() @ P
+            bound = abs(P).T @ abs(A.tocsr()) @ abs(P)
+            C = C.tocsr()
+            assert (abs(C - want) > 1e-14 * bound).nnz == 0, k
+            fixed_coarse = ~coarse_free.ravel()
+            assert C[fixed_coarse].count_nonzero() == C[:, fixed_coarse].count_nonzero() == 0
+
+    @pytest.mark.parametrize("case, counts", [("annulus", [7, 7]), ("wavy", [0, 7])])
+    def test_iterations_no_higher_than_with_product_formed_coarse_operators(self, case, counts):
+        # the per-component counts with coarse operators formed as CSR products
+        # P^T A P; a wrongly masked coarse stencil raises them first
+        if case == "annulus":
+            shape, a = shapes.annulus_general(1.0, 2.0, 2.5), 0.04
+        else:
+            shape, a = harness.canonical_wavy_band(), 0.004
+        grid = solver.problem_grid(shape, a, np.sqrt(a) / 8)
+        if case == "annulus":
+            assert grid.node_counts() == (201, 201)
+        got = _component_iterations(solver.assemble(grid, shape, a))
+        assert all(g <= c for g, c in zip(got, counts)), got
 
     def test_free_block_matvec_matches_the_reduced_block(self):
         band = harness.canonical_wavy_band()
@@ -659,10 +792,12 @@ class TestMultigrid:
         """tracemalloc on the 284^2 boxed annulus, in units of the CSR block's bytes.
 
         With stored prolongations and free-node weights the hierarchy kept
-        0.85 blocks; with transfers from the axis factors it keeps 0.50.
-        The build peaked 19.9 node vectors above its entry while ``_galerkin``
-        built the whole ``kron`` prolongation and its transpose, and 8.8 with
-        strip-local transfers.
+        0.85 blocks; with transfers from the axis factors it kept 0.50, and
+        0.43 with CSR coarse operators formed strip by strip; with coarse
+        stencils in diagonals it keeps 0.33.  The build peaked 19.9 node
+        vectors above its entry while ``_galerkin`` built the whole ``kron``
+        prolongation and its transpose, 8.8 with strip-local transfers, and
+        7.5 stencil by stencil.
         """
         system = _box_284()
         grid = system.grid
@@ -687,8 +822,9 @@ class TestMultigrid:
         reduced copy of the block at 3.09 in ``solve_spd``; the 9-point sums
         into CSR peaked at 2.21, and the solve peaked at 1.85 on free-node
         vectors with stored prolongations and at 1.58 on node-length vectors
-        without them.  Sums written straight into diagonals peak at 1.23, and
-        the solve with strip-local transfers at 1.14.
+        without them.  Sums written straight into diagonals peak at 1.23, the
+        solve with strip-local transfers at 1.14, and with every level in
+        diagonals at 1.04.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
