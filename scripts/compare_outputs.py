@@ -7,7 +7,10 @@ that is not a change of a number is printed as non-numeric, with its first
 differing line: a file present on one side only, a changed exit code
 (``.exit``) or stderr (``.stderr``), changed text such as a verdict, a
 different count of lines or numbers, or a number that becomes NaN or
-infinite.  A relative change is ``|b - a| / max(|a|, |b|)``.
+infinite.  A relative change is ``|b - a| / max(|a|, |b|, FLOOR)``: the
+absolute floor, near the solver's relative tolerance, keeps a value that is 0
+in exact arithmetic (a field component of 1e-16, an error at rounding level)
+from reading as a relative change of order 1.  The summary line prints it.
 
 Exit codes: 0 when every difference is numeric (or none), 1 when any is
 non-numeric, 2 on a usage error.
@@ -24,6 +27,8 @@ from pathlib import Path
 NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|nan|inf)(?![\w.])")
 # files that are verdicts as a whole: compared as text, never as numbers
 TEXT_SUFFIXES = (".exit", ".stderr")
+# magnitude below which a change counts against this floor, not the value itself
+FLOOR = 1e-10
 
 
 def _first_difference(lines_a, lines_b) -> str:
@@ -54,7 +59,7 @@ def compare_file(a: str, b: str, name: str):
             moved += 1
             change = abs(v - u)
             largest_abs = max(largest_abs, (change, line))
-            largest_rel = max(largest_rel, (change / max(abs(u), abs(v)) if change else 0.0, line))
+            largest_rel = max(largest_rel, (change / max(abs(u), abs(v), FLOOR), line))
     return moved, largest_abs, largest_rel
 
 
@@ -90,7 +95,8 @@ def main(argv=None) -> int:
         worst_rel = max(worst_rel, (relative, name))
     print(
         f"{differ} of {len(names)} files differ, {problems} non-numerically; largest absolute change"
-        f" {worst_abs[0]:.3g} ({worst_abs[1]}), largest relative {worst_rel[0]:.3g} ({worst_rel[1]})"
+        f" {worst_abs[0]:.3g} ({worst_abs[1]}), largest relative {worst_rel[0]:.3g} ({worst_rel[1]}),"
+        f" absolute floor {FLOOR:.3g}"
     )
     return 1 if problems else 0
 

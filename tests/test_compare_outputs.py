@@ -41,4 +41,18 @@ def test_identical_directories(tmp_path):
     files = {"run.exit": "0\n", "run.csv": "1.25\n"}
     code, out = _compare(tmp_path, files, files)
     assert code == 0
-    assert out == ["0 of 2 files differ, 0 non-numerically; largest absolute change 0 (-), largest relative 0 (-)"]
+    assert out == [
+        "0 of 2 files differ, 0 non-numerically; largest absolute change 0 (-), largest relative 0 (-),"
+        " absolute floor 1e-10"
+    ]
+
+
+def test_values_near_zero_are_measured_against_the_floor(tmp_path):
+    # a field component that is 0 in exact arithmetic moves from 1e-16 to -2e-16:
+    # relative to itself a change of 3, against the 1e-10 floor one of 3e-6
+    left = {"run.csv": "x,s\n0.5,1e-16\n1.5,0.25\n"}
+    right = {"run.csv": "x,s\n0.5,-2e-16\n1.5,0.25000000000000006\n"}
+    code, out = _compare(tmp_path, left, right)
+    assert code == 0
+    assert out[0] == "run.csv: 2 numbers moved, largest absolute 3e-16 (line 2), largest relative 3e-06 (line 2)"
+    assert out[-1].endswith("largest relative 3e-06 (run.csv), absolute floor 1e-10")
