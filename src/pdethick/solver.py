@@ -732,11 +732,11 @@ def _free_product(A: sp.spmatrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarra
     return y
 
 
-def _pcg(A, fixed, b, b_norm, precondition) -> Tuple[np.ndarray, int]:
-    """CG from x = 0 until ||r|| <= REL_TOL * b_norm; returns x and the iterations.
+def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
+    """CG on ``x`` until ||r|| <= REL_TOL * b_norm; returns the iterations.
 
-    Vectors are 0 on the ``fixed`` nodes; ``b`` is overwritten by the residual."""
-    x = np.zeros(len(b))
+    Vectors are 0 on the ``fixed`` nodes, except ``x``, whose values there
+    each step adds +0.0 to; ``b`` is overwritten by the residual."""
     r = b
     p = precondition(r)
     rz = float(r @ p)
@@ -746,10 +746,12 @@ def _pcg(A, fixed, b, b_norm, precondition) -> Tuple[np.ndarray, int]:
         if pAp <= 0:
             raise NonConvergenceError("nonpositive curvature; system not SPD")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        Ap *= alpha
+        r -= Ap
+        x += np.multiply(p, alpha, out=Ap)
+        del Ap  # before the V-cycle's temporaries
         if float(np.linalg.norm(r)) <= REL_TOL * b_norm:
-            return x, iterations
+            return iterations
         z = precondition(r)
         rz_new = float(r @ z)
         p *= rz_new / rz
@@ -765,9 +767,11 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     """Preconditioned conjugate gradients on the free nodes, per component.
 
     No reduced copy of the block is made: CG runs on vectors over every
-    node, 0 on the Dirichlet nodes (:func:`_free_product`).  Each load, the
-    right-hand side less  block @ x_dirichlet  on the free rows, is formed
-    when its component is solved.  One V-cycle hierarchy (:class:`_Multigrid`)
+    node, 0 on the Dirichlet nodes (:func:`_free_product`), and iterates in
+    the solution's own storage, where each Dirichlet value keeps its bits
+    but -0.0, which becomes +0.0.  Each load, the right-hand side less
+    block @ x_dirichlet  on the free rows, is formed when its component is
+    solved.  One V-cycle hierarchy (:class:`_Multigrid`)
     on the system's grid serves every component.  Each component iterates
     until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load.  More than
     ``MAX_ITERATIONS`` per component, at any size, raise
@@ -798,10 +802,8 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
             continue
         if precondition is None:
             precondition = _Multigrid(system.block, system.grid, free)
-        x, its = _pcg(system.block, fixed, b, b_norm, precondition)
-        np.copyto(x_comps[c], x, where=free)
-        iterations += its
-        del x, b  # before the next load, which would otherwise sit beside them
+        iterations += _pcg(system.block, fixed, b, b_norm, precondition, x_comps[c])
+        del b  # before the next load, which would otherwise sit beside it
     return _field_from_vector(system, x_full, iterations)
 
 

@@ -316,6 +316,23 @@ class TestHomogeneousProbes:
         interior = field.components[0][~system.dirichlet_mask]
         assert np.max(np.abs(interior)) <= boundary_sup + 1e-10
 
+    def test_dirichlet_values_keep_their_bits_but_negative_zero(self):
+        # CG iterates in the solution's storage and adds +0.0 to its Dirichlet
+        # values each step: a -0.0 there becomes +0.0, every other value stays
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = solver.assemble_2d(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
+        mask = system.dirichlet_mask
+        data = np.random.default_rng(11).standard_normal(system.n) * 1e-3
+        negative_zero = np.flatnonzero(mask)[[0, -1]]
+        data[negative_zero] = -0.0
+        field = solver.homogeneous_boundary_probe(system, data)
+        assert field.iterations > 0
+        flat = np.concatenate([c.ravel() for c in field.components])
+        kept = mask.copy()
+        kept[negative_zero] = False
+        assert flat[kept].tobytes() == data[kept].tobytes()
+        assert flat[negative_zero].tobytes() == np.zeros(2).tobytes()
+
     def test_interior_h1_estimate_band(self):
         lhs, rhs, h = harness.interior_h1_check("band")
         assert lhs <= rhs * (1.0 + 10.0 * h)
