@@ -594,29 +594,38 @@ def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
     """One axis's Galerkin weights  W_d[D, I, i] = P[i, I] P[i + d, I + D]  of
     its factor ``P``, ``i + d`` and ``I + D`` wrapped on a ring.  Maps the fine
     offset d to ``(k, W_d)``: ``k`` slices the coarse offsets D + 1 that
-    occur, and W_d has a CSR row per such D and coarse node I, in that order."""
+    occur, and W_d has a CSR row per such D and coarse node I, in that order.
+    Each weight is placed straight into its row at its fine node's place
+    among I's, so the rows come out in order with no sort."""
     n, nc = factor.shape
     first, last = factor.indptr[:-1], factor.indptr[1:] - 1  # each fine node's one or two coarse nodes
     parent = np.stack([factor.indices[first], factor.indices[last]])
     weight = np.stack([factor.data[first], np.where(last > first, factor.data[last], 0.0)])
-    j = np.arange(n) + np.arange(-1, 2)[:, None]  # [d, i]: the fine node i + d
-    # [d, parent I of i, parent J of i + d, i]: the weight of row (d, D + 1 = J - I + 1, I), column i
-    w = weight[None, :, None] * ((periodic | (0 <= j) & (j < n)) * weight[:, j % n]).swapaxes(0, 1)[:, None]
-    D1 = parent[:, j % n].swapaxes(0, 1)[:, None] - parent[None, :, None] + 1
+    support = factor.T.tocsr()  # each coarse node I's fine nodes i, ascending, with P[i, I]
+    width = np.diff(support.indptr)
+    I = np.repeat(np.arange(nc), width)
+    place = np.arange(len(I)) - support.indptr[I]
+    cols = np.zeros((nc, width.max()), np.int32)
+    cols[I, place] = support.indices
+    slot = np.arange(2)[:, None]
+    j = support.indices + np.arange(-1, 2)[:, None, None]  # [d, slot, entry]: the fine node i + d
+    w = support.data * (periodic | (0 <= j) & (j < n)) * weight[slot, j % n]
+    D1 = parent[slot, j % n] - I + 1  # D + 1 for the coarse node J = I + D in i + d's slot
     if periodic:
         D1 %= nc
-    row = ((3 * np.arange(3)[:, None, None, None] + D1) * nc + parent[None, :, None])[w != 0]
-    order = np.argsort(row, kind="stable")
-    data, cols = w[w != 0][order], np.broadcast_to(np.arange(n, dtype=np.int32), w.shape)[w != 0][order]
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(row, minlength=9 * nc))]).astype(np.int32)
+    # [d, D + 1, I, place of i]; a zero weight lands in D + 1 = 3, which no table reads
+    table = np.zeros((3, 4) + cols.shape)
+    table[np.arange(3)[:, None, None], np.where(w != 0, D1, 3), I, place] = w
     weights = {}
     for d in (-1, 0, 1):
-        base = 3 * (d + 1)  # the first row block of offset d
-        used = np.flatnonzero(np.diff(indptr[base * nc:(base + 3) * nc + 1:nc]))
+        count = np.count_nonzero(table[d + 1, :3], axis=2)  # [D + 1, I]
+        used = np.flatnonzero(count.any(axis=1))
         k = slice(used[0], used[-1] + 1)
-        r0, r1 = (base + k.start) * nc, (base + k.stop) * nc
-        lo, hi = indptr[r0], indptr[r1]
-        weights[d] = (k, sp.csr_matrix((data[lo:hi], cols[lo:hi], indptr[r0:r1 + 1] - lo), shape=(r1 - r0, n)))
+        rows = table[d + 1, k]
+        nz = rows != 0
+        indptr = np.concatenate([[0], np.cumsum(count[k])]).astype(np.int32)
+        W = sp.csr_matrix((rows[nz], np.broadcast_to(cols, nz.shape)[nz], indptr), shape=(len(indptr) - 1, n))
+        weights[d] = (k, W)
     return weights
 
 
