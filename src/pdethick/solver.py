@@ -690,16 +690,23 @@ class _Multigrid:
         self.levels = []
         while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(free.shape) >= _MIN_COARSEN_NODES:
             factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
-            weight = _SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)
-            self.levels.append((A, weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             coarse_free = free[np.ix_(*keep)]
-            A, free = _galerkin(A, factors, periodic, free, coarse_free), coarse_free
+            coarse = _galerkin(A, factors, periodic, free, coarse_free)  # from the float64 level, then stored in float32
+            weight = (_SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)).astype(np.float32)
+            factors = tuple(P.astype(np.float32) for P in factors)
+            self.levels.append((A.astype(np.float32), weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
+            A, free = coarse, coarse_free
         self.coarse_free = np.flatnonzero(free)
-        self.coarse_inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
+        inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
+        self.coarse_inverse = inverse.astype(np.float32) if self.levels else inverse
 
-    def __call__(self, r: np.ndarray, level: int = 0) -> np.ndarray:
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The cycle on a float64 ``r``, run in the levels' float32 (float64 with no levels)."""
+        return self._cycle(r.astype(self.coarse_inverse.dtype, copy=False), 0).astype(np.float64, copy=False)
+
+    def _cycle(self, r: np.ndarray, level: int) -> np.ndarray:
         if level == len(self.levels):
-            x = np.zeros(len(r))
+            x = np.zeros_like(r)
             x[self.coarse_free] = self.coarse_inverse @ r[self.coarse_free]
             return x
         A, weight, fixed, factors, restrictions = self.levels[level]
@@ -710,7 +717,7 @@ class _Multigrid:
         residual[fixed] = 0.0
         coarse = _along_axes(restrictions, residual)
         del residual  # before the prolongation's temporaries
-        correction = _along_axes(factors, self(coarse, level + 1))
+        correction = _along_axes(factors, self._cycle(coarse, level + 1))
         correction[fixed] = 0.0
         x += correction
         del correction

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 import math
@@ -454,6 +455,36 @@ def _wavy_253():
     return solver.assemble(grid, band, 0.001)
 
 
+def _float64_levels(system, count):
+    """The first ``count`` levels of ``system``'s hierarchy as ``_galerkin`` forms
+    them in float64 from ``system.block`` down: per level its operator, free
+    nodes, axis factors, coarse free nodes and coarse operator."""
+    grid = system.grid
+    periodic = [False] * (grid.dim - 1) + [grid.periodic_x]
+    A = system.block.todia()
+    free = ~system.dirichlet_nodes.reshape(grid.node_counts()[::-1])
+    levels = []
+    for _ in range(count):
+        factors, keep = zip(*(solver._axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
+        coarse_free = free[np.ix_(*keep)]
+        C = solver._galerkin(A, factors, periodic, free, coarse_free)
+        levels.append((A, free, factors, coarse_free, C))
+        A, free = C, coarse_free
+    return levels
+
+
+def _upcast(mg):
+    """``mg`` with every stored level and the coarse inverse in float64."""
+    up = copy.copy(mg)
+    up.levels = [
+        (A.astype(np.float64), w.astype(np.float64), fixed, tuple(P.astype(np.float64) for P in factors),
+         tuple(R.astype(np.float64) for R in restrictions))
+        for A, w, fixed, factors, restrictions in mg.levels
+    ]
+    up.coarse_inverse = mg.coarse_inverse.astype(np.float64)
+    return up
+
+
 class TestDiagonalBlock:
     def test_stored_block_is_smaller_than_its_csr(self):
         # 9 diagonals store 72 bytes a node against CSR's 12 a stored entry plus 4 a row;
@@ -692,8 +723,8 @@ class TestMultigrid:
                 free = coarse_free
 
     def test_finest_coarse_operator_matches_the_reduced_product(self):
-        # the hierarchy's level-1 operator on the odd ring of 253 nodes, against the
-        # product with the reduced block, to rounding
+        # the level-1 operator on the odd ring of 253 nodes, formed in float64 and
+        # stored in float32, against the product with the reduced block, to rounding
         band = harness.canonical_wavy_band()
         grid = solver.problem_grid(band, 0.001, np.sqrt(0.001) / 8)
         system = solver.assemble(grid, band, 0.001)
@@ -707,8 +738,10 @@ class TestMultigrid:
         P = sp.kron(py, px, format="csr")[free][:, coarse_free]
         want = P.T @ system.block.tocsr()[free][:, free] @ P
         bound = abs(P).T @ abs(system.block.tocsr()[free][:, free]) @ abs(P)
-        level_1 = mg.levels[1][0].tocsr()
-        assert mg.levels[1][0].format == "dia"
+        ((_, _, _, _, level_1),) = _float64_levels(system, 1)
+        assert mg.levels[1][0].format == level_1.format == "dia"
+        assert mg.levels[1][0].data.tobytes() == level_1.data.astype(np.float32).tobytes()
+        level_1 = level_1.tocsr()
         assert level_1[~coarse_free].count_nonzero() == level_1[:, ~coarse_free].count_nonzero() == 0
         got = level_1[coarse_free][:, coarse_free]
         assert (abs(got - want) > 1e-14 * bound).nnz == 0
@@ -743,20 +776,18 @@ class TestMultigrid:
             system = solver.SparseSystem(block, np.ones(m), np.zeros(m, bool), grid)
         grid = system.grid
         periodic = [False] * (grid.dim - 1) + [grid.periodic_x]
-        mg = solver._Multigrid(system.block, grid, ~system.dirichlet_mask[: system.n // system.n_components])
+        mg = solver._Multigrid(system.block, grid, ~system.dirichlet_nodes)
         if case == "box":
             assert [lv[0].shape[0] for lv in mg.levels[:2]] == [571**2, 286**2]
-        for k, (A, _, fixed, factors, _) in enumerate(mg.levels):
-            assert A.format == "dia"
-            counts = tuple(f.shape[0] for f in factors)
-            free = np.ones(A.shape[0], bool)
-            free[fixed] = False
-            free = free.reshape(counts)
-            keep = [solver._axis_prolongation(n, p)[1] for n, p in zip(counts, periodic)]
-            coarse_free = free[np.ix_(*keep)]
-            C = solver._galerkin(A, factors, periodic, free, coarse_free)
-            if k + 1 < len(mg.levels):
-                assert mg.levels[k + 1][0].data.tobytes() == C.data.tobytes()
+        assert system.block.dtype == np.float64 and mg.coarse_inverse.dtype == np.float32
+        levels = _float64_levels(system, len(mg.levels))
+        for k, ((A, free, factors, coarse_free, C), stored) in enumerate(zip(levels, mg.levels)):
+            # each level is stored as the float32 copy of the float64 operator
+            assert stored[0].format == "dia" and stored[0].offsets.tolist() == A.offsets.tolist()
+            assert all(e.dtype == np.float32 for e in (stored[0], stored[1], *stored[3], *stored[4]))
+            assert stored[0].data.tobytes() == A.data.astype(np.float32).tobytes()
+            assert np.array_equal(stored[2], np.flatnonzero(~free))
+            assert all((S != F).nnz == 0 for S, F in zip(stored[3], factors))
             assert C.offsets.tolist() == solver._dia_layout(coarse_free.shape, periodic[-1])[0]
             P = factors[0] if len(factors) == 1 else sp.kron(*factors, format="csr")
             P = (sp.diags(free.ravel() * 1.0) @ P @ sp.diags(coarse_free.ravel() * 1.0)).tocsr()
@@ -793,17 +824,33 @@ class TestMultigrid:
 
     def test_vcycle_is_symmetric_and_zero_on_fixed_nodes(self):
         # CG needs a symmetric preconditioner; a residual left nonzero on the
-        # Dirichlet rows before restriction breaks the symmetry at about 1e-2
+        # Dirichlet rows before restriction breaks the symmetry at about 1e-2.
+        # In float64 the cycle is symmetric to 1e-12; the shipped float32 cycle
+        # is symmetric up to float32 rounding
         band = harness.canonical_wavy_band()
         wavy = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
         rng = np.random.default_rng(3)
         for system in (wavy, _interval_holes_system()):
             mask = system.dirichlet_mask[: system.n // system.n_components]
             mg = solver._Multigrid(system.block, system.grid, ~mask)
+            assert mg.levels
             u, v = (np.where(mask, 0.0, rng.standard_normal(mask.size)) for _ in range(2))
-            Mu, Mv = mg(u), mg(v)
-            assert abs(u @ Mv - v @ Mu) <= 1e-12 * abs(u @ Mv)
-            assert u @ Mu > 0 and not Mu[mask].any()
+            for cycle, tolerance in ((_upcast(mg), 1e-12), (mg, 16 * np.finfo(np.float32).eps)):
+                Mu, Mv = cycle(u), cycle(v)
+                assert Mu.dtype == Mv.dtype == np.float64
+                assert abs(u @ Mv - v @ Mu) <= tolerance * abs(u @ Mv)
+                assert u @ Mu > 0 and not Mu[mask].any()
+
+    def test_hierarchy_without_levels_keeps_a_float64_inverse(self):
+        # at most _COARSEST_UNKNOWNS free unknowns: the dense inverse is the whole
+        # cycle, so it stays in float64 and solves in 1 CG iteration (2 in float32)
+        system, _, _ = _interval_system(n=96)
+        free = ~system.dirichlet_nodes
+        assert np.count_nonzero(free) <= solver._COARSEST_UNKNOWNS
+        mg = solver._Multigrid(system.block, system.grid, free)
+        assert mg.levels == [] and mg.coarse_inverse.dtype == np.float64
+        field = solver.solve_spd(system)
+        assert field.iterations == 1 and field.components[0].dtype == np.float64
 
     def test_hierarchy_keeps_less_than_half_a_block(self):
         """tracemalloc on the 284^2 boxed annulus, in units of the CSR block's bytes.
