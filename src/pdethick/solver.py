@@ -33,6 +33,8 @@ on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000): linear or bilinear
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
+The V-cycle runs in float32 under float64 CG (Goeddeke, Strzodka & Turek,
+*IJPEDS* 22, 2007), which halves the bytes its memory-bound products move.
 
 Every level's operator is a nearest-neighbour stencil per node, stored as
 diagonals in one layout (DIA; Saad, *Iterative Methods for Sparse Linear
@@ -562,13 +564,14 @@ def _field_from_vector(system: SparseSystem, x: np.ndarray, iterations: int) -> 
 def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarray]:
     """Linear interpolation along one axis from its even-indexed nodes.
 
-    Returns the (n, n_coarse) prolongation and the fine index of each coarse
-    node.  An open axis also keeps its last node; a periodic axis is a ring,
-    so for even n its last node interpolates from nodes n - 2 and 0.  An
-    axis shorter than ``_MIN_COARSEN_NODES`` is not coarsened.
+    Returns the (n, n_coarse) prolongation, in float32, which holds its 1 and
+    0.5 exactly, and the fine index of each coarse node.  An open axis also
+    keeps its last node; a periodic axis is a ring, so for even n its last
+    node interpolates from nodes n - 2 and 0.  An axis shorter than
+    ``_MIN_COARSEN_NODES`` is not coarsened.
     """
     if n < _MIN_COARSEN_NODES:
-        return sp.identity(n, format="csr"), np.arange(n)
+        return sp.identity(n, dtype=np.float32, format="csr"), np.arange(n)
     coarse = np.arange(0, n, 2)
     odd = np.arange(1, n, 2)
     if not periodic and n % 2 == 0:
@@ -577,7 +580,7 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
     nc = len(coarse)
     rows = np.concatenate([coarse, odd, odd])
     cols = np.concatenate([np.arange(nc), (odd - 1) // 2, (odd + 1) // 2 % nc])
-    vals = np.concatenate([np.ones(nc), np.full(2 * len(odd), 0.5)])
+    vals = np.concatenate([np.ones(nc, np.float32), np.full(2 * len(odd), 0.5, np.float32)])
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc)), coarse
 
 
@@ -595,37 +598,33 @@ def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
     its factor ``P``, ``i + d`` and ``I + D`` wrapped on a ring.  Maps the fine
     offset d to ``(k, W_d)``: ``k`` slices the coarse offsets D + 1 that
     occur, and W_d has a CSR row per such D and coarse node I, in that order.
-    Each weight is placed straight into its row at its fine node's place
-    among I's, so the rows come out in order with no sort."""
+    Each weight is written at its fine node's place among I's: no sort."""
     n, nc = factor.shape
     first, last = factor.indptr[:-1], factor.indptr[1:] - 1  # each fine node's one or two coarse nodes
     parent = np.stack([factor.indices[first], factor.indices[last]])
     weight = np.stack([factor.data[first], np.where(last > first, factor.data[last], 0.0)])
     support = factor.T.tocsr()  # each coarse node I's fine nodes i, ascending, with P[i, I]
-    width = np.diff(support.indptr)
-    I = np.repeat(np.arange(nc), width)
+    I = np.repeat(np.arange(nc), np.diff(support.indptr))
     place = np.arange(len(I)) - support.indptr[I]
-    cols = np.zeros((nc, width.max()), np.int32)
+    cols = np.zeros((nc, place.max() + 1), np.int32)
     cols[I, place] = support.indices
-    slot = np.arange(2)[:, None]
-    j = support.indices + np.arange(-1, 2)[:, None, None]  # [d, slot, entry]: the fine node i + d
-    w = support.data * (periodic | (0 <= j) & (j < n)) * weight[slot, j % n]
-    D1 = parent[slot, j % n] - I + 1  # D + 1 for the coarse node J = I + D in i + d's slot
+    j = support.indices + np.arange(-1, 2)[:, None]  # [d, entry]: the fine node i + d
+    w = support.data * (periodic | (0 <= j) & (j < n)) * weight[:, j % n]  # [slot of J in i + d, d, entry]
+    D1 = parent[:, j % n] - I + 1  # D + 1 = J - I + 1
     if periodic:
         D1 %= nc
     # [d, D + 1, I, place of i]; a zero weight lands in D + 1 = 3, which no table reads
     table = np.zeros((3, 4) + cols.shape)
-    table[np.arange(3)[:, None, None], np.where(w != 0, D1, 3), I, place] = w
+    table[np.arange(3)[:, None], np.where(w != 0, D1, 3), I, place] = w
     weights = {}
     for d in (-1, 0, 1):
         count = np.count_nonzero(table[d + 1, :3], axis=2)  # [D + 1, I]
         used = np.flatnonzero(count.any(axis=1))
         k = slice(used[0], used[-1] + 1)
-        rows = table[d + 1, k]
-        nz = rows != 0
+        nz = table[d + 1, k] != 0
         indptr = np.concatenate([[0], np.cumsum(count[k])]).astype(np.int32)
-        W = sp.csr_matrix((rows[nz], np.broadcast_to(cols, nz.shape)[nz], indptr), shape=(len(indptr) - 1, n))
-        weights[d] = (k, W)
+        W = (table[d + 1, k][nz], np.broadcast_to(cols, nz.shape)[nz], indptr)
+        weights[d] = (k, sp.csr_matrix(W, shape=(len(indptr) - 1, n)))
     return weights
 
 
@@ -669,15 +668,17 @@ class _Multigrid:
     Each level is a tensor grid, node counts slowest axis first, whose
     vectors are 0 on its fixed nodes: the Dirichlet nodes, then the coarse
     nodes whose injected fine node is fixed.  A level keeps its operator in
-    :func:`_dia_layout`'s diagonals (the whole block on the finest; a CSR
-    block enters through ``todia()``), smoother weights (0 on fixed nodes),
+    :func:`_dia_layout`'s diagonals, smoother weights (0 on fixed nodes),
     the fixed nodes and its per-axis prolongation factors, applied one axis
     at a time, transposed to restrict.  So the transfers are the ``kron`` of
     the factors with fixed fine rows and fixed coarse columns empty, of full
     column rank, and each ``P^T A P`` (:func:`_galerkin`) is SPD on the free
-    nodes.  The coarsest level has a dense inverse over its free nodes.
+    nodes.  Each is formed in float64 from the float64 level above (the
+    block, a CSR one through ``todia()``, on the finest); every level is then
+    stored, and the cycle run, in float32.  The coarsest level has a dense
+    inverse over its free nodes, in float64 where it is the whole hierarchy.
     Equal sweeps before and after each coarse correction keep the cycle
-    symmetric, a valid CG preconditioner.  A free node whose diagonal entry
+    symmetric to float32 rounding.  A free node whose diagonal entry
     is not positive raises :class:`NonConvergenceError`: not SPD.
     """
 
@@ -693,12 +694,11 @@ class _Multigrid:
             coarse_free = free[np.ix_(*keep)]
             coarse = _galerkin(A, factors, periodic, free, coarse_free)  # from the float64 level, then stored in float32
             weight = (_SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)).astype(np.float32)
-            factors = tuple(P.astype(np.float32) for P in factors)
             self.levels.append((A.astype(np.float32), weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             A, free = coarse, coarse_free
         self.coarse_free = np.flatnonzero(free)
         inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
-        self.coarse_inverse = inverse.astype(np.float32) if self.levels else inverse
+        self.coarse_inverse = inverse.astype(np.float32 if self.levels else np.float64, copy=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
         """The cycle on a float64 ``r``, run in the levels' float32 (float64 with no levels)."""
@@ -740,24 +740,17 @@ def _smooth(A: sp.spmatrix, weight: np.ndarray, r: np.ndarray, x: np.ndarray) ->
     x += t
 
 
-def _free_product(A: sp.spmatrix, fixed: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``A @ x`` with the ``fixed`` rows zeroed: for an ``x`` that is 0 on
-    the fixed nodes, the product with ``A`` restricted to the free nodes."""
-    y = A @ x
-    y[fixed] = 0.0
-    return y
-
-
 def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     """CG on ``x`` until ||r|| <= REL_TOL * b_norm; returns the iterations.
 
-    Vectors are 0 on the ``fixed`` nodes, except ``x``, whose values there
-    each step adds +0.0 to; ``b`` is overwritten by the residual."""
+    Vectors but ``x`` are 0 on the ``fixed`` nodes, where ``A @ p`` is zeroed
+    to give the free block's product; ``b`` is overwritten by the residual."""
     r = b
     p = precondition(r)
     rz = float(r @ p)
     for iterations in range(1, MAX_ITERATIONS + 1):
-        Ap = _free_product(A, fixed, p)
+        Ap = A @ p
+        Ap[fixed] = 0.0
         pAp = float(p @ Ap)
         if pAp <= 0:
             raise NonConvergenceError("nonpositive curvature; system not SPD")
@@ -783,12 +776,11 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     """Preconditioned conjugate gradients on the free nodes, per component.
 
     No reduced copy of the block is made: CG runs on vectors over every
-    node, 0 on the Dirichlet nodes (:func:`_free_product`), and iterates in
-    the solution's own storage, where each Dirichlet value keeps its bits
-    but -0.0, which becomes +0.0.  Each load, the right-hand side less
-    block @ x_dirichlet  on the free rows, is formed when its component is
-    solved.  One V-cycle hierarchy (:class:`_Multigrid`)
-    on the system's grid serves every component.  Each component iterates
+    node, 0 on the Dirichlet nodes (:func:`_pcg`), in the
+    solution's own storage: a Dirichlet value keeps its bits, but -0.0
+    becomes +0.0.  Each load, the right-hand side less  block @ x_dirichlet
+    on the free rows, is formed when its component is solved.  One V-cycle
+    hierarchy (:class:`_Multigrid`) on the system's grid serves every component.  Each component iterates
     until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load.  More than
     ``MAX_ITERATIONS`` per component, at any size, raise
     :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it

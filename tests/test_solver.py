@@ -818,7 +818,9 @@ class TestMultigrid:
         mask = system.dirichlet_mask[: system.n // 2]
         free = ~mask
         x = np.where(free, np.random.default_rng(5).standard_normal(free.size), 0.0)
-        got = solver._free_product(system.block, np.flatnonzero(mask), x)
+        # CG's product: the whole block's, zeroed on the fixed rows
+        got = system.block @ x
+        got[mask] = 0.0
         assert got[free].tobytes() == (system.block.tocsr()[free][:, free] @ x[free]).tobytes()
         assert not got[mask].any()
 
