@@ -692,7 +692,7 @@ class _Multigrid:
         while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(free.shape) >= _MIN_COARSEN_NODES:
             factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
             coarse_free = free[np.ix_(*keep)]
-            coarse = _galerkin(A, factors, periodic, free, coarse_free)  # from the float64 level, then stored in float32
+            coarse = _galerkin(A, factors, periodic, free, coarse_free)  # in float64, before A is stored in float32
             weight = (_SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)).astype(np.float32)
             self.levels.append((A.astype(np.float32), weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             A, free = coarse, coarse_free
@@ -775,18 +775,18 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
 def solve_spd(system: SparseSystem) -> DiscreteField:
     """Preconditioned conjugate gradients on the free nodes, per component.
 
-    No reduced copy of the block is made: CG runs on vectors over every
-    node, 0 on the Dirichlet nodes (:func:`_pcg`), in the
-    solution's own storage: a Dirichlet value keeps its bits, but -0.0
-    becomes +0.0.  Each load, the right-hand side less  block @ x_dirichlet
-    on the free rows, is formed when its component is solved.  One V-cycle
-    hierarchy (:class:`_Multigrid`) on the system's grid serves every component.  Each component iterates
-    until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load.  More than
-    ``MAX_ITERATIONS`` per component, at any size, raise
-    :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it
-    means an assembly bug or an indefinite system.  The
-    iteration count returned is the sum over components, deterministic for
-    fixed inputs.
+    No reduced copy of the block is made: CG (:func:`_pcg`) runs on vectors
+    over every node, 0 on the Dirichlet nodes, and iterates in the solution's
+    own storage, where a Dirichlet value keeps its bits but -0.0 becomes +0.0.
+    Each load, the right-hand side less  block @ x_dirichlet  on the free
+    rows, is formed when its component is solved.  One V-cycle hierarchy
+    (:class:`_Multigrid`) on the system's grid serves every component.  Each
+    component iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a
+    zero load.  More than ``MAX_ITERATIONS`` per component, at any size,
+    raise :class:`NonConvergenceError`: a healthy V-cycle needs far fewer,
+    so it means an assembly bug or an indefinite system.  The iteration
+    count returned is the sum over components, deterministic for fixed
+    inputs.
     """
     k = system.n_components
     mask = system.dirichlet_nodes
