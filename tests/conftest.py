@@ -4,6 +4,8 @@ import pathlib
 
 import pytest
 
+from pdethick import solver
+
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 
@@ -38,3 +40,17 @@ def read_csv():
     stays a string.
     """
     return _csv_columns
+
+
+@pytest.fixture
+def built_hierarchies(monkeypatch):
+    """The list each multigrid hierarchy built during the test appends itself to."""
+    built = []
+    init = solver._Multigrid.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(solver._Multigrid, "__init__", counting)
+    return built

@@ -172,6 +172,12 @@ class TestVerify:
             else:
                 assert check.passed, check.case
 
+    def test_max_principle_builds_one_hierarchy_per_system(self, built_hierarchies):
+        # ten probes over five systems: each system's probes share its hierarchy
+        check = harness._run_check("max-principle", None)
+        assert check.passed and len(check.samples) == 10
+        assert len(built_hierarchies) == 5
+
     def test_analytic_suite_passes(self):
         report = harness.verify_theorems("analytic")
         assert report.passed

@@ -228,6 +228,33 @@ class TestSolveSpd:
         with pytest.raises(NonConvergenceError, match="cap of 100 iterations"):
             solver.solve_spd(broken)
 
+    def test_second_solve_reuses_the_hierarchy(self, built_hierarchies):
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = solver.assemble_2d(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
+        first = solver.solve_spd(system)
+        second = solver.solve_spd(system)
+        assert built_hierarchies == [system.multigrid]
+        assert first.iterations == second.iterations > 0
+        assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.rhs = np.zeros(system.n)
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-36, 2.0**-130, 1e38])
+    def test_loads_outside_the_float32_range_solve(self, scale):
+        # the V-cycle runs in float32, whose normal range is about 1e-38 to 3e38;
+        # each load is scaled by a power of two before it, so a power-of-two
+        # scale of the load scales the solution's bits exactly
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
+        field = solver.solve_spd(system)
+        scaled = solver.solve_spd(dataclasses.replace(system, rhs=system.rhs * scale))
+        assert scaled.iterations == field.iterations == 14
+        for c, c_scaled in zip(field.components, scaled.components):
+            if math.frexp(scale)[0] == 0.5:
+                assert c_scaled.tobytes() == (c * scale).tobytes()
+            else:
+                assert np.max(np.abs(c_scaled / scale - c)) <= 1e-8 * np.max(np.abs(c))
+
     def test_matches_analytic_interval(self):
         a = 0.04
         system, grid, shape = _interval_system(n=512 * 3, a=a)
@@ -296,6 +323,7 @@ class TestHomogeneousProbes:
         field = solver.homogeneous_boundary_probe(system, np.zeros(system.n))
         assert field.iterations == 0
         assert not np.any(field.components[0])
+        assert "multigrid" not in vars(system)  # a zero load builds no hierarchy
 
     def test_constant_data_max_principle(self):
         shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
@@ -333,6 +361,19 @@ class TestHomogeneousProbes:
         kept[negative_zero] = False
         assert flat[kept].tobytes() == data[kept].tobytes()
         assert flat[negative_zero].tobytes() == np.zeros(2).tobytes()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_data_is_refused_on_fixed_nodes_only(self, bad):
+        system, _, _ = _interval_system()
+        data = np.ones(system.n)
+        data[0] = bad  # a Dirichlet node
+        with pytest.raises(GridError, match="^boundary data must be finite on the Dirichlet nodes$"):
+            solver.homogeneous_boundary_probe(system, data)
+        assert "multigrid" not in vars(system)  # refused before any solve
+        data[0], data[5] = 1.0, bad  # a free node's entry is ignored
+        field = solver.homogeneous_boundary_probe(system, data)
+        ones = solver.homogeneous_boundary_probe(system, np.ones(system.n))
+        assert field.components[0].tobytes() == ones.components[0].tobytes()
 
     def test_interior_h1_estimate_band(self):
         lhs, rhs, h = harness.interior_h1_check("band")
@@ -430,10 +471,9 @@ def _radial_system(h, a=0.04):
 
 
 def _void_probe_system(a=0.04):
-    """The all-void 1D system with Dirichlet data 1 at both ends."""
+    """The all-void 1D system, probed with Dirichlet data 1 at both ends."""
     grid = solver.problem_grid(shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, 1.0 / 256)
-    void = solver.assemble_1d(grid, None, a)
-    return dataclasses.replace(void, dirichlet_values=np.ones(void.n))
+    return solver.assemble_1d(grid, None, a)
 
 
 def _csr_bytes(block):
@@ -640,8 +680,13 @@ class TestMultigrid:
             system = _void_probe_system()
         if system.grid.dim == 1:  # large enough to reach the 1D hierarchy
             assert np.count_nonzero(~system.dirichlet_mask) > solver._COARSEST_UNKNOWNS
-        field = solver.solve_spd(system)
-        ref = _direct_reference(system, system.dirichlet_values)
+        if case == "void-probe":
+            data = np.ones(system.n)
+            field = solver.homogeneous_boundary_probe(system, data)
+        else:
+            data = None
+            field = solver.solve_spd(system)
+        ref = _direct_reference(system, data)
         flat = np.concatenate([c.ravel() for c in field.components])
         assert np.max(np.abs(flat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
