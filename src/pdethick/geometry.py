@@ -13,8 +13,9 @@ candidate diameter 2 rho(c); the field is the max over candidates.  The max
 reduction is associative and commutative, so the sweep order cannot change
 the result; the implementation below stamps many balls at once, grouped by
 reach and in batches of at most ``ORACLE_BATCH`` (source, target) pairs, so
-its scratch memory is bounded whatever the grid.  Cost is
-O(n_cells * ball cells) and refuses grids beyond 1024^2 cells.
+its scratch memory is bounded whatever the grid.  The largest balls go first
+and the sweep stops once no smaller one can raise a cell, so O(n_cells * ball
+cells) is only the worst-case cost.  Grids beyond 1024^2 cells are refused.
 """
 
 from __future__ import annotations
@@ -209,12 +210,14 @@ def geometric_thickness_oracle(grid: StructuredGrid, shape: ShapeSpec) -> Thickn
     thickness for the shapes handled here.
 
     The balls are stamped in batches.  Sources are grouped by their reach
-    ``int(rho/h) + 1``, and a group's windows of ``2 reach + 1`` cells per
-    axis are stamped together, at most ``ORACLE_BATCH`` (source, target)
-    pairs at a time (one source when its window alone is larger), so the
-    scratch arrays stay that size on any grid.  A periodic axis wraps the
+    ``int(rho/h) + 1``, largest first, and a group's windows of ``2 reach + 1``
+    cells per axis are stamped together, at most ``ORACLE_BATCH`` (source,
+    target) pairs at a time (one source when its window alone is larger), so
+    the scratch arrays stay that size on any grid.  A periodic axis wraps the
     window and takes the shortest periodic distance; any other axis clips it
-    to the grid, which only repeats its edge cells.
+    to the grid, which only repeats its edge cells.  The sweep stops at a
+    group whose largest 2 rho is no larger than the least value on the shape:
+    a stamp writes ``max(v, 2 rho)``, and later groups have smaller radii.
     """
     if grid.n_cells() > ORACLE_MAX_CELLS:
         raise GridError(
@@ -233,9 +236,11 @@ def geometric_thickness_oracle(grid: StructuredGrid, shape: ShapeSpec) -> Thickn
     sources = np.flatnonzero(mask)
     radii = rho.reshape(-1)[sources]
     reaches = (radii / grid.h).astype(int) + 1
-    for reach in np.unique(reaches):
+    for reach in np.unique(reaches)[::-1]:
         group = reaches == reach
         group_sources, group_radii = sources[group], radii[group]
+        if 2.0 * group_radii.max() <= values[mask].min():
+            break  # this group and every later, smaller one can raise no cell
         offsets = np.arange(-reach, reach + 1)
         step = max(1, ORACLE_BATCH // len(offsets) ** grid.dim)
         for lo in range(0, len(group_sources), step):

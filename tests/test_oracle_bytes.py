@@ -5,6 +5,10 @@ dimension: the 1D loop tests ``|dx| <= r``, the 2D loop ``dy**2 + dx**2 <= r*r``
 on windows clipped to the grid or wrapped around the periodic x axis.  Every
 grid runs a second time with ``ORACLE_BATCH`` at 7 pairs, so batches split
 the reach groups, down to one source per batch.
+
+The oracle stamps its reach groups largest first and stops at the first group
+that cannot raise a cell.  ``_stamps`` counts what it stamps, so the tests
+can pin both the skipped path and the one that is not skipped.
 """
 
 import functools
@@ -92,6 +96,8 @@ CASES = {
     "annulus-300": (shapes.annulus_whole(1.0, 2.0), _box(3.0, 0.02, 300)),
     # radii off the grid lines
     "annulus-173": (shapes.annulus_whole(0.7, 1.9), _box(2.5, 5.0 / 173, 173)),
+    # coarse enough that groups below the largest still raise cells
+    "annulus-31": (shapes.annulus_whole(1.0, 2.0), _box(2.5, 5.0 / 31, 31)),
 }
 
 
@@ -127,8 +133,52 @@ def test_cases_clip_and_wrap():
     assert (2 * reach + 1).max() > 2 * nx
 
 
+class _CountingNumpy:
+    """Forwards to numpy; ``maximum.at`` also records the stamped diameters."""
+
+    def __init__(self):
+        self.diameters = []
+        self.maximum = self
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def at(self, values, index, diameters):
+        self.diameters.append(np.asarray(diameters))
+        np.maximum.at(values, index, diameters)
+
+
+def _stamps(name, monkeypatch):
+    """The (source, target) pairs the oracle stamps on a case, and the reaches of their sources."""
+    counter = _CountingNumpy()
+    monkeypatch.setattr(geometry, "np", counter)
+    shape, grid = CASES[name]
+    geometry.geometric_thickness_oracle(grid, shape)
+    diameters = np.concatenate(counter.diameters)
+    # halving a diameter gives its radius exactly, so these are the oracle's own reaches
+    return len(diameters), np.unique((diameters / 2 / grid.h).astype(int) + 1)
+
+
+def test_annulus_stamps_only_its_largest_group(monkeypatch):
+    """The 300^2 annulus windows hold 22,081,488 pairs over 25 groups; only the largest is stamped."""
+    _, reach, _ = _windows("annulus-300")
+    assert ((2 * reach + 1) ** 2).sum() == 22_081_488 and len(np.unique(reach)) == 25
+    pairs, stamped = _stamps("annulus-300", monkeypatch)
+    assert stamped.tolist() == [reach.max()] and pairs == 1_823_464
+
+
+def test_coarse_annulus_stamps_below_its_largest_group(monkeypatch):
+    """On the 31^2 annulus the path past the largest group runs, which the byte test covers."""
+    _, reach, _ = _windows("annulus-31")
+    _, stamped = _stamps("annulus-31", monkeypatch)
+    assert len(stamped) > 1 and stamped.max() == reach.max()
+
+
 def test_batch_cap_bounds_scratch_memory():
-    """With all pairs stamped at once the 300^2 annulus peaks at about 72 MiB, batched at 6.4."""
+    """With all pairs stamped at once the 300^2 annulus peaks at about 72 MiB, batched at 5.7.
+
+    Its largest reach group sets that peak, and it is the only group stamped.
+    """
     shape, grid = CASES["annulus-300"]
     tracemalloc.start()
     try:
