@@ -20,9 +20,10 @@ than that raises :class:`UnderResolvedError` before any solve happens
 (flagged in reports, no false passes).  a-grids are fixed geometric
 sequences, never auto-chosen.
 
-Every PDE solve gets its grid from ``solver.problem_grid`` and its system
-from ``solver.assemble``; the one direct assembler call is the all-void
-probe's ``solver.assemble_1d(grid, None, a)``, which has no shape.
+Every PDE solve gets its system from ``_system``, through ``solver.problem_grid``
+and ``solver.assemble``; the one direct assembler call is the all-void probe's
+``solver.assemble_1d(grid, None, a)``, which has no shape.  Every tail probe
+gets its boundary data from ``_tail_data``.
 
 Reports serialize deterministically: fixed key order, floats at 17
 significant digits; identical configuration yields byte-identical JSON.
@@ -31,6 +32,7 @@ significant digits; identical configuration yields byte-identical JSON.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -38,14 +40,13 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import analytic, bessel, geometry, solver, thickness
 from .errors import DegenerateFitError, PdeThickError, UnderResolvedError
-from .geometry import StructuredGrid
-from .shapes import PeriodicBoundary, ShapeSpec
+from .shapes import Family, PeriodicBoundary, ShapeSpec
 from . import shapes as _shapes
 
 if TYPE_CHECKING:  # the pool's modules load only where a pool starts, so solve and sweep skip them
@@ -130,9 +131,9 @@ def target_h(a: float) -> float:
     return math.sqrt(a) / REQUIRED_LAYERS_PER_SQRT_A
 
 
-def _solve(shape: ShapeSpec, a: float, h: float) -> solver.DiscreteField:
-    """The discrete field of ``shape`` on its solve grid at target spacing ``h``."""
-    return solver.solve_spd(solver.assemble(solver.problem_grid(shape, a, h), shape, a))
+def _system(shape: ShapeSpec, a: float, h: float) -> solver.SparseSystem:
+    """The system of ``shape`` on its solve grid at target spacing ``h``."""
+    return solver.assemble(solver.problem_grid(shape, a, h), shape, a)
 
 
 def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
@@ -146,18 +147,17 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
     # raises DomainError, before any solve, for a family without an L2 envelope
     bound = analytic.general_bound(shape, a)
     limit = target_h(a)
-    grid = solver.problem_grid(shape, a, limit)
-    if grid.h > limit * (1 + 1e-12):
+    system = _system(shape, a, limit)
+    h = system.grid.h
+    if h > limit * (1 + 1e-12):
         raise UnderResolvedError(
-            f"h = {grid.h} violates the resolution floor h <= sqrt(a)/"
-            f"{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
+            f"h = {h} violates the resolution floor h <= sqrt(a)/{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
         )
-    system = solver.assemble(grid, shape, a)
     field = solver.solve_spd(system)
     div = thickness.divergence(field)
     inv = thickness.inverse_thickness(div, a, system.classification)
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
-    slack = 2.0 * grid.h / shape.thickness**2
+    slack = 2.0 * h / shape.thickness**2
     return SweepSample(a=a, error=norms.l2_on_omega, bound=bound, slack=slack, lower_bound=0.0)
 
 
@@ -254,17 +254,23 @@ def write_report_json(report, path: str) -> None:
         handle.write("\n")
 
 
-def report_csv_text(report: ConvergenceReport) -> str:
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """CSV lines, a field quoted only where it holds ``,``, ``"`` or a newline (RFC 4180)."""
     buf = io.StringIO()
-    buf.write("case,a,error,bound,slack,passed,slope,intercept\n")
-    for s in report.samples:
-        buf.write(
-            f"{report.case},{_fmt_float(s.a)},{_fmt_float(s.error)},{_fmt_float(s.bound)},"
-            f"{_fmt_float(s.slack)},{s.passed},"
-            f"{_fmt_float(report.slope) if report.slope is not None else ''},"
-            f"{_fmt_float(report.intercept) if report.intercept is not None else ''}\n"
-        )
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _sample_fields(s: SweepSample) -> List[str]:
+    return [_fmt_float(s.a), _fmt_float(s.error), _fmt_float(s.bound), _fmt_float(s.slack), str(s.passed)]
+
+
+def report_csv_text(report: ConvergenceReport) -> str:
+    fit = ["" if v is None else _fmt_float(v) for v in (report.slope, report.intercept)]
+    return _csv_text([
+        ("case", "a", "error", "bound", "slack", "passed", "slope", "intercept"),
+        *([report.case, *_sample_fields(s), *fit] for s in report.samples),
+    ])
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +321,10 @@ class VerifyReport:
         }
 
     def csv_text(self) -> str:
-        buf = io.StringIO()
-        buf.write("case,a,error,bound,slack,passed\n")
-        for check in self.checks:
-            for s in check.samples:
-                buf.write(
-                    f"{check.case},{_fmt_float(s.a)},{_fmt_float(s.error)},"
-                    f"{_fmt_float(s.bound)},{_fmt_float(s.slack)},{s.passed}\n"
-                )
-        return buf.getvalue()
+        return _csv_text([
+            ("case", "a", "error", "bound", "slack", "passed"),
+            *([check.case, *_sample_fields(s)] for check in self.checks for s in check.samples),
+        ])
 
 
 # an analytic check draws from the run's one generator, in the calling process
@@ -475,8 +476,8 @@ def _check_band_flat_reduction(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     h = 1.0 / 64
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    field2 = _solve(band, a, h)
-    field1 = _solve(_shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, h)
+    field2 = solver.solve_spd(_system(band, a, h))
+    field1 = solver.solve_spd(_system(_shapes.interval_general(0.0, 1.0, -1.0, 2.0), a, h))
     sx, sy = field2.components
     scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
     x_err = float(np.max(np.abs(sx)))
@@ -500,65 +501,46 @@ def _check_annulus_general_envelope(check: TheoremCheck, rng: None) -> None:
         check.add(run_general_l2_case(shape, a))
 
 
-def _band_tail_data(grid: StructuredGrid, tail: analytic.AnalyticSolution) -> np.ndarray:
-    """Boundary data (0, s(y)) on a band grid from the whole-line profile ``tail``."""
-    col = analytic.profile(tail, grid.node_coords(1))
-    n_nodes = int(np.prod(grid.node_counts()))
-    data = np.zeros(2 * n_nodes)
-    data[n_nodes:] = np.repeat(col, grid.node_counts()[0])
-    return data
+def _tail_data(system: solver.SparseSystem, shape: ShapeSpec, a: float) -> np.ndarray:
+    """Boundary data ``S(t) grad t`` on the grid of ``system``, from the whole-space tail.
 
-
-def _annulus_tail_data(grid: StructuredGrid, asol: analytic.AnalyticSolution) -> np.ndarray:
-    """Boundary data (s(r) x/r, s(r) y/r) on a box grid from the radial profile ``asol``."""
-    xx, yy = np.meshgrid(grid.node_coords(0), grid.node_coords(1))
-    rr = np.hypot(xx, yy)
-    s_of_r = analytic.profile(asol, rr)
+    ``t = shape.across(...)`` is the coordinate across the shape and ``S`` the
+    closed form of the same shape in the whole space: ``S`` on a line or radial
+    grid, ``(0, S(y))`` on a band and ``S(r) (x, y)/r`` on a box, 0 at ``r = 0``.
+    """
+    whole = ShapeSpec(Family(f"{shape.family.kind}-whole"), shape.f_l, shape.f_r, L=shape.L)
+    coords = np.meshgrid(*(system.grid.node_coords(k) for k in range(system.grid.dim)))
+    t = shape.across(*coords)
+    s_of_t = analytic.profile(analytic.solve_family(whole, a), t)
+    if len(coords) == 1:
+        return s_of_t
+    if shape.family.kind == "band":
+        return np.concatenate([np.zeros(s_of_t.size), s_of_t.ravel()])
     with np.errstate(invalid="ignore", divide="ignore"):
-        cx = np.where(rr > 0, xx / rr, 0.0)
-        cy = np.where(rr > 0, yy / rr, 0.0)
-    return np.concatenate([(s_of_r * cx).ravel(), (s_of_r * cy).ravel()])
+        return np.concatenate([(s_of_t * np.where(t > 0, c / t, 0.0)).ravel() for c in coords])
 
 
 def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSystem", np.ndarray]]:
     """The ten homogeneous probes: (label, system, boundary data)."""
-    probes = []
-
-    # 1-3: 1D interval-general with constant, tail, and random smooth data
+    # 1-4: 1D interval-general with constant, tail and smooth data, and the all-void domain
     ishape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
-    grid1 = solver.problem_grid(ishape, a, 1.0 / 64)
-    sys1 = solver.assemble(grid1, ishape, a)
-    nodes = grid1.node_coords(0)
-    probes.append(("interval-const", sys1, np.ones(sys1.n)))
-    tail = analytic.interval_whole(0.0, 1.0, a)
-    probes.append(("interval-tail", sys1, analytic.profile(tail, nodes)))
-    probes.append(("interval-cosine", sys1, np.cos(3.0 * nodes)))
-
-    # 4: 1D all-void domain with constant data
-    sys_v = solver.assemble_1d(grid1, None, a)
-    probes.append(("void-const", sys_v, np.ones(sys_v.n)))
-
-    # 5-6: radial annulus with constant and tail data
-    ashape = _shapes.annulus_whole(1.0, 2.0)
-    grid_r = solver.problem_grid(ashape, a, 1.0 / 128)
-    sys_r = solver.assemble(grid_r, ashape, a)
-    asol = analytic.annulus_whole(1.0, 2.0, a)
-    probes.append(("radial-const", sys_r, np.ones(sys_r.n)))
-    probes.append(("radial-tail", sys_r, analytic.profile(asol, grid_r.node_coords(0))))
-
-    # 7-8: 2D flat band with constant and tail data
-    bshape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-    grid_b = solver.problem_grid(bshape, a, 1.0 / 16)
-    sys_b = solver.assemble(grid_b, bshape, a)
-    probes.append(("band-const", sys_b, np.ones(sys_b.n)))
-    probes.append(("band-tail", sys_b, _band_tail_data(grid_b, tail)))
-
-    # 9-10: 2D annulus box with constant and tail data
-    gshape = _shapes.annulus_general(1.0, 2.0, 2.5)
-    grid_g = solver.problem_grid(gshape, a, target_h(a))
-    sys_g = solver.assemble(grid_g, gshape, a)
-    probes.append(("annulus-box-const", sys_g, np.ones(sys_g.n)))
-    probes.append(("annulus-box-tail", sys_g, _annulus_tail_data(grid_g, asol)))
+    sys1 = _system(ishape, a, 1.0 / 64)
+    sys_v = solver.assemble_1d(sys1.grid, None, a)
+    probes = [
+        ("interval-const", sys1, np.ones(sys1.n)),
+        ("interval-tail", sys1, _tail_data(sys1, ishape, a)),
+        ("interval-cosine", sys1, np.cos(3.0 * sys1.grid.node_coords(0))),
+        ("void-const", sys_v, np.ones(sys_v.n)),
+    ]
+    # 5-10: radial annulus, 2D flat band and annulus box, each with constant and tail data
+    for label, shape, h in (
+        ("radial", _shapes.annulus_whole(1.0, 2.0), 1.0 / 128),
+        ("band", _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0), 1.0 / 16),
+        ("annulus-box", _shapes.annulus_general(1.0, 2.0, 2.5), target_h(a)),
+    ):
+        system = _system(shape, a, h)
+        probes.append((f"{label}-const", system, np.ones(system.n)))
+        probes.append((f"{label}-tail", system, _tail_data(system, shape, a)))
     return probes
 
 
@@ -588,7 +570,7 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: None) -> None:
     cells = (128, 256, 512)
     errors = []
     for n in cells:
-        field = _solve(shape, a, 1.0 / n)
+        field = solver.solve_spd(_system(shape, a, 1.0 / n))
         exact = analytic.profile(sol, field.grid.node_coords(0))
         errors.append((cells[-1] / n, float(np.max(np.abs(field.components[0] - exact)))))
     check.add(SweepSample(a=a, error=errors[-1][1], bound=5e-5, slack=0.0))
@@ -601,7 +583,7 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: None) -> None:
 def _check_radial_cross_check(check: TheoremCheck, rng: None) -> None:
     a = 0.04
     shape = _shapes.annulus_whole(1.0, 2.0)
-    system = solver.assemble(solver.problem_grid(shape, a, 1.0 / 1024), shape, a)
+    system = _system(shape, a, 1.0 / 1024)
     field = solver.solve_spd(system)
     p = thickness.divergence(field)
     mask = system.classification.shape_mask
@@ -629,28 +611,7 @@ def _check_geometric_oracle(check: TheoremCheck, rng: None) -> None:
         check.add(SweepSample(a=grid.h, error=dev, bound=2.0 * grid.h, slack=0.0))
 
 
-# cutoffs for the interior gradient-energy estimate
-
-
-def band_cutoff_second_derivative(y: np.ndarray, f_l: float, f_r: float, b_l: float, b_r: float) -> np.ndarray:
-    """|c''| of the piecewise-quadratic band cutoff: 4/m^2 on each ramp."""
-    m_l = f_l - b_l
-    m_r = b_r - f_r
-    out = np.zeros_like(y, dtype=float)
-    out[(y > b_l) & (y < f_l)] = 4.0 / (m_l * m_l)
-    out[(y > f_r) & (y < b_r)] = 4.0 / (m_r * m_r)
-    return out
-
-
-def annulus_cutoff_constant(f: float, b: float) -> float:
-    """|lap c| = K of the radial cutoff (1 inside r<=f, 0 beyond r>=b).
-
-    K = 2 / (f^2 log f + b^2 log b - 2 p^2 log p) with p^2 = (f^2 + b^2)/2;
-    bounded by 8 (b^2 + f^2) / (b^2 - f^2)^2.
-    """
-    p_sq = 0.5 * (f * f + b * b)
-    denom = f * f * math.log(f) + b * b * math.log(b) - p_sq * math.log(p_sq)
-    return 2.0 / denom
+# the interior gradient-energy estimate
 
 
 def gradient_energy_on_shape(field: solver.DiscreteField, classification) -> float:
@@ -674,46 +635,55 @@ def _cell_magnitude_sq(field: solver.DiscreteField) -> np.ndarray:
     return mag2
 
 
+def _band_cutoff_energy(shape: ShapeSpec, grid: geometry.StructuredGrid, mag2: np.ndarray) -> float:
+    """sum over the cells of |c''| |d|^2, with |c''| = 4/m^2 on each ramp of a flat band's cutoff."""
+    y = grid.cell_centers(1)
+    lap = np.zeros_like(y)
+    for lo, hi in ((shape.b_l.mean, shape.f_l), (shape.f_r, shape.b_r.mean)):
+        lap[(y > lo) & (y < hi)] = 4.0 / ((hi - lo) * (hi - lo))
+    return float(np.sum(lap[:, None] * mag2))
+
+
+def _annulus_cutoff_energy(shape: ShapeSpec, grid: geometry.StructuredGrid, mag2: np.ndarray) -> float:
+    """sum over the cells of |lap c| |d|^2, for the radial cutoff from 1 at r = f_r to 0 at r = b_r."""
+    f, b = shape.f_r, shape.b_r
+    # |lap c| = 2 / (f^2 log f + b^2 log b - 2 p^2 log p) on the ramp, with p^2 = (f^2 + b^2)/2
+    p_sq = 0.5 * (f * f + b * b)
+    lap = 2.0 / (f * f * math.log(f) + b * b * math.log(b) - p_sq * math.log(p_sq))
+    cr = np.hypot(*np.meshgrid(grid.cell_centers(0), grid.cell_centers(1)))
+    return lap * float(np.sum(mag2[(cr > f) & (cr < b)]))
+
+
+#: interior-estimate case -> (shape, its cutoff energy from the grid and the per-cell |d|^2)
+_INTERIOR_CASES = {
+    "band": (_shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0), _band_cutoff_energy),
+    "annulus": (_shapes.annulus_general(1.0, 2.0, 2.5), _annulus_cutoff_energy),
+}
+
+
 def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
     """Gradient energy on the shape vs the cutoff bound, for a probe solution.
 
     Returns (lhs, rhs, h): lhs = int_shape |grad d|^2 of the homogeneous probe
     driven by the whole-space tail, rhs = 1/2 int |lap c| |d|^2 with the
-    explicit cutoff.  The discrete inequality is asserted by callers with an
-    O(h) slack.
+    explicit cutoff of the case ``kind``, ``"band"`` or ``"annulus"``.  The
+    discrete inequality is asserted by callers with an O(h) slack.
     """
-    if kind == "band":
-        shape = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-        grid = solver.problem_grid(shape, a, target_h(a))
-        system = solver.assemble(grid, shape, a)
-        data = _band_tail_data(grid, analytic.interval_whole(0.0, 1.0, a))
-        field = solver.homogeneous_boundary_probe(system, data)
-        lhs = gradient_energy_on_shape(field, system.classification)
-        cy = grid.cell_centers(1)
-        lap = band_cutoff_second_derivative(cy, 0.0, 1.0, -1.0, 2.0)
-        rhs = 0.5 * float(np.sum(lap[:, None] * _cell_magnitude_sq(field))) * grid.h**2
-        return lhs, rhs, grid.h
-    if kind == "annulus":
-        shape = _shapes.annulus_general(1.0, 2.0, 2.5)
-        grid = solver.problem_grid(shape, a, target_h(a))
-        system = solver.assemble(grid, shape, a)
-        data = _annulus_tail_data(grid, analytic.annulus_whole(1.0, 2.0, a))
-        field = solver.homogeneous_boundary_probe(system, data)
-        lhs = gradient_energy_on_shape(field, system.classification)
-        K = annulus_cutoff_constant(shape.f_r, shape.b_r)
-        cxx, cyy = np.meshgrid(grid.cell_centers(0), grid.cell_centers(1))
-        cr = np.hypot(cxx, cyy)
-        ramp = (cr > shape.f_r) & (cr < shape.b_r)
-        rhs = 0.5 * K * float(np.sum(_cell_magnitude_sq(field)[ramp])) * grid.h**2
-        return lhs, rhs, grid.h
-    raise PdeThickError(f"unknown interior-estimate case {kind}")
+    if kind not in _INTERIOR_CASES:
+        raise PdeThickError(f"unknown interior-estimate case {kind}")
+    shape, cutoff_energy = _INTERIOR_CASES[kind]
+    system = _system(shape, a, target_h(a))
+    field = solver.homogeneous_boundary_probe(system, _tail_data(system, shape, a))
+    lhs = gradient_energy_on_shape(field, system.classification)
+    rhs = 0.5 * cutoff_energy(shape, system.grid, _cell_magnitude_sq(field)) * system.grid.h**2
+    return lhs, rhs, system.grid.h
 
 
 @_check("interior-h1-estimate", "gradient energy on the shape bounded by the cutoff functional")
 def _check_interior_h1(check: TheoremCheck, rng: None) -> None:
-    for kind, m in (("band", 1.0), ("annulus", 0.5)):
+    for kind, (shape, _) in _INTERIOR_CASES.items():
         lhs, rhs, h = interior_h1_check(kind)
-        check.add(SweepSample(a=h, error=lhs, bound=rhs, slack=rhs * 10.0 * h / m))
+        check.add(SweepSample(a=h, error=lhs, bound=rhs, slack=rhs * 10.0 * h / shape.margin))
 
 
 SUITES = {

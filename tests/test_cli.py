@@ -343,6 +343,27 @@ class TestSweepCommand:
         assert report["slope"] == pytest.approx(0.5, abs=1e-10)
         assert all(s["passed"] for s in report["samples"])
 
+    def test_csv_reads_back_column_for_column(self, capsys, tmp_path, read_csv):
+        # the case label holds a comma, so the CSV must quote it to keep 8 fields a row
+        jpath, cpath = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        code, _, _ = run(
+            [
+                "sweep", "--family", "interval-whole", "--fl", "0", "--fr", "1",
+                "--a-list", "1e-4,1e-3,1e-2,1e-1", "--json", str(jpath), "--csv", str(cpath),
+            ],
+            capsys,
+        )
+        assert code == 0
+        report = json.loads(jpath.read_text())
+        cols = read_csv(cpath)
+        assert list(cols) == ["case", "a", "error", "bound", "slack", "passed", "slope", "intercept"]
+        assert "," in report["case"]
+        assert cols["case"] == [report["case"]] * 4
+        assert cols["a"] == [1e-4, 1e-3, 1e-2, 1e-1]
+        assert cols["passed"] == ["True"] * 4
+        assert cols["slope"] == [report["slope"]] * 4
+        assert cols["intercept"] == [report["intercept"]] * 4
+
     def test_bad_a_list_exits_2(self, capsys):
         code, _, _ = run(
             [

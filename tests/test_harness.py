@@ -434,6 +434,12 @@ class TestCsvReports:
         assert csv_text.splitlines()[0] == "case,a,error,bound,slack,passed,slope,intercept"
         assert len(csv_text.splitlines()) == 5
 
+    def test_csv_quotes_only_fields_that_need_it(self):
+        rows = [("case", "a"), ("x,y", "1"), ('say "hi"', ""), ("two\nlines", "plain text")]
+        assert harness._csv_text(rows) == (
+            'case,a\n"x,y",1\n"say ""hi""",\n"two\nlines",plain text\n'
+        )
+
     def test_verify_csv_mirror(self, tmp_path):
         report = harness.verify_theorems("analytic")
         text = report.csv_text()

@@ -14,7 +14,7 @@ import pytest
 import scipy.sparse as sp
 
 from pdethick import analytic, geometry, harness, shapes, solver, thickness
-from pdethick.errors import GridError, NonConvergenceError, NonNodalInterfaceError
+from pdethick.errors import GridError, NonConvergenceError, NonNodalInterfaceError, PdeThickError
 
 
 def _symmetry_defect(system):
@@ -382,6 +382,15 @@ class TestHomogeneousProbes:
     def test_interior_h1_estimate_annulus(self):
         lhs, rhs, h = harness.interior_h1_check("annulus")
         assert lhs <= rhs * (1.0 + 10.0 * h / 0.5)
+
+    @pytest.mark.parametrize("kind", ["disk", "Band", "interval", ""])
+    def test_interior_h1_estimate_refuses_an_unknown_case(self, kind, monkeypatch):
+        def no_system(*args):
+            raise AssertionError("an unknown case must be refused before any system is built")
+
+        monkeypatch.setattr(harness, "_system", no_system)
+        with pytest.raises(PdeThickError, match=f"^unknown interior-estimate case {kind}$"):
+            harness.interior_h1_check(kind)
 
 
 class TestSerialization:
