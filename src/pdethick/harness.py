@@ -502,22 +502,25 @@ def _check_annulus_general_envelope(check: TheoremCheck, rng: None) -> None:
 
 
 def _tail_data(system: solver.SparseSystem, shape: ShapeSpec, a: float) -> np.ndarray:
-    """Boundary data ``S(t) grad t`` on the grid of ``system``, from the whole-space tail.
+    """Boundary data ``S(t) grad t`` at the Dirichlet nodes of ``system``, 0.0 elsewhere.
 
     ``t = shape.across(...)`` is the coordinate across the shape and ``S`` the
     closed form of the same shape in the whole space: ``S`` on a line or radial
-    grid, ``(0, S(y))`` on a band and ``S(r) (x, y)/r`` on a box, 0 at ``r = 0``.
+    grid, ``(0, S(y))`` on a band and ``S(r) (x, y)/r`` on a box, whose
+    Dirichlet nodes lie on its edge, where ``r > 0``.  A probe reads its data
+    only at the Dirichlet nodes, so ``S`` is evaluated there alone.
     """
     whole = ShapeSpec(Family(f"{shape.family.kind}-whole"), shape.f_l, shape.f_r, L=shape.L)
-    coords = np.meshgrid(*(system.grid.node_coords(k) for k in range(system.grid.dim)))
+    grid, fixed = system.grid, system.dirichlet_nodes
+    coords = [c.ravel()[fixed] for c in np.meshgrid(*map(grid.node_coords, range(grid.dim)))]
     t = shape.across(*coords)
     s_of_t = analytic.profile(analytic.solve_family(whole, a), t)
-    if len(coords) == 1:
-        return s_of_t
-    if shape.family.kind == "band":
-        return np.concatenate([np.zeros(s_of_t.size), s_of_t.ravel()])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.concatenate([(s_of_t * np.where(t > 0, c / t, 0.0)).ravel() for c in coords])
+    data = np.zeros((grid.dim, fixed.size))
+    if grid.dim == 1 or shape.family.kind == "band":
+        data[-1, fixed] = s_of_t
+    else:
+        data[:, fixed] = [s_of_t * (c / t) for c in coords]
+    return data.ravel()
 
 
 def _max_principle_probes(a: float = 0.04) -> List[Tuple[str, "solver.SparseSystem", np.ndarray]]:
@@ -691,6 +694,13 @@ SUITES = {
     "default": list(_CHECKS),
 }
 
+#: every discrete check, longest first as timed in a fresh process: the pool starts them
+#: in this order, so the short ones fill the workers' ends (Graham's LPT rule, 1969)
+_LONGEST_FIRST = (
+    "annulus-general-envelope", "max-principle", "band-general-envelope", "interior-h1-estimate",
+    "band-flat-reduction", "geometric-oracle", "radial-cross-check", "solver-1d-convergence",
+)
+
 
 #: the variables that set OpenBLAS's thread count, in the order it reads them
 _BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -762,21 +772,22 @@ def _worker_result(name: str, future: Future, rerun: bool = True) -> TheoremChec
 def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check of ``suite``; a failing or raising check never aborts the run.
 
-    The non-analytic checks start first, in registration order, in forked
-    worker processes, each with ``None`` for its generator.  Meanwhile the
-    analytic checks run here in registration order, drawing from the run's
-    one ``default_rng(seed)``.  The report lists the checks in registration
-    order, so it is byte-identical to running them all in one process.  A
-    check whose worker dies is run once more alone and, if its worker dies
-    again, reported as errored; no worker outlives the call.  The pool needs
-    the ``fork`` start method, so a suite with discrete checks runs on POSIX
-    systems only.
+    The non-analytic checks start first, longest first (``_LONGEST_FIRST``),
+    in forked worker processes, each with ``None`` for its generator.
+    Meanwhile the analytic checks run here in registration order, drawing
+    from the run's one ``default_rng(seed)``.  The report lists the checks in
+    registration order, so it is byte-identical to running them all in one
+    process.  A check whose worker dies is run once more alone and, if its
+    worker dies again, reported as errored; no worker outlives the call.  The
+    pool needs the ``fork`` start method, so a suite with discrete checks
+    runs on POSIX systems only.
     """
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     names = SUITES[suite]
     rng = np.random.default_rng(seed)
-    with _in_workers([name for name in names if not _CHECKS[name][1]]) as pending:
+    discrete = sorted((name for name in names if not _CHECKS[name][1]), key=_LONGEST_FIRST.index)
+    with _in_workers(discrete) as pending:
         done = {name: _run_check(name, rng) for name in names if name not in pending}
     done.update((name, _worker_result(name, future)) for name, future in pending.items())
     return VerifyReport(suite=suite, checks=[done[name] for name in names])

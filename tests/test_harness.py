@@ -351,6 +351,26 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("pool"))
         assert harness.verify_theorems("analytic").passed
 
+    def test_pool_starts_the_longest_checks_first(self, monkeypatch):
+        import concurrent.futures
+
+        submitted = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, fn, name, *args):
+                submitted.append(name)
+                return super().submit(fn, name, *args)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        report = harness.verify_theorems("default")
+        assert submitted == list(harness._LONGEST_FIRST)
+        assert [c.case for c in report.checks] == harness.SUITES["default"]
+        assert report.passed
+
+    def test_longest_first_lists_every_discrete_check_once(self):
+        discrete = [name for name, (_, in_analytic, _) in harness._CHECKS.items() if not in_analytic]
+        assert sorted(harness._LONGEST_FIRST) == sorted(discrete)
+
     def test_non_analytic_check_gets_no_generator(self, monkeypatch):
         def draws(check, rng):
             check.add(harness.SweepSample(a=float(rng.uniform()), error=0.0, bound=1.0, slack=0.0))
