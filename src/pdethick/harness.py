@@ -694,12 +694,9 @@ SUITES = {
     "default": list(_CHECKS),
 }
 
-#: every discrete check, longest first as timed in a fresh process: the pool starts them
-#: in this order, so the short ones fill the workers' ends (Graham's LPT rule, 1969)
-_LONGEST_FIRST = (
-    "annulus-general-envelope", "max-principle", "band-general-envelope", "interior-h1-estimate",
-    "band-flat-reduction", "geometric-oracle", "radial-cross-check", "solver-1d-convergence",
-)
+#: the long discrete checks, longest first as timed in a fresh pooled pass: the pool starts
+#: them before the others, so the short ones fill the workers' ends (Graham's LPT rule, 1969)
+_LONGEST_FIRST = ("annulus-general-envelope", "max-principle", "interior-h1-estimate", "band-general-envelope")
 
 
 #: the variables that set OpenBLAS's thread count, in the order it reads them
@@ -772,21 +769,23 @@ def _worker_result(name: str, future: Future, rerun: bool = True) -> TheoremChec
 def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check of ``suite``; a failing or raising check never aborts the run.
 
-    The non-analytic checks start first, longest first (``_LONGEST_FIRST``),
-    in forked worker processes, each with ``None`` for its generator.
-    Meanwhile the analytic checks run here in registration order, drawing
-    from the run's one ``default_rng(seed)``.  The report lists the checks in
-    registration order, so it is byte-identical to running them all in one
-    process.  A check whose worker dies is run once more alone and, if its
-    worker dies again, reported as errored; no worker outlives the call.  The
-    pool needs the ``fork`` start method, so a suite with discrete checks
-    runs on POSIX systems only.
+    The non-analytic checks start first, ``_LONGEST_FIRST`` first, in forked
+    worker processes, each with ``None`` for its generator.  Meanwhile the
+    analytic checks run here in registration order, drawing from the run's
+    one ``default_rng(seed)``.  The report lists the checks in registration
+    order, so it is byte-identical to running them all in one process.  A
+    check whose worker dies is run once more alone and, if its worker dies
+    again, reported as errored; no worker outlives the call.  The pool needs
+    the ``fork`` start method, so a suite with discrete checks runs on POSIX
+    systems only.
     """
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     names = SUITES[suite]
     rng = np.random.default_rng(seed)
-    discrete = sorted((name for name in names if not _CHECKS[name][1]), key=_LONGEST_FIRST.index)
+    discrete = [name for name in names if not _CHECKS[name][1]]
+    # the sort is stable: the checks outside _LONGEST_FIRST keep registration order
+    discrete.sort(key=lambda name: _LONGEST_FIRST.index(name) if name in _LONGEST_FIRST else len(_LONGEST_FIRST))
     with _in_workers(discrete) as pending:
         done = {name: _run_check(name, rng) for name in names if name not in pending}
     done.update((name, _worker_result(name, future)) for name, future in pending.items())

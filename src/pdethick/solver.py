@@ -57,7 +57,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional, TextIO, Tuple, Union
 
 import numpy as np
@@ -634,38 +634,21 @@ def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
     return weights
 
 
-@cache
-def _axis(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarray, dict]:
-    """One axis's prolongation factor, coarse node indices and Galerkin weights.
-
-    Pure in ``(n, periodic)``, so each is built once per process and shared,
-    read-only: a square grid's two axes share theirs, and nested grids their
-    coarse levels.
-    """
-    factor, keep = _axis_prolongation(n, periodic)
-    weights = _axis_weights(factor, periodic)
-    for matrix in (factor, *(W for _, W in weights.values())):
-        for array in (matrix.data, matrix.indices, matrix.indptr):
-            array.flags.writeable = False
-    keep.flags.writeable = False
-    return factor, keep, weights
-
-
-def _galerkin(A: sp.dia_matrix, weights, periodic, free: np.ndarray, coarse_free: np.ndarray) -> sp.dia_matrix:
+def _galerkin(A: sp.dia_matrix, factors, periodic, free: np.ndarray, coarse_free: np.ndarray) -> sp.dia_matrix:
     """The coarse operator  P^T A P  over every coarse node, stencil by stencil.
 
     ``A`` is a nearest-neighbour operator in :func:`_dia_layout`'s layout on
-    the node grid of ``free``, ``P`` the ``kron`` of the axis factors
+    the node grid of ``free``, ``P`` the ``kron`` of the axis ``factors``
     with fixed fine rows and fixed coarse columns empty, and so is the
     product (Dendy, "Black box multigrid", *J. Comput. Phys.* 48, 1982):
     C[I, I + D] = sum over i, d of P[i, I] A[i, i + d] P[i + d, I + D].
     Each fine stencil, its fixed nodes' couplings zeroed, is contracted along
     the slowest axis, summed over its offsets, and contracted along the
-    fastest into the coarse stencils, with each axis's ``weights`` from
-    :func:`_axis_weights`.
+    fastest (:func:`_axis_weights`) into the coarse stencils.
     """
     counts, coarse_counts = free.shape, coarse_free.shape
     places = _dia_layout(counts, periodic[-1])[1]
+    weights = [_axis_weights(f, p) for f, p in zip(factors, periodic)]
     nc = coarse_counts[0]
     coarse = np.zeros((3,) * len(counts) + coarse_counts[::-1])  # [D_y, D_x, I_x, I_y] in 2D
     for d_fast in itertools.product((-1, 0, 1), repeat=len(counts) - 1):  # (d_x,) in 2D, () on a line
@@ -713,9 +696,9 @@ class _Multigrid:
             raise NonConvergenceError("nonpositive diagonal entry; system not SPD")
         self.levels = []
         while np.count_nonzero(free) > _COARSEST_UNKNOWNS and max(free.shape) >= _MIN_COARSEN_NODES:
-            factors, keep, weights = zip(*(_axis(n, p) for n, p in zip(free.shape, periodic)))
+            factors, keep = zip(*(_axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
             coarse_free = free[np.ix_(*keep)]
-            coarse = _galerkin(A, weights, periodic, free, coarse_free)  # in float64, before A is stored in float32
+            coarse = _galerkin(A, factors, periodic, free, coarse_free)  # in float64, before A is stored in float32
             weight = (_SMOOTH_OMEGA / np.where(free.ravel(), A.diagonal(), np.inf)).astype(np.float32)
             self.levels.append((A.astype(np.float32), weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             A, free = coarse, coarse_free

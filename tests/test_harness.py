@@ -363,13 +363,16 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         report = harness.verify_theorems("default")
-        assert submitted == list(harness._LONGEST_FIRST)
+        discrete = [name for name, (_, in_analytic, _) in harness._CHECKS.items() if not in_analytic]
+        rest = [name for name in discrete if name not in harness._LONGEST_FIRST]
+        assert submitted == list(harness._LONGEST_FIRST) + rest
         assert [c.case for c in report.checks] == harness.SUITES["default"]
         assert report.passed
 
-    def test_longest_first_lists_every_discrete_check_once(self):
+    def test_longest_first_names_only_discrete_checks_once(self):
         discrete = [name for name, (_, in_analytic, _) in harness._CHECKS.items() if not in_analytic]
-        assert sorted(harness._LONGEST_FIRST) == sorted(discrete)
+        assert len(set(harness._LONGEST_FIRST)) == len(harness._LONGEST_FIRST)
+        assert set(harness._LONGEST_FIRST) <= set(discrete)
 
     def test_non_analytic_check_gets_no_generator(self, monkeypatch):
         def draws(check, rng):

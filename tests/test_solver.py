@@ -514,9 +514,9 @@ def _float64_levels(system, count):
     free = ~system.dirichlet_nodes.reshape(grid.node_counts()[::-1])
     levels = []
     for _ in range(count):
-        factors, keep, weights = zip(*(solver._axis(n, p) for n, p in zip(free.shape, periodic)))
+        factors, keep = zip(*(solver._axis_prolongation(n, p) for n, p in zip(free.shape, periodic)))
         coarse_free = free[np.ix_(*keep)]
-        C = solver._galerkin(A, weights, periodic, free, coarse_free)
+        C = solver._galerkin(A, factors, periodic, free, coarse_free)
         levels.append((A, free, factors, coarse_free, C))
         A, free = C, coarse_free
     return levels
@@ -655,25 +655,6 @@ class TestMultigrid:
         assert solver._axis_prolongation(4, True)[1].tolist() == [0, 1, 2, 3]
         assert solver._axis_prolongation(10, False)[1].tolist() == [0, 2, 4, 6, 8, 9]
         assert solver._axis_prolongation(10, True)[0].toarray()[9].tolist() == [0.5, 0, 0, 0, 0.5]
-
-    def test_axis_tables_are_built_once_per_process(self):
-        # the nested 1D grids of solver-1d-convergence (385, 769 and 1537 nodes) share
-        # their coarse levels: 1 + 2 + 3 levels from 3 tables
-        solver._axis.cache_clear()
-        for cells in (384, 768, 1536):
-            system, _, _ = _interval_system(n=cells)
-            solver._Multigrid(system.block, system.grid, ~system.dirichlet_nodes)
-        assert solver._axis.cache_info()[:2] == (3, 3)  # (hits, misses)
-        # a square box's two axes share each level's table
-        ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
-        assert system.grid.node_counts()[0] == system.grid.node_counts()[1]
-        solver._axis.cache_clear()
-        mg = solver._Multigrid(system.block, system.grid, ~system.dirichlet_nodes)
-        assert len(mg.levels) >= 2
-        assert solver._axis.cache_info()[:2] == (len(mg.levels), len(mg.levels))
-        factor, keep, _ = solver._axis(system.grid.node_counts()[0], False)
-        assert not (factor.data.flags.writeable or keep.flags.writeable)
 
     def test_semi_coarsening(self):
         # 421 x 7 nodes: level 0 halves both axes; below level 1 the x axis stays
