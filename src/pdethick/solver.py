@@ -600,37 +600,25 @@ def _along_axes(factors, x: np.ndarray) -> np.ndarray:
 
 
 def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
-    """One axis's Galerkin weights  W_d[D, I, i] = P[i, I] P[i + d, I + D]  of
-    its factor ``P``, ``i + d`` and ``I + D`` wrapped on a ring.  Maps the fine
-    offset d to ``(k, W_d)``: ``k`` slices the coarse offsets D + 1 that
-    occur, and W_d has a CSR row per such D and coarse node I, in that order.
-    Each weight is written at its fine node's place among I's: no sort."""
+    """One axis's Galerkin weights of its factor ``P``: maps the fine offset d
+    to the CSR ``W_d`` of shape (3 nc, n) whose row (D + 1) nc + I holds
+    P[i, I] P[i + d, I + D] in column i, ``i + d`` and ``I + D`` wrapped on a
+    ring.  Built from each fine node's one or two coarse nodes as one COO
+    list, sorted by column within a row and with no stored zeros; the rows of
+    coarse offsets that never occur are empty."""
     n, nc = factor.shape
     first, last = factor.indptr[:-1], factor.indptr[1:] - 1  # each fine node's one or two coarse nodes
     parent = np.stack([factor.indices[first], factor.indices[last]])
     weight = np.stack([factor.data[first], np.where(last > first, factor.data[last], 0.0)])
-    support = factor.T.tocsr()  # each coarse node I's fine nodes i, ascending, with P[i, I]
-    I = np.repeat(np.arange(nc), np.diff(support.indptr))
-    place = np.arange(len(I)) - support.indptr[I]
-    cols = np.zeros((nc, place.max() + 1), np.int32)
-    cols[I, place] = support.indices
-    j = support.indices + np.arange(-1, 2)[:, None]  # [d, entry]: the fine node i + d
-    w = support.data * (periodic | (0 <= j) & (j < n)) * weight[:, j % n]  # [slot of J in i + d, d, entry]
-    D1 = parent[:, j % n] - I + 1  # D + 1 = J - I + 1
-    if periodic:
-        D1 %= nc
-    # [d, D + 1, I, place of i]; a zero weight lands in D + 1 = 3, which no table reads
-    table = np.zeros((3, 4) + cols.shape)
-    table[np.arange(3)[:, None], np.where(w != 0, D1, 3), I, place] = w
+    i = np.arange(n)
     weights = {}
     for d in (-1, 0, 1):
-        count = np.count_nonzero(table[d + 1, :3], axis=2)  # [D + 1, I]
-        used = np.flatnonzero(count.any(axis=1))
-        k = slice(used[0], used[-1] + 1)
-        nz = table[d + 1, k] != 0
-        indptr = np.concatenate([[0], np.cumsum(count[k])]).astype(np.int32)
-        W = (table[d + 1, k][nz], np.broadcast_to(cols, nz.shape)[nz], indptr)
-        weights[d] = (k, sp.csr_matrix(W, shape=(len(indptr) - 1, n)))
+        j = (i + d) % n
+        w = weight[:, None] * weight[:, j] * (periodic | (j == i + d))  # [slot of I, slot of J, i]
+        D1 = parent[:, j] - parent[:, None] + 1  # D + 1 = J - I + 1
+        rows = (D1 % nc if periodic else D1) * nc + parent[:, None]
+        nz = w != 0
+        weights[d] = sp.csr_matrix((w[nz], (rows[nz], np.broadcast_to(i, w.shape)[nz])), shape=(3 * nc, n), dtype=float)
     return weights
 
 
@@ -644,7 +632,8 @@ def _galerkin(A: sp.dia_matrix, factors, periodic, free: np.ndarray, coarse_free
     C[I, I + D] = sum over i, d of P[i, I] A[i, i + d] P[i + d, I + D].
     Each fine stencil, its fixed nodes' couplings zeroed, is contracted along
     the slowest axis, summed over its offsets, and contracted along the
-    fastest (:func:`_axis_weights`) into the coarse stencils.
+    fastest into the coarse stencils, each contraction one CSR product with
+    the axis's table for the fine offset (:func:`_axis_weights`).
     """
     counts, coarse_counts = free.shape, coarse_free.shape
     places = _dia_layout(counts, periodic[-1])[1]
@@ -654,13 +643,11 @@ def _galerkin(A: sp.dia_matrix, factors, periodic, free: np.ndarray, coarse_free
     for d_fast in itertools.product((-1, 0, 1), repeat=len(counts) - 1):  # (d_x,) in 2D, () on a line
         half = np.zeros((3, nc) + counts[1:])  # [D_y, I_y, i_x]
         for d in (-1, 0, 1):
-            k, W = weights[0][d]
             S = _read_stencil(A, places[(d,) + d_fast], free).reshape(counts[0], -1)
-            half[k] += (W @ S).reshape((-1, nc) + counts[1:])
+            half += (weights[0][d] @ S).reshape(half.shape)
         if d_fast:  # contract the fastest axis
-            k, W = weights[1][d_fast[0]]
             for D_y in range(3):
-                coarse[D_y, k] += (W @ half[D_y].T).reshape(-1, *coarse.shape[2:])
+                coarse[D_y] += (weights[1][d_fast[0]] @ half[D_y].T).reshape(coarse.shape[1:])
         else:
             coarse = half
         del half
@@ -830,12 +817,12 @@ def homogeneous_boundary_probe(
         raise GridError(
             f"boundary data length {values.size} does not match system size {system.n}"
         )
-    g = np.where(system.dirichlet_mask, values, 0.0)
+    g = np.where(system.dirichlet_nodes, values.reshape(system.n_components, -1), 0.0)
     if not np.all(np.isfinite(g)):
         raise GridError("boundary data must be finite on the Dirichlet nodes")
-    lift = [0.0 - system.block @ gc for gc in g.reshape(system.n_components, -1)]
+    lift = [0.0 - system.block @ gc for gc in g]
     x, iterations = _solve(system, np.concatenate(lift))
-    return _field_from_vector(system, x + g, iterations)
+    return _field_from_vector(system, x + g.ravel(), iterations)
 
 
 def dump_triplets(system: SparseSystem, target: Union[str, TextIO]) -> None:

@@ -800,6 +800,31 @@ class TestMultigrid:
         got = level_1[coarse_free][:, coarse_free]
         assert (abs(got - want) > 1e-14 * bound).nnz == 0
 
+    @pytest.mark.parametrize(
+        "n, periodic", [(9, False), (571, False), (10, False), (286, False), (9, True), (253, True),
+                        (10, True), (50, True), (4, False), (4, True), (3, True)]
+    )
+    def test_axis_weights_are_the_products_of_the_factor_entries(self, n, periodic):
+        # W_d[(D + 1) nc + I, i] = P[i, I] P[i + d, I + D], wrapped on a ring, exactly,
+        # in CSR rows that a product sums in column order, with no stored zeros
+        factor = solver._axis_prolongation(n, periodic)[0]
+        P = factor.toarray()
+        nc = P.shape[1]
+        i, I = np.arange(n), np.arange(nc)
+        weights = solver._axis_weights(factor, periodic)
+        assert sorted(weights) == [-1, 0, 1]
+        for d, W in weights.items():
+            want = np.zeros((3, nc, n))
+            for D in (-1, 0, 1):
+                j, J = i + d, I + D
+                on_j = periodic | (0 <= j) & (j < n)
+                on_J = periodic | (0 <= J) & (J < nc)
+                # [I, i] = P[i, I] P[i + d, I + D], 0 where i + d or I + D is off an open axis
+                want[D + 1] = (P * np.where(on_j[:, None] & on_J, P[j % n][:, J % nc], 0.0)).T
+            assert W.format == "csr" and W.dtype == np.float64 and W.shape == (3 * nc, n)
+            assert np.array_equal(W.toarray(), want.reshape(3 * nc, n)), d
+            assert W.has_sorted_indices and np.all(W.data != 0)
+
     @pytest.mark.parametrize("case", ["box", "wavy-even", "narrow", "interval", "radial", "gridless"])
     def test_coarse_operators_match_the_kron_product(self, case):
         """Every level's ``P^T A P`` against the product with ``kron`` transfers.
