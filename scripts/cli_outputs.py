@@ -1,18 +1,19 @@
 #!/usr/bin/env python3
 """Run a fixed battery of ``pdethick`` commands and keep everything they leave.
 
-Each command runs as ``python -m pdethick.cli`` in its own process with
-``OPENBLAS_NUM_THREADS=1``.  Its output files, stdout, stderr and exit code
+Each command runs as ``python -m pdethick.cli`` in its own process, in the
+caller's environment.  Its output files, stdout, stderr and exit code
 land in OUTDIR as ``<name>.<suffix>``, ``<name>.stdout``, ``<name>.stderr``
 and ``<name>.exit``.  Wherever a command echoes a path, OUTDIR is replaced by
 ``<OUTDIR>``, so two runs compare with ``diff -r``.  ``PYTHONPATH`` selects
 the checkout whose ``pdethick`` runs; comparing a run over one ``src/`` with
-a run over another checks that a change keeps every output byte-identical.
+a run over another checks that a change keeps every output byte-identical,
+and runs at two ``OPENBLAS_NUM_THREADS`` settings check that the thread
+count moves none.
 
 Usage:  PYTHONPATH=src python scripts/cli_outputs.py OUTDIR
 """
 
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -143,12 +144,9 @@ def main(argv=None) -> int:
         return 2
     out = Path(args[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     for name, command in COMMANDS:
         cli_args = [str(out / f"{name}.{arg[1:]}") if arg.startswith("@") else arg for arg in command]
-        proc = subprocess.run(
-            [sys.executable, "-m", "pdethick.cli", *cli_args], capture_output=True, text=True, env=env
-        )
+        proc = subprocess.run([sys.executable, "-m", "pdethick.cli", *cli_args], capture_output=True, text=True)
         for suffix, text in (("stdout", proc.stdout), ("stderr", proc.stderr), ("exit", f"{proc.returncode}\n")):
             (out / f"{name}.{suffix}").write_text(text.replace(str(out), "<OUTDIR>"))
         print(f"{name:32s} exit {proc.returncode}")

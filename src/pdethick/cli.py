@@ -274,8 +274,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for check in report.checks:
             margin = ""
             if check.samples:
-                tightest = min(s.bound + s.slack - s.error for s in check.samples)
-                margin = f"  tightest margin {tightest:.3e}"
+                margins = [s.bound + s.slack - s.error for s in check.samples]
+                margins += [s.error - s.lower_bound for s in check.samples if s.lower_bound is not None]
+                margin = f"  tightest margin {min(margins):.3e}"
             print(f"{check.case:28s} {'pass' if check.passed else 'FAIL'}{margin}")
             if check.error_message:
                 print(f"{'':28s}      {check.error_message}")

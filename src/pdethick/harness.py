@@ -453,7 +453,7 @@ def _check_annulus_whole_bounds(check: TheoremCheck, rng: np.random.Generator) -
 @_check("bessel-ratio-bounds", "K and I ratio envelopes and decay of sqrt(x) e^x K_1(x)", analytic=True)
 def _check_bessel_ratio_bounds(check: TheoremCheck, rng: np.random.Generator) -> None:
     """Worst margins of the three ratio properties over 1000 sampled x."""
-    xs = np.logspace(-6, 3, 1000)
+    xs = np.logspace(-6, 6, 1000)  # annulus_whole reaches arguments of about 2e5
     deficits = np.array([bessel.ratio_deficits(x) for x in xs.tolist()])
     # the worst deficit of each property (k, i, decay) at its first argument; a NaN counts as worst
     for k, i in enumerate(np.argmax(deficits, axis=0)):

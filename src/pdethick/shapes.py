@@ -138,7 +138,7 @@ class ShapeSpec:
     geometric thickness is always ``f_r - f_l``.  ``b_l``/``b_r`` bound the
     fictitious domain where applicable (floats for intervals, periodic
     boundary functions for general bands, the inscribed-disk radius for
-    general annuli).  ``L`` is the band period.
+    general annuli; ``None`` elsewhere).  ``L`` is the band period.
     """
 
     family: Family
@@ -167,6 +167,9 @@ class ShapeSpec:
         missing = [name for name in FIELDS[self.family] if getattr(self, name) is None]
         if missing:
             raise InvalidShapeError(f"{self.family.value} needs {' and '.join(missing)}")
+        stray = [name for name in ("b_l", "b_r", "L") if name not in FIELDS[self.family] and getattr(self, name) is not None]
+        if stray:
+            raise InvalidShapeError(f"{self.family.value} takes no {' or '.join(stray)}")
         kind = self.family.kind
         if kind == "band":
             if self.L <= 0:

@@ -48,8 +48,8 @@ by stencil, axis by axis.  CG and every level work on vectors over all
 nodes of their grid, 0 on the fixed nodes, so no reduced block and no 2D
 prolongation is stored.  A system keeps its hierarchy for later solves and
 probes, so its block and Dirichlet nodes must not change after its first
-solve, and the fixed operations give repeated solves the same bits on a
-fixed platform and BLAS thread count, whatever runs beside them.
+solve.  CG sums in NumPy's einsum loop, not BLAS, so repeated solves get
+the same bits on one platform at any thread count, whatever runs beside them.
 """
 
 from __future__ import annotations
@@ -740,11 +740,11 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     to give the free block's product; ``b`` is overwritten by the residual."""
     r = b
     p = precondition(r)
-    rz = float(r @ p)
+    rz = float(np.einsum("i,i", r, p))
     for iterations in range(1, MAX_ITERATIONS + 1):
         Ap = A @ p
         Ap[fixed] = 0.0
-        pAp = float(p @ Ap)
+        pAp = float(np.einsum("i,i", p, Ap))
         if pAp <= 0:
             raise NonConvergenceError("nonpositive curvature; system not SPD")
         alpha = rz / pAp
@@ -752,10 +752,10 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
         r -= Ap
         x += np.multiply(p, alpha, out=Ap)
         del Ap  # before the V-cycle's temporaries
-        if float(np.linalg.norm(r)) <= REL_TOL * b_norm:
+        if math.sqrt(np.einsum("i,i", r, r)) <= REL_TOL * b_norm:
             return iterations
         z = precondition(r)
-        rz_new = float(r @ z)
+        rz_new = float(np.einsum("i,i", r, z))
         p *= rz_new / rz
         z += p  # the next direction, in z's storage, so no vector is left over
         p = z
@@ -775,7 +775,7 @@ def _solve(system: SparseSystem, loads: np.ndarray) -> Tuple[np.ndarray, int]:
     iterations = 0
     for xc, load in zip(x.reshape(system.n_components, -1), loads.reshape(system.n_components, -1)):
         b = np.where(system.dirichlet_nodes, 0.0, load)
-        b_norm = float(np.linalg.norm(b))
+        b_norm = math.sqrt(np.einsum("i,i", b, b))
         if b_norm != 0.0:  # a zero load takes no iteration and builds no hierarchy
             e = math.frexp(b_norm)[1]
             np.ldexp(b, -e, out=b)

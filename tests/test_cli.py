@@ -464,7 +464,9 @@ class TestVerifyCommand:
         checks = json.loads(path.read_text())["checks"]
         assert [c["case"] for c in checks] == harness.SUITES["analytic"]
         for check in checks:
-            tightest = min(s["bound"] + s["slack"] - s["error"] for s in check["samples"])
+            margins = [s["bound"] + s["slack"] - s["error"] for s in check["samples"]]
+            margins += [s["error"] - s["lower_bound"] for s in check["samples"] if "lower_bound" in s]
+            tightest = min(margins)
             assert lines[check["case"]].endswith(f"pass  tightest margin {tightest:.3e}")
         assert out.splitlines()[-1] == "suite analytic: pass"
 

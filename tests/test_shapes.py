@@ -57,6 +57,15 @@ class TestShapeValidation:
             with pytest.raises(InvalidShapeError, match=f"{family.value} needs .*{name}"):
                 shapes.ShapeSpec(family, 1.0, 2.0, **{**needed, name: None})
 
+    @pytest.mark.parametrize("family", list(shapes.Family))
+    def test_each_stray_field_is_refused(self, family):
+        # a stray field would be honoured downstream: oracle_grid widens its grid to a stray b_l
+        values = {"b_l": 0.0, "b_r": 3.0, "L": 1.0}
+        needed = {name: values[name] for name in shapes.FIELDS[family]}
+        for name in values.keys() - needed.keys():
+            with pytest.raises(InvalidShapeError, match=f"{family.value} takes no {name}"):
+                shapes.ShapeSpec(family, 1.0, 2.0, **needed, **{name: values[name]})
+
     def test_band_general_boundary_clearance(self):
         with pytest.raises(InvalidShapeError):
             # wavy floor reaches up to f_l

@@ -1047,3 +1047,27 @@ def test_solve_imports_no_scipy_linalg():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_probe_bytes_do_not_depend_on_the_blas_thread_count():
+    """The boxed-annulus tail probe of ``max-principle`` gives the same field
+    bytes in fresh processes at one and two OpenBLAS threads: CG's reductions
+    run in NumPy's own loop, whose summation order no thread count changes."""
+    if harness._cpus() < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread at any setting")
+    code = textwrap.dedent("""
+        import hashlib
+        from pdethick import harness, shapes, solver
+        a = 0.04
+        shape = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = harness._system(shape, a, harness.target_h(a))
+        field = solver.homogeneous_boundary_probe(system, harness._tail_data(system, shape, a))
+        print(hashlib.sha256(b"".join(c.tobytes() for c in field.components)).hexdigest())
+    """)
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    assert digests[0] == digests[1]
