@@ -7,12 +7,12 @@ checks run in the calling process, in registration order, drawing from the
 run's one seeded generator; every other check runs in a forked worker
 process and draws from nothing.  A check that raises, or whose worker dies,
 is recorded as failed, with statement ``(errored)`` and no samples, and the
-run goes on.  Each check states both sides of its inequality numerically: a
-sample ``{a, error, bound, slack, passed}`` passes iff
-``error <= bound + slack``.  Discrete 2D cases declare the additive
-discretization slack ``2 h / T^2`` on inverse-thickness L2 errors next to the
-theorem bound; analytic cases get zero slack.  Two-sided analytic bounds
-additionally record ``lower_bound`` and require ``lower_bound <= error``.
+run goes on.  Each sample states only the sides its bound has: a sample
+``{a, error, bound, slack, passed}`` passes iff ``error <= bound + slack``,
+and two-sided analytic bounds also record ``lower_bound`` and require
+``lower_bound <= error``.  Discrete 2D cases add the slack ``2 h / T^2`` to
+the L2 envelope, which has no lower side; analytic cases get zero slack.  A
+check passes iff it has no error message and every sample passes.
 
 Resolution floor: boundary layers decay like exp(-dist/sqrt(a)), so 2D
 general-domain solves mesh at ``h = target_h(a) = sqrt(a)/8``; a grid coarser
@@ -140,9 +140,9 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
     """One 2D solve of a general band/annulus; returns its envelope sample.
 
     Error: || 1/T^a - 1/T_bar ||_{L2(shape)} from the discrete inverse
-    thickness; bound: the theorem envelope; slack: 2 h / T^2; lower bound: 0.
-    A grid coarser than the floor raises :class:`UnderResolvedError` before
-    the solve.
+    thickness; bound: the theorem envelope; slack: 2 h / T^2.  The theorem
+    gives no lower side, so the sample records none.  A grid coarser than the
+    floor raises :class:`UnderResolvedError` before the solve.
     """
     # raises DomainError, before any solve, for a family without an L2 envelope
     bound = analytic.general_bound(shape, a)
@@ -158,7 +158,7 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
     inv = thickness.inverse_thickness(div, a, system.classification)
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
     slack = 2.0 * h / shape.thickness**2
-    return SweepSample(a=a, error=norms.l2_on_omega, bound=bound, slack=slack, lower_bound=0.0)
+    return SweepSample(a=a, error=norms.l2_on_omega, bound=bound, slack=slack)
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +284,14 @@ class TheoremCheck:
     samples: List[SweepSample] = dataclass_field(default_factory=list)
     slope: Optional[float] = None
     intercept: Optional[float] = None
-    passed: bool = True
     error_message: Optional[str] = None
 
     def add(self, sample: SweepSample) -> None:
         self.samples.append(sample)
-        if not sample.passed:
-            self.passed = False
+
+    @property
+    def passed(self) -> bool:
+        return self.error_message is None and all(s.passed for s in self.samples)
 
     def to_dict(self) -> dict:
         return {
@@ -351,9 +352,7 @@ def _check(name: str, statement: str, analytic: bool = False) -> Callable[[_Chec
 
 
 def _errored(name: str, exc: Exception) -> TheoremCheck:
-    return TheoremCheck(
-        case=name, statement="(errored)", passed=False, error_message=f"{type(exc).__name__}: {exc}"
-    )
+    return TheoremCheck(case=name, statement="(errored)", error_message=f"{type(exc).__name__}: {exc}")
 
 
 def _run_check(name: str, rng: Optional[np.random.Generator]) -> TheoremCheck:
@@ -377,7 +376,6 @@ def _fit_slope(
     check.slope, check.intercept = fit_rate(points)
     lo, hi = window
     if not lo <= check.slope <= hi:
-        check.passed = False
         check.error_message = f"{what.format(check.slope)} outside [{lo}, {hi}]"
 
 

@@ -587,7 +587,14 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
     rows = np.concatenate([coarse, odd, odd])
     cols = np.concatenate([np.arange(nc), (odd - 1) // 2, (odd + 1) // 2 % nc])
     vals = np.concatenate([np.ones(nc, np.float32), np.full(2 * len(odd), 0.5, np.float32)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc)), coarse
+    return _csr(vals, rows, cols, (n, nc)), coarse
+
+
+def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]) -> sp.csr_matrix:
+    """The canonical CSR of a COO list free of duplicates: each row's columns ascending."""
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
+    return sp.csr_matrix((data[order], cols[order], indptr), shape=shape)
 
 
 def _along_axes(factors, x: np.ndarray) -> np.ndarray:
@@ -618,7 +625,7 @@ def _axis_weights(factor: sp.csr_matrix, periodic: bool) -> dict:
         D1 = parent[:, j] - parent[:, None] + 1  # D + 1 = J - I + 1
         rows = (D1 % nc if periodic else D1) * nc + parent[:, None]
         nz = w != 0
-        weights[d] = sp.csr_matrix((w[nz], (rows[nz], np.broadcast_to(i, w.shape)[nz])), shape=(3 * nc, n), dtype=float)
+        weights[d] = _csr(w[nz].astype(float), rows[nz], np.broadcast_to(i, w.shape)[nz], (3 * nc, n))
     return weights
 
 

@@ -79,6 +79,11 @@ class TestSweep:
         for s in report.samples:
             assert s.slack > 0.0
             assert s.error <= s.bound + s.slack
+        # an L2 envelope has no lower side, so no sample states one
+        assert all("lower_bound" not in s for s in report.to_dict()["samples"])
+
+    def test_l2_envelope_sample_has_no_lower_bound(self):
+        assert harness.run_general_l2_case(harness.canonical_wavy_band(), 0.04).lower_bound is None
 
 
 class TestResolutionPolicy:
@@ -418,6 +423,43 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
         text = harness.dumps_json({"x": 1.0 / 3.0, "flag": True, "none": None})
         assert "0.33333333333333331" in text
         assert "true" in text and "null" in text
+
+
+def _check_of(samples, message=None):
+    check = harness.TheoremCheck(case="c", statement="s", error_message=message)
+    for sample in samples:
+        check.add(sample)
+    return check
+
+
+def _check_off_its_slope_window():
+    # error = a reads slope 1, outside the envelope's window, on passing samples
+    check = _check_of([harness.SweepSample(a=a, error=a, bound=1.0, slack=0.0) for a in (0.01, 0.02, 0.04)])
+    harness._fit_slope(check, [(s.a, s.error) for s in check.samples], (0.4, 0.6), "fitted slope {:.4f}")
+    return check
+
+
+_PASS = harness.SweepSample(a=0.01, error=1.0, bound=2.0, slack=0.0)
+_FAIL = harness.SweepSample(a=0.01, error=3.0, bound=2.0, slack=0.0)
+
+
+class TestTheoremCheck:
+    @pytest.mark.parametrize(
+        "build, passed",
+        [
+            (lambda: _check_of([_PASS, _PASS]), True),
+            (lambda: _check_of([_PASS, _FAIL, _PASS]), False),
+            (lambda: _check_of([_PASS, _PASS], "ValueError: injected"), False),
+            (lambda: _check_of([]), True),
+            (_check_off_its_slope_window, False),
+        ],
+        ids=["all-pass", "one-fails", "error-message", "no-samples", "slope-off-window"],
+    )
+    def test_verdict_is_read_off_the_samples(self, build, passed):
+        check = build()
+        assert check.passed is passed
+        assert check.to_dict()["passed"] is passed
+        assert harness.VerifyReport("s", [check]).passed is passed
 
 
 class TestSweepSample:

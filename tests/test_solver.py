@@ -522,6 +522,11 @@ def _float64_levels(system, count):
     return levels
 
 
+#: (node count, periodic) of axes: odd and even, open and ring, and too short to coarsen
+_AXES = [(9, False), (571, False), (10, False), (286, False), (9, True), (253, True),
+         (10, True), (50, True), (4, False), (4, True), (3, True)]
+
+
 def _upcast(mg):
     """``mg`` with every stored level and the coarse inverse in float64."""
     up = copy.copy(mg)
@@ -800,10 +805,16 @@ class TestMultigrid:
         got = level_1[coarse_free][:, coarse_free]
         assert (abs(got - want) > 1e-14 * bound).nnz == 0
 
-    @pytest.mark.parametrize(
-        "n, periodic", [(9, False), (571, False), (10, False), (286, False), (9, True), (253, True),
-                        (10, True), (50, True), (4, False), (4, True), (3, True)]
-    )
+    @pytest.mark.parametrize("n, periodic", _AXES)
+    def test_axis_prolongation_is_a_canonical_csr(self, n, periodic):
+        # each row's columns strictly ascending (sorted, no duplicates), the ring's
+        # last node included, and no stored zeros
+        factor = solver._axis_prolongation(n, periodic)[0]
+        assert factor.format == "csr" and factor.shape[0] == n
+        assert all(np.all(np.diff(row) > 0) for row in np.split(factor.indices, factor.indptr[1:-1]))
+        assert np.all(factor.data != 0)
+
+    @pytest.mark.parametrize("n, periodic", _AXES)
     def test_axis_weights_are_the_products_of_the_factor_entries(self, n, periodic):
         # W_d[(D + 1) nc + I, i] = P[i, I] P[i + d, I + D], wrapped on a ring, exactly,
         # in CSR rows that a product sums in column order, with no stored zeros
@@ -921,6 +932,26 @@ class TestMultigrid:
                 assert Mu.dtype == Mv.dtype == np.float64
                 assert abs(u @ Mv - v @ Mu) <= tolerance * abs(u @ Mv)
                 assert u @ Mu > 0 and not Mu[mask].any()
+
+    @pytest.mark.parametrize("case", ["annulus", "wavy", "interval"])
+    def test_coarse_inverse_inverts_the_free_block_bit_for_bit(self, case):
+        # the inverse of the float64 coarsest operator's free block, cast once: the
+        # open boxed annulus, the periodic wavy band, and a line with no levels,
+        # whose inverse stays in float64
+        if case == "annulus":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
+        elif case == "wavy":
+            band = harness.canonical_wavy_band()
+            system = solver.assemble(solver.problem_grid(band, 0.02, 0.02), band, 0.02)
+        else:
+            system, _, _ = _interval_system(n=96)
+        mg = solver._Multigrid(system.block, system.grid, ~system.dirichlet_nodes)
+        assert bool(mg.levels) == (case != "interval")
+        A = _float64_levels(system, len(mg.levels))[-1][-1] if mg.levels else system.block.todia()
+        cf = mg.coarse_free
+        want = np.linalg.inv(A.tocsr()[cf][:, cf].toarray()).astype(mg.coarse_inverse.dtype)
+        assert mg.coarse_inverse.tobytes() == want.tobytes()
 
     def test_hierarchy_without_levels_keeps_a_float64_inverse(self):
         # at most _COARSEST_UNKNOWNS free unknowns: the dense inverse is the whole
