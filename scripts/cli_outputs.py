@@ -4,8 +4,10 @@
 Each command runs as ``python -m pdethick.cli`` in its own process, in the
 caller's environment.  Its output files, stdout, stderr and exit code
 land in OUTDIR as ``<name>.<suffix>``, ``<name>.stdout``, ``<name>.stderr``
-and ``<name>.exit``.  Wherever a command echoes a path, OUTDIR is replaced by
-``<OUTDIR>``, so two runs compare with ``diff -r``.  ``PYTHONPATH`` selects
+and ``<name>.exit``; a command with a ``--config`` file finds it written there
+as ``<name>.config.json`` before it runs.  Wherever a command echoes a path,
+and in a config file, OUTDIR is replaced by ``<OUTDIR>`` once the command has
+run, so two runs compare with ``diff -r``.  ``PYTHONPATH`` selects
 the checkout whose ``pdethick`` runs; comparing a run over one ``src/`` with
 a run over another checks that a change keeps every output byte-identical,
 and runs at two ``OPENBLAS_NUM_THREADS`` settings check that the thread
@@ -14,6 +16,7 @@ count moves none.
 Usage:  PYTHONPATH=src python scripts/cli_outputs.py OUTDIR
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -51,7 +54,8 @@ def _solve(family, a, cells, *extra):
     ]
 
 
-# (name, arguments); an argument "@<suffix>" is the output file OUTDIR/<name>.<suffix>
+# (name, arguments[, config]); an argument or config value "@<suffix>" is the file
+# OUTDIR/<name>.<suffix>, and "@config.json" the file that holds the config
 COMMANDS = (
     [(f"analytic-{f}", ["analytic", *_shape(f), "--a", "0.01"]) for f in SHAPES]
     + [(f"analytic-{f}-pretty", ["analytic", *_shape(f), "--a", "0.01", "--pretty"]) for f in SHAPES]
@@ -87,6 +91,13 @@ COMMANDS = (
             ["sweep", *_shape("interval-whole"), "--a-list", "1e-4,1e-3,1e-2,1e-1",
              "--json", "@report.json", "--csv", "@report.csv"],
         ),
+        # its report files match sweep-interval's byte for byte
+        (
+            "sweep-interval-config",
+            ["sweep", "--config", "@config.json"],
+            {"family": "interval-whole", "fl": 0, "fr": 1, "a_list": "1e-4,1e-3,1e-2,1e-1",
+             "json": "@report.json", "csv": "@report.csv"},
+        ),
         (
             "sweep-wavy-band",
             ["sweep", *_shape("band-general"), "--a-list", "0.1,0.02,0.004,0.001",
@@ -115,6 +126,11 @@ COMMANDS = (
             ["solve", "--family", "annulus-whole", "--fl", "0.3", "--fr", "1.3", "--a", "0.04",
              "--cells", "64", "--out", "@field.csv"],
         ),
+        (
+            "bad-config-cells",
+            ["solve", *_shape("interval-whole"), "--a", "0.04", "--out", "@field.csv", "--config", "@config.json"],
+            {"cells": 0},
+        ),
         ("bad-cells-negative", ["solve", *_shape("interval-whole"), "--a", "0.04", "--cells", "-4", "--out", "@field.csv"]),
         # a that is not positive and finite, or a NaN shape number, exits 2 before any grid
         ("bad-a-nan", ["solve", *_shape("interval-whole"), "--a", "nan", "--cells", "64", "--out", "@field.csv"]),
@@ -137,6 +153,11 @@ COMMANDS = (
 )
 
 
+def _resolve(arg, out, name):
+    """An argument or config value "@<suffix>" as the path OUTDIR/<name>.<suffix>."""
+    return str(out / f"{name}.{arg[1:]}") if isinstance(arg, str) and arg.startswith("@") else arg
+
+
 def main(argv=None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) != 1:
@@ -144,11 +165,16 @@ def main(argv=None) -> int:
         return 2
     out = Path(args[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
-    for name, command in COMMANDS:
-        cli_args = [str(out / f"{name}.{arg[1:]}") if arg.startswith("@") else arg for arg in command]
+    for name, command, *config in COMMANDS:
+        cfg = out / f"{name}.config.json"
+        if config:
+            cfg.write_text(json.dumps({key: _resolve(value, out, name) for key, value in config[0].items()}))
+        cli_args = [_resolve(arg, out, name) for arg in command]
         proc = subprocess.run([sys.executable, "-m", "pdethick.cli", *cli_args], capture_output=True, text=True)
         for suffix, text in (("stdout", proc.stdout), ("stderr", proc.stderr), ("exit", f"{proc.returncode}\n")):
             (out / f"{name}.{suffix}").write_text(text.replace(str(out), "<OUTDIR>"))
+        if config:
+            cfg.write_text(cfg.read_text().replace(str(out), "<OUTDIR>"))
         print(f"{name:32s} exit {proc.returncode}")
     return 0
 

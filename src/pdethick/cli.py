@@ -10,8 +10,10 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error.
 Outputs carry no timestamps, so identical flags give byte-identical files.
-Flags may also be loaded from a JSON config file (``--config``); explicit
-flags override file values.
+``--config FILE`` reads more flags from a JSON object: each key is a flag
+name (``_`` may stand for ``-``), ``true`` gives a bare flag, and a string or
+a number its value.  argparse parses them ahead of the command line's flags,
+so a command-line flag wins and a key is accepted exactly where its flag is.
 """
 
 from __future__ import annotations
@@ -59,14 +61,14 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--bl-cos-amp", type=float, default=0.0, help="first-harmonic cosine amplitude of the lower band boundary")
         p.add_argument("--br-cos-amp", type=float, default=0.0, help="first-harmonic cosine amplitude of the upper band boundary")
         p.add_argument("--L", type=float, help="band period")
-        p.add_argument("--config", help="JSON file with default flag values")
+        p.add_argument("--config", help="JSON file of flags; command-line flags win")
 
-    p_analytic = sub.add_parser("analytic", help="closed-form solution record")
+    p_analytic = sub.add_parser("analytic", help="closed-form solution record", allow_abbrev=False)
     add_shape_flags(p_analytic)
     p_analytic.add_argument("--a", type=float)
     p_analytic.add_argument("--pretty", action="store_true")
 
-    p_solve = sub.add_parser("solve", help="discrete solve, fields to CSV")
+    p_solve = sub.add_parser("solve", help="discrete solve, fields to CSV", allow_abbrev=False)
     add_shape_flags(p_solve)
     p_solve.add_argument("--a", type=float)
     p_solve.add_argument("--cells", type=_positive_int, help="cells across the shape thickness")
@@ -74,54 +76,28 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--thickness-out", help="optional inverse-thickness CSV path")
     p_solve.add_argument("--matrix-out", help="optional triplet dump of the assembled matrix")
 
-    p_sweep = sub.add_parser("sweep", help="diffusion-parameter sweep")
+    p_sweep = sub.add_parser("sweep", help="diffusion-parameter sweep", allow_abbrev=False)
     add_shape_flags(p_sweep)
     p_sweep.add_argument("--a-list", help="comma-separated a values (>= 4, spanning >= 2 decades)")
     p_sweep.add_argument("--json", dest="json_path")
     p_sweep.add_argument("--csv", dest="csv_path")
 
-    p_oracle = sub.add_parser("oracle", help="inscribed-ball geometric thickness")
+    p_oracle = sub.add_parser("oracle", help="inscribed-ball geometric thickness", allow_abbrev=False)
     add_shape_flags(p_oracle)
     p_oracle.add_argument("--cells", type=_positive_int, help="cells across the shape thickness")
     p_oracle.add_argument("--out", help="thickness CSV path")
 
-    p_verify = sub.add_parser("verify", help="run the verification suite")
+    p_verify = sub.add_parser("verify", help="run the verification suite", allow_abbrev=False)
     p_verify.add_argument("--suite", default="default", choices=sorted(harness.SUITES))
     p_verify.add_argument("--json", dest="json_path")
     p_verify.add_argument("--csv", dest="csv_path")
     p_verify.add_argument("--pretty", action="store_true")
-    p_verify.add_argument("--config", help="JSON file with default flag values")
+    p_verify.add_argument("--config", help="JSON file of flags; command-line flags win")
     return parser
 
 
-def _config_value(action: argparse.Action, value):
-    """A config file value converted as the option's flag text would be.
-
-    Raises ValueError or ArgumentTypeError when it does not fit the option.
-    """
-    if action.nargs == 0:
-        if not isinstance(value, bool):
-            raise ValueError("expected true or false")
-        return value
-    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
-        raise ValueError("expected a string or a number")
-    text = str(value)
-    value = action.type(text) if action.type is not None else text
-    if action.choices is not None and value not in action.choices:
-        raise ValueError(f"choose from {sorted(action.choices)}")
-    return value
-
-
-def _apply_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: Optional[Sequence[str]]
-) -> argparse.Namespace:
-    """Parse ``argv`` again with the ``--config`` values as the subcommand's defaults.
-
-    Every flag given on the command line wins, also one equal to its default.
-    """
-    path = getattr(args, "config", None)
-    if not path:
-        return args
+def _config_flags(path: str) -> list:
+    """The flags a ``--config`` file stands for, in the file's order."""
     try:
         with open(path) as handle:
             data = json.load(handle)
@@ -129,20 +105,16 @@ def _apply_config(
         raise _CliError(f"cannot read config {path}: {exc}")
     if not isinstance(data, dict):
         raise _CliError(f"config {path} must hold a JSON object")
-    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    subparser = commands.choices[args.command]
-    actions = {a.dest: a for a in subparser._actions if hasattr(args, a.dest)}
-    defaults = {}
+    flags = []
     for key, value in data.items():
-        action = actions.get(key.replace("-", "_"))
-        if action is None:
-            raise _CliError(f"config {path}: unknown option {key!r}")
-        try:
-            defaults[action.dest] = _config_value(action, value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise _CliError(f"config {path}: bad value {value!r} for {key!r}: {exc}")
-    subparser.set_defaults(**defaults)
-    return parser.parse_args(argv)
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            flags.append(f"{flag}={value}")
+        else:
+            raise _CliError(f"config {path}: {flag} must be true, a string or a number")
+    return flags
 
 
 def _require(args: argparse.Namespace, *names: str) -> None:
@@ -237,10 +209,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
-    if not getattr(args, "a_list", None):
+    if not args.a_list:
         raise _CliError("missing required parameter --a-list")
     try:
-        a_values = [float(tok) for tok in str(args.a_list).split(",") if tok.strip()]
+        a_values = [float(tok) for tok in args.a_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise _CliError(f"bad --a-list: {exc}")
     report = harness.sweep_a(shape, a_values)
@@ -296,19 +268,18 @@ _HANDLERS = {
 
 
 def parse_and_dispatch(argv: Optional[Sequence[str]] = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config:
+            # the file's flags go first, so every command-line flag wins
+            args = parser.parse_args(argv[:1] + _config_flags(args.config) + argv[1:])
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:
         # argparse prints its own diagnostic; normalize usage errors to 2
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
-    try:
-        args = _apply_config(parser, args, argv)
-        return _HANDLERS[args.command](args)
-    except (_CliError, PdeThickError) as exc:
-        print(f"pdethick: error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
+    except (_CliError, PdeThickError, OSError) as exc:
         print(f"pdethick: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -158,7 +158,7 @@ class TestConfigErrors:
         cfg.write_text(json.dumps({"cells": config_value}))
         code, _, err = run([*argv, "--config", str(cfg)], capsys)
         assert code == 2
-        assert "'cells'" in err and "expected a positive integer" in err
+        assert "--cells: expected a positive integer" in err
         assert not (tmp_path / "f.csv").exists()
 
     @pytest.mark.parametrize(
@@ -234,11 +234,14 @@ class TestConfigFile:
         code, out, _ = run(["analytic", "--config", str(cfg)], capsys)
         assert code == 0
         assert json.loads(out)["thickness_pde"] == pytest.approx(1.4)
-        for bad in ({"a": "0.04x"}, {"a": True}, {"family": "disc"}, {"pretty": 1}):
+        for bad in (
+            {"a": "0.04x"}, {"a": True}, {"family": "disc"}, {"pretty": 1},
+            {"pretty": False}, {"a": None}, {"fl": [0]}, {"fr": {"value": 1}},
+        ):
             cfg.write_text(json.dumps(bad))
             code, _, err = run(["analytic", "--config", str(cfg)], capsys)
             assert code == 2
-            assert repr(next(iter(bad))) in err
+            assert f"--{next(iter(bad))}" in err
 
     def test_explicit_flag_equal_to_its_default_beats_config(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "cfg.json"
@@ -271,6 +274,35 @@ class TestConfigFile:
         assert json.loads(out)["l2_envelope"] == envelope
         code, out, _ = run([*flat, "--config", str(cfg)], capsys)
         assert json.loads(out)["l2_envelope"] == pytest.approx(0.828, abs=5e-4)
+
+    def test_keys_are_flag_names(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        jpath, cpath = tmp_path / "r.json", tmp_path / "r.csv"
+        cfg.write_text(json.dumps({
+            "family": "interval-whole", "fl": 0, "fr": 1, "a-list": "1e-4,1e-3,1e-2,1e-1",
+            "json": str(jpath), "csv": str(cpath),
+        }))
+        code, out, err = run(["sweep", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (0, "", "")
+        assert json.loads(jpath.read_text())["slope"] == pytest.approx(0.5, abs=1e-10)
+        assert cpath.read_text().startswith("case,a,")
+        # argparse dests are not flag names
+        for key in ("json_path", "csv_path"):
+            cfg.write_text(json.dumps({key: str(jpath)}))
+            code, _, err = run(["sweep", "--config", str(cfg)], capsys)
+            assert code == 2
+            assert f"--{key.replace('_', '-')}" in err
+
+    def test_abbreviated_flag_refused_on_the_command_line_and_in_a_config(self, capsys, tmp_path):
+        argv = ["sweep", "--family", "interval-whole", "--fl", "0", "--fr", "1"]
+        code, out, err = run([*argv, "--a", "1e-4,1e-3,1e-2,1e-1"], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --a" in err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a": "1e-4,1e-3,1e-2,1e-1"}))
+        code, out, err = run([*argv, "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --a=" in err
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
