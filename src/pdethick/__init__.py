@@ -31,7 +31,7 @@ from .geometry import (
     oracle_grid,
 )
 from .harness import (
-    ConvergenceReport,
+    TheoremCheck,
     VerifyReport,
     fit_rate,
     sweep_a,
@@ -59,7 +59,6 @@ __all__ = [
     "AnalyticSolution",
     "CellClassification",
     "CellLabel",
-    "ConvergenceReport",
     "DiscreteField",
     "Family",
     "InverseThicknessField",
@@ -67,6 +66,7 @@ __all__ = [
     "ShapeSpec",
     "SparseSystem",
     "StructuredGrid",
+    "TheoremCheck",
     "ThicknessField",
     "VerifyReport",
     "annulus_general_bound",

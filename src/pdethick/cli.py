@@ -4,7 +4,7 @@ Subcommands:
 
   analytic   print the closed-form solution record for a shape
   solve      run the matching discrete solver and write field CSVs
-  sweep      sweep the diffusion parameter, write a JSON/CSV report
+  sweep      sweep the diffusion parameter, write a JSON/CSV report; exit 1 on any failed bound
   oracle     brute-force inscribed-ball thickness, write CSV
   verify     run the verification suite; exit 1 on any failed bound
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import analytic, geometry, harness, solver, thickness
 from .errors import PdeThickError
@@ -107,6 +107,8 @@ def _config_flags(path: str) -> list:
         raise _CliError(f"config {path} must hold a JSON object")
     flags = []
     for key, value in data.items():
+        if not key or key.startswith("-"):
+            raise _CliError(f"config {path}: key {key!r} is not a flag name")
         flag = "--" + key.replace("_", "-")
         if value is True:
             flags.append(flag)
@@ -207,6 +209,18 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _write_report(args: argparse.Namespace, report, csv_text: Callable[[], str], stdout: bool = True) -> int:
+    """Write ``--json`` and ``--csv``, else print the JSON if ``stdout``; exit 1 if the report failed."""
+    if args.json_path:
+        harness.write_report_json(report, args.json_path)
+    if args.csv_path:
+        with open(args.csv_path, "w") as handle:
+            handle.write(csv_text())
+    if stdout and not args.json_path and not args.csv_path:
+        print(harness.dumps_json(report.to_dict()))
+    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+
+
 def _cmd_sweep(args: argparse.Namespace) -> int:
     shape = _shape_from_args(args)
     if not args.a_list:
@@ -215,15 +229,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         a_values = [float(tok) for tok in args.a_list.split(",") if tok.strip()]
     except ValueError as exc:
         raise _CliError(f"bad --a-list: {exc}")
-    report = harness.sweep_a(shape, a_values)
-    if args.json_path:
-        harness.write_report_json(report, args.json_path)
-    if args.csv_path:
-        with open(args.csv_path, "w") as handle:
-            handle.write(harness.report_csv_text(report))
-    if not args.json_path and not args.csv_path:
-        print(harness.dumps_json(report.to_dict()))
-    return EXIT_OK
+    check = harness.sweep_a(shape, a_values)
+    return _write_report(args, check, lambda: harness.report_csv_text(check))
 
 
 def _cmd_oracle(args: argparse.Namespace) -> int:
@@ -237,11 +244,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     report = harness.verify_theorems(args.suite)
-    if args.json_path:
-        harness.write_report_json(report, args.json_path)
-    if args.csv_path:
-        with open(args.csv_path, "w") as handle:
-            handle.write(report.csv_text())
+    status = _write_report(args, report, report.csv_text, stdout=not args.pretty)
     if args.pretty:
         for check in report.checks:
             margin = ""
@@ -253,9 +256,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             if check.error_message:
                 print(f"{'':28s}      {check.error_message}")
         print(f"suite {report.suite}: {'pass' if report.passed else 'FAIL'}")
-    elif not args.json_path and not args.csv_path:
-        print(harness.dumps_json(report.to_dict()))
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return status
 
 
 _HANDLERS = {

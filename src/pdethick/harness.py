@@ -12,7 +12,10 @@ run goes on.  Each sample states only the sides its bound has: a sample
 and two-sided analytic bounds also record ``lower_bound`` and require
 ``lower_bound <= error``.  Discrete 2D cases add the slack ``2 h / T^2`` to
 the L2 envelope, which has no lower side; analytic cases get zero slack.  A
-check passes iff it has no error message and every sample passes.
+check passes iff it has no error message and every sample passes.  Sweeps and
+checks share one record: :func:`sweep_a` returns a :class:`TheoremCheck` of
+the family's bound, the closed-form bracket or the L2 envelope, so a sweep's
+verdict is read off its samples as a check's is.
 
 Resolution floor: boundary layers decay like exp(-dist/sqrt(a)), so 2D
 general-domain solves mesh at ``h = target_h(a) = sqrt(a)/8``; a grid coarser
@@ -162,7 +165,7 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
 
 
 # ---------------------------------------------------------------------------
-# sweeps
+# samples, checks and sweeps
 
 
 @dataclass
@@ -201,83 +204,6 @@ class SweepSample:
 
 
 @dataclass
-class ConvergenceReport:
-    case: str
-    samples: List[SweepSample]
-    slope: Optional[float]
-    intercept: Optional[float]
-
-    @property
-    def passed(self) -> bool:
-        return all(s.passed for s in self.samples)
-
-    def to_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "samples": [s.to_dict() for s in self.samples],
-            "slope": self.slope,
-            "intercept": self.intercept,
-        }
-
-
-def sweep_a(shape: ShapeSpec, a_values: Sequence[float]) -> ConvergenceReport:
-    """Sweep the diffusion parameter and compare against the family's bound.
-
-    Families with pointwise bounds use the analytic ``T^a - T_bar`` directly;
-    general band/annulus families run the 2D solver and measure the
-    inverse-thickness L2 error.  Requires at least four positive a values
-    spanning at least two decades.
-    """
-    a_values = sorted(float(a) for a in a_values)
-    if len(a_values) < 4:
-        raise PdeThickError(f"need at least 4 a values, got {len(a_values)}")
-    if not all(0 < a < math.inf for a in a_values):  # NaN fails too
-        raise PdeThickError("a values must be positive and finite")
-    if a_values[-1] / a_values[0] < 99.0:
-        raise PdeThickError("a values must span at least two decades")
-    samples = [
-        run_general_l2_case(shape, a) if shape.family in analytic.L2_ENVELOPES
-        else SweepSample.bracketing(analytic.solve_family(shape, a))
-        for a in a_values
-    ]
-    try:
-        slope, intercept = fit_rate([(s.a, s.error) for s in samples])
-    except DegenerateFitError:
-        slope, intercept = None, None
-    label = f"{shape.family.value}(f_l={shape.f_l:g}, f_r={shape.f_r:g})"
-    return ConvergenceReport(case=label, samples=samples, slope=slope, intercept=intercept)
-
-
-def write_report_json(report, path: str) -> None:
-    with open(path, "w") as handle:
-        handle.write(dumps_json(report.to_dict()))
-        handle.write("\n")
-
-
-def _csv_text(rows: Iterable[Sequence[str]]) -> str:
-    """CSV lines, a field quoted only where it holds ``,``, ``"`` or a newline (RFC 4180)."""
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerows(rows)
-    return buf.getvalue()
-
-
-def _sample_fields(s: SweepSample) -> List[str]:
-    return [_fmt_float(s.a), _fmt_float(s.error), _fmt_float(s.bound), _fmt_float(s.slack), str(s.passed)]
-
-
-def report_csv_text(report: ConvergenceReport) -> str:
-    fit = ["" if v is None else _fmt_float(v) for v in (report.slope, report.intercept)]
-    return _csv_text([
-        ("case", "a", "error", "bound", "slack", "passed", "slope", "intercept"),
-        *([report.case, *_sample_fields(s), *fit] for s in report.samples),
-    ])
-
-
-# ---------------------------------------------------------------------------
-# theorem checks
-
-
-@dataclass
 class TheoremCheck:
     case: str
     statement: str
@@ -303,6 +229,65 @@ class TheoremCheck:
             "passed": self.passed,
             "error": self.error_message,
         }
+
+
+def sweep_a(shape: ShapeSpec, a_values: Sequence[float]) -> TheoremCheck:
+    """Sweep the diffusion parameter and check each sample against the family's bound.
+
+    Families with pointwise bounds use the analytic ``T^a - T_bar`` directly;
+    general band/annulus families run the 2D solver and measure the
+    inverse-thickness L2 error.  Requires at least four positive a values
+    spanning at least two decades.  The fitted slope and intercept are
+    ``None`` where the fit is degenerate.
+    """
+    a_values = sorted(float(a) for a in a_values)
+    if len(a_values) < 4:
+        raise PdeThickError(f"need at least 4 a values, got {len(a_values)}")
+    if not all(0 < a < math.inf for a in a_values):  # NaN fails too
+        raise PdeThickError("a values must be positive and finite")
+    if a_values[-1] / a_values[0] < 99.0:
+        raise PdeThickError("a values must span at least two decades")
+    if shape.family in analytic.L2_ENVELOPES:
+        statement = "L2 error of 1/T^a vs 1/T_bar within the theorem envelope"
+        samples = [run_general_l2_case(shape, a) for a in a_values]
+    else:
+        statement = "T^a - T_bar between the closed-form lower and upper bounds"
+        samples = [SweepSample.bracketing(analytic.solve_family(shape, a)) for a in a_values]
+    label = f"{shape.family.value}(f_l={shape.f_l:g}, f_r={shape.f_r:g})"
+    check = TheoremCheck(case=label, statement=statement, samples=samples)
+    with contextlib.suppress(DegenerateFitError):
+        check.slope, check.intercept = fit_rate([(s.a, s.error) for s in samples])
+    return check
+
+
+def write_report_json(report, path: str) -> None:
+    with open(path, "w") as handle:
+        handle.write(dumps_json(report.to_dict()))
+        handle.write("\n")
+
+
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """CSV lines, a field quoted only where it holds ``,``, ``"`` or a newline (RFC 4180)."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _sample_fields(s: SweepSample) -> List[str]:
+    return [_fmt_float(s.a), _fmt_float(s.error), _fmt_float(s.bound), _fmt_float(s.slack), str(s.passed)]
+
+
+def report_csv_text(report: TheoremCheck) -> str:
+    """A sweep's samples, one row each, the fitted slope and intercept repeated on every row."""
+    fit = ["" if v is None else _fmt_float(v) for v in (report.slope, report.intercept)]
+    return _csv_text([
+        ("case", "a", "error", "bound", "slack", "passed", "slope", "intercept"),
+        *([report.case, *_sample_fields(s), *fit] for s in report.samples),
+    ])
+
+
+# ---------------------------------------------------------------------------
+# theorem checks
 
 
 @dataclass

@@ -22,6 +22,9 @@ from .errors import InvalidShapeError
 #: Relative width below which a shape is rejected as degenerate.
 DEGENERATE_WIDTH_REL = 1e-14
 
+#: Equispaced points of one period at which a wavy boundary's extremes are sampled.
+EXTREME_SAMPLES = 8192
+
 
 class Family(str, Enum):
     INTERVAL_WHOLE = "interval-whole"
@@ -90,35 +93,28 @@ class PeriodicBoundary:
                 out = out + s * np.sin(k * w * x)
         return out
 
-    def extremes(self, samples: int = 8192) -> tuple:
-        """(min, max) of the series at ``samples`` equispaced points of one period.
+    def extremes(self) -> tuple:
+        """(min, max) of the series at ``EXTREME_SAMPLES`` equispaced points of one period.
 
         Exact for constants; otherwise the true extremes can lie beyond the
-        sampled ones by up to ``sampling_gap(samples)``.  Each sample count
-        is evaluated once per instance.
+        sampled ones by up to ``sampling_gap()``.
         """
-        if self.is_constant:
-            return (self.mean, self.mean)
-        # the instance is frozen, so its sampled extremes never change
-        cache = self.__dict__.setdefault("_extremes", {})
-        if samples not in cache:
-            vals = self(np.linspace(0.0, self.period, samples, endpoint=False))
-            cache[samples] = (float(vals.min()), float(vals.max()))
-        return cache[samples]
-
-    def sampling_gap(self, samples: int = 8192) -> float:
-        """Bound on how far the true extremes lie beyond ``extremes(samples)``.
-
-        Every point is within half a sample spacing ``period/samples`` of a
-        sample, and the slope is at most ``2 pi/period * sum_k k (|cos_k| + |sin_k|)``.
-        """
-        return math.pi / samples * self._slope_sum
+        return (self.mean, self.mean) if self.is_constant else self._sampled_extremes
 
     @cached_property
-    def _slope_sum(self) -> float:
-        """``sum_k k (|cos_k| + |sin_k|)``, summed once per instance."""
+    def _sampled_extremes(self) -> tuple:
+        """The sampled (min, max), evaluated once per instance: the instance is frozen."""
+        vals = self(np.linspace(0.0, self.period, EXTREME_SAMPLES, endpoint=False))
+        return (float(vals.min()), float(vals.max()))
+
+    def sampling_gap(self) -> float:
+        """Bound on how far the true extremes lie beyond ``extremes()``.
+
+        Every point is within half a sample spacing ``period/EXTREME_SAMPLES`` of
+        a sample, and the slope is at most ``2 pi/period * sum_k k (|cos_k| + |sin_k|)``.
+        """
         coeffs = (self.cosine_coeffs, self.sine_coeffs)
-        return sum(k * abs(c) for cs in coeffs for k, c in enumerate(cs, 1))
+        return math.pi / EXTREME_SAMPLES * sum(k * abs(c) for cs in coeffs for k, c in enumerate(cs, 1))
 
 
 BoundarySpec = Union[float, PeriodicBoundary, None]

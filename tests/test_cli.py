@@ -311,6 +311,18 @@ class TestConfigFile:
         assert code == 2
         assert "bogus" in err
 
+    @pytest.mark.parametrize("config", [{"": True}, {"-cells": 4}])
+    def test_config_key_that_is_no_flag_name_is_blamed_on_the_file(self, capsys, tmp_path, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = ["oracle", "--family", "interval-whole", "--fl", "0", "--fr", "1", "--cells", "8",
+                "--out", str(tmp_path / "t.csv"), "--config", str(cfg)]
+        code, out, err = run(argv, capsys)
+        key = next(iter(config))
+        assert (code, out) == (2, "")
+        assert err == f"pdethick: error: config {cfg}: key {key!r} is not a flag name\n"
+        assert not (tmp_path / "t.csv").exists()
+
 
 class TestSolveCommand:
     def test_radial_solve_outputs(self, capsys, tmp_path, read_csv):
@@ -395,6 +407,30 @@ class TestSweepCommand:
         assert cols["passed"] == ["True"] * 4
         assert cols["slope"] == [report["slope"]] * 4
         assert cols["intercept"] == [report["intercept"]] * 4
+
+    def test_failed_sample_exits_one_after_writing_the_report(self, capsys, tmp_path, monkeypatch):
+        bracketing = harness.SweepSample.bracketing
+
+        def off_by_one(sol):
+            sample = bracketing(sol)
+            if sample.a == 1e-2:
+                sample.error += 1.0
+            return sample
+
+        monkeypatch.setattr(harness.SweepSample, "bracketing", staticmethod(off_by_one))
+        jpath, cpath = tmp_path / "sweep.json", tmp_path / "sweep.csv"
+        code, out, err = run(
+            [
+                "sweep", "--family", "interval-whole", "--fl", "0", "--fr", "1",
+                "--a-list", "1e-4,1e-3,1e-2,1e-1", "--json", str(jpath), "--csv", str(cpath),
+            ],
+            capsys,
+        )
+        assert (code, out, err) == (1, "", "")
+        report = json.loads(jpath.read_text())
+        assert (report["passed"], report["error"]) == (False, None)
+        assert [s["passed"] for s in report["samples"]] == [True, True, False, True]
+        assert cpath.read_text().count(",False,") == 1
 
     def test_bad_a_list_exits_2(self, capsys):
         code, _, _ = run(

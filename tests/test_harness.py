@@ -490,14 +490,27 @@ class TestSweepSample:
 class TestCsvReports:
     def test_sweep_csv_and_json(self, tmp_path):
         report = harness.sweep_a(shapes.interval_whole(0.0, 1.0), [1e-4, 1e-3, 1e-2, 1e-1])
+        # a sweep is a check: the verify record, with its verdict
+        assert isinstance(report, harness.TheoremCheck)
         jpath = tmp_path / "sweep.json"
         harness.write_report_json(report, str(jpath))
         back = json.loads(jpath.read_text())
+        assert list(back) == ["case", "statement", "samples", "slope", "intercept", "passed", "error"]
+        assert (back["passed"], back["error"]) == (True, None)
+        assert back["statement"] == "T^a - T_bar between the closed-form lower and upper bounds"
         assert back["slope"] == pytest.approx(0.5, abs=1e-10)
+        assert back["intercept"] == pytest.approx(math.log(2.0), abs=1e-10)
         assert len(back["samples"]) == 4
-        csv_text = harness.report_csv_text(report)
-        assert csv_text.splitlines()[0] == "case,a,error,bound,slack,passed,slope,intercept"
-        assert len(csv_text.splitlines()) == 5
+        # the errors 2 sqrt(a) are correctly rounded; the fit's last digits are the LAPACK's
+        fit = f"{harness._fmt_float(report.slope)},{harness._fmt_float(report.intercept)}"
+        case = '"interval-whole(f_l=0, f_r=1)"'
+        assert harness.report_csv_text(report) == (
+            "case,a,error,bound,slack,passed,slope,intercept\n"
+            f"{case},0.0001,0.02,0.02,0,True,{fit}\n"
+            f"{case},0.001,0.063245553203367583,0.063245553203367583,0,True,{fit}\n"
+            f"{case},0.01,0.20000000000000001,0.20000000000000001,0,True,{fit}\n"
+            f"{case},0.10000000000000001,0.63245553203367588,0.63245553203367588,0,True,{fit}\n"
+        )
 
     def test_csv_quotes_only_fields_that_need_it(self):
         rows = [("case", "a"), ("x,y", "1"), ('say "hi"', ""), ("two\nlines", "plain text")]

@@ -130,7 +130,9 @@ class TestPeriodicBoundary:
         with pytest.raises(InvalidShapeError):
             shapes.band_general(0.25, 1.0, b_l, b_r, L=1.0)
 
-    def test_sampling_gap_bounds_true_extremes(self):
+    def test_sampling_gap_bounds_true_extremes(self, monkeypatch):
+        # few samples, so the gap is wide enough to matter
+        monkeypatch.setattr(shapes, "EXTREME_SAMPLES", 64)
         rng = np.random.default_rng(3)
         for _ in range(5):
             b = shapes.PeriodicBoundary(
@@ -139,8 +141,8 @@ class TestPeriodicBoundary:
                 cosine_coeffs=tuple(rng.standard_normal(40) / np.arange(1, 41)),
                 sine_coeffs=tuple(rng.standard_normal(30)),
             )
-            lo, hi = b.extremes(samples=64)
-            gap = b.sampling_gap(samples=64)
+            lo, hi = b.extremes()
+            gap = b.sampling_gap()
             dense = b(np.linspace(0.0, 2.0, 1 << 16, endpoint=False))
             assert lo - gap <= dense.min() and dense.max() <= hi + gap
         assert shapes.PeriodicBoundary.constant(0.3).sampling_gap() == 0.0
