@@ -149,6 +149,10 @@ COMMANDS = (
              "--br", "1.01", "--cells", "1", "--out", "@thickness.csv"],
         ),
         ("bad-out-dir", ["oracle", *_shape("interval-whole"), "--cells", "8", "--out", "@missing/thickness.csv"]),
+        # grids above their caps exit 2 before any grid array: 18e9 x 18e9 oracle cells, a
+        # count that wraps in int64, and the 2.24e152 nodes of 28 sqrt(a) padding at a = 1e300
+        ("bad-oracle-cap", ["oracle", *_shape("annulus-whole"), "--cells", "3000000000", "--out", "@thickness.csv"]),
+        ("bad-solve-cap", ["solve", *_shape("interval-whole"), "--a", "1e300", "--cells", "4", "--out", "@field.csv"]),
     ]
 )
 

@@ -92,7 +92,7 @@ class StructuredGrid:
         return tuple(c * self.h for c in self.cells)
 
     def n_cells(self) -> int:
-        return int(np.prod(self.cells))
+        return math.prod(self.cells)  # exact: an int64 product wraps on a large grid
 
 
 def oracle_grid(shape: ShapeSpec, cells: int) -> StructuredGrid:

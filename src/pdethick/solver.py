@@ -3,7 +3,10 @@
   * 1D intervals: piecewise-linear elements on [b_l, b_r] (or a truncated
     whole line), stiffness a/h, consistent void mass, right-hand side
     +1 / -1 at the interface nodes (the shape functional integrates to the
-    boundary values when the interfaces are nodal).
+    boundary values when the interfaces are nodal).  Outside cells, left
+    where a box end is not a node, carry stiffness and no mass, and only a
+    node flanked by Outside cells on both sides is Dirichlet, beside the
+    two ends.
   * Radial annulus: weighted P1 elements on (0, R] with stiffness weight r,
     singular mass weight 1/r and void mass weight r, all by 2-point Gauss
     quadrature per element; right-hand side +f_r / -f_l at the interface
@@ -16,7 +19,7 @@
     cellwise characteristic function from the classification, exact per-cell
     integration of the basis gradients over shape cells for the load, and
     Dirichlet values on the box boundary plus every node touching an Outside
-    cell (staircase boundary).
+    cell (staircase boundary); Outside cells carry nothing.
 
 A solve has one way in: ``problem_grid(shape, a, h)`` is the one place
 that builds each family's solve grid, and ``assemble(grid, shape, a)`` picks
@@ -38,9 +41,11 @@ The V-cycle runs in float32 under float64 CG (Goeddeke, Strzodka & Turek,
 
 Every level's operator is a nearest-neighbour stencil per node, stored as
 diagonals in one layout (DIA; Saad, *Iterative Methods for Sparse Linear
-Systems*, 2nd ed., SIAM 2003, section 3.4).  Each block row sums the element
-matrices of the cells around its node in the order a COO sum over the cells
-adds them, so the block and its products have the bits of that CSR block;
+Systems*, 2nd ed., SIAM 2003, section 3.4).  Every assembler hands it one
+``(tables, index)`` pair, one element matrix per cell, and each block row
+sums the element matrices of the cells around its node in the order a COO
+sum over the cells adds them, so the block and its products have the bits of
+that CSR block;
 the same per-node sum writes the 2D load and Dirichlet nodes, and one
 corner gather hands each cell its corner values, so only these two know the
 corner order and the periodic seam.  Coarse operators are formed stencil
@@ -74,6 +79,11 @@ TRUNCATION_LAYERS = 28.0
 #: Minimum number of cells across the shape thickness in 2D.
 MIN_CELLS_ACROSS = 4
 
+#: Hard cap on the nodes of a solve grid (documented limit, checked before any
+#: array exists): a 2D solve at the cap peaks near 3.5 GB, at about 103 bytes
+#: per unknown.
+MAX_NODES = 1 << 24
+
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
 
 
@@ -88,11 +98,12 @@ class SparseSystem:
     every component.  The block restricted to the free nodes is symmetric
     positive definite; the solver applies it through the whole block and
     never builds it.  ``block`` is stored in :func:`_dia_layout`'s
-    diagonals, 0 wherever no cell carries an entry, so the rows at nodes
-    touching only Outside cells are 0; ``block.tocsr()`` is the int32 CSR
-    block with sorted columns and no stored zeros.  ``multigrid``, the
-    V-cycle hierarchy, is built on the first solve and reused, so neither
-    the block nor the Dirichlet nodes may change after that solve.
+    diagonals, 0 wherever no cell carries an entry, so on a 2D grid the
+    rows at nodes touching only Outside cells are 0; ``block.tocsr()`` is
+    the int32 CSR block with sorted columns and no stored zeros.
+    ``multigrid``, the V-cycle hierarchy, is built on the first solve and
+    reused, so neither the block nor the Dirichlet nodes may change after
+    that solve.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
     the full-length ``dirichlet_mask`` stay because the benchmark's span
@@ -258,11 +269,16 @@ def problem_grid(shape: ShapeSpec, a: float, h: float) -> StructuredGrid:
 
     Intervals get a 1D grid (whole lines truncated 28 sqrt(a) out), whole
     annuli a radial grid, bands and boxed annuli a 2D grid.  ``a`` and ``h``
-    outside ``(0, inf)`` raise :class:`GridError`.
+    outside ``(0, inf)``, and a grid of more than ``MAX_NODES`` nodes, raise
+    :class:`GridError`.
     """
     _check_positive("a", a)
     _check_positive("h", h)
-    return _PROBLEM_GRIDS[shape.family](shape, a, h)
+    grid = _PROBLEM_GRIDS[shape.family](shape, a, h)
+    nodes = math.prod(grid.node_counts())
+    if nodes > MAX_NODES:
+        raise GridError(f"solve grid capped at {MAX_NODES} nodes, got {nodes}")
+    return grid
 
 
 def assemble(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -285,8 +301,10 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
 
     ``shape = None`` assembles the all-void homogeneous operator (every cell
     carries the mass term, zero right-hand side), used by boundary probes.
-    Stiffness on every cell and mass on void cells are two blocks, so each
-    entry adds a cell's stiffness, then its mass, before the next cell's.
+    Each cell's label picks one fused element matrix: Void cells carry
+    stiffness plus void mass, Shape and Outside cells stiffness alone.  Both
+    ends are Dirichlet, and so is a node flanked by Outside cells on both
+    sides; unlike the 2D staircase, a node with one Outside cell stays free.
     """
     _check_positive("a", a)
     nodes = grid.node_coords(0)
@@ -303,11 +321,11 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
         rhs[idx_r] += 1.0
         rhs[idx_l] -= 1.0
 
-    stiff = a / h
-    m = h / 6.0
-    stiffness = (np.array([[[stiff, -stiff], [-stiff, stiff]]]), np.zeros_like(cls.labels))
-    mass = (np.array([[[2 * m, m], [m, 2 * m]]]), (cls.labels != CellLabel.VOID).astype(np.uint8))
-    block = _stencil_block(grid, [stiffness, mass])
+    stiff, m = a / h, h / 6.0
+    stiffness = np.array([[stiff, -stiff], [-stiff, stiff]])
+    # one element matrix per label: Void cells add the void mass, Shape and Outside cells carry stiffness alone
+    tables = np.array([stiffness + [[2 * m, m], [m, 2 * m]], stiffness, stiffness])
+    block = _stencil_block(grid, tables, cls.labels)
     return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
@@ -356,7 +374,7 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
     for gp in g:
         local = np.where(void, local + weighted_mass(w * gp, gp), local)
 
-    block = _stencil_block(grid, [(local.reshape(-1, 2, 2), np.arange(grid.cells[0]))])
+    block = _stencil_block(grid, local.reshape(-1, 2, 2), np.arange(grid.cells[0]))
     return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
@@ -387,39 +405,35 @@ _GRAD_Y = np.array([-0.5, -0.5, 0.5, 0.5])
 _CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
 
 
-def _node_sums(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]], entries) -> np.ndarray:
+def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entries) -> np.ndarray:
     """Each node's sum of the entries of the cells around it, node-shaped.
 
-    ``blocks`` lists ``(tables, index)``: ``index``, shaped like the cells
-    slowest axis first, picks each cell's table; an index of ``len(tables)``
-    carries nothing.  ``entries(tables, cell, corner)`` gives per table what
-    the cell at offset ``cell`` adds to the node, its corner ``corner``, or
-    None where no table adds anything.  Each sum adds the cells in cell
-    order, lower row first and west before east, and each cell's blocks in
-    list order, except on node column 0 of a periodic grid, whose west cells
-    are the last of their row: the sums that scattering the entries cell by
-    cell (COO triplets, ``np.add.at``) gives bit for bit.  An empty cell
-    adds +0.0, which leaves every partial sum as it is.
+    ``index``, shaped like the cells slowest axis first, picks each cell's
+    table; an index of ``len(tables)`` carries nothing.  ``entries(tables,
+    cell, corner)`` gives per table what the cell at offset ``cell`` adds to
+    the node, its corner ``corner``, or None where no table adds anything.
+    Each sum adds the cells in cell order, lower row first and west before
+    east, except on node column 0 of a periodic grid, whose west cells are
+    the last of their row: the sums that scattering the entries cell by cell
+    (COO triplets, ``np.add.at``) gives bit for bit.  An empty cell adds
+    +0.0, which leaves every partial sum as it is.
     """
     counts = grid.node_counts()[::-1]
     corners = _CORNERS[grid.dim]
     # cell (node + offset) is padded[node + 1 + offset]: empty cells around the grid,
     # the last cell column again on a periodic grid
-    padded = []
-    for tables, index in blocks:
-        pad = np.full(tuple(n + 1 for n in counts), len(tables), dtype=index.dtype)
-        pad[tuple(slice(1, 1 + c) for c in index.shape)] = index
-        if grid.periodic_x:
-            pad[1:-1, 0] = index[:, -1]
-        padded.append((np.concatenate([tables, np.zeros((1,) + tables.shape[1:])]), pad))
+    padded = np.full(tuple(n + 1 for n in counts), len(tables), dtype=index.dtype)
+    padded[tuple(slice(1, 1 + c) for c in index.shape)] = index
+    if grid.periodic_x:
+        padded[1:-1, 0] = index[:, -1]
+    tables = np.concatenate([tables, np.zeros((1,) + tables.shape[1:])])
     terms = []
     for cell in itertools.product((-1, 0), repeat=grid.dim):
         corner = corners.index(tuple(-c for c in cell))
         view = tuple(slice(1 + c, 1 + c + n) for c, n in zip(cell, counts))
-        for tables, pad in padded:
-            values = entries(tables, cell, corner)
-            if values is not None:
-                terms.append((cell, values, pad[view]))
+        values = entries(tables, cell, corner)
+        if values is not None:
+            terms.append((cell, values, padded[view]))
     sums = np.zeros(counts)
     for _, values, cells in terms:
         sums += values[cells]
@@ -485,14 +499,15 @@ def _read_stencil(A: sp.dia_matrix, here, free: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarray]]) -> sp.dia_matrix:
+def _stencil_block(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray) -> sp.dia_matrix:
     """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
-    ``blocks`` lists ``(tables, index)``: k element matrices over a cell's
-    corners in ``_CORNERS`` order and each cell's pick, as :func:`_node_sums`
-    reads them, whose sums are the COO triplet sums bit for bit.  They go
-    straight into their diagonals (:func:`_dia_block`), 0 where no cell
-    carries an entry, so ``tocsr()`` is the triplet sum's sorted CSR block.
+    ``tables`` holds element matrices over a cell's corners in ``_CORNERS``
+    order and ``index`` each cell's pick, as :func:`_node_sums` reads them,
+    so each entry is the COO triplet sum of one element matrix per cell, bit
+    for bit.  They go straight into their diagonals (:func:`_dia_block`), 0
+    where no cell carries an entry, so ``tocsr()`` is the triplet sum's
+    sorted CSR block.
     """
     corners = _CORNERS[grid.dim]
 
@@ -501,7 +516,7 @@ def _stencil_block(grid: StructuredGrid, blocks: list[tuple[np.ndarray, np.ndarr
             node = tuple(d - c for d, c in zip(delta, cell))
             return tables[:, corner, corners.index(node)] if node in corners else None
 
-        return _node_sums(grid, blocks, entries)
+        return _node_sums(grid, tables, index, entries)
 
     stencils = map(sums, itertools.product((-1, 0, 1), repeat=grid.dim))
     return _dia_block(grid.node_counts()[::-1], grid.periodic_x, stencils)
@@ -530,15 +545,15 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     h = grid.h
     # fused element matrices of Void and Shape cells; Outside, the last label, carries none
     tables = np.array([a * _K2 + h * h * _M2, a * _K2])
-    block = _stencil_block(grid, [(tables, cls.labels)])
+    block = _stencil_block(grid, tables, cls.labels)
     # Shape cells add their basis gradients' integrals, Void cells 0 and Outside cells nothing
     rhs = np.concatenate([
-        _node_sums(grid, [(np.array([np.zeros(4), h * grad]), cls.labels)], lambda t, cell, corner: t[:, corner]).ravel()
+        _node_sums(grid, np.array([np.zeros(4), h * grad]), cls.labels, lambda t, cell, corner: t[:, corner]).ravel()
         for grad in (_GRAD_X, _GRAD_Y)
     ])
     # Outside cells pick table 0, a 1 at every corner; the other cells carry nothing
     outside = (cls.labels != CellLabel.OUTSIDE).astype(np.uint8)
-    mask = _node_sums(grid, [(np.ones(1), outside)], lambda t, cell, corner: t) > 0
+    mask = _node_sums(grid, np.ones(1), outside, lambda t, cell, corner: t) > 0
     mask[[0, -1]] = True
     if not grid.periodic_x:
         mask[:, [0, -1]] = True

@@ -1,10 +1,13 @@
 """Bit identity of the vectorized assemblers against their reference forms.
 
 The 1D and radial reference assemblers below loop over the elements in
-Python, the way ``assemble_1d`` and ``assemble_radial`` did before they were
-vectorized.  They emit the same COO triplets in the same order, so the CSR
-arrays that scipy sums from them must agree bit for bit, not just to a
-tolerance, with the diagonal-stored block read as CSR (``block.tocsr()``).
+Python and emit one element matrix per element as COO triplets, in element
+order: the radial one the way ``assemble_radial`` did before it was
+vectorized, the 1D one with a void element's stiffness and mass added
+before any node sum, as the fused tables of every assembler add them.  So
+the CSR arrays that scipy sums from them must agree bit for bit, not just
+to a tolerance, with the diagonal-stored block read as CSR
+(``block.tocsr()``).
 The 2D reference sums one fused 4x4 element matrix per active cell from COO
 triplets over a (cells, 4) connectivity array, the way ``assemble_2d`` did
 before it built the 9-point stencil directly, and scatters the load with
@@ -36,19 +39,7 @@ def ref_assemble_1d(grid, shape, a):
         labels = np.full(grid.cells[0], CellLabel.VOID, dtype=np.uint8)
     else:
         labels = geometry.classify_cells(grid, shape).labels
-    rows, cols, vals = [], [], []
-    stiff = a / h
-    for e in range(grid.cells[0]):
-        i, j = e, e + 1
-        rows += [i, i, j, j]
-        cols += [i, j, i, j]
-        vals += [stiff, -stiff, -stiff, stiff]
-        if labels[e] == CellLabel.VOID:
-            m = h / 6.0
-            rows += [i, i, j, j]
-            cols += [i, j, i, j]
-            vals += [2 * m, m, m, 2 * m]
-    matrix = sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
+    matrix = ref_block_1d(grid, labels, a)
     rhs = np.zeros(n)
     if shape is not None:
         rhs[int(round((shape.f_r - nodes[0]) / h))] += 1.0
@@ -166,20 +157,19 @@ def ref_block_2d(grid, labels, a):
 def ref_block_1d(grid, labels, a):
     """The 1D block on arbitrary labels from COO triplets, summed by tocsr.
 
-    Each element emits its stiffness, then its mass if it is void.
+    Each element emits one element matrix: its stiffness, plus its mass if
+    it is void, added entry by entry before any node sum.
     """
     h = grid.h
     stiff, m = a / h, h / 6.0
     rows, cols, vals = [], [], []
     for e, label in enumerate(labels):
-        for values, carried in (
-            ([stiff, -stiff, -stiff, stiff], True),
-            ([2 * m, m, m, 2 * m], label == CellLabel.VOID),
-        ):
-            if carried:
-                rows += [e, e, e + 1, e + 1]
-                cols += [e, e + 1, e, e + 1]
-                vals += values
+        values = [stiff, -stiff, -stiff, stiff]
+        if label == CellLabel.VOID:
+            values = [stiff + 2 * m, -stiff + m, -stiff + m, stiff + 2 * m]
+        rows += [e, e, e + 1, e + 1]
+        cols += [e, e + 1, e, e + 1]
+        vals += values
     n = len(labels) + 1
     return sp.coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr()
 
@@ -237,7 +227,8 @@ def test_assemble_1d_bits(kind, a):
 @pytest.mark.parametrize("a", [0.05, 0.003])
 def test_assemble_1d_bits_on_random_labels(monkeypatch, seed, a):
     # Outside cells inside the grid, between Shape and Void ones, which no shape gives;
-    # at these a, summing a node's stiffness before its mass moves its diagonal's last bit
+    # at these a, adding a void cell's mass to its stiffness after the node sum, not before,
+    # moves the last bit of 36 to 43 entries, so the one fused element matrix per cell shows
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     grid = solver.problem_grid(shape, a, 1.0 / 64)
     labels = np.random.default_rng(seed).integers(0, 3, size=grid.cells[0]).astype(np.uint8)

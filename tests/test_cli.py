@@ -178,6 +178,31 @@ class TestConfigErrors:
         assert f"need a finite a > 0, got {float(a)}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # 18e9 cells a side, whose count wraps negative in int64
+            (
+                ["oracle", "--family", "annulus-whole", "--fl", "1", "--fr", "2", "--cells", "3000000000"],
+                "oracle capped at 1048576 cells, got 324000000000000000000\n",
+            ),
+            # a finite a whose 28 sqrt(a) of padding gives 2.24e152 nodes
+            (
+                ["solve", "--family", "interval-whole", "--fl", "0", "--fr", "1", "--a", "1e300", "--cells", "4"],
+                "solve grid capped at 16777216 nodes, got 2239999",
+            ),
+        ],
+        ids=["oracle", "solve"],
+    )
+    def test_grid_above_its_cap_exits_2_before_any_output(self, capsys, tmp_path, argv, message):
+        out = tmp_path / "out.csv"
+        code, stdout, err = run([*argv, "--out", str(out)], capsys)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"pdethick: error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert not out.exists()
+
     def test_sweep_rejects_nan_a(self, capsys):
         code, out, err = run(
             [

@@ -106,6 +106,13 @@ def test_oracle_grid_matches_the_command_grid(name):
         assert getattr(got, attr) == getattr(want, attr), attr
 
 
+def test_n_cells_is_exact_beyond_int64():
+    # 18e9 cells a side: an int64 product of the counts wraps to a negative count
+    grid = geometry.oracle_grid(shapes.annulus_whole(1.0, 2.0), 3_000_000_000)
+    assert grid.cells == (18_000_000_000, 18_000_000_000)
+    assert grid.n_cells() == 324 * 10**18
+
+
 class TestClassifyCells:
     def test_1d_interval_labels(self):
         g = geometry.StructuredGrid(dim=1, origin=(-1.0,), h=0.25, cells=(12,))

@@ -181,6 +181,70 @@ def test_problem_grid_refuses_h_outside_the_positive_reals(shape, h):
         solver.problem_grid(shape, 0.04, h)
 
 
+@pytest.mark.parametrize(
+    "shape, a, h",
+    [
+        # 28 sqrt(a) of padding on each side of the line: 2.24e152 nodes
+        (shapes.interval_whole(0.0, 1.0), 1e300, 0.25),
+        # a 1e5-cell half-width of the box: about 4e10 nodes
+        (shapes.annulus_general(1.0, 2.0, 2.5), 0.04, 2.5e-5),
+    ],
+    ids=["interval-whole-huge-a", "annulus-general-tiny-h"],
+)
+def test_problem_grid_refuses_a_grid_above_the_node_cap(shape, a, h):
+    with pytest.raises(GridError, match=f"^solve grid capped at {solver.MAX_NODES} nodes, got [0-9]+$"):
+        solver.problem_grid(shape, a, h)
+
+
+def test_problem_grid_node_cap_is_inclusive(monkeypatch):
+    shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
+    nodes = solver.problem_grid(shape, 0.04, 0.01).node_counts()[0]
+    monkeypatch.setattr(solver, "MAX_NODES", nodes)
+    assert solver.problem_grid(shape, 0.04, 0.01).node_counts() == (nodes,)
+    monkeypatch.setattr(solver, "MAX_NODES", nodes - 1)
+    with pytest.raises(GridError, match=f"^solve grid capped at {nodes - 1} nodes, got {nodes}$"):
+        solver.problem_grid(shape, 0.04, 0.01)
+
+
+def _observed_orders(errors):
+    """log2 of each successive error ratio, h halving between the errors."""
+    return [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]
+
+
+# the observed-order window of the solver-1d-convergence check; at h = sqrt(a)/k the
+# boundary layers keep k cells per sqrt(a), so the order must hold at every a
+ORDER_WINDOW = (1.7, 2.3)
+SMALL_A_CELLS = (8, 16, 32)
+
+
+@pytest.mark.parametrize("a", [0.04, 0.01, 0.0025, 6.25e-4, 1.5625e-4, 3.90625e-5])
+def test_line_converges_at_second_order_down_to_small_a(a):
+    shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
+    sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
+    errors = []
+    for k in SMALL_A_CELLS:
+        system = solver.assemble(solver.problem_grid(shape, a, math.sqrt(a) / k), shape, a)
+        field = solver.solve_spd(system)
+        exact = analytic.profile(sol, system.grid.node_coords(0))
+        errors.append(float(np.max(np.abs(field.components[0] - exact))))
+    for order in _observed_orders(errors):
+        assert ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1], (errors, order)
+
+
+@pytest.mark.parametrize("a", [0.04, 0.01, 0.0025, 6.25e-4, 1.5625e-4])
+def test_radial_p_star_converges_at_second_order_down_to_small_a(a):
+    shape = shapes.annulus_whole(1.0, 2.0)
+    p_star = analytic.annulus_whole(1.0, 2.0, a).p_star
+    errors = []
+    for k in SMALL_A_CELLS:
+        system = solver.assemble(solver.problem_grid(shape, a, math.sqrt(a) / k), shape, a)
+        p = thickness.divergence(solver.solve_spd(system))
+        p_mean = float(np.mean(p[system.classification.shape_mask]))
+        errors.append(abs(p_mean - p_star) / p_star)
+    for order in _observed_orders(errors):
+        assert ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1], (errors, order)
+
+
 class TestSolveSpd:
     def test_identity_single_iteration(self):
         n = 40
