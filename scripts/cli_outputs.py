@@ -11,7 +11,10 @@ run, so two runs compare with ``diff -r``.  ``PYTHONPATH`` selects
 the checkout whose ``pdethick`` runs; comparing a run over one ``src/`` with
 a run over another checks that a change keeps every output byte-identical,
 and runs at two ``OPENBLAS_NUM_THREADS`` settings check that the thread
-count moves none.
+count moves none.  A command's name promises its exit code: 2 for the
+refusals ``bad-*``, ``missing-*`` and ``stray-*``, 0 for every other; the
+script runs every command, then exits 1, naming each command whose exit
+code breaks that promise.
 
 Usage:  PYTHONPATH=src python scripts/cli_outputs.py OUTDIR
 """
@@ -126,6 +129,12 @@ COMMANDS = (
             ["solve", "--family", "annulus-whole", "--fl", "0.3", "--fr", "1.3", "--a", "0.04",
              "--cells", "64", "--out", "@field.csv"],
         ),
+        # L = 0.3 at h = 1/16 gives h = L/5 = 0.06, so f_r = 1 lies off the nodes
+        (
+            "bad-band-period",
+            ["solve", "--family", "band-whole", "--fl", "0", "--fr", "1", "--L", "0.3", "--a", "0.04",
+             "--cells", "16", "--out", "@field.csv"],
+        ),
         (
             "bad-config-cells",
             ["solve", *_shape("interval-whole"), "--a", "0.04", "--out", "@field.csv", "--config", "@config.json"],
@@ -157,6 +166,10 @@ COMMANDS = (
 )
 
 
+#: the name prefixes of the commands that must exit 2; every other command must exit 0
+REFUSALS = ("bad-", "missing-", "stray-")
+
+
 def _resolve(arg, out, name):
     """An argument or config value "@<suffix>" as the path OUTDIR/<name>.<suffix>."""
     return str(out / f"{name}.{arg[1:]}") if isinstance(arg, str) and arg.startswith("@") else arg
@@ -169,6 +182,7 @@ def main(argv=None) -> int:
         return 2
     out = Path(args[0]).resolve()
     out.mkdir(parents=True, exist_ok=True)
+    broken = []
     for name, command, *config in COMMANDS:
         cfg = out / f"{name}.config.json"
         if config:
@@ -180,7 +194,11 @@ def main(argv=None) -> int:
         if config:
             cfg.write_text(cfg.read_text().replace(str(out), "<OUTDIR>"))
         print(f"{name:32s} exit {proc.returncode}")
-    return 0
+        if proc.returncode != (2 if name.startswith(REFUSALS) else 0):
+            broken.append(name)
+    for name in broken:
+        print(f"{name}: exit code breaks the promise of its name", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Print the worker timeline of one pooled ``verify_theorems("default")`` pass.
 
-The pass runs in this fresh process, as ``pdethick verify`` does.  Each
-check's process id, start and end are recorded around ``harness._run_check``
-(the forked workers inherit the wrapper) and printed in start order, in
-seconds from the start of the pass; the closed-form checks run in the calling
-process.  Then each worker's idle tail: the time from the end of its last
-check to the end of the pass, which is how long it waits for the others.
+The pass runs in this fresh process, as ``pdethick verify`` does, and every
+check runs in a forked worker.  Each check's worker process id, start and end
+are recorded around ``harness._run_check`` (the workers inherit the wrapper)
+and printed in start order, in seconds from the start of the pass.  Then each
+worker's idle tail: the time from the end of its last check to the end of the
+pass, which is how long it waits for the others.
 
 Usage:  OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python scripts/verify_timeline.py
 
@@ -27,9 +27,9 @@ _run_check = harness._run_check
 _LOG = ""
 
 
-def _timed_run_check(name, rng):
+def _timed_run_check(name, seed):
     start = time.monotonic()
-    check = _run_check(name, rng)
+    check = _run_check(name, seed)
     end = time.monotonic()
     # one short write in append mode, so lines from several workers do not interleave
     with open(_LOG, "a") as log:
@@ -39,7 +39,6 @@ def _timed_run_check(name, rng):
 
 def main() -> int:
     global _LOG
-    caller = os.getpid()
     with tempfile.TemporaryDirectory() as tmp:
         _LOG = os.path.join(tmp, "timeline")
         harness._run_check = _timed_run_check
@@ -53,13 +52,10 @@ def main() -> int:
             spans = [(name, int(pid), float(s) - t0, float(e) - t0) for name, pid, s, e in map(str.split, log)]
     spans.sort(key=lambda span: span[2])
     print(f"{'check':<26} {'process':>8} {'start_s':>8} {'end_s':>8} {'took_s':>8}")
-    for name, pid, start, end in spans:
-        where = "caller" if pid == caller else str(pid)
-        print(f"{name:<26} {where:>8} {start:8.3f} {end:8.3f} {end - start:8.3f}")
     ends = {}
-    for _, pid, _, end in spans:
-        if pid != caller:
-            ends[pid] = max(end, ends.get(pid, 0.0))
+    for name, pid, start, end in spans:
+        print(f"{name:<26} {pid:>8} {start:8.3f} {end:8.3f} {end - start:8.3f}")
+        ends[pid] = max(end, ends.get(pid, 0.0))
     for pid, end in sorted(ends.items(), key=lambda item: item[1]):
         print(f"worker {pid}: last check ends {end:.3f} s, idle tail {t1 - t0 - end:.3f} s")
     print(f"pass {t1 - t0:.3f} s, {len(ends)} workers, passed {report.passed}")

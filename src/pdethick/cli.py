@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence
 
 from . import analytic, geometry, harness, solver, thickness
 from .errors import PdeThickError
-from .shapes import FIELDS, Family, PeriodicBoundary, ShapeSpec
+from .shapes import Family, PeriodicBoundary, ShapeSpec
 
 _FAMILIES = [f.value for f in Family]
 
@@ -126,26 +126,20 @@ def _require(args: argparse.Namespace, *names: str) -> None:
 
 
 def _shape_from_args(args: argparse.Namespace) -> ShapeSpec:
+    """The shape of the flags; ``ShapeSpec`` refuses a missing or stray field."""
     _require(args, "family", "fl", "fr")
     family = Family(args.family)
-    # each field's flag is its name without the underscore
-    _require(args, *(name.replace("_", "") for name in FIELDS[family]))
-    # a flag of a field the family does not take, or a cosine term off band-general
-    flags = dict.fromkeys(name.replace("_", "") for names in FIELDS.values() for name in names)
-    taken = {name.replace("_", "") for name in FIELDS[family]}
-    stray = [flag for flag in flags if flag not in taken and getattr(args, flag) is not None]
-    if family != Family.BAND_GENERAL:
-        stray += [f"{side}-cos-amp" for side in ("bl", "br") if getattr(args, f"{side}_cos_amp")]
-    if stray:
-        raise _CliError(f"{family.value} takes no {', '.join('--' + flag for flag in stray)}")
-    fields = {name: getattr(args, name.replace("_", "")) for name in FIELDS[family]}
-    if family == Family.BAND_GENERAL:
-        # the band-general boundaries: a mean level plus a first cosine harmonic
-        for side, amp in (("b_l", args.bl_cos_amp), ("b_r", args.br_cos_amp)):
-            fields[side] = PeriodicBoundary(
-                period=args.L, mean=fields[side], cosine_coeffs=(amp,) if amp else ()
-            )
-    return ShapeSpec(family, args.fl, args.fr, **fields)
+    # a cosine term off band-general, which no ShapeSpec field can see
+    amps = [f"--{side}-cos-amp" for side in ("bl", "br") if getattr(args, f"{side}_cos_amp")]
+    if amps and family != Family.BAND_GENERAL:
+        raise _CliError(f"{family.value} takes no {', '.join(amps)}")
+    # a band boundary with a cosine term is its mean level plus a first harmonic;
+    # without the mean or --L, ShapeSpec refuses the shape
+    fields = {"b_l": args.bl, "b_r": args.br}
+    for side, amp in (("b_l", args.bl_cos_amp), ("b_r", args.br_cos_amp)):
+        if amp and fields[side] is not None and args.L is not None:
+            fields[side] = PeriodicBoundary(period=args.L, mean=fields[side], cosine_coeffs=(amp,))
+    return ShapeSpec(family, args.fl, args.fr, L=args.L, **fields)
 
 
 def _solution_dict(sol: analytic.AnalyticSolution) -> dict:
@@ -174,7 +168,6 @@ def _cmd_analytic(args: argparse.Namespace) -> int:
             "a": args.a,
             "thickness_geometric": shape.thickness,
             "l2_envelope": bound,
-            "lower_bound": 0.0,
         }
         if args.pretty:
             print(f"{shape.family.value}: T_bar = {shape.thickness:g}, L2 envelope = {bound:.6g}")

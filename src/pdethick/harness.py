@@ -2,12 +2,11 @@
 
 Each verification check is registered once, with its name, its statement and
 whether the closed-form ``analytic`` suite runs it; registration order is
-report order, and the ``default`` suite runs every check.  The analytic
-checks run in the calling process, in registration order, drawing from the
-run's one seeded generator; every other check runs in a forked worker
-process and draws from nothing.  A check that raises, or whose worker dies,
-is recorded as failed, with statement ``(errored)`` and no samples, and the
-run goes on.  Each sample states only the sides its bound has: a sample
+report order, and the ``default`` suite runs every check.  Every check runs
+in a forked worker process, on its own generator seeded by the run's seed
+and the check's name.  A check that raises, or whose worker dies, is
+recorded as failed, with statement ``(errored)`` and no samples, and the run
+goes on.  Each sample states only the sides its bound has: a sample
 ``{a, error, bound, slack, passed}`` passes iff ``error <= bound + slack``,
 and two-sided analytic bounds also record ``lower_bound`` and require
 ``lower_bound <= error``.  Discrete 2D cases add the slack ``2 h / T^2`` to
@@ -313,21 +312,14 @@ class VerifyReport:
         ])
 
 
-# an analytic check draws from the run's one generator, in the calling process
-# and in registration order; every other check gets None and runs in a worker
-_CheckFn = Callable[[TheoremCheck, Optional[np.random.Generator]], None]
+_CheckFn = Callable[[TheoremCheck, np.random.Generator], None]
 
 #: name -> (statement, in the analytic suite, function adding the samples), in report order
 _CHECKS: Dict[str, Tuple[str, bool, _CheckFn]] = {}
 
 
 def _check(name: str, statement: str, analytic: bool = False) -> Callable[[_CheckFn], _CheckFn]:
-    """Register a check; ``analytic`` puts it in the closed-form suite too.
-
-    An analytic check draws from the run's one seeded generator, in the
-    calling process and in registration order.  Every other check gets
-    ``None`` for its generator and runs in a forked worker process.
-    """
+    """Register a check; ``analytic`` puts it in the closed-form suite too, and decides nothing else."""
 
     def register(fn: _CheckFn) -> _CheckFn:
         _CHECKS[name] = (statement, analytic, fn)
@@ -340,12 +332,16 @@ def _errored(name: str, exc: Exception) -> TheoremCheck:
     return TheoremCheck(case=name, statement="(errored)", error_message=f"{type(exc).__name__}: {exc}")
 
 
-def _run_check(name: str, rng: Optional[np.random.Generator]) -> TheoremCheck:
-    """Run one registered check; a raising check is a failed check, not an aborted run."""
+def _run_check(name: str, seed: int) -> TheoremCheck:
+    """Run one registered check; a raising check is a failed check, not an aborted run.
+
+    The check draws from ``default_rng([seed, *name.encode()])``, so its
+    samples depend on the run's seed and its name alone.
+    """
     statement, _, fn = _CHECKS[name]
     check = TheoremCheck(case=name, statement=statement)
     try:
-        fn(check, rng)
+        fn(check, np.random.default_rng([seed, *name.encode()]))
     except Exception as exc:
         return _errored(name, exc)
     return check
@@ -455,7 +451,7 @@ def canonical_wavy_band() -> ShapeSpec:
 
 
 @_check("band-flat-reduction", "flat-band 2D solve carries no x component and matches the 1D profile")
-def _check_band_flat_reduction(check: TheoremCheck, rng: None) -> None:
+def _check_band_flat_reduction(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     h = 1.0 / 64
     band = _shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
@@ -470,7 +466,7 @@ def _check_band_flat_reduction(check: TheoremCheck, rng: None) -> None:
 
 
 @_check("band-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the wavy-band envelope")
-def _check_band_general_envelope(check: TheoremCheck, rng: None) -> None:
+def _check_band_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
     shape = canonical_wavy_band()
     for a in (0.04, 0.02, 0.01):
         check.add(run_general_l2_case(shape, a))
@@ -478,7 +474,7 @@ def _check_band_general_envelope(check: TheoremCheck, rng: None) -> None:
 
 
 @_check("annulus-general-envelope", "L2 error of 1/T^a vs 1/T_bar within the boxed-annulus envelope")
-def _check_annulus_general_envelope(check: TheoremCheck, rng: None) -> None:
+def _check_annulus_general_envelope(check: TheoremCheck, rng: np.random.Generator) -> None:
     shape = _shapes.annulus_general(1.0, 2.0, 2.5)
     for a in (0.04, 0.02):
         check.add(run_general_l2_case(shape, a))
@@ -535,7 +531,7 @@ def _vector_magnitude(field: solver.DiscreteField) -> np.ndarray:
 
 
 @_check("max-principle", "homogeneous solutions: sup over the domain <= sup over its boundary")
-def _check_max_principle(check: TheoremCheck, rng: None) -> None:
+def _check_max_principle(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     for _label, system, data in _max_principle_probes(a):
         field = solver.homogeneous_boundary_probe(system, data)
@@ -549,7 +545,7 @@ def _check_max_principle(check: TheoremCheck, rng: None) -> None:
 
 
 @_check("solver-1d-convergence", "1D discrete solution converges to the closed form at second order")
-def _check_solver_1d_convergence(check: TheoremCheck, rng: None) -> None:
+def _check_solver_1d_convergence(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     shape = _shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     sol = analytic.interval_general(0.0, 1.0, -1.0, 2.0, a)
@@ -566,7 +562,7 @@ def _check_solver_1d_convergence(check: TheoremCheck, rng: None) -> None:
 
 
 @_check("radial-cross-check", "radial solve reproduces the scaled-Bessel slope p* and its constancy")
-def _check_radial_cross_check(check: TheoremCheck, rng: None) -> None:
+def _check_radial_cross_check(check: TheoremCheck, rng: np.random.Generator) -> None:
     a = 0.04
     shape = _shapes.annulus_whole(1.0, 2.0)
     system = _system(shape, a, 1.0 / 1024)
@@ -583,7 +579,7 @@ def _check_radial_cross_check(check: TheoremCheck, rng: None) -> None:
 
 
 @_check("geometric-oracle", "inscribed-ball sweep reproduces the constant thickness within 2h")
-def _check_geometric_oracle(check: TheoremCheck, rng: None) -> None:
+def _check_geometric_oracle(check: TheoremCheck, rng: np.random.Generator) -> None:
     # (shape, cells across it) on the grids of the oracle command
     cases = [
         (_shapes.interval_whole(0.0, 1.0), 100),
@@ -666,7 +662,7 @@ def interior_h1_check(kind: str, a: float = 0.04) -> Tuple[float, float, float]:
 
 
 @_check("interior-h1-estimate", "gradient energy on the shape bounded by the cutoff functional")
-def _check_interior_h1(check: TheoremCheck, rng: None) -> None:
+def _check_interior_h1(check: TheoremCheck, rng: np.random.Generator) -> None:
     for kind, (shape, _) in _INTERIOR_CASES.items():
         lhs, rhs, h = interior_h1_check(kind)
         check.add(SweepSample(a=h, error=lhs, bound=rhs, slack=rhs * 10.0 * h / shape.margin))
@@ -677,7 +673,7 @@ SUITES = {
     "default": list(_CHECKS),
 }
 
-#: the long discrete checks, longest first as timed in a fresh pooled pass: the pool starts
+#: the long checks, longest first as timed in a fresh pooled pass: the pool starts
 #: them before the others, so the short ones fill the workers' ends (Graham's LPT rule, 1969)
 _LONGEST_FIRST = ("annulus-general-envelope", "max-principle", "interior-h1-estimate", "band-general-envelope")
 
@@ -709,16 +705,13 @@ def _blas_threads(cpus: int) -> int:
 
 
 @contextlib.contextmanager
-def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
-    """Start the checks ``names`` in forked workers, in order; yields name -> future.
+def _in_workers(names: Sequence[str], seed: int) -> Iterator[Dict[str, Future]]:
+    """Start the checks ``names`` in forked workers, in order, on the run's ``seed``; yields name -> future.
 
     One worker per available CPU, divided by the BLAS threads of each
-    process and at most one per check; an empty ``names`` starts no pool.
-    Every worker has exited, and every future is done, when the block is left.
+    process and at most one per check.  Every worker has exited, and every
+    future is done, when the block is left.
     """
-    if not names:
-        yield {}
-        return
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
@@ -727,10 +720,10 @@ def _in_workers(names: Sequence[str]) -> Iterator[Dict[str, Future]]:
     workers = min(len(names), cpus // _blas_threads(cpus))
     # fork: the workers inherit the imported modules, monkeypatches included
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield {name: pool.submit(_run_check, name, None) for name in names}
+        yield {name: pool.submit(_run_check, name, seed) for name in names}
 
 
-def _worker_result(name: str, future: Future, rerun: bool = True) -> TheoremCheck:
+def _worker_result(name: str, future: Future, seed: int, rerun: bool = True) -> TheoremCheck:
     """The check its worker returned, or the check errored where its worker died.
 
     A dying worker breaks its whole pool, which fails every unfinished check
@@ -743,33 +736,30 @@ def _worker_result(name: str, future: Future, rerun: bool = True) -> TheoremChec
         return future.result()
     except Exception as exc:
         if rerun and isinstance(exc, BrokenProcessPool):
-            with _in_workers([name]) as alone:
+            with _in_workers([name], seed) as alone:
                 pass
-            return _worker_result(name, alone[name], rerun=False)
+            return _worker_result(name, alone[name], seed, rerun=False)
         return _errored(name, exc)
 
 
 def verify_theorems(suite: str = "default", seed: int = DEFAULT_SEED) -> VerifyReport:
     """Run every check of ``suite``; a failing or raising check never aborts the run.
 
-    The non-analytic checks start first, ``_LONGEST_FIRST`` first, in forked
-    worker processes, each with ``None`` for its generator.  Meanwhile the
-    analytic checks run here in registration order, drawing from the run's
-    one ``default_rng(seed)``.  The report lists the checks in registration
-    order, so it is byte-identical to running them all in one process.  A
-    check whose worker dies is run once more alone and, if its worker dies
-    again, reported as errored; no worker outlives the call.  The pool needs
-    the ``fork`` start method, so a suite with discrete checks runs on POSIX
-    systems only.
+    Every check runs in a forked worker, on the generator :func:`_run_check`
+    seeds from ``seed`` and its name; ``_LONGEST_FIRST`` start first, the
+    others in registration order.  The report lists the checks in
+    registration order, byte-identical to running them in one process in any
+    order.  A check whose worker dies is run once more alone and, if its
+    worker dies again, reported as errored; no worker outlives the call.
+    The pool needs the ``fork`` start method, so verify runs on POSIX only.
     """
     if suite not in SUITES:
         raise PdeThickError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):  # as default_rng takes it
+        raise PdeThickError(f"seed must be a nonnegative integer, got {seed!r}")
     names = SUITES[suite]
-    rng = np.random.default_rng(seed)
-    discrete = [name for name in names if not _CHECKS[name][1]]
     # the sort is stable: the checks outside _LONGEST_FIRST keep registration order
-    discrete.sort(key=lambda name: _LONGEST_FIRST.index(name) if name in _LONGEST_FIRST else len(_LONGEST_FIRST))
-    with _in_workers(discrete) as pending:
-        done = {name: _run_check(name, rng) for name in names if name not in pending}
-    done.update((name, _worker_result(name, future)) for name, future in pending.items())
-    return VerifyReport(suite=suite, checks=[done[name] for name in names])
+    order = sorted(names, key=lambda name: _LONGEST_FIRST.index(name) if name in _LONGEST_FIRST else len(_LONGEST_FIRST))
+    with _in_workers(order, seed) as pending:
+        pass
+    return VerifyReport(suite=suite, checks=[_worker_result(name, pending[name], seed) for name in names])

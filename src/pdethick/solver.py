@@ -211,13 +211,17 @@ def _radial_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
 def _band_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
     """Periodic-x grid over one period, f_l/f_r on nodes.
 
-    A whole band is truncated 28 sqrt(a) beyond the band.  Constant,
-    h-commensurate boundaries produce the exact strip (no Outside cells);
-    wavy boundaries get one padding row beyond their extremes and a
-    staircase Dirichlet boundary.
+    ``h = L/nx``, so a band whose thickness is not a whole number of such
+    steps raises :class:`NonNodalInterfaceError`.  A whole band is truncated
+    28 sqrt(a) beyond the band.  Constant, h-commensurate boundaries produce
+    the exact strip (no Outside cells); wavy boundaries get one padding row
+    beyond their extremes and a staircase Dirichlet boundary.
     """
     nx = max(4, math.ceil(shape.L / h_target - 1e-9))
     h = shape.L / nx
+    n_shape = shape.thickness / h
+    if abs(n_shape - round(n_shape)) > 1e-9:
+        raise NonNodalInterfaceError(f"band thickness {shape.thickness} is not a node multiple of h = L/{nx} = {h}")
     if shape.family == Family.BAND_WHOLE:
         n_down = n_up = math.ceil(TRUNCATION_LAYERS * math.sqrt(a) / h - 1e-9)
     else:
@@ -233,7 +237,7 @@ def _band_grid(shape: ShapeSpec, a: float, h_target: float) -> StructuredGrid:
             n_down = math.ceil(down + 1.0 - 1e-9)
             n_up = math.ceil(up + 1.0 - 1e-9)
     origin_y = shape.f_l - n_down * h
-    ny = n_down + round(shape.thickness / h) + n_up
+    ny = n_down + round(n_shape) + n_up
     return StructuredGrid(
         dim=2, origin=(0.0, origin_y), h=h, cells=(nx, ny), periodic_x=True
     )

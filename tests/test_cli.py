@@ -6,6 +6,10 @@ import pytest
 
 from pdethick import analytic, harness
 from pdethick.cli import parse_and_dispatch
+from pdethick.shapes import FIELDS, Family
+
+#: the shape field each shape flag sets; ShapeSpec names the field in its refusals
+_FIELD_OF_FLAG = {"--bl": "b_l", "--br": "b_r", "--L": "L"}
 
 
 def run(argv, capsys):
@@ -49,6 +53,8 @@ class TestAnalyticCommand:
         assert record["l2_envelope"] == pytest.approx(
             analytic.annulus_general_bound(1, 2, 3, 0.01), rel=1e-15
         )
+        # an L2 envelope has no lower side, so the record states none
+        assert "lower_bound" not in record
 
 
 class TestConfigErrors:
@@ -80,11 +86,14 @@ class TestConfigErrors:
         ],
     )
     def test_missing_family_flag_exits_2(self, capsys, family, given, missing):
+        # ShapeSpec refuses the shape, naming every missing field, ``missing``'s first
+        fields = [name for name in FIELDS[Family(family)] if name not in map(_FIELD_OF_FLAG.get, given)]
+        assert fields[0] == _FIELD_OF_FLAG[missing]
         argv = ["analytic", "--family", family, "--fl", "1", "--fr", "1.5", *given, "--a", "0.01"]
         code, out, err = run(argv, capsys)
         assert code == 2
         assert out == ""
-        assert err == f"pdethick: error: missing required parameter {missing}\n"
+        assert err == f"pdethick: error: {family} needs {' and '.join(fields)}\n"
 
     @pytest.mark.parametrize(
         "family, given, stray",
@@ -99,6 +108,11 @@ class TestConfigErrors:
         ],
     )
     def test_flag_outside_family_exits_2(self, capsys, family, given, stray):
+        # ShapeSpec refuses stray fields by their names; a cosine amplitude, which
+        # no field holds, the command line refuses by its flag
+        flags = stray.split(", ")
+        if all(flag in _FIELD_OF_FLAG for flag in flags):
+            stray = " or ".join(_FIELD_OF_FLAG[flag] for flag in flags)
         argv = ["analytic", "--family", family, "--fl", "1", "--fr", "1.5", *given, "--a", "0.01"]
         code, out, err = run(argv, capsys)
         assert (code, out, err) == (2, "", f"pdethick: error: {family} takes no {stray}\n")
@@ -110,7 +124,7 @@ class TestConfigErrors:
         argv = ["oracle", "--family", "interval-whole", "--fl", "0", "--fr", "1", "--cells", "8",
                 "--out", str(out_file), "--config", str(cfg)]
         code, _, err = run(argv, capsys)
-        assert (code, err) == (2, "pdethick: error: interval-whole takes no --bl\n")
+        assert (code, err) == (2, "pdethick: error: interval-whole takes no b_l\n")
         assert not out_file.exists()
 
     def test_zero_cosine_amplitude_off_band_general_is_accepted(self, capsys):

@@ -179,7 +179,7 @@ class TestVerify:
 
     def test_max_principle_builds_one_hierarchy_per_system(self, built_hierarchies):
         # ten probes over five systems: each system's probes share its hierarchy
-        check = harness._run_check("max-principle", None)
+        check = harness._run_check("max-principle", harness.DEFAULT_SEED)
         assert check.passed and len(check.samples) == 10
         assert len(built_hierarchies) == 5
 
@@ -192,7 +192,7 @@ class TestVerify:
 
     def test_1d_convergence_intercept_is_the_fitted_finest_error(self):
         # the fit is centred at the finest h, so it does not extrapolate to h = 1
-        check = harness._run_check("solver-1d-convergence", np.random.default_rng(0))
+        check = harness._run_check("solver-1d-convergence", 0)
         assert check.passed
         assert math.exp(check.intercept) == pytest.approx(check.samples[-1].error, rel=1e-3)
 
@@ -243,7 +243,7 @@ class TestVerify:
             "interval_general",
             lambda *args: dataclasses.replace(original(*args), log_excess=log_excess),
         )
-        check = harness._run_check("interval-general-bounds", np.random.default_rng(1))
+        check = harness._run_check("interval-general-bounds", 1)
         assert check.error_message is None
         assert check.passed == passed
 
@@ -269,7 +269,7 @@ class TestVerify:
             lambda shape, a: harness.SweepSample(a=a, error=a, bound=1.0, slack=0.0),
         )
         monkeypatch.setattr(harness, "fit_rate", lambda points: (1.0, 0.25))
-        check = harness._run_check(name, np.random.default_rng(0))
+        check = harness._run_check(name, 0)
         assert (check.slope, check.intercept) == (1.0, 0.25)
         assert all(s.passed for s in check.samples) and check.samples
         assert not check.passed
@@ -300,10 +300,14 @@ class TestVerify:
         "suite, seed", [("default", harness.DEFAULT_SEED), ("default", 7), ("analytic", harness.DEFAULT_SEED)]
     )
     def test_report_bytes_match_a_one_process_run(self, suite, seed):
-        rng = np.random.default_rng(seed)
-        serial = harness.VerifyReport(suite, [harness._run_check(name, rng) for name in harness.SUITES[suite]])
-        pooled = harness.verify_theorems(suite, seed)
-        assert harness.dumps_json(pooled.to_dict()) == harness.dumps_json(serial.to_dict())
+        # a check's draws depend on the seed and its name alone, so neither the
+        # process nor the order the checks run in moves a byte
+        names = harness.SUITES[suite]
+        forward = [harness._run_check(name, seed) for name in names]
+        backward = [harness._run_check(name, seed) for name in reversed(names)][::-1]
+        pooled = harness.dumps_json(harness.verify_theorems(suite, seed).to_dict())
+        for serial in (forward, backward):
+            assert harness.dumps_json(harness.VerifyReport(suite, serial).to_dict()) == pooled
 
     @pytest.mark.parametrize(
         "env, threads",
@@ -350,11 +354,16 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
         assert harness._cpus() == os.cpu_count()
         assert harness.verify_theorems("default").passed
 
-    def test_analytic_suite_starts_no_pool(self, monkeypatch):
+    def test_analytic_suite_runs_in_the_pool(self, monkeypatch):
+        # with the pool refusing to start, no check of the suite can run
         import concurrent.futures
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kwargs: pytest.fail("pool"))
-        assert harness.verify_theorems("analytic").passed
+        def refuse(*args, **kwargs):
+            raise RuntimeError("no pool")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+        with pytest.raises(RuntimeError, match="no pool"):
+            harness.verify_theorems("analytic")
 
     def test_pool_starts_the_longest_checks_first(self, monkeypatch):
         import concurrent.futures
@@ -368,8 +377,7 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
         report = harness.verify_theorems("default")
-        discrete = [name for name, (_, in_analytic, _) in harness._CHECKS.items() if not in_analytic]
-        rest = [name for name in discrete if name not in harness._LONGEST_FIRST]
+        rest = [name for name in harness.SUITES["default"] if name not in harness._LONGEST_FIRST]
         assert submitted == list(harness._LONGEST_FIRST) + rest
         assert [c.case for c in report.checks] == harness.SUITES["default"]
         assert report.passed
@@ -379,21 +387,31 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
         assert len(set(harness._LONGEST_FIRST)) == len(harness._LONGEST_FIRST)
         assert set(harness._LONGEST_FIRST) <= set(discrete)
 
-    def test_non_analytic_check_gets_no_generator(self, monkeypatch):
+    def test_every_check_gets_a_generator(self, monkeypatch):
+        # a closed-form and a discrete check alike draw from a generator of the
+        # seed and their name, in the pool
         def draws(check, rng):
             check.add(harness.SweepSample(a=float(rng.uniform()), error=0.0, bound=1.0, slack=0.0))
 
+        names = ["interval-whole-equality", "geometric-oracle"]
         checks = dict(harness._CHECKS)
-        statement, in_analytic, _ = checks["geometric-oracle"]
-        assert not in_analytic
-        checks["geometric-oracle"] = (statement, in_analytic, draws)
+        for name in names:
+            statement, in_analytic, _ = checks[name]
+            checks[name] = (statement, in_analytic, draws)
         monkeypatch.setattr(harness, "_CHECKS", checks)
-        monkeypatch.setitem(harness.SUITES, "default", ["interval-whole-equality", "geometric-oracle"])
-        report = harness.verify_theorems("default")
-        first, drawn = report.checks
-        assert first.passed
-        assert drawn.statement == "(errored)"
-        assert drawn.error_message == "AttributeError: 'NoneType' object has no attribute 'uniform'"
+        monkeypatch.setitem(harness.SUITES, "default", names)
+        report = harness.verify_theorems("default", 7)
+        assert report.passed
+        for name, check in zip(names, report.checks):
+            (sample,) = check.samples
+            assert sample.a == np.random.default_rng([7, *name.encode()]).uniform()
+        assert report.checks[0].samples[0].a != report.checks[1].samples[0].a
+
+    def test_closed_form_checks_draw_alike_in_either_suite(self):
+        default = harness.verify_theorems("default").to_dict()["checks"]
+        analytic_suite = harness.verify_theorems("analytic").to_dict()["checks"]
+        assert analytic_suite == [c for c in default if c["case"] in harness.SUITES["analytic"]]
+        assert all(c["samples"] for c in analytic_suite)
 
     def test_dead_worker_is_an_errored_check(self, monkeypatch):
         import multiprocessing
@@ -418,6 +436,12 @@ for path in glob.glob(os.path.join(os.path.dirname(numpy.__file__), os.pardir, "
     def test_unknown_suite_rejected(self):
         with pytest.raises(Exception):
             harness.verify_theorems("nope")
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "7"])
+    def test_seed_outside_the_nonnegative_integers_is_refused(self, seed):
+        # refused before any worker starts, not reported as thirteen errored checks
+        with pytest.raises(PdeThickError, match="^seed must be a nonnegative integer, got "):
+            harness.verify_theorems("default", seed)
 
     def test_json_float_format(self):
         text = harness.dumps_json({"x": 1.0 / 3.0, "flag": True, "none": None})

@@ -206,6 +206,30 @@ def test_problem_grid_node_cap_is_inclusive(monkeypatch):
         solver.problem_grid(shape, 0.04, 0.01)
 
 
+@pytest.mark.parametrize(
+    "shape",
+    [
+        # h = L/5 = 0.06 at the target 1/16, so f_r = 1 lies 2/3 of a cell off the nodes
+        shapes.band_whole(0.0, 1.0, 0.3),
+        # h = L/16 and a thickness of 11.2 cells
+        shapes.band_general(0.0, 0.7, -0.5, shapes.PeriodicBoundary(1.0, 1.5, (0.1,)), L=1.0),
+    ],
+    ids=["band-whole-L0.3", "wavy-band-fr0.7"],
+)
+def test_band_grid_refuses_an_interface_off_the_nodes(shape):
+    with pytest.raises(NonNodalInterfaceError, match=r"^band thickness [0-9.]+ is not a node multiple of h = L/"):
+        solver.problem_grid(shape, 0.04, 1.0 / 16)
+
+
+@pytest.mark.parametrize(
+    "shape", [shapes.band_whole(0.0, 1.0, 0.25), harness.canonical_wavy_band()], ids=["band-whole-L0.25", "wavy-band"]
+)
+def test_band_grid_puts_both_interfaces_on_nodes(shape):
+    y = solver.problem_grid(shape, 0.04, 1.0 / 16).node_coords(1)
+    for interface in (shape.f_l, shape.f_r):
+        assert np.min(np.abs(y - interface)) < 1e-12
+
+
 def _observed_orders(errors):
     """log2 of each successive error ratio, h halving between the errors."""
     return [math.log2(coarse / fine) for coarse, fine in zip(errors, errors[1:])]

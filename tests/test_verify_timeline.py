@@ -14,15 +14,14 @@ def test_timeline_of_a_small_pooled_pass(monkeypatch, capsys):
     # the workers unpickle the timed wrapper by its module's name
     monkeypatch.setitem(sys.modules, "verify_timeline", timeline)
     spec.loader.exec_module(timeline)
-    # one analytic check, run by the caller, and two short discrete checks, run in the pool
+    # one closed-form check and two short discrete checks, all run in the pool
     names = ["interval-whole-equality", "band-flat-reduction", "radial-cross-check"]
     monkeypatch.setitem(harness.SUITES, "default", names)
     assert timeline.main() == 0
     lines = capsys.readouterr().out.splitlines()
     rows = {line.split()[0]: line.split()[1] for line in lines[1:4]}
     assert sorted(rows) == sorted(names)
-    assert rows["interval-whole-equality"] == "caller"
-    for name in names[1:]:
+    for name in names:
         assert rows[name].isdigit() and int(rows[name]) != os.getpid()
     assert any(line.startswith("worker ") and "idle tail" in line for line in lines)
     assert lines[-1].endswith("passed True")
