@@ -21,6 +21,9 @@ cells) is only the worst-case cost.  Grids beyond 1024^2 cells are refused.
 from __future__ import annotations
 
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from enum import IntEnum
 from itertools import chain
@@ -276,7 +279,8 @@ def write_csv(target: Union[str, TextIO], header: str, blocks: Iterable[tuple]) 
     A block ``(line, columns)`` is one line per row of ``columns``, equal-length
     1D arrays whose row ``i`` fills the ``%`` fields of the template ``line``.
     Lines are formatted ``CSV_CHUNK_LINES`` at a time by one ``%`` operation
-    and written as they are formed, so the file is never held whole.
+    and written as they are formed, so the file is never held whole; this one
+    process does all of it (``write_grid_csv`` splits a grid over two).
     ``"%.17g" % v`` gives the bytes of ``f"{v:.17g}"``, ``nan`` and ``-0`` included.
     """
     if isinstance(target, str):
@@ -303,6 +307,17 @@ def write_grid_csv(
     selecting ``mask`` are shaped ``(nx,)`` or ``(ny, nx)``.  Each coordinate is
     formatted once: x values enter the lines as strings, and each y value goes
     into its row's template as text, since a formatted float holds no ``%``.
+
+    A 2D grid is written by two processes.  The rows split where the selected
+    points reach half their total; one forked child formats the rows past the
+    split with :func:`write_csv` into an unnamed temporary file (in the
+    target's own directory when ``target`` is a path) while this process
+    writes the header and the rows before it, then appends the child's bytes.
+    The child runs only formatting and file writes and leaves by ``os._exit``;
+    it is reaped before this returns or raises, so no process outlives the
+    call, and a failed child raises ``OSError``.  A grid of one row, or a
+    split that leaves the child no lines, starts no child.  The fork makes
+    the writer POSIX-only for 2D grids.
     """
     xs = np.array(["%.17g" % x for x in axes[0].tolist()], dtype=object)
     fields = ",%.17g" * len(columns) + "\n"
@@ -312,10 +327,45 @@ def write_grid_csv(
         rows = [(j, "%s," + "%.17g" % y + fields) for j, y in enumerate(axes[1].tolist())]
     if mask is None:
         mask = np.ones(columns[0].shape, dtype=bool)
-    blocks = (
-        (line, [v[mask[row]] for v in [xs, *(c[row] for c in columns)]]) for row, line in rows
-    )
-    write_csv(target, ",".join(["x", "y"][: len(axes)] + list(names)) + "\n", blocks)
+
+    def blocks(rows):
+        return ((line, [v[mask[row]] for v in [xs, *(c[row] for c in columns)]]) for row, line in rows)
+
+    header = ",".join(["x", "y"][: len(axes)] + list(names)) + "\n"
+    lines = np.cumsum(np.count_nonzero(mask.reshape(len(rows), -1), axis=1))
+    split = int(np.searchsorted(lines, lines[-1] / 2)) + 1
+    if lines[split - 1] == lines[-1]:  # one row, or no lines past the split: no child
+        return write_csv(target, header, blocks(rows))
+    if isinstance(target, str):
+        with open(target, "w") as handle:
+            directory = os.path.dirname(os.path.abspath(target))
+            return _write_split(handle, directory, header, blocks(rows[:split]), blocks(rows[split:]))
+    _write_split(target, None, header, blocks(rows[:split]), blocks(rows[split:]))
+
+
+def _write_split(
+    target: TextIO, directory: Optional[str], header: str, head: Iterable[tuple], rest: Iterable[tuple]
+) -> None:
+    """``write_csv`` of ``head`` to ``target``, then of ``rest``, which a forked
+    child formats into an unnamed temporary file in ``directory``."""
+    with tempfile.TemporaryFile("w+", dir=directory) as tail:
+        pid = os.fork()
+        if pid == 0:  # the child: no parent atexit handler or test teardown may run here
+            status = 1
+            try:
+                write_csv(tail, "", rest)
+                tail.flush()
+                status = 0
+            finally:
+                os._exit(status)
+        try:
+            write_csv(target, header, head)
+        finally:
+            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status != 0:
+            raise OSError(f"the CSV writer's child process failed with status {status}")
+        tail.seek(0)
+        shutil.copyfileobj(tail, target)
 
 
 def write_thickness_csv(field: ThicknessField, target: Union[str, TextIO]) -> None:

@@ -611,7 +611,7 @@ def _axis_prolongation(n: int, periodic: bool) -> Tuple[sp.csr_matrix, np.ndarra
 
 def _csr(data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: Tuple[int, int]) -> sp.csr_matrix:
     """The canonical CSR of a COO list free of duplicates: each row's columns ascending."""
-    order = np.lexsort((cols, rows))
+    order = np.argsort(rows.astype(np.int64) * shape[1] + cols, kind="stable")
     indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=shape[0]))])
     return sp.csr_matrix((data[order], cols[order], indptr), shape=shape)
 

@@ -2,11 +2,14 @@
 
 The reference formatters below write one f-string per line, the way the
 writers did before they were vectorized.  The round-trip tests elsewhere
-compare parsed floats, so only these catch a change in formatting.
+compare parsed floats, so only these catch a change in formatting.  The last
+tests split a 2D grid at every row between the writer and its forked child,
+and check that no child outlives a write, a failed one included.
 """
 
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -83,6 +86,16 @@ def ref_triplets(system):
     return "".join(f"{r + 1} {c + 1} {v:.17g}\n" for r, c, v in zip(coo.row, coo.col, coo.data))
 
 
+def ref_grid_csv(axes, names, columns, mask):
+    out = io.StringIO()
+    out.write(",".join(["x", "y"][: len(axes)] + list(names)) + "\n")
+    for index in np.argwhere(mask):  # (i,) in 1D, (j, i) in 2D: x fastest
+        coords = [axes[0][index[-1]]] + [y[index[0]] for y in axes[1:]]
+        values = coords + [c[tuple(index)] for c in columns]
+        out.write(",".join(f"{v:.17g}" for v in values) + "\n")
+    return out.getvalue()
+
+
 # -- fixtures -------------------------------------------------------------------
 
 
@@ -91,6 +104,20 @@ def chunk(request, monkeypatch):
     """Run each test with chunks that split rows, and with the default size."""
     monkeypatch.setattr(geometry, "CSV_CHUNK_LINES", request.param)
     return request.param
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The list of the writers' ``os.fork`` calls, each of which still forks."""
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
 
 
 def _wavy_band():
@@ -200,3 +227,73 @@ def test_thickness_csv_bytes(tmp_path, chunk, dim):
 def test_triplets_bytes(tmp_path, chunk, kind):
     system = _system(kind)
     _check(tmp_path, lambda t: solver.dump_triplets(system, t), ref_triplets(system))
+
+
+# -- the two-process grid writer ----------------------------------------------------
+
+
+def _split(mask):
+    """The rows the parent writes, up to where the lines reach half their total, and the child's lines."""
+    counts = mask.sum(axis=1).tolist()
+    seen = 0
+    for row, count in enumerate(counts):
+        seen += count
+        if 2 * seen >= sum(counts):
+            return row + 1, sum(counts) - seen
+
+
+def _split_masks(ny, nx):
+    """Masks whose split lands at every row: each row alone (the child gets no
+    lines), each pair of adjacent rows, every point, none and a random few."""
+    masks = []
+    for k in range(ny):
+        masks.append(np.zeros((ny, nx), dtype=bool))
+        masks[-1][k] = True
+    for k in range(ny - 1):
+        masks.append(np.zeros((ny, nx), dtype=bool))
+        masks[-1][k:k + 2] = True
+    rng = np.random.default_rng(5)
+    return masks + [np.ones((ny, nx), dtype=bool), np.zeros((ny, nx), dtype=bool), rng.random((ny, nx)) < 0.4]
+
+
+def test_grid_csv_split_bytes(tmp_path, chunk, forks):
+    ny, nx = 6, 5
+    axes = [np.linspace(-1.0, 1.0, nx), np.linspace(0.3, 2.0, ny) ** 3]
+    rng = np.random.default_rng(3)
+    columns = [rng.standard_normal((ny, nx)), rng.standard_normal((ny, nx))]
+    splits = set()
+    for mask in _split_masks(ny, nx):
+        split, child_lines = _split(mask)
+        splits.add(split)
+        forks.clear()
+        expected = ref_grid_csv(axes, ["u", "v"], columns, mask)
+        _check(tmp_path, lambda t: geometry.write_grid_csv(t, axes, ["u", "v"], columns, mask), expected)
+        assert len(forks) == (2 if child_lines else 0), mask  # once per target
+        with pytest.raises(ChildProcessError):  # every child was reaped
+            os.waitpid(-1, os.WNOHANG)
+    assert splits == set(range(1, ny + 1))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_grid_csv_1d_starts_no_child(tmp_path, forks, masked):
+    x = np.linspace(-1.0, 2.0, 50)
+    columns = [np.sin(x), np.exp(x)]
+    mask = x > 0.3 if masked else np.ones(x.shape, dtype=bool)
+    expected = ref_grid_csv([x], ["u", "v"], columns, mask)
+    _check(tmp_path, lambda t: geometry.write_grid_csv(t, [x], ["u", "v"], columns, mask if masked else None), expected)
+    assert forks == []
+
+
+@pytest.mark.parametrize("bad_row, error", [(3, OSError), (0, TypeError)], ids=["child", "parent"])
+def test_grid_csv_failed_half_leaves_no_process(tmp_path, bad_row, error):
+    """A value neither half can format: in the child's rows the parent raises
+    OSError naming its status, in the parent's own rows the parent's error;
+    either way the child is reaped before the writer raises."""
+    axes = [np.arange(3.0), np.arange(4.0)]
+    column = np.ones((4, 3), dtype=object)
+    column[bad_row, 1] = "not a float"
+    for target in [str(tmp_path / "out.csv"), io.StringIO()]:
+        with pytest.raises(error, match="status 1" if error is OSError else "must be real number"):
+            geometry.write_grid_csv(target, axes, ["u"], [column])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
