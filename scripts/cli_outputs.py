@@ -74,6 +74,9 @@ COMMANDS = (
         # period on the narrow ring
         ("solve-band-general-fine", _solve("band-general", "0.02", "32")),
         ("solve-band-narrow", _solve("band-whole", "0.04", "16", "--L", "0.25")),
+        # the boxed annulus solves on its quadrant, whose own hierarchy has 3 levels
+        # above a dense coarsest inverse of 156 free unknowns
+        ("solve-annulus-general-fine", _solve("annulus-general", "0.01", "40")),
         ("oracle-interval", ["oracle", *_shape("interval-whole"), "--cells", "50", "--out", "@thickness.csv"]),
         ("oracle-wavy-band", ["oracle", *_shape("band-general"), "--cells", "16", "--out", "@thickness.csv"]),
         ("oracle-annulus", ["oracle", *_shape("annulus-whole"), "--cells", "20", "--out", "@thickness.csv"]),

@@ -31,8 +31,13 @@ boundary; the homogeneous-equation decay makes the truncation error at most
 ~exp(-28) < 1e-12, below solver tolerance.
 
 Every system is solved by one preconditioned conjugate-gradient loop, one
-vector component at a time, preconditioned by a geometric multigrid V-cycle
-on its uniform grid, whether 1D, radial or 2D (Briggs, Henson & McCormick,
+vector component at a time, except where a 2D system and its loads are
+symmetric under both reflections and the transpose, as the boxed annulus's
+are: there CG runs once, on the first component folded onto a quarter of the
+grid by its parity, odd in x and even in y, and the second component is the
+first's transpose (Bossavit, *SIAM J. Appl. Math.* 53, 1993).  CG is
+preconditioned by a geometric multigrid V-cycle on its uniform grid, whether
+1D, radial or 2D (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000): linear or bilinear
 prolongation, Galerkin coarse operators, damped-Jacobi smoothing and a dense
 solve on the coarsest level, so the iteration count stays flat as h shrinks.
@@ -50,10 +55,10 @@ the same per-node sum writes the 2D load and Dirichlet nodes, and one
 corner gather hands each cell its corner values, so only these two know the
 corner order and the periodic seam.  Coarse operators are formed stencil
 by stencil, axis by axis.  CG and every level work on vectors over all
-nodes of their grid, 0 on the fixed nodes, so no reduced block and no 2D
-prolongation is stored.  A system keeps its hierarchy for later solves and
-probes, so its block and Dirichlet nodes must not change after its first
-solve.  CG sums in NumPy's einsum loop, not BLAS, so repeated solves get
+nodes of their grid, 0 on the fixed nodes, so no block restricted to the
+free nodes and no 2D prolongation is stored.  A system keeps its hierarchies
+for later solves and probes, so its block and Dirichlet nodes must not
+change after its first solve.  CG sums in NumPy's einsum loop, not BLAS, so repeated solves get
 the same bits on one platform at any thread count, whatever runs beside them.
 """
 
@@ -101,9 +106,13 @@ class SparseSystem:
     diagonals, 0 wherever no cell carries an entry, so on a 2D grid the
     rows at nodes touching only Outside cells are 0; ``block.tocsr()`` is
     the int32 CSR block with sorted columns and no stored zeros.
-    ``multigrid``, the V-cycle hierarchy, is built on the first solve and
-    reused, so neither the block nor the Dirichlet nodes may change after
-    that solve.
+    ``multigrid``, the V-cycle hierarchy, is built on the first solve that
+    runs on the whole grid and reused, so neither the block nor the
+    Dirichlet nodes may change after that solve.  ``quadrant`` is the block
+    folded onto the quadrant x, y >= 0 (:func:`_fold`), with its own
+    hierarchy, on a 2D system whose labels and Dirichlet nodes are
+    symmetric under both reflections and the transpose, and None on any
+    other; a solve whose loads have that symmetry runs on it alone.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
     the full-length ``dirichlet_mask`` stay because the benchmark's span
@@ -120,6 +129,10 @@ class SparseSystem:
     @cached_property
     def multigrid(self) -> "_Multigrid":
         return _Multigrid(self.block, self.grid, ~self.dirichlet_nodes)
+
+    @cached_property
+    def quadrant(self) -> Optional["_Quadrant"]:
+        return _fold(self) if _is_symmetric(self) else None
 
     @property
     def n_components(self) -> int:
@@ -146,8 +159,8 @@ class DiscreteField:
     """Nodal solution values; one array per vector component.
 
     2D components are shaped (ny_nodes, nx_nodes); 1D fields hold a single
-    flat array.  ``iterations`` is the solver's iteration count summed over
-    the components.
+    flat array.  ``iterations`` counts the CG iterations run, summed over
+    the solves; a component derived by symmetry from another adds none.
     """
 
     grid: StructuredGrid
@@ -759,6 +772,58 @@ def _smooth(A: sp.spmatrix, weight: np.ndarray, r: np.ndarray, x: np.ndarray) ->
     x += t
 
 
+@dataclass(frozen=True, eq=False)
+class _Quadrant:
+    """A system's block folded onto its quadrant (:func:`_fold`), on the
+    quadrant's own grid, Dirichlet nodes flat; ``multigrid`` is built on its
+    first solve and reused, as :class:`SparseSystem`'s is."""
+
+    block: sp.dia_matrix
+    dirichlet_nodes: np.ndarray
+    grid: StructuredGrid
+
+    @cached_property
+    def multigrid(self) -> _Multigrid:
+        return _Multigrid(self.block, self.grid, ~self.dirichlet_nodes)
+
+
+def _is_symmetric(system: SparseSystem) -> bool:
+    """Whether ``system`` is 2D on an open grid of equal, odd node counts, with
+    labels and Dirichlet nodes equal to their x-mirror, y-mirror and transpose."""
+    grid = system.grid
+    counts = grid.node_counts()[::-1]
+    if grid.dim != 2 or grid.periodic_x or counts[0] != counts[1] or counts[0] % 2 == 0 or system.classification is None:
+        return False
+    masks = (system.classification.labels, system.dirichlet_nodes.reshape(counts))
+    return all(np.array_equal(m, image) for m in masks for image in (m[:, ::-1], m[::-1], m.T))
+
+
+def _fold(system: SparseSystem) -> _Quadrant:
+    """The block of a symmetric system on its quadrant ``[c:, c:]``, ``c = n // 2``,
+    for a component odd in x and even in y: ``E^T A E / 4``, where ``E``
+    unfolds the quadrant by that parity, so the folded block is symmetric.
+
+    Its stencils are the block's on the quadrant.  On the y = 0 row each
+    y - h entry is folded onto its y + h mirror, and the row is halved.  The
+    x = 0 column, where the component is 0, is fixed.
+    """
+    grid = system.grid
+    counts = grid.node_counts()[::-1]
+    c = counts[0] // 2
+    free = ~system.dirichlet_nodes.reshape(counts)
+    fixed = ~free[c:, c:]
+    fixed[:, 0] = True
+    places = _dia_layout(counts, False)[1]
+    stencils = {delta: _read_stencil(system.block, here, free)[c:, c:].copy() for delta, here in places.items()}
+    for d_x in (-1, 0, 1):  # :func:`_dia_block` drops the y = 0 row's y - h entries
+        stencils[1, d_x][0] += stencils[-1, d_x][0]
+    for stencil in stencils.values():
+        stencil[0] *= 0.5
+    block = _dia_block((c + 1, c + 1), False, stencils.values(), ~fixed)
+    origin = tuple(o + c * grid.h for o in grid.origin)
+    return _Quadrant(block, fixed.ravel(), StructuredGrid(dim=2, origin=origin, h=grid.h, cells=(c, c)))
+
+
 def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     """CG on ``x`` until ||r|| <= REL_TOL * b_norm; returns the iterations.
 
@@ -791,24 +856,51 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     )
 
 
+def _solve_load(system: Union[SparseSystem, _Quadrant], load: np.ndarray, x: np.ndarray) -> int:
+    """CG on one node load of ``system``, fixed rows ignored, into ``x``; returns
+    the iterations.  The load is scaled by a power of two to a norm in
+    [0.5, 1), and its solution back, exactly, so the float32 cycle keeps its
+    range at any scale."""
+    b = np.where(system.dirichlet_nodes, 0.0, load)
+    b_norm = math.sqrt(np.einsum("i,i", b, b))
+    if b_norm == 0.0:  # a zero load takes no iteration and builds no hierarchy
+        return 0
+    e = math.frexp(b_norm)[1]
+    np.ldexp(b, -e, out=b)
+    iterations = _pcg(system.block, np.flatnonzero(system.dirichlet_nodes), b, math.ldexp(b_norm, -e), system.multigrid, x)
+    np.ldexp(x, e, out=x)
+    return iterations
+
+
 def _solve(system: SparseSystem, loads: np.ndarray) -> Tuple[np.ndarray, int]:
     """CG on the stacked node loads, fixed rows ignored: the solution, 0 on
-    the Dirichlet nodes, and the summed iterations.  Each load is scaled by a
-    power of two to a norm in [0.5, 1), and its solution back, exactly, so
-    the float32 cycle keeps its range at any scale."""
-    fixed = np.flatnonzero(system.dirichlet_nodes)
+    the Dirichlet nodes, and the summed iterations.
+
+    Where the system has a ``quadrant``, the first load is odd in x and even
+    in y, and the second is its transpose, CG runs on the folded first load
+    alone; its solution is unfolded by that parity, the odd half written as
+    ``0.0 - u`` so no -0.0 appears, and the second component is its
+    transpose.  Any other loads are solved one component at a time.
+    """
     x = np.zeros(system.n)
-    iterations = 0
-    for xc, load in zip(x.reshape(system.n_components, -1), loads.reshape(system.n_components, -1)):
-        b = np.where(system.dirichlet_nodes, 0.0, load)
-        b_norm = math.sqrt(np.einsum("i,i", b, b))
-        if b_norm != 0.0:  # a zero load takes no iteration and builds no hierarchy
-            e = math.frexp(b_norm)[1]
-            np.ldexp(b, -e, out=b)
-            iterations += _pcg(system.block, fixed, b, math.ldexp(b_norm, -e), system.multigrid, xc)
-            np.ldexp(xc, e, out=xc)
-        del b  # before the next load, which would otherwise sit beside it
-    return x, iterations
+    if system.n_components == 2:
+        counts = system.grid.node_counts()[::-1]
+        b_x, b_y = loads.reshape((2,) + counts)
+        symmetric = np.array_equal(b_y, b_x.T) and np.array_equal(b_x, 0.0 - b_x[:, ::-1]) and np.array_equal(b_x, b_x[::-1])
+        if symmetric and system.quadrant is not None:
+            c = counts[0] // 2
+            load = b_x[c:, c:].copy()
+            load[0] *= 0.5  # the y = 0 row, halved as the folded block's
+            v = np.zeros(load.shape)
+            iterations = _solve_load(system.quadrant, load.ravel(), v.ravel())
+            s_x, s_y = x.reshape((2,) + counts)
+            s_x[c:, c:] = v
+            s_x[:c, c:] = v[:0:-1]
+            np.subtract(0.0, s_x[:, :c:-1], out=s_x[:, :c])
+            s_y[...] = s_x.T
+            return x, iterations
+    pairs = zip(loads.reshape(system.n_components, -1), x.reshape(system.n_components, -1))
+    return x, sum(_solve_load(system, load, xc) for load, xc in pairs)
 
 
 def solve_spd(system: SparseSystem) -> DiscreteField:
@@ -817,11 +909,15 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     CG (:func:`_pcg`) runs on vectors over every node, 0 on the Dirichlet
     nodes, in the solution's own storage, under the system's V-cycle
     hierarchy ``system.multigrid``, so the block and Dirichlet nodes must
-    not change after the first solve.  Each component iterates until
+    not change after the first solve.  Where the system has a ``quadrant``
+    and its loads its symmetry (the boxed annulus's), CG runs once, on the
+    quadrant under its own hierarchy, and the rest of the field is unfolded
+    from it (:func:`_solve`).  Each solve iterates until
     ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load; more than
     ``MAX_ITERATIONS``, at any size, raise :class:`NonConvergenceError`: a
     healthy V-cycle needs far fewer, so it means an assembly bug or an
-    indefinite system.  The iterations returned are summed over components.
+    indefinite system.  The iterations returned are summed over the solves
+    run.
     """
     x, iterations = _solve(system, system.rhs)
     return _field_from_vector(system, x, iterations)
@@ -837,6 +933,9 @@ def homogeneous_boundary_probe(
     side is zeroed, which turns the assembled system into the homogeneous
     equation used by the maximum-principle and interior-estimate checks.
     It reuses the hierarchy as :func:`solve_spd` does; -0.0 data give +0.0.
+    The lifted loads ``0 - block @ g`` seldom keep the exact symmetry the
+    quadrant solve needs, since the diagonal product sums mirrored rows in
+    another order, so a probe mostly solves on the whole grid.
     """
     values = np.asarray(boundary_values, dtype=float).ravel()
     if values.size != system.n:

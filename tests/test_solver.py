@@ -321,7 +321,8 @@ class TestSolveSpd:
         system = solver.assemble_2d(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
         first = solver.solve_spd(system)
         second = solver.solve_spd(system)
-        assert built_hierarchies == [system.multigrid]
+        # the boxed annulus solves on its quadrant, so the one hierarchy is the quadrant's
+        assert built_hierarchies == [system.quadrant.multigrid]
         assert first.iterations == second.iterations > 0
         assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -336,7 +337,7 @@ class TestSolveSpd:
         system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
         field = solver.solve_spd(system)
         scaled = solver.solve_spd(dataclasses.replace(system, rhs=system.rhs * scale))
-        assert scaled.iterations == field.iterations == 14
+        assert scaled.iterations == field.iterations == 7
         for c, c_scaled in zip(field.components, scaled.components):
             if math.frexp(scale)[0] == 0.5:
                 assert c_scaled.tobytes() == (c * scale).tobytes()
@@ -403,6 +404,81 @@ class TestBandReduction:
         scale = max(float(np.max(np.abs(sx))), float(np.max(np.abs(sy))))
         assert np.max(np.abs(sx)) <= 1e-8 * scale
         assert np.max(np.abs(sy - field1.components[0][:, None])) <= 1e-8 * scale
+
+
+def _box(a):
+    ann = shapes.annulus_general(1.0, 2.0, 2.5)
+    return solver.assemble(solver.problem_grid(ann, a, np.sqrt(a) / 8), ann, a)
+
+
+class TestQuadrantSolve:
+    @pytest.mark.parametrize("a", [0.04, 0.005])
+    def test_boxed_annulus_solves_once_on_its_quadrant(self, a, built_hierarchies, monkeypatch):
+        system = _box(a)
+        field = solver.solve_spd(system)
+        s_x, s_y = field.components
+        assert s_y.flags.c_contiguous and s_y.tobytes() == s_x.T.tobytes()
+        assert np.array_equal(s_x, 0.0 - s_x[:, ::-1]) and np.array_equal(s_x, s_x[::-1])
+        assert not any(np.any(np.signbit(c) & (c == 0.0)) for c in field.components)
+        assert built_hierarchies == [system.quadrant.multigrid]
+        folded = system.quadrant.block.tocsr()
+        assert abs(folded - folded.T).max() == 0.0
+        # the per-component solve on the whole grid
+        monkeypatch.setattr(solver.SparseSystem, "quadrant", None)
+        full_system = _box(a)
+        full = solver.solve_spd(full_system)
+        assert built_hierarchies[1:] == [full_system.multigrid]
+        assert field.iterations < full.iterations
+        scale = max(float(np.max(np.abs(c))) for c in full.components)
+        for c, c_full in zip(field.components, full.components):
+            assert np.max(np.abs(c - c_full)) <= 1e-8 * scale
+
+    def test_quadrant_needs_symmetric_labels_dirichlet_nodes_and_an_odd_square_grid(self):
+        system = _box(0.04)
+        assert system.quadrant is not None
+        labels = system.classification.labels.copy()
+        labels[0, 1] = geometry.CellLabel.OUTSIDE
+        classification = dataclasses.replace(system.classification, labels=labels)
+        assert dataclasses.replace(system, classification=classification).quadrant is None
+        dirichlet = system.dirichlet_nodes.copy()
+        dirichlet[np.flatnonzero(~dirichlet)[0]] = True
+        assert dataclasses.replace(system, dirichlet_nodes=dirichlet).quadrant is None
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        even = geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=5.0 / 51, cells=(51, 51))
+        assert solver.assemble(even, ann, 0.04).quadrant is None
+
+    @pytest.mark.parametrize(
+        "case", ["wavy-band", "flat-band", "one-entry", "not-odd-in-x", "not-even-in-y", "not-transposed", "constant-probe"]
+    )
+    def test_other_systems_and_loads_solve_on_the_whole_grid(self, case, built_hierarchies):
+        if case == "wavy-band":
+            band = harness.canonical_wavy_band()
+            system = solver.assemble(solver.problem_grid(band, 0.02, np.sqrt(0.02) / 8), band, 0.02)
+        elif case == "flat-band":
+            band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
+            system = solver.assemble(solver.problem_grid(band, 0.04, 1.0 / 16), band, 0.04)
+        else:
+            system = _box(0.04)
+        if case in ("one-entry", "not-odd-in-x", "not-even-in-y", "not-transposed"):
+            # double one nonzero x load entry, off both center lines, with the mirror
+            # images that keep every symmetry but the one the case names
+            b_x, b_y = system.rhs.reshape((2,) + system.grid.node_counts()[::-1]).copy()
+            j, i = np.argwhere(b_x != 0.0)[0]
+            if case == "not-transposed":
+                b_y[i, j] *= 2.0
+            else:
+                images = {"one-entry": [], "not-odd-in-x": [(-1 - j, i)], "not-even-in-y": [(j, -1 - i)]}[case]
+                for node in [(j, i)] + images:
+                    b_x[node] *= 2.0
+                if images:
+                    b_y = b_x.T
+            system = dataclasses.replace(system, rhs=np.concatenate([b_x.ravel(), b_y.ravel()]))
+        if case == "constant-probe":
+            field = solver.homogeneous_boundary_probe(system, np.ones(system.n))
+        else:
+            field = solver.solve_spd(system)
+        assert field.iterations > 0
+        assert built_hierarchies == [system.multigrid]
 
 
 class TestHomogeneousProbes:
