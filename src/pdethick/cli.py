@@ -192,12 +192,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     grid = solver.problem_grid(shape, args.a, shape.thickness / args.cells)
     system = solver.assemble(grid, shape, args.a)
     field = solver.solve_spd(system)
-    solver.write_field_csv(field, args.out)
     if args.matrix_out:
         solver.dump_triplets(system, args.matrix_out)
+    # the loads and hierarchies go before the writers; the thickness needs the labels alone
+    classification = system.classification
+    del system
+    solver.write_field_csv(field, args.out)
     if args.thickness_out:
         div = thickness.divergence(field)
-        inv = thickness.inverse_thickness(div, args.a, system.classification)
+        inv = thickness.inverse_thickness(div, args.a, classification)
         thickness.write_inverse_thickness_csv(inv, args.thickness_out, shape.thickness)
     return EXIT_OK
 

@@ -56,10 +56,12 @@ corner gather hands each cell its corner values, so only these two know the
 corner order and the periodic seam.  Coarse operators are formed stencil
 by stencil, axis by axis.  CG and every level work on vectors over all
 nodes of their grid, 0 on the fixed nodes, so no block restricted to the
-free nodes and no 2D prolongation is stored.  A system keeps its hierarchies
-for later solves and probes, so its block and Dirichlet nodes must not
-change after its first solve.  CG sums in NumPy's einsum loop, not BLAS, so repeated solves get
-the same bits on one platform at any thread count, whatever runs beside them.
+free nodes and no 2D prolongation is stored.  A system forms its block on
+the first read, which a solve on the quadrant alone never makes, and keeps
+its hierarchies for later solves and probes, so its element matrices and
+Dirichlet nodes must not change after its first solve.  CG sums in NumPy's
+einsum loop, not BLAS, so repeated solves get the same bits on one platform
+at any thread count, whatever runs beside them.
 """
 
 from __future__ import annotations
@@ -85,8 +87,9 @@ TRUNCATION_LAYERS = 28.0
 MIN_CELLS_ACROSS = 4
 
 #: Hard cap on the nodes of a solve grid (documented limit, checked before any
-#: array exists): a 2D solve at the cap peaks near 3.5 GB, at about 103 bytes
-#: per unknown.
+#: array exists): a 2D solve on the whole grid at the cap peaks near 3.5 GB,
+#: at about 103 bytes per unknown (2 a node) above the import; a boxed annulus
+#: solved on its quadrant at about 41.
 MAX_NODES = 1 << 24
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
@@ -98,21 +101,24 @@ class SparseSystem:
 
     The operator is block diagonal: one copy of the scalar ``block`` per
     vector component, ``n_components == grid.dim`` of them, since the
-    bilinear form decouples componentwise.  ``rhs`` stacks the components'
-    loads.  ``dirichlet_nodes`` marks the constrained grid nodes, the same in
-    every component.  The block restricted to the free nodes is symmetric
-    positive definite; the solver applies it through the whole block and
-    never builds it.  ``block`` is stored in :func:`_dia_layout`'s
-    diagonals, 0 wherever no cell carries an entry, so on a 2D grid the
-    rows at nodes touching only Outside cells are 0; ``block.tocsr()`` is
-    the int32 CSR block with sorted columns and no stored zeros.
-    ``multigrid``, the V-cycle hierarchy, is built on the first solve that
-    runs on the whole grid and reused, so neither the block nor the
-    Dirichlet nodes may change after that solve.  ``quadrant`` is the block
-    folded onto the quadrant x, y >= 0 (:func:`_fold`), with its own
-    hierarchy, on a 2D system whose labels and Dirichlet nodes are
-    symmetric under both reflections and the transpose, and None on any
-    other; a solve whose loads have that symmetry runs on it alone.
+    bilinear form decouples componentwise; ``index``, shaped like the cells,
+    picks each cell's element matrix from ``tables`` (:func:`_node_sums`).
+    ``rhs`` stacks the components' loads.  ``dirichlet_nodes`` marks the
+    constrained grid nodes, the same in every component.  The block
+    restricted to the free nodes is symmetric positive definite; the solver
+    applies it through the whole block and never builds it.  ``block`` is
+    formed on its first read (:func:`_stencil_block`) and kept, in
+    :func:`_dia_layout`'s diagonals, 0 wherever no cell carries an entry,
+    so on a 2D grid the rows at nodes touching only Outside cells are 0;
+    ``block.tocsr()`` is the int32 CSR block with sorted columns and no
+    stored zeros.  ``multigrid``, the V-cycle hierarchy, is built on the
+    first solve that runs on the whole grid and reused, so neither the
+    element matrices nor the Dirichlet nodes may change after that solve.
+    ``quadrant`` is the block folded onto the quadrant x, y >= 0
+    (:func:`_fold`), with its own hierarchy, on a 2D system whose ``index``
+    and Dirichlet nodes are symmetric under both reflections and the
+    transpose, and None on any other; a solve whose loads have that
+    symmetry runs on it alone and never forms ``block``.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
     the full-length ``dirichlet_mask`` stay because the benchmark's span
@@ -120,11 +126,16 @@ class SparseSystem:
     ``block`` and ``dirichlet_nodes`` alone.
     """
 
-    block: sp.dia_matrix
+    tables: np.ndarray
+    index: np.ndarray
     rhs: np.ndarray
     dirichlet_nodes: np.ndarray
     grid: StructuredGrid
     classification: Optional[CellClassification] = None
+
+    @cached_property
+    def block(self) -> sp.dia_matrix:
+        return _stencil_block(self.grid, self.tables, self.index)
 
     @cached_property
     def multigrid(self) -> "_Multigrid":
@@ -342,8 +353,7 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
     stiffness = np.array([[stiff, -stiff], [-stiff, stiff]])
     # one element matrix per label: Void cells add the void mass, Shape and Outside cells carry stiffness alone
     tables = np.array([stiffness + [[2 * m, m], [m, 2 * m]], stiffness, stiffness])
-    block = _stencil_block(grid, tables, cls.labels)
-    return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
+    return SparseSystem(tables, cls.labels, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -391,8 +401,8 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
     for gp in g:
         local = np.where(void, local + weighted_mass(w * gp, gp), local)
 
-    block = _stencil_block(grid, local.reshape(-1, 2, 2), np.arange(grid.cells[0]))
-    return SparseSystem(block, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
+    tables = local.reshape(-1, 2, 2)
+    return SparseSystem(tables, np.arange(grid.cells[0]), rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 # bilinear element matrices on an h x h cell, node order SW, SE, NE, NW
@@ -422,8 +432,10 @@ _GRAD_Y = np.array([-0.5, -0.5, 0.5, 0.5])
 _CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
 
 
-def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entries) -> np.ndarray:
-    """Each node's sum of the entries of the cells around it, node-shaped.
+def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entries, lower=()) -> np.ndarray:
+    """Each node's sum of the entries of the cells around it, node-shaped,
+    over the nodes from the node indices ``lower`` (slowest axis first,
+    none for the whole grid) up, at node column 0 on a periodic grid.
 
     ``index``, shaped like the cells slowest axis first, picks each cell's
     table; an index of ``len(tables)`` carries nothing.  ``entries(tables,
@@ -443,6 +455,8 @@ def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entr
     padded[tuple(slice(1, 1 + c) for c in index.shape)] = index
     if grid.periodic_x:
         padded[1:-1, 0] = index[:, -1]
+    padded = padded[tuple(slice(start, None) for start in lower)]
+    counts = tuple(n - 1 for n in padded.shape)
     tables = np.concatenate([tables, np.zeros((1,) + tables.shape[1:])])
     terms = []
     for cell in itertools.product((-1, 0), repeat=grid.dim):
@@ -516,6 +530,22 @@ def _read_stencil(A: sp.dia_matrix, here, free: np.ndarray) -> np.ndarray:
     return vals
 
 
+def _stencil_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, lower=()):
+    """Each node's stencil entries, one node-shaped sum (:func:`_node_sums`,
+    from ``lower`` up) per stencil offset in ``itertools.product((-1, 0, 1))``
+    order, formed one at a time as they are read."""
+    corners = _CORNERS[grid.dim]
+
+    def sums(delta):  # each node's entry towards its neighbour at delta
+        def entries(tables, cell, corner):  # the column node's entry, if it is a corner of the cell too
+            node = tuple(d - c for d, c in zip(delta, cell))
+            return tables[:, corner, corners.index(node)] if node in corners else None
+
+        return _node_sums(grid, tables, index, entries, lower)
+
+    return map(sums, itertools.product((-1, 0, 1), repeat=grid.dim))
+
+
 def _stencil_block(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray) -> sp.dia_matrix:
     """The scalar block as per-node stencil sums of the adjacent cells' entries.
 
@@ -526,27 +556,17 @@ def _stencil_block(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray) 
     where no cell carries an entry, so ``tocsr()`` is the triplet sum's
     sorted CSR block.
     """
-    corners = _CORNERS[grid.dim]
-
-    def sums(delta):  # each node's entry towards its neighbour at delta
-        def entries(tables, cell, corner):  # the column node's entry, if it is a corner of the cell too
-            node = tuple(d - c for d, c in zip(delta, cell))
-            return tables[:, corner, corners.index(node)] if node in corners else None
-
-        return _node_sums(grid, tables, index, entries)
-
-    stencils = map(sums, itertools.product((-1, 0, 1), repeat=grid.dim))
-    return _dia_block(grid.node_counts()[::-1], grid.periodic_x, stencils)
+    return _dia_block(grid.node_counts()[::-1], grid.periodic_x, _stencil_sums(grid, tables, index))
 
 
 def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
     """Bilinear-quad assembly of the vector weak form on a 2D grid.
 
     The operator decouples componentwise, so both components share one
-    scalar block  a * stiffness + void mass,  built as per-node 9-point
-    sums of the fused 4x4 element matrices of the active cells around each
-    node (``_stencil_block``);  the load integrates the basis
-    gradients exactly over shape cells (x gradients for the first
+    scalar block  a * stiffness + void mass,  per-node 9-point sums of the
+    fused 4x4 element matrices of the active cells around each node
+    (:func:`_stencil_block`, on the block's first read);  the load
+    integrates the basis gradients exactly over shape cells (x gradients for the first
     component, y gradients for the second).  The load and the Outside
     cells' Dirichlet nodes are per-node sums (:func:`_node_sums`) too.
     """
@@ -562,7 +582,6 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     h = grid.h
     # fused element matrices of Void and Shape cells; Outside, the last label, carries none
     tables = np.array([a * _K2 + h * h * _M2, a * _K2])
-    block = _stencil_block(grid, tables, cls.labels)
     # Shape cells add their basis gradients' integrals, Void cells 0 and Outside cells nothing
     rhs = np.concatenate([
         _node_sums(grid, np.array([np.zeros(4), h * grad]), cls.labels, lambda t, cell, corner: t[:, corner]).ravel()
@@ -574,7 +593,7 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     mask[[0, -1]] = True
     if not grid.periodic_x:
         mask[:, [0, -1]] = True
-    return SparseSystem(block, rhs, mask.ravel(), grid, classification=cls)
+    return SparseSystem(tables, cls.labels, rhs, mask.ravel(), grid, classification=cls)
 
 
 #: Damped-Jacobi weight of the multigrid smoother.
@@ -789,12 +808,12 @@ class _Quadrant:
 
 def _is_symmetric(system: SparseSystem) -> bool:
     """Whether ``system`` is 2D on an open grid of equal, odd node counts, with
-    labels and Dirichlet nodes equal to their x-mirror, y-mirror and transpose."""
+    ``index`` and Dirichlet nodes equal to their x-mirror, y-mirror and transpose."""
     grid = system.grid
     counts = grid.node_counts()[::-1]
-    if grid.dim != 2 or grid.periodic_x or counts[0] != counts[1] or counts[0] % 2 == 0 or system.classification is None:
+    if grid.dim != 2 or grid.periodic_x or counts[0] != counts[1] or counts[0] % 2 == 0:
         return False
-    masks = (system.classification.labels, system.dirichlet_nodes.reshape(counts))
+    masks = (system.index, system.dirichlet_nodes.reshape(counts))
     return all(np.array_equal(m, image) for m in masks for image in (m[:, ::-1], m[::-1], m.T))
 
 
@@ -803,18 +822,19 @@ def _fold(system: SparseSystem) -> _Quadrant:
     for a component odd in x and even in y: ``E^T A E / 4``, where ``E``
     unfolds the quadrant by that parity, so the folded block is symmetric.
 
-    Its stencils are the block's on the quadrant.  On the y = 0 row each
-    y - h entry is folded onto its y + h mirror, and the row is halved.  The
-    x = 0 column, where the component is 0, is fixed.
+    Its stencils are the block's stencil sums over the quadrant's nodes
+    (:func:`_stencil_sums`), so the whole block is never formed.  On the
+    y = 0 row each y - h entry is folded onto its y + h mirror, and the row
+    is halved.  The x = 0 column, where the component is 0, is fixed.
+    Couplings to fixed nodes are dropped as the block is written, the folded
+    ones with their mirrors', which are fixed alike by the gate's symmetry.
     """
     grid = system.grid
     counts = grid.node_counts()[::-1]
     c = counts[0] // 2
-    free = ~system.dirichlet_nodes.reshape(counts)
-    fixed = ~free[c:, c:]
+    fixed = system.dirichlet_nodes.reshape(counts)[c:, c:].copy()
     fixed[:, 0] = True
-    places = _dia_layout(counts, False)[1]
-    stencils = {delta: _read_stencil(system.block, here, free)[c:, c:].copy() for delta, here in places.items()}
+    stencils = dict(zip(itertools.product((-1, 0, 1), repeat=2), _stencil_sums(grid, system.tables, system.index, (c, c))))
     for d_x in (-1, 0, 1):  # :func:`_dia_block` drops the y = 0 row's y - h entries
         stencils[1, d_x][0] += stencils[-1, d_x][0]
     for stencil in stencils.values():
@@ -908,12 +928,13 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
 
     CG (:func:`_pcg`) runs on vectors over every node, 0 on the Dirichlet
     nodes, in the solution's own storage, under the system's V-cycle
-    hierarchy ``system.multigrid``, so the block and Dirichlet nodes must
-    not change after the first solve.  Where the system has a ``quadrant``
-    and its loads its symmetry (the boxed annulus's), CG runs once, on the
-    quadrant under its own hierarchy, and the rest of the field is unfolded
-    from it (:func:`_solve`).  Each solve iterates until
-    ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load; more than
+    hierarchy ``system.multigrid``, so the element matrices and Dirichlet
+    nodes must not change after the first solve; the first such solve
+    forms ``system.block``.  Where the system has a ``quadrant`` and its
+    loads its symmetry (the boxed annulus's), CG runs once, on the quadrant
+    under its own hierarchy, the rest of the field is unfolded from it
+    (:func:`_solve`), and the whole block is never formed.  Each solve
+    iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load; more than
     ``MAX_ITERATIONS``, at any size, raise :class:`NonConvergenceError`: a
     healthy V-cycle needs far fewer, so it means an assembly bug or an
     indefinite system.  The iterations returned are summed over the solves

@@ -29,6 +29,18 @@ def _diagonal(block, offset):
     return block.data[k]
 
 
+def _line_system(m, diagonal, off, b):
+    """A system of ``m`` nodes on a bare 1D grid, none fixed, whose block has
+    ``diagonal`` on every row and ``off`` beside it, from per-cell tables:
+    each end cell carries its end node's whole diagonal, and every other
+    node's diagonal is halved over its two cells, whose sum gives it back."""
+    half = 0.5 * diagonal
+    tables = np.array([[[diagonal, off], [off, half]], [[half, off], [off, half]], [[half, off], [off, diagonal]]])
+    index = np.concatenate([[0], np.ones(m - 3, int), [2]])
+    grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
+    return solver.SparseSystem(tables, index, b, np.zeros(m, bool), grid)
+
+
 def _interval_system(n=96, a=0.04):
     shape = shapes.interval_general(0.0, 1.0, -1.0, 2.0)
     grid = solver.problem_grid(shape, a, 3.0 / n)
@@ -274,8 +286,8 @@ class TestSolveSpd:
         n = 40
         rng = np.random.default_rng(5)
         b = rng.standard_normal(n)
-        grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(n - 1,))
-        system = solver.SparseSystem(sp.identity(n, format="csr"), b, np.zeros(n, dtype=bool), grid)
+        system = _line_system(n, 1.0, 0.0, b)
+        assert (system.block != sp.identity(n)).nnz == 0
         field = solver.solve_spd(system)
         assert field.iterations == 1
         assert np.allclose(field.components[0], b, rtol=0, atol=1e-14)
@@ -296,12 +308,13 @@ class TestSolveSpd:
 
     def test_nonpositive_free_diagonal_is_refused(self):
         system, _, _ = _interval_system()
-        block = system.block.copy()
-        _diagonal(block, 0)[0] = -1.0  # a Dirichlet node: not checked
-        solver.solve_spd(dataclasses.replace(system, block=block))
-        _diagonal(block, 0)[5] = 0.0
+        tables = system.tables[system.index]  # one table per cell
+        index = np.arange(len(tables))
+        tables[0, 0, 0] = -1.0  # node 0, a Dirichlet node, lies in cell 0 alone: not checked
+        solver.solve_spd(dataclasses.replace(system, tables=tables, index=index))
+        tables[4, 1, 1] = tables[5, 0, 0] = 0.0  # node 5's diagonal, from cells 4 and 5
         with pytest.raises(NonConvergenceError, match="^nonpositive diagonal entry; system not SPD$"):
-            solver.solve_spd(dataclasses.replace(system, block=block))
+            solver.solve_spd(dataclasses.replace(system, tables=tables, index=index))
 
     def test_corrupted_stencil_corner_stops_at_the_cap(self):
         # every node's NE corner entry with the wrong sign, as one wrong corner in
@@ -310,11 +323,15 @@ class TestSolveSpd:
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.problem_grid(ann, 0.04, 0.05)
         system = solver.assemble_2d(grid, ann, 0.04)
-        block = system.block.copy()
-        _diagonal(block, grid.node_counts()[0] + 1)[:] *= -1.0
-        broken = dataclasses.replace(system, block=block)
+        tables = system.tables.copy()
+        tables[:, 0, 2] *= -1.0  # the SW corner's coupling to the NE corner
+        broken = dataclasses.replace(system, tables=tables)
         with pytest.raises(NonConvergenceError, match="cap of 100 iterations"):
             solver.solve_spd(broken)
+        # every node's NE entry, the diagonal at nx + 1, and nothing else
+        want = system.block.data.copy()
+        want[system.block.offsets.tolist().index(grid.node_counts()[0] + 1)] *= -1.0
+        assert np.array_equal(broken.block.data, want)
 
     def test_second_solve_reuses_the_hierarchy(self, built_hierarchies):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
@@ -433,13 +450,53 @@ class TestQuadrantSolve:
         for c, c_full in zip(field.components, full.components):
             assert np.max(np.abs(c - c_full)) <= 1e-8 * scale
 
+    def test_symmetric_solve_folds_without_the_block(self):
+        # the quadrant's stencils are summed over its own nodes; the fold as it was read
+        # off the whole block, built only after the solve, has the same bits
+        system = _box(0.005)
+        solver.solve_spd(system)
+        assert "block" not in vars(system)
+        counts = system.grid.node_counts()[::-1]
+        c = counts[0] // 2
+        free = ~system.dirichlet_nodes.reshape(counts)
+        places = solver._dia_layout(counts, False)[1]
+        stencils = {delta: solver._read_stencil(system.block, here, free)[c:, c:].copy() for delta, here in places.items()}
+        for d_x in (-1, 0, 1):
+            stencils[1, d_x][0] += stencils[-1, d_x][0]
+        for stencil in stencils.values():
+            stencil[0] *= 0.5
+        fixed = ~free[c:, c:]
+        fixed[:, 0] = True
+        want = solver._dia_block((c + 1, c + 1), False, stencils.values(), ~fixed)
+        got = system.quadrant.block
+        assert got.offsets.tolist() == want.offsets.tolist() and got.data.tobytes() == want.data.tobytes()
+
+    def test_assembly_and_symmetric_solve_peak_below_one_and_a_half_blocks(self):
+        """tracemalloc peak of ``assemble_2d`` and ``solve_spd`` on the 284^2 boxed
+        annulus, in units of the whole block's 9 diagonals, 72 bytes a node.
+
+        Assembly writing the block and the fold reading it back peaked at 2.1;
+        the quadrant's stencils summed over its own nodes peak at 1.1.
+        """
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
+        assert grid.cells == (284, 284)
+        tracemalloc.start()
+        try:
+            system = solver.assemble_2d(grid, ann, 0.02)
+            solver.solve_spd(system)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "block" not in vars(system)
+        assert peak < 1.5 * 72 * math.prod(grid.node_counts())
+
     def test_quadrant_needs_symmetric_labels_dirichlet_nodes_and_an_odd_square_grid(self):
         system = _box(0.04)
         assert system.quadrant is not None
-        labels = system.classification.labels.copy()
+        labels = system.index.copy()
         labels[0, 1] = geometry.CellLabel.OUTSIDE
-        classification = dataclasses.replace(system.classification, labels=labels)
-        assert dataclasses.replace(system, classification=classification).quadrant is None
+        assert dataclasses.replace(system, index=labels).quadrant is None
         dirichlet = system.dirichlet_nodes.copy()
         dirichlet[np.flatnonzero(~dirichlet)[0]] = True
         assert dataclasses.replace(system, dirichlet_nodes=dirichlet).quadrant is None
@@ -906,11 +963,11 @@ class TestMultigrid:
         # a 1D Laplacian with a small shift that no assembler built, on a bare
         # 1D grid of m nodes: (m,) node counts
         m = 2000
-        block = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
         b = np.random.default_rng(3).standard_normal(m)
-        grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
-        system = solver.SparseSystem(block, b, np.zeros(m, bool), grid)
-        mg = solver._Multigrid(block, grid, np.ones(m, bool))
+        system = _line_system(m, 2.001, -1.0, b)
+        block = system.block
+        assert (block != sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m))).nnz == 0
+        mg = solver._Multigrid(block, system.grid, np.ones(m, bool))
         # an open even axis keeps its last node: 2000 -> 1001 -> 501 -> 251 nodes
         assert [lv[0].shape[0] for lv in mg.levels] == [2000, 1001, 501]
         assert mg.coarse_inverse.shape == (251, 251)
@@ -1026,10 +1083,7 @@ class TestMultigrid:
         elif case == "radial":
             system = _radial_system(1.0 / 1024)
         else:
-            m = 2000
-            block = sp.diags([-1.0, 2.001, -1.0], [-1, 0, 1], shape=(m, m), format="csr")
-            grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
-            system = solver.SparseSystem(block, np.ones(m), np.zeros(m, bool), grid)
+            system = _line_system(2000, 2.001, -1.0, np.ones(2000))
         grid = system.grid
         periodic = [False] * (grid.dim - 1) + [grid.periodic_x]
         mg = solver._Multigrid(system.block, grid, ~system.dirichlet_nodes)
@@ -1144,10 +1198,11 @@ class TestMultigrid:
         system = _box_284()
         grid = system.grid
         free = ~system.dirichlet_mask[: system.n // 2]
+        block = system.block  # formed on its first read, outside the trace
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            mg = solver._Multigrid(system.block, grid, free)
+            mg = solver._Multigrid(block, grid, free)
             kept, peak = (m - held for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
