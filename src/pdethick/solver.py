@@ -57,11 +57,11 @@ corner order and the periodic seam.  Coarse operators are formed stencil
 by stencil, axis by axis.  CG and every level work on vectors over all
 nodes of their grid, 0 on the fixed nodes, so no block restricted to the
 free nodes and no 2D prolongation is stored.  A system forms its block on
-the first read, which a solve on the quadrant alone never makes, and keeps
-its hierarchies for later solves and probes, so its element matrices and
-Dirichlet nodes must not change after its first solve.  CG sums in NumPy's
-einsum loop, not BLAS, so repeated solves get the same bits on one platform
-at any thread count, whatever runs beside them.
+the first read, which a quadrant solve never makes, and keeps its whole-grid
+hierarchy, so its element matrices and Dirichlet nodes must not change after
+its first solve; a quadrant and its hierarchy live for one solve.  CG sums in
+NumPy's einsum loop, not BLAS, so repeated solves get the same bits on one
+platform at any thread count, whatever runs beside them.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ MIN_CELLS_ACROSS = 4
 #: Hard cap on the nodes of a solve grid (documented limit, checked before any
 #: array exists): a 2D solve on the whole grid at the cap peaks near 3.5 GB,
 #: at about 103 bytes per unknown (2 a node) above the import; a boxed annulus
-#: solved on its quadrant at about 41.
+#: solved on its quadrant at about 33 (38 at 0.6M unknowns, a = 0.005).
 MAX_NODES = 1 << 24
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
@@ -114,11 +114,11 @@ class SparseSystem:
     stored zeros.  ``multigrid``, the V-cycle hierarchy, is built on the
     first solve that runs on the whole grid and reused, so neither the
     element matrices nor the Dirichlet nodes may change after that solve.
-    ``quadrant`` is the block folded onto the quadrant x, y >= 0
-    (:func:`_fold`), with its own hierarchy, on a 2D system whose ``index``
-    and Dirichlet nodes are symmetric under both reflections and the
-    transpose, and None on any other; a solve whose loads have that
-    symmetry runs on it alone and never forms ``block``.
+    On a 2D system whose ``index`` and Dirichlet nodes are symmetric under
+    both reflections and the transpose (:func:`_is_symmetric`), a solve
+    whose loads have that symmetry folds the system onto the quadrant
+    x, y >= 0 (:func:`_fold`) for that solve alone, keeps nothing of it,
+    and never forms ``block``.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
     the full-length ``dirichlet_mask`` stay because the benchmark's span
@@ -140,10 +140,6 @@ class SparseSystem:
     @cached_property
     def multigrid(self) -> "_Multigrid":
         return _Multigrid(self.block, self.grid, ~self.dirichlet_nodes)
-
-    @cached_property
-    def quadrant(self) -> Optional["_Quadrant"]:
-        return _fold(self) if _is_symmetric(self) else None
 
     @property
     def n_components(self) -> int:
@@ -794,8 +790,8 @@ def _smooth(A: sp.spmatrix, weight: np.ndarray, r: np.ndarray, x: np.ndarray) ->
 @dataclass(frozen=True, eq=False)
 class _Quadrant:
     """A system's block folded onto its quadrant (:func:`_fold`), on the
-    quadrant's own grid, Dirichlet nodes flat; ``multigrid`` is built on its
-    first solve and reused, as :class:`SparseSystem`'s is."""
+    quadrant's own grid, Dirichlet nodes flat; built for one solve, which
+    builds its ``multigrid``, and freed with it once that solve returns."""
 
     block: sp.dia_matrix
     dirichlet_nodes: np.ndarray
@@ -896,29 +892,31 @@ def _solve(system: SparseSystem, loads: np.ndarray) -> Tuple[np.ndarray, int]:
     """CG on the stacked node loads, fixed rows ignored: the solution, 0 on
     the Dirichlet nodes, and the summed iterations.
 
-    Where the system has a ``quadrant``, the first load is odd in x and even
-    in y, and the second is its transpose, CG runs on the folded first load
-    alone; its solution is unfolded by that parity, the odd half written as
+    Where :func:`_is_symmetric` holds, the first load is odd in x and even
+    in y, and the second is its transpose, CG runs on the first load folded
+    onto a quadrant (:func:`_fold`) freed before the output is allocated;
+    the solution is unfolded by that parity, the odd half written as
     ``0.0 - u`` so no -0.0 appears, and the second component is its
     transpose.  Any other loads are solved one component at a time.
     """
-    x = np.zeros(system.n)
     if system.n_components == 2:
         counts = system.grid.node_counts()[::-1]
         b_x, b_y = loads.reshape((2,) + counts)
         symmetric = np.array_equal(b_y, b_x.T) and np.array_equal(b_x, 0.0 - b_x[:, ::-1]) and np.array_equal(b_x, b_x[::-1])
-        if symmetric and system.quadrant is not None:
+        if symmetric and _is_symmetric(system):
             c = counts[0] // 2
             load = b_x[c:, c:].copy()
             load[0] *= 0.5  # the y = 0 row, halved as the folded block's
             v = np.zeros(load.shape)
-            iterations = _solve_load(system.quadrant, load.ravel(), v.ravel())
+            iterations = _solve_load(_fold(system), load.ravel(), v.ravel())
+            x = np.zeros(system.n)  # once the quadrant and its hierarchy are freed
             s_x, s_y = x.reshape((2,) + counts)
             s_x[c:, c:] = v
             s_x[:c, c:] = v[:0:-1]
             np.subtract(0.0, s_x[:, :c:-1], out=s_x[:, :c])
             s_y[...] = s_x.T
             return x, iterations
+    x = np.zeros(system.n)
     pairs = zip(loads.reshape(system.n_components, -1), x.reshape(system.n_components, -1))
     return x, sum(_solve_load(system, load, xc) for load, xc in pairs)
 
@@ -930,15 +928,15 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     nodes, in the solution's own storage, under the system's V-cycle
     hierarchy ``system.multigrid``, so the element matrices and Dirichlet
     nodes must not change after the first solve; the first such solve
-    forms ``system.block``.  Where the system has a ``quadrant`` and its
-    loads its symmetry (the boxed annulus's), CG runs once, on the quadrant
-    under its own hierarchy, the rest of the field is unfolded from it
-    (:func:`_solve`), and the whole block is never formed.  Each solve
-    iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a zero load; more than
-    ``MAX_ITERATIONS``, at any size, raise :class:`NonConvergenceError`: a
-    healthy V-cycle needs far fewer, so it means an assembly bug or an
-    indefinite system.  The iterations returned are summed over the solves
-    run.
+    forms ``system.block``.  Where the system and its loads have the boxed
+    annulus's symmetry, CG runs once, on a quadrant folded for this solve
+    alone under its own hierarchy, neither kept, the rest of the field is
+    unfolded from it (:func:`_solve`), and the whole block is never formed.
+    Each solve iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a
+    zero load; more than ``MAX_ITERATIONS``, at any size, raise
+    :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it
+    means an assembly bug or an indefinite system.  The iterations returned
+    are summed over the solves run.
     """
     x, iterations = _solve(system, system.rhs)
     return _field_from_vector(system, x, iterations)
@@ -953,10 +951,11 @@ def homogeneous_boundary_probe(
     constrained nodes are used, and they must be finite.  The right-hand
     side is zeroed, which turns the assembled system into the homogeneous
     equation used by the maximum-principle and interior-estimate checks.
-    It reuses the hierarchy as :func:`solve_spd` does; -0.0 data give +0.0.
-    The lifted loads ``0 - block @ g`` seldom keep the exact symmetry the
-    quadrant solve needs, since the diagonal product sums mirrored rows in
-    another order, so a probe mostly solves on the whole grid.
+    It reuses the whole-grid hierarchy as :func:`solve_spd` does; -0.0 data
+    give +0.0.  The lifted loads ``0 - block @ g`` seldom keep the exact
+    symmetry the quadrant solve needs, since the diagonal product sums
+    mirrored rows in another order, so a probe mostly solves on the whole
+    grid; where one keeps it, its quadrant is folded anew and not kept.
     """
     values = np.asarray(boundary_values, dtype=float).ravel()
     if values.size != system.n:

@@ -334,16 +334,30 @@ class TestSolveSpd:
         assert np.array_equal(broken.block.data, want)
 
     def test_second_solve_reuses_the_hierarchy(self, built_hierarchies):
-        ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        system = solver.assemble_2d(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
+        band = harness.canonical_wavy_band()
+        system = solver.assemble_2d(solver.problem_grid(band, 0.02, np.sqrt(0.02) / 8), band, 0.02)
         first = solver.solve_spd(system)
         second = solver.solve_spd(system)
-        # the boxed annulus solves on its quadrant, so the one hierarchy is the quadrant's
-        assert built_hierarchies == [system.quadrant.multigrid]
+        # the wavy band solves on the whole grid, under the one hierarchy it keeps
+        assert built_hierarchies == [system.multigrid]
         assert first.iterations == second.iterations > 0
         assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
         with pytest.raises(dataclasses.FrozenInstanceError):
             system.rhs = np.zeros(system.n)
+
+    def test_boxed_annulus_folds_anew_for_each_solve(self, built_hierarchies):
+        ann = shapes.annulus_general(1.0, 2.0, 2.5)
+        system = solver.assemble_2d(solver.problem_grid(ann, 0.04, 0.05), ann, 0.04)
+        first = solver.solve_spd(system)
+        assert len(built_hierarchies) == 1
+        second = solver.solve_spd(system)
+        # each solve builds its quadrant's hierarchy and keeps nothing on the system
+        c = system.grid.node_counts()[0] // 2
+        assert len(built_hierarchies) == 2
+        assert all(mg.levels[0][0].shape == ((c + 1) ** 2,) * 2 for mg in built_hierarchies)
+        assert not {"block", "multigrid"} & set(vars(system))
+        assert first.iterations == second.iterations > 0
+        assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
 
     @pytest.mark.parametrize("scale", [1e-40, 1e-36, 2.0**-130, 1e38])
     def test_loads_outside_the_float32_range_solve(self, scale):
@@ -431,17 +445,20 @@ def _box(a):
 class TestQuadrantSolve:
     @pytest.mark.parametrize("a", [0.04, 0.005])
     def test_boxed_annulus_solves_once_on_its_quadrant(self, a, built_hierarchies, monkeypatch):
+        fold = solver._fold
+        quadrants = []  # each quadrant the solve folds, kept here past the solve
+        monkeypatch.setattr(solver, "_fold", lambda system: quadrants.append(fold(system)) or quadrants[-1])
         system = _box(a)
         field = solver.solve_spd(system)
         s_x, s_y = field.components
         assert s_y.flags.c_contiguous and s_y.tobytes() == s_x.T.tobytes()
         assert np.array_equal(s_x, 0.0 - s_x[:, ::-1]) and np.array_equal(s_x, s_x[::-1])
         assert not any(np.any(np.signbit(c) & (c == 0.0)) for c in field.components)
-        assert built_hierarchies == [system.quadrant.multigrid]
-        folded = system.quadrant.block.tocsr()
+        assert len(quadrants) == 1 and built_hierarchies == [quadrants[0].multigrid]
+        folded = quadrants[0].block.tocsr()
         assert abs(folded - folded.T).max() == 0.0
         # the per-component solve on the whole grid
-        monkeypatch.setattr(solver.SparseSystem, "quadrant", None)
+        monkeypatch.setattr(solver, "_is_symmetric", lambda system: False)
         full_system = _box(a)
         full = solver.solve_spd(full_system)
         assert built_hierarchies[1:] == [full_system.multigrid]
@@ -456,6 +473,8 @@ class TestQuadrantSolve:
         system = _box(0.005)
         solver.solve_spd(system)
         assert "block" not in vars(system)
+        got = solver._fold(system).block
+        assert "block" not in vars(system)
         counts = system.grid.node_counts()[::-1]
         c = counts[0] // 2
         free = ~system.dirichlet_nodes.reshape(counts)
@@ -468,15 +487,15 @@ class TestQuadrantSolve:
         fixed = ~free[c:, c:]
         fixed[:, 0] = True
         want = solver._dia_block((c + 1, c + 1), False, stencils.values(), ~fixed)
-        got = system.quadrant.block
         assert got.offsets.tolist() == want.offsets.tolist() and got.data.tobytes() == want.data.tobytes()
 
-    def test_assembly_and_symmetric_solve_peak_below_one_and_a_half_blocks(self):
+    def test_assembly_and_symmetric_solve_peak_below_one_block(self):
         """tracemalloc peak of ``assemble_2d`` and ``solve_spd`` on the 284^2 boxed
         annulus, in units of the whole block's 9 diagonals, 72 bytes a node.
 
-        Assembly writing the block and the fold reading it back peaked at 2.1;
-        the quadrant's stencils summed over its own nodes peak at 1.1.
+        Assembly writing the block and the fold reading it back peaked at 2.1,
+        and a quadrant kept while the field was unfolded beside it at 1.1; a
+        quadrant freed before the field is allocated peaks at 0.9.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
@@ -489,20 +508,20 @@ class TestQuadrantSolve:
         finally:
             tracemalloc.stop()
         assert "block" not in vars(system)
-        assert peak < 1.5 * 72 * math.prod(grid.node_counts())
+        assert peak < 1.0 * 72 * math.prod(grid.node_counts())
 
     def test_quadrant_needs_symmetric_labels_dirichlet_nodes_and_an_odd_square_grid(self):
         system = _box(0.04)
-        assert system.quadrant is not None
+        assert solver._is_symmetric(system)
         labels = system.index.copy()
         labels[0, 1] = geometry.CellLabel.OUTSIDE
-        assert dataclasses.replace(system, index=labels).quadrant is None
+        assert not solver._is_symmetric(dataclasses.replace(system, index=labels))
         dirichlet = system.dirichlet_nodes.copy()
         dirichlet[np.flatnonzero(~dirichlet)[0]] = True
-        assert dataclasses.replace(system, dirichlet_nodes=dirichlet).quadrant is None
+        assert not solver._is_symmetric(dataclasses.replace(system, dirichlet_nodes=dirichlet))
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         even = geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=5.0 / 51, cells=(51, 51))
-        assert solver.assemble(even, ann, 0.04).quadrant is None
+        assert not solver._is_symmetric(solver.assemble(even, ann, 0.04))
 
     @pytest.mark.parametrize(
         "case", ["wavy-band", "flat-band", "one-entry", "not-odd-in-x", "not-even-in-y", "not-transposed", "constant-probe"]
