@@ -194,13 +194,16 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     field = solver.solve_spd(system)
     if args.matrix_out:
         solver.dump_triplets(system, args.matrix_out)
-    # the loads and hierarchies go before the writers; the thickness needs the labels alone
+    # the system's tables and any hierarchy go before the writers; the thickness needs the labels alone
     classification = system.classification
     del system
     solver.write_field_csv(field, args.out)
     if args.thickness_out:
+        # each stage frees what the next no longer reads, so the writer holds none of the field
         div = thickness.divergence(field)
+        del field
         inv = thickness.inverse_thickness(div, args.a, classification)
+        del div
         thickness.write_inverse_thickness_csv(inv, args.thickness_out, shape.thickness)
     return EXIT_OK
 

@@ -51,15 +51,17 @@ Systems*, 2nd ed., SIAM 2003, section 3.4).  Every assembler hands it one
 sums the element matrices of the cells around its node in the order a COO
 sum over the cells adds them, so the block and its products have the bits of
 that CSR block;
-the same per-node sum writes the 2D load and Dirichlet nodes, and one
-corner gather hands each cell its corner values, so only these two know the
-corner order and the periodic seam.  Coarse operators are formed stencil
-by stencil, axis by axis.  CG and every level work on vectors over all
-nodes of their grid, 0 on the fixed nodes, so no block restricted to the
-free nodes and no 2D prolongation is stored.  A system forms its block on
-the first read, which a quadrant solve never makes, and keeps its whole-grid
-hierarchy, so its element matrices and Dirichlet nodes must not change after
-its first solve; a quadrant and its hierarchy live for one solve.  CG sums in
+the same per-node sum writes every load, from per-cell load tables on each
+solve, and the 2D Dirichlet nodes, and one corner gather hands each cell its
+corner values, so only these two know the corner order and the periodic
+seam.  Coarse operators are formed stencil by stencil, axis by axis.  CG
+and every level work on vectors over all nodes of their grid, 0 on the
+fixed nodes, so no block restricted to the free nodes and no 2D
+prolongation is stored.  A system keeps per-cell data and no node loads,
+forms its block on the first read, which a quadrant solve never makes, and
+keeps its whole-grid hierarchy, so its element matrices and Dirichlet nodes
+must not change after its first solve; a quadrant and its hierarchy live
+for one solve, and the whole loads are dropped before its fold.  CG sums in
 NumPy's einsum loop, not BLAS, so repeated solves get the same bits on one
 platform at any thread count, whatever runs beside them.
 """
@@ -70,7 +72,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, TextIO, Tuple, Union
+from typing import Callable, Optional, TextIO, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -87,9 +89,9 @@ TRUNCATION_LAYERS = 28.0
 MIN_CELLS_ACROSS = 4
 
 #: Hard cap on the nodes of a solve grid (documented limit, checked before any
-#: array exists): a 2D solve on the whole grid at the cap peaks near 3.5 GB,
-#: at about 103 bytes per unknown (2 a node) above the import; a boxed annulus
-#: solved on its quadrant at about 33 (38 at 0.6M unknowns, a = 0.005).
+#: array exists): a 2D solve on the whole grid at the cap peaks near 3.3 GB,
+#: at about 99 bytes per unknown (2 a node) above the import; a boxed annulus
+#: solved on its quadrant at about 24-26 (29 at 0.6M unknowns, a = 0.005).
 MAX_NODES = 1 << 24
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
@@ -102,8 +104,11 @@ class SparseSystem:
     The operator is block diagonal: one copy of the scalar ``block`` per
     vector component, ``n_components == grid.dim`` of them, since the
     bilinear form decouples componentwise; ``index``, shaped like the cells,
-    picks each cell's element matrix from ``tables`` (:func:`_node_sums`).
-    ``rhs`` stacks the components' loads.  ``dirichlet_nodes`` marks the
+    picks each cell's element matrix from ``tables`` (:func:`_node_sums`),
+    and each cell's loads from ``loads``, one table per table of ``tables``,
+    shaped (tables, components, corners).  ``rhs`` stacks the components'
+    node loads, formed from them on each read and never kept, so a system
+    holds per-cell data only.  ``dirichlet_nodes`` marks the
     constrained grid nodes, the same in every component.  The block
     restricted to the free nodes is symmetric positive definite; the solver
     applies it through the whole block and never builds it.  ``block`` is
@@ -128,7 +133,7 @@ class SparseSystem:
 
     tables: np.ndarray
     index: np.ndarray
-    rhs: np.ndarray
+    loads: np.ndarray
     dirichlet_nodes: np.ndarray
     grid: StructuredGrid
     classification: Optional[CellClassification] = None
@@ -147,7 +152,14 @@ class SparseSystem:
 
     @property
     def n(self) -> int:
-        return len(self.rhs)
+        return self.n_components * math.prod(self.grid.node_counts())
+
+    @property
+    def rhs(self) -> np.ndarray:
+        return np.concatenate([
+            _node_sums(self.grid, self.loads[:, k], self.index, lambda t, cell, corner: t[:, corner]).ravel()
+            for k in range(self.n_components)
+        ])
 
     @property
     def dirichlet_mask(self) -> np.ndarray:
@@ -332,24 +344,24 @@ def assemble_1d(grid: StructuredGrid, shape: Optional[ShapeSpec], a: float) -> S
     """
     _check_positive("a", a)
     nodes = grid.node_coords(0)
-    n = len(nodes)
     h = grid.h
-    rhs = np.zeros(n)
+    # per label: Shape cells carry -1 at their left node and +1 at their right, which
+    # cancel exactly between two Shape cells, so only f_l and f_r keep a load
+    loads = np.zeros((3, 1, 2))
     if shape is None:
         labels = np.full(grid.cells[0], CellLabel.VOID, dtype=np.uint8)
         cls = CellClassification(grid=grid, labels=labels)
     else:
         cls = classify_cells(grid, shape)
-        idx_l = _locate_node(nodes, shape.f_l, h, "f_l")
-        idx_r = _locate_node(nodes, shape.f_r, h, "f_r")
-        rhs[idx_r] += 1.0
-        rhs[idx_l] -= 1.0
+        _locate_node(nodes, shape.f_l, h, "f_l")
+        _locate_node(nodes, shape.f_r, h, "f_r")
+        loads[CellLabel.SHAPE] = [-1.0, 1.0]
 
     stiff, m = a / h, h / 6.0
     stiffness = np.array([[stiff, -stiff], [-stiff, stiff]])
     # one element matrix per label: Void cells add the void mass, Shape and Outside cells carry stiffness alone
     tables = np.array([stiffness + [[2 * m, m], [m, 2 * m]], stiffness, stiffness])
-    return SparseSystem(tables, cls.labels, rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
+    return SparseSystem(tables, cls.labels, loads, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSystem:
@@ -367,15 +379,15 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
         raise GridError("assemble_radial needs a radial grid")
     cls = classify_cells(grid, shape)
     nodes = grid.node_coords(0)
-    n = len(nodes)
     h = grid.h
     if shape.f_l < 10 * h - 1e-12:
         raise GridError(f"grid too coarse near the axis: need f_l >= 10 h, got h = {h}")
     idx_l = _locate_node(nodes, shape.f_l, h, "f_l")
     idx_r = _locate_node(nodes, shape.f_r, h, "f_r")
-    rhs = np.zeros(n)
-    rhs[idx_r] += shape.f_r
-    rhs[idx_l] -= shape.f_l
+    # each cell its own table: the first Shape cell carries -f_l at f_l, the last +f_r at f_r
+    loads = np.zeros((grid.cells[0], 1, 2))
+    loads[idx_r - 1, 0, 1] = shape.f_r
+    loads[idx_l, 0, 0] = -shape.f_l
 
     r0, r1 = nodes[:-1], nodes[1:]
     mid = 0.5 * (r0 + r1)
@@ -398,7 +410,7 @@ def assemble_radial(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseS
         local = np.where(void, local + weighted_mass(w * gp, gp), local)
 
     tables = local.reshape(-1, 2, 2)
-    return SparseSystem(tables, np.arange(grid.cells[0]), rhs, _line_dirichlet_mask(cls.labels), grid, classification=cls)
+    return SparseSystem(tables, np.arange(grid.cells[0]), loads, _line_dirichlet_mask(cls.labels), grid, classification=cls)
 
 
 # bilinear element matrices on an h x h cell, node order SW, SE, NE, NW
@@ -579,17 +591,14 @@ def assemble_2d(grid: StructuredGrid, shape: ShapeSpec, a: float) -> SparseSyste
     # fused element matrices of Void and Shape cells; Outside, the last label, carries none
     tables = np.array([a * _K2 + h * h * _M2, a * _K2])
     # Shape cells add their basis gradients' integrals, Void cells 0 and Outside cells nothing
-    rhs = np.concatenate([
-        _node_sums(grid, np.array([np.zeros(4), h * grad]), cls.labels, lambda t, cell, corner: t[:, corner]).ravel()
-        for grad in (_GRAD_X, _GRAD_Y)
-    ])
+    loads = np.array([np.zeros((2, 4)), [h * _GRAD_X, h * _GRAD_Y]])
     # Outside cells pick table 0, a 1 at every corner; the other cells carry nothing
     outside = (cls.labels != CellLabel.OUTSIDE).astype(np.uint8)
     mask = _node_sums(grid, np.ones(1), outside, lambda t, cell, corner: t) > 0
     mask[[0, -1]] = True
     if not grid.periodic_x:
         mask[:, [0, -1]] = True
-    return SparseSystem(tables, cls.labels, rhs, mask.ravel(), grid, classification=cls)
+    return SparseSystem(tables, cls.labels, loads, mask.ravel(), grid, classification=cls)
 
 
 #: Damped-Jacobi weight of the multigrid smoother.
@@ -872,12 +881,12 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     )
 
 
-def _solve_load(system: Union[SparseSystem, _Quadrant], load: np.ndarray, x: np.ndarray) -> int:
-    """CG on one node load of ``system``, fixed rows ignored, into ``x``; returns
-    the iterations.  The load is scaled by a power of two to a norm in
+def _solve_load(system: Union[SparseSystem, _Quadrant], b: np.ndarray, x: np.ndarray) -> int:
+    """CG on one node load ``b`` of ``system``, fixed rows ignored, into ``x``;
+    returns the iterations.  The load is scaled by a power of two to a norm in
     [0.5, 1), and its solution back, exactly, so the float32 cycle keeps its
-    range at any scale."""
-    b = np.where(system.dirichlet_nodes, 0.0, load)
+    range at any scale; CG overwrites ``b`` with its residual."""
+    b[system.dirichlet_nodes] = 0.0
     b_norm = math.sqrt(np.einsum("i,i", b, b))
     if b_norm == 0.0:  # a zero load takes no iteration and builds no hierarchy
         return 0
@@ -888,17 +897,21 @@ def _solve_load(system: Union[SparseSystem, _Quadrant], load: np.ndarray, x: np.
     return iterations
 
 
-def _solve(system: SparseSystem, loads: np.ndarray) -> Tuple[np.ndarray, int]:
-    """CG on the stacked node loads, fixed rows ignored: the solution, 0 on
-    the Dirichlet nodes, and the summed iterations.
+def _solve(system: SparseSystem, form_loads: Callable[[], np.ndarray]) -> Tuple[np.ndarray, int]:
+    """CG on the stacked node loads that ``form_loads()`` returns, fixed rows
+    ignored: the solution, 0 on the Dirichlet nodes, and the summed
+    iterations.  The loads are the solve's own: CG overwrites them.
 
     Where :func:`_is_symmetric` holds, the first load is odd in x and even
     in y, and the second is its transpose, CG runs on the first load folded
-    onto a quadrant (:func:`_fold`) freed before the output is allocated;
-    the solution is unfolded by that parity, the odd half written as
-    ``0.0 - u`` so no -0.0 appears, and the second component is its
-    transpose.  Any other loads are solved one component at a time.
+    onto a quadrant (:func:`_fold`): the quadrant's load is copied and every
+    reference to the whole loads dropped before the fold, which is why they
+    are formed here and not passed in, and the quadrant is freed before the
+    output is allocated.  The solution is unfolded by that parity, the odd
+    half written as ``0.0 - u`` so no -0.0 appears, and the second component
+    is its transpose.  Any other loads are solved one component at a time.
     """
+    loads = form_loads()
     if system.n_components == 2:
         counts = system.grid.node_counts()[::-1]
         b_x, b_y = loads.reshape((2,) + counts)
@@ -906,6 +919,7 @@ def _solve(system: SparseSystem, loads: np.ndarray) -> Tuple[np.ndarray, int]:
         if symmetric and _is_symmetric(system):
             c = counts[0] // 2
             load = b_x[c:, c:].copy()
+            del loads, b_x, b_y  # the quadrant's CG reads its own load alone
             load[0] *= 0.5  # the y = 0 row, halved as the folded block's
             v = np.zeros(load.shape)
             iterations = _solve_load(_fold(system), load.ravel(), v.ravel())
@@ -928,17 +942,19 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     nodes, in the solution's own storage, under the system's V-cycle
     hierarchy ``system.multigrid``, so the element matrices and Dirichlet
     nodes must not change after the first solve; the first such solve
-    forms ``system.block``.  Where the system and its loads have the boxed
-    annulus's symmetry, CG runs once, on a quadrant folded for this solve
-    alone under its own hierarchy, neither kept, the rest of the field is
-    unfolded from it (:func:`_solve`), and the whole block is never formed.
+    forms ``system.block``.  The loads are formed from the system's per-cell
+    load tables (``system.rhs``) for this solve alone.  Where the system and
+    its loads have the boxed annulus's symmetry, CG runs once, on a quadrant
+    folded for this solve alone under its own hierarchy, neither kept nor
+    the whole loads held while it runs, the rest of the field is unfolded
+    from it (:func:`_solve`), and the whole block is never formed.
     Each solve iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a
     zero load; more than ``MAX_ITERATIONS``, at any size, raise
     :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it
     means an assembly bug or an indefinite system.  The iterations returned
     are summed over the solves run.
     """
-    x, iterations = _solve(system, system.rhs)
+    x, iterations = _solve(system, lambda: system.rhs)
     return _field_from_vector(system, x, iterations)
 
 
@@ -965,8 +981,7 @@ def homogeneous_boundary_probe(
     g = np.where(system.dirichlet_nodes, values.reshape(system.n_components, -1), 0.0)
     if not np.all(np.isfinite(g)):
         raise GridError("boundary data must be finite on the Dirichlet nodes")
-    lift = [0.0 - system.block @ gc for gc in g]
-    x, iterations = _solve(system, np.concatenate(lift))
+    x, iterations = _solve(system, lambda: np.concatenate([0.0 - system.block @ gc for gc in g]))
     return _field_from_vector(system, x + g.ravel(), iterations)
 
 

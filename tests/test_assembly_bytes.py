@@ -13,9 +13,11 @@ triplets over a (cells, 4) connectivity array, the way ``assemble_2d`` did
 before it built the 9-point stencil directly, and scatters the load with
 ``np.add.at`` and marks the Outside cells' nodes with ``np.unique`` over the
 same array, the way it did before one per-node sum wrote the load and the
-Dirichlet nodes too.  The grid test pins ``solver.problem_grid`` to the
-per-family grids the ``solve`` command built before it, which the per-family
-grid builders gave.
+Dirichlet nodes too.  The references' loads are the node loads every
+assembler stored before a system kept per-cell load tables alone, so
+``rhs``, summed from those tables on each read, must give their bytes.  The
+grid test pins ``solver.problem_grid`` to the per-family grids the ``solve``
+command built before it, which the per-family grid builders gave.
 """
 
 import math
@@ -184,10 +186,20 @@ def _assert_same_csr(block, want):
     assert got.indices.dtype == np.int32
 
 
+def _assert_same_loads(system, rhs):
+    """The system's loads, summed from one load table per element matrix on
+    each read and never kept, have the bytes of the reference's node loads."""
+    assert system.loads.shape == (len(system.tables), system.grid.dim, 2**system.grid.dim)
+    first, second = system.rhs, system.rhs
+    assert first is not second and "rhs" not in vars(system)
+    assert first.tobytes() == second.tobytes() == rhs.tobytes()
+    assert system.n == len(rhs)
+
+
 def _assert_same(system, reference):
     matrix, rhs, mask = reference
     _assert_same_csr(system.block, matrix)
-    assert system.rhs.tobytes() == rhs.tobytes()
+    _assert_same_loads(system, rhs)
     assert np.array_equal(system.dirichlet_mask, mask)
 
 
@@ -285,7 +297,7 @@ def test_assemble_2d_bits(kind, a):
 def _assert_same_2d(system, reference):
     block, rhs, mask = reference
     _assert_same_csr(system.block, block)
-    assert system.rhs.tobytes() == rhs.tobytes()
+    _assert_same_loads(system, rhs)
     assert system.dirichlet_nodes.dtype == bool
     assert system.dirichlet_nodes.tobytes() == mask.tobytes()
 

@@ -31,14 +31,21 @@ def _diagonal(block, offset):
 
 def _line_system(m, diagonal, off, b):
     """A system of ``m`` nodes on a bare 1D grid, none fixed, whose block has
-    ``diagonal`` on every row and ``off`` beside it, from per-cell tables:
-    each end cell carries its end node's whole diagonal, and every other
-    node's diagonal is halved over its two cells, whose sum gives it back."""
+    ``diagonal`` on every row and ``off`` beside it, and whose loads are
+    ``b``, from per-cell tables: each end cell carries its end node's whole
+    diagonal, and every other node's diagonal is halved over its two cells,
+    whose sum gives it back.  Each cell has a table of its own, so it
+    carries its left node's load, and the last cell its right node's too."""
     half = 0.5 * diagonal
-    tables = np.array([[[diagonal, off], [off, half]], [[half, off], [off, half]], [[half, off], [off, diagonal]]])
-    index = np.concatenate([[0], np.ones(m - 3, int), [2]])
+    ends = np.array([[[diagonal, off], [off, half]], [[half, off], [off, half]], [[half, off], [off, diagonal]]])
+    tables = ends[np.concatenate([[0], np.ones(m - 3, int), [2]])]
+    loads = np.zeros((m - 1, 1, 2))
+    loads[:, 0, 0] = b[:-1]
+    loads[-1, 0, 1] = b[-1]
     grid = geometry.StructuredGrid(dim=1, origin=(0.0,), h=1.0, cells=(m - 1,))
-    return solver.SparseSystem(tables, index, b, np.zeros(m, bool), grid)
+    system = solver.SparseSystem(tables, np.arange(m - 1), loads, np.zeros(m, bool), grid)
+    assert system.rhs.tobytes() == np.asarray(b, float).tobytes()
+    return system
 
 
 def _interval_system(n=96, a=0.04):
@@ -308,13 +315,14 @@ class TestSolveSpd:
 
     def test_nonpositive_free_diagonal_is_refused(self):
         system, _, _ = _interval_system()
-        tables = system.tables[system.index]  # one table per cell
+        tables = system.tables[system.index]  # one table per cell, and so one load table
+        loads = system.loads[system.index]
         index = np.arange(len(tables))
         tables[0, 0, 0] = -1.0  # node 0, a Dirichlet node, lies in cell 0 alone: not checked
-        solver.solve_spd(dataclasses.replace(system, tables=tables, index=index))
+        solver.solve_spd(dataclasses.replace(system, tables=tables, index=index, loads=loads))
         tables[4, 1, 1] = tables[5, 0, 0] = 0.0  # node 5's diagonal, from cells 4 and 5
         with pytest.raises(NonConvergenceError, match="^nonpositive diagonal entry; system not SPD$"):
-            solver.solve_spd(dataclasses.replace(system, tables=tables, index=index))
+            solver.solve_spd(dataclasses.replace(system, tables=tables, index=index, loads=loads))
 
     def test_corrupted_stencil_corner_stops_at_the_cap(self):
         # every node's NE corner entry with the wrong sign, as one wrong corner in
@@ -343,7 +351,7 @@ class TestSolveSpd:
         assert first.iterations == second.iterations > 0
         assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
         with pytest.raises(dataclasses.FrozenInstanceError):
-            system.rhs = np.zeros(system.n)
+            system.loads = np.zeros_like(system.loads)
 
     def test_boxed_annulus_folds_anew_for_each_solve(self, built_hierarchies):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
@@ -367,7 +375,10 @@ class TestSolveSpd:
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         system = solver.assemble(solver.problem_grid(ann, 0.04, 0.025), ann, 0.04)
         field = solver.solve_spd(system)
-        scaled = solver.solve_spd(dataclasses.replace(system, rhs=system.rhs * scale))
+        scaled_system = dataclasses.replace(system, loads=system.loads * scale)
+        # the scaled load tables sum to the scaled loads, bit for bit
+        assert scaled_system.rhs.tobytes() == (system.rhs * scale).tobytes()
+        scaled = solver.solve_spd(scaled_system)
         assert scaled.iterations == field.iterations == 7
         for c, c_scaled in zip(field.components, scaled.components):
             if math.frexp(scale)[0] == 0.5:
@@ -548,12 +559,15 @@ class TestQuadrantSolve:
                     b_x[node] *= 2.0
                 if images:
                     b_y = b_x.T
-            system = dataclasses.replace(system, rhs=np.concatenate([b_x.ravel(), b_y.ravel()]))
-        if case == "constant-probe":
-            field = solver.homogeneous_boundary_probe(system, np.ones(system.n))
+            # no load table on this symmetric index gives these node loads, so they go
+            # to the one solve behind solve_spd and the probes as they are
+            loads = np.concatenate([b_x.ravel(), b_y.ravel()])
+            iterations = solver._solve(system, lambda: loads)[1]
+        elif case == "constant-probe":
+            iterations = solver.homogeneous_boundary_probe(system, np.ones(system.n)).iterations
         else:
-            field = solver.solve_spd(system)
-        assert field.iterations > 0
+            iterations = solver.solve_spd(system).iterations
+        assert iterations > 0
         assert built_hierarchies == [system.multigrid]
 
 
@@ -674,7 +688,11 @@ def _component_iterations(system):
     for c in range(system.n_components):
         rhs = np.zeros(system.n)
         rhs[c * m:(c + 1) * m] = system.rhs[c * m:(c + 1) * m]
-        counts.append(solver.solve_spd(dataclasses.replace(system, rhs=rhs)).iterations)
+        loads = np.zeros_like(system.loads)
+        loads[:, c] = system.loads[:, c]
+        alone = dataclasses.replace(system, loads=loads)
+        assert alone.rhs.tobytes() == rhs.tobytes()
+        counts.append(solver.solve_spd(alone).iterations)
     return counts
 
 
@@ -1240,7 +1258,9 @@ class TestMultigrid:
         vectors with stored prolongations and at 1.58 on node-length vectors
         without them.  Sums written straight into diagonals peak at 1.23, the
         solve with strip-local transfers at 1.14, and with every level in
-        diagonals at 1.04.
+        diagonals at 1.04.  From before the assembly through the symmetric
+        solve, the peak was 0.58 blocks while the system kept both node loads
+        through the quadrant CG, and is 0.42 with per-cell load tables alone.
         """
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
         grid = solver.problem_grid(ann, 0.02, np.sqrt(0.02) / 8)
@@ -1255,9 +1275,11 @@ class TestMultigrid:
             solve_peak = tracemalloc.get_traced_memory()[1] - held
         finally:
             tracemalloc.stop()
+        through_peak = max(assemble_peak, held + solve_peak)
         block_bytes = _csr_bytes(system.block)
         assert assemble_peak < 3.0 * block_bytes
         assert solve_peak < 2.5 * block_bytes
+        assert through_peak < 0.5 * block_bytes
 
     def test_probe_with_data_on_both_components(self):
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
@@ -1269,7 +1291,7 @@ class TestMultigrid:
         assert field.iterations > 0
         flat = np.concatenate([c.ravel() for c in field.components])
         assert np.array_equal(flat[system.dirichlet_mask], data[system.dirichlet_mask])
-        ref = _direct_reference(dataclasses.replace(system, rhs=np.zeros(system.n)), data)
+        ref = _direct_reference(dataclasses.replace(system, loads=np.zeros_like(system.loads)), data)
         assert np.max(np.abs(flat - ref)) <= 1e-8 * np.max(np.abs(ref))
 
     def test_repeat_solves_bit_identical(self):
