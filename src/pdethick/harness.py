@@ -156,9 +156,15 @@ def run_general_l2_case(shape: ShapeSpec, a: float) -> SweepSample:
             f"h = {h} violates the resolution floor h <= sqrt(a)/{REQUIRED_LAYERS_PER_SQRT_A} = {limit}"
         )
     field = solver.solve_spd(system)
+    classification = system.classification
+    del system  # and any whole-grid block and hierarchy it keeps
+    # each stage frees the one before as it forms, so the thickness stage holds no field
     div = thickness.divergence(field)
-    inv = thickness.inverse_thickness(div, a, system.classification)
+    del field
+    inv = thickness.inverse_thickness(div, a, classification)
+    del div
     norms = thickness.error_norms(inv, 1.0 / shape.thickness)
+    del inv
     slack = 2.0 * h / shape.thickness**2
     return SweepSample(a=a, error=norms.l2_on_omega, bound=bound, slack=slack)
 

@@ -31,11 +31,11 @@ boundary; the homogeneous-equation decay makes the truncation error at most
 ~exp(-28) < 1e-12, below solver tolerance.
 
 Every system is solved by one preconditioned conjugate-gradient loop, one
-vector component at a time, except where a 2D system and its loads are
-symmetric under both reflections and the transpose, as the boxed annulus's
-are: there CG runs once, on the first component folded onto a quarter of the
-grid by its parity, odd in x and even in y, and the second component is the
-first's transpose (Bossavit, *SIAM J. Appl. Math.* 53, 1993).  CG is
+vector component at a time, each folded on every axis of its 2D grid where
+the system and that component's load mirror exactly (Bossavit, *SIAM J.
+Appl. Math.* 53, 1993): a cosine band solves on half a period, at an odd or
+even node count, and the boxed annulus on a quarter of its grid, its second
+component the first's transpose.  CG is
 preconditioned by a geometric multigrid V-cycle on its uniform grid, whether
 1D, radial or 2D (Briggs, Henson & McCormick,
 *A Multigrid Tutorial*, 2nd ed., SIAM 2000): linear or bilinear
@@ -58,20 +58,24 @@ seam.  Coarse operators are formed stencil by stencil, axis by axis.  CG
 and every level work on vectors over all nodes of their grid, 0 on the
 fixed nodes, so no block restricted to the free nodes and no 2D
 prolongation is stored.  A system keeps per-cell data and no node loads,
-forms its block on the first read, which a quadrant solve never makes, and
+forms its block on the first read, which a folded solve never makes, and
 keeps its whole-grid hierarchy, so its element matrices and Dirichlet nodes
-must not change after its first solve; a quadrant and its hierarchy live
-for one solve, and the whole loads are dropped before its fold.  CG sums in
-NumPy's einsum loop, not BLAS, so repeated solves get the same bits on one
-platform at any thread count, whatever runs beside them.
+must not change after its first solve; a folded block and its hierarchy
+live for one solve, and the whole loads are dropped before the fold.  CG sums in
+NumPy's einsum loop, not BLAS, and the coarsest level is inverted on one BLAS
+thread, so repeated solves get the same bits on one platform at any thread
+count, whatever runs beside them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import itertools
 import math
+import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional, TextIO, Tuple, Union
 
 import numpy as np
@@ -90,8 +94,10 @@ MIN_CELLS_ACROSS = 4
 
 #: Hard cap on the nodes of a solve grid (documented limit, checked before any
 #: array exists): a 2D solve on the whole grid at the cap peaks near 3.3 GB,
-#: at about 99 bytes per unknown (2 a node) above the import; a boxed annulus
-#: solved on its quadrant at about 24-26 (29 at 0.6M unknowns, a = 0.005).
+#: at about 99-109 bytes per unknown (2 a node) above the import; the wavy
+#: band folded onto half its period at about 53 (1.7M and 3.5M unknowns, at
+#: a = 1.5625e-4 and 7.8125e-5), and a boxed annulus folded onto its quadrant
+#: at about 25-28 (28.5 at 0.6M unknowns, a = 0.005).
 MAX_NODES = 1 << 24
 
 _GAUSS_OFFSET = 0.5 / math.sqrt(3.0)  # 2-point Gauss offsets from the midpoint
@@ -119,11 +125,9 @@ class SparseSystem:
     stored zeros.  ``multigrid``, the V-cycle hierarchy, is built on the
     first solve that runs on the whole grid and reused, so neither the
     element matrices nor the Dirichlet nodes may change after that solve.
-    On a 2D system whose ``index`` and Dirichlet nodes are symmetric under
-    both reflections and the transpose (:func:`_is_symmetric`), a solve
-    whose loads have that symmetry folds the system onto the quadrant
-    x, y >= 0 (:func:`_fold`) for that solve alone, keeps nothing of it,
-    and never forms ``block``.
+    A solve folds each component of a 2D system on every axis where
+    ``index``, the Dirichlet nodes and its load mirror (:func:`_parity`),
+    for that solve alone, and keeps nothing of the fold.
 
     ``matrix`` (the full operator as that CSR, built anew on each read) and
     the full-length ``dirichlet_mask`` stay because the benchmark's span
@@ -440,10 +444,11 @@ _GRAD_Y = np.array([-0.5, -0.5, 0.5, 0.5])
 _CORNERS = {1: [(0,), (1,)], 2: [(0, 0), (0, 1), (1, 1), (1, 0)]}
 
 
-def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entries, lower=()) -> np.ndarray:
+def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entries, keep=()) -> np.ndarray:
     """Each node's sum of the entries of the cells around it, node-shaped,
-    over the nodes from the node indices ``lower`` (slowest axis first,
-    none for the whole grid) up, at node column 0 on a periodic grid.
+    over the nodes ``keep`` (a ``slice(start, stop)`` of node indices per
+    axis, slowest axis first, none for the whole grid), a periodic axis
+    kept from node 0.
 
     ``index``, shaped like the cells slowest axis first, picks each cell's
     table; an index of ``len(tables)`` carries nothing.  ``entries(tables,
@@ -463,7 +468,7 @@ def _node_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, entr
     padded[tuple(slice(1, 1 + c) for c in index.shape)] = index
     if grid.periodic_x:
         padded[1:-1, 0] = index[:, -1]
-    padded = padded[tuple(slice(start, None) for start in lower)]
+    padded = padded[tuple(slice(k.start, k.stop + 1) for k in keep)]
     counts = tuple(n - 1 for n in padded.shape)
     tables = np.concatenate([tables, np.zeros((1,) + tables.shape[1:])])
     terms = []
@@ -538,9 +543,9 @@ def _read_stencil(A: sp.dia_matrix, here, free: np.ndarray) -> np.ndarray:
     return vals
 
 
-def _stencil_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, lower=()):
+def _stencil_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, keep=()):
     """Each node's stencil entries, one node-shaped sum (:func:`_node_sums`,
-    from ``lower`` up) per stencil offset in ``itertools.product((-1, 0, 1))``
+    over the nodes ``keep``) per stencil offset in ``itertools.product((-1, 0, 1))``
     order, formed one at a time as they are read."""
     corners = _CORNERS[grid.dim]
 
@@ -549,7 +554,7 @@ def _stencil_sums(grid: StructuredGrid, tables: np.ndarray, index: np.ndarray, l
             node = tuple(d - c for d, c in zip(delta, cell))
             return tables[:, corner, corners.index(node)] if node in corners else None
 
-        return _node_sums(grid, tables, index, entries, lower)
+        return _node_sums(grid, tables, index, entries, keep)
 
     return map(sums, itertools.product((-1, 0, 1), repeat=grid.dim))
 
@@ -732,7 +737,8 @@ class _Multigrid:
     nodes.  Each is formed in float64 from the float64 level above (the
     block, a CSR one through ``todia()``, on the finest); every level is then
     stored, and the cycle run, in float32.  The coarsest level has a dense
-    inverse over its free nodes, in float64 where it is the whole hierarchy.
+    inverse over its free nodes (:func:`_dense_inverse`), in float64 where
+    it is the whole hierarchy.
     Equal sweeps before and after each coarse correction keep the cycle
     symmetric to float32 rounding.  A free node whose diagonal entry
     is not positive raises :class:`NonConvergenceError`: not SPD.
@@ -753,7 +759,7 @@ class _Multigrid:
             self.levels.append((A.astype(np.float32), weight, np.flatnonzero(~free), factors, tuple(P.T for P in factors)))
             A, free = coarse, coarse_free
         self.coarse_free = np.flatnonzero(free)
-        inverse = np.linalg.inv(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
+        inverse = _dense_inverse(A.tocsr()[self.coarse_free][:, self.coarse_free].toarray())
         self.coarse_inverse = inverse.astype(np.float32 if self.levels else np.float64, copy=False)
 
     def __call__(self, r: np.ndarray) -> np.ndarray:
@@ -782,6 +788,37 @@ class _Multigrid:
         return x
 
 
+@cache
+def _openblas_threads():
+    """The thread-count getter and setter of the OpenBLAS that NumPy's wheel
+    bundles (``scipy_openblas`` since NumPy 2.0, ``openblas`` before), or
+    None where NumPy runs another BLAS."""
+    here = os.path.dirname(np.__file__)
+    for path in glob.glob(os.path.join(here, ".dylibs", "*openblas*")) + glob.glob(os.path.join(here + ".libs", "*openblas*")):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads", "openblas_{}_num_threads64_", "openblas_{}_num_threads"):
+            if hasattr(lib, name.format("set")):
+                return getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+    return None
+
+
+def _dense_inverse(A: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(A)`` on one BLAS thread, so that its bits do not depend
+    on the thread count: OpenBLAS splits the LU factorization of 100 or more
+    float64 unknowns over its threads, which reorders its sums.  Under another
+    BLAS it runs as that BLAS is set up."""
+    threads = _openblas_threads()
+    if threads is None:
+        return np.linalg.inv(A)
+    get, set_threads = threads
+    count = get()
+    set_threads(1)
+    try:
+        return np.linalg.inv(A)
+    finally:
+        set_threads(count)
+
+
 def _residual(A: sp.spmatrix, r: np.ndarray, x: np.ndarray) -> np.ndarray:
     """``r - A @ x`` in the product's own storage."""
     t = A @ x
@@ -796,57 +833,129 @@ def _smooth(A: sp.spmatrix, weight: np.ndarray, r: np.ndarray, x: np.ndarray) ->
     x += t
 
 
-@dataclass(frozen=True, eq=False)
-class _Quadrant:
-    """A system's block folded onto its quadrant (:func:`_fold`), on the
-    quadrant's own grid, Dirichlet nodes flat; built for one solve, which
-    builds its ``multigrid``, and freed with it once that solve returns."""
+def _axis_mirror(n: int, periodic: bool, parity: int):
+    """The mirror of an axis of ``n`` nodes for a component of ``parity`` (1
+    even, -1 odd, 0 not folded): the reversal of an open axis, or x -> -x on
+    a ring, whose lines are node 0 and node ``n/2``, or half a cell beyond
+    node ``(n - 1)/2`` for odd ``n``.  Returns the parity, the nodes kept
+    (all where it is 0), the nodes dropped and their images among the kept
+    ones, as slices, and each mirror line at an end of the kept nodes as
+    ``(end, outward, on_node)``: the end's kept index, the step out of the
+    kept nodes there, and whether the line is on that node."""
+    c = n // 2
+    if not parity:
+        return parity, slice(0, n), None, None, ()
+    if periodic:
+        return parity, slice(0, c + 1), slice(c + 1, n), slice(n - c - 1, 0, -1), ((0, -1, True), (-1, 1, n % 2 == 0))
+    return parity, slice(c, n), slice(0, c), slice(n - 1, n - 1 - c, -1), ((0, -1, n % 2 == 1),)
 
-    block: sp.dia_matrix
-    dirichlet_nodes: np.ndarray
-    grid: StructuredGrid
 
-    @cached_property
-    def multigrid(self) -> _Multigrid:
-        return _Multigrid(self.block, self.grid, ~self.dirichlet_nodes)
+def _parity(system: SparseSystem, b: np.ndarray, axis: int) -> int:
+    """1 or -1 where ``system`` is 2D, its ``index`` and Dirichlet nodes equal
+    their mirror images along ``axis`` and the node load ``b`` is even or odd
+    there, all exactly; 0 otherwise.  A ring's image keeps node 0."""
+    if system.grid.dim != 2 or not np.array_equal(system.index, np.flip(system.index, axis)):
+        return 0
+    periodic = system.grid.periodic_x and axis == b.ndim - 1
+    image = lambda a: np.roll(np.flip(a, axis), 1, axis) if periodic else np.flip(a, axis)
+    fixed = system.dirichlet_nodes.reshape(b.shape)
+    if not np.array_equal(fixed, image(fixed)):
+        return 0
+    mirrored = image(b)
+    return 1 if np.array_equal(b, mirrored) else -1 if np.array_equal(b, 0.0 - mirrored) else 0
 
 
-def _is_symmetric(system: SparseSystem) -> bool:
-    """Whether ``system`` is 2D on an open grid of equal, odd node counts, with
-    ``index`` and Dirichlet nodes equal to their x-mirror, y-mirror and transpose."""
-    grid = system.grid
-    counts = grid.node_counts()[::-1]
-    if grid.dim != 2 or grid.periodic_x or counts[0] != counts[1] or counts[0] % 2 == 0:
+def _is_transposed(system: SparseSystem, loads: np.ndarray) -> bool:
+    """Whether ``system`` is 2D on a square open grid, its ``index`` and
+    Dirichlet nodes equal their transposes, and of its node ``loads`` (by
+    component) the second is the first's transpose: then so is the solution."""
+    counts = loads.shape[1:]
+    if system.n_components != 2 or system.grid.periodic_x or counts[0] != counts[1]:
         return False
-    masks = (system.index, system.dirichlet_nodes.reshape(counts))
-    return all(np.array_equal(m, image) for m in masks for image in (m[:, ::-1], m[::-1], m.T))
+    fixed = system.dirichlet_nodes.reshape(counts)
+    return np.array_equal(loads[1], loads[0].T) and all(np.array_equal(m, m.T) for m in (system.index, fixed))
 
 
-def _fold(system: SparseSystem) -> _Quadrant:
-    """The block of a symmetric system on its quadrant ``[c:, c:]``, ``c = n // 2``,
-    for a component odd in x and even in y: ``E^T A E / 4``, where ``E``
-    unfolds the quadrant by that parity, so the folded block is symmetric.
+def _mirror_fold(system: SparseSystem, b: np.ndarray):
+    """The node load ``b`` folded on every axis where :func:`_parity` passes
+    it: each axis's :func:`_axis_mirror`, the load on the kept nodes, halved
+    on a node mirror line where it is even, the fixed nodes there, a node
+    mirror line where it is odd fixed too, and a function that gives the
+    folded block and its hierarchy (:func:`_folded_block`).  Folded on no
+    axis, the load is ``b`` itself, under the system's block and hierarchy."""
+    periodic = [False] * (b.ndim - 1) + [system.grid.periodic_x]
+    mirrors = [_axis_mirror(n, p, _parity(system, b, axis)) for axis, (n, p) in enumerate(zip(b.shape, periodic))]
+    fixed = system.dirichlet_nodes.reshape(b.shape)
+    if not any(m[0] for m in mirrors):
+        return mirrors, b, fixed, lambda: (system.block, system.multigrid)
+    keep = tuple(m[1] for m in mirrors)
+    load, fixed = b[keep].copy(), fixed[keep].copy()
+    for axis, (parity, _, _, _, lines) in enumerate(mirrors):
+        for end, _, on_node in lines:
+            at = (slice(None),) * axis + (end,)
+            if on_node and parity < 0:
+                fixed[at] = True
+            elif on_node:
+                load[at] *= 0.5
 
-    Its stencils are the block's stencil sums over the quadrant's nodes
-    (:func:`_stencil_sums`), so the whole block is never formed.  On the
-    y = 0 row each y - h entry is folded onto its y + h mirror, and the row
-    is halved.  The x = 0 column, where the component is 0, is fixed.
+    def operator():
+        block, grid = _folded_block(system, mirrors, fixed)
+        return block, _Multigrid(block, grid, ~fixed.ravel())
+
+    return mirrors, load, fixed, operator
+
+
+def _folded_block(system: SparseSystem, mirrors, fixed: np.ndarray) -> Tuple[sp.dia_matrix, StructuredGrid]:
+    """The block folded by ``mirrors`` onto the kept nodes, ``fixed`` as
+    :func:`_mirror_fold` gives them, and the kept nodes' grid: ``E^T A E /
+    2^k`` for ``k`` folded axes, where ``E`` unfolds by the parities, so the
+    folded block is symmetric.
+
+    Its stencils are the block's stencil sums over the kept nodes
+    (:func:`_stencil_sums`), so the whole block is never formed.  Axis by
+    axis, slowest first: on a node mirror line where the component is even,
+    each entry towards a dropped node is folded onto its kept mirror's, and
+    the line is halved, and where it is odd the line is fixed; half a cell
+    before a mirror line, each entry across it is folded onto the same
+    node's entry along it, added where even and subtracted where odd.
     Couplings to fixed nodes are dropped as the block is written, the folded
-    ones with their mirrors', which are fixed alike by the gate's symmetry.
+    ones with their images', which the gate's symmetry fixes alike.
     """
     grid = system.grid
-    counts = grid.node_counts()[::-1]
-    c = counts[0] // 2
-    fixed = system.dirichlet_nodes.reshape(counts)[c:, c:].copy()
-    fixed[:, 0] = True
-    stencils = dict(zip(itertools.product((-1, 0, 1), repeat=2), _stencil_sums(grid, system.tables, system.index, (c, c))))
-    for d_x in (-1, 0, 1):  # :func:`_dia_block` drops the y = 0 row's y - h entries
-        stencils[1, d_x][0] += stencils[-1, d_x][0]
-    for stencil in stencils.values():
-        stencil[0] *= 0.5
-    block = _dia_block((c + 1, c + 1), False, stencils.values(), ~fixed)
-    origin = tuple(o + c * grid.h for o in grid.origin)
-    return _Quadrant(block, fixed.ravel(), StructuredGrid(dim=2, origin=origin, h=grid.h, cells=(c, c)))
+    keep = tuple(m[1] for m in mirrors)
+    stencils = dict(zip(itertools.product((-1, 0, 1), repeat=grid.dim), _stencil_sums(grid, system.tables, system.index, keep)))
+    for axis, (parity, _, _, _, lines) in enumerate(mirrors):
+        for end, outward, on_node in lines:
+            if on_node and parity < 0:
+                continue  # a fixed line
+            at = (slice(None),) * axis + (end,)
+            for delta, stencil in stencils.items():  # :func:`_dia_block` drops the outward entries
+                if delta[axis] == outward:
+                    stencils[delta[:axis] + (-outward if on_node else 0,) + delta[axis + 1:]][at] += parity * stencil[at]
+            if on_node:
+                for stencil in stencils.values():
+                    stencil[at] *= 0.5
+    periodic = grid.periodic_x and not mirrors[-1][0]
+    counts = fixed.shape[::-1]
+    cells = (counts[0] - (not periodic),) + tuple(n - 1 for n in counts[1:])
+    origin = tuple(o + k.start * grid.h for o, k in zip(grid.origin, keep[::-1]))
+    block = _dia_block(fixed.shape, periodic, stencils.values(), ~fixed)
+    return block, StructuredGrid(dim=grid.dim, origin=origin, h=grid.h, cells=cells, periodic_x=periodic)
+
+
+def _unfold(u: np.ndarray, v: np.ndarray, mirrors) -> None:
+    """Write into the node-shaped ``u`` the solution ``v`` on the kept nodes
+    and, axis by axis, its images on the dropped nodes by each parity, an
+    odd one as ``0.0 - v`` so no -0.0 appears."""
+    keep = tuple(m[1] for m in mirrors)
+    u[keep] = v
+    for axis, (parity, _, dropped, images, _) in enumerate(mirrors):
+        here = (slice(None),) * axis + (dropped,) + keep[axis + 1:]
+        there = (slice(None),) * axis + (images,) + keep[axis + 1:]
+        if parity > 0:
+            u[here] = u[there]
+        elif parity < 0:
+            np.subtract(0.0, u[there], out=u[here])
 
 
 def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
@@ -881,18 +990,21 @@ def _pcg(A, fixed, b, b_norm, precondition, x) -> int:
     )
 
 
-def _solve_load(system: Union[SparseSystem, _Quadrant], b: np.ndarray, x: np.ndarray) -> int:
-    """CG on one node load ``b`` of ``system``, fixed rows ignored, into ``x``;
-    returns the iterations.  The load is scaled by a power of two to a norm in
-    [0.5, 1), and its solution back, exactly, so the float32 cycle keeps its
-    range at any scale; CG overwrites ``b`` with its residual."""
-    b[system.dirichlet_nodes] = 0.0
+def _solve_load(b: np.ndarray, fixed: np.ndarray, operator, x: np.ndarray) -> int:
+    """CG on one node load ``b``, its ``fixed`` nodes ignored, into ``x``
+    under the block and hierarchy that ``operator()`` gives, asked for only
+    where ``b`` is not zero; returns the iterations.  The load is scaled by
+    a power of two to a norm in [0.5, 1), and its solution back, exactly, so
+    the float32 cycle keeps its range at any scale; CG overwrites ``b`` with
+    its residual."""
+    b[fixed] = 0.0
     b_norm = math.sqrt(np.einsum("i,i", b, b))
     if b_norm == 0.0:  # a zero load takes no iteration and builds no hierarchy
         return 0
     e = math.frexp(b_norm)[1]
     np.ldexp(b, -e, out=b)
-    iterations = _pcg(system.block, np.flatnonzero(system.dirichlet_nodes), b, math.ldexp(b_norm, -e), system.multigrid, x)
+    block, multigrid = operator()
+    iterations = _pcg(block, np.flatnonzero(fixed), b, math.ldexp(b_norm, -e), multigrid, x)
     np.ldexp(x, e, out=x)
     return iterations
 
@@ -902,37 +1014,34 @@ def _solve(system: SparseSystem, form_loads: Callable[[], np.ndarray]) -> Tuple[
     ignored: the solution, 0 on the Dirichlet nodes, and the summed
     iterations.  The loads are the solve's own: CG overwrites them.
 
-    Where :func:`_is_symmetric` holds, the first load is odd in x and even
-    in y, and the second is its transpose, CG runs on the first load folded
-    onto a quadrant (:func:`_fold`): the quadrant's load is copied and every
-    reference to the whole loads dropped before the fold, which is why they
-    are formed here and not passed in, and the quadrant is freed before the
-    output is allocated.  The solution is unfolded by that parity, the odd
-    half written as ``0.0 - u`` so no -0.0 appears, and the second component
-    is its transpose.  Any other loads are solved one component at a time.
+    Where :func:`_is_transposed` holds, only the first component is solved,
+    and the second is its transpose.  Each component solved is folded on
+    every axis it mirrors (:func:`_mirror_fold`), and CG runs on the kept
+    nodes under a block and hierarchy folded for it alone, or on the whole
+    grid under the system's where it mirrors on no axis.  The folded loads
+    are copied and every reference to the whole loads dropped before a
+    fold, which is why they are formed here and not passed in, and each
+    folded block is freed before the output is allocated and the solutions
+    unfolded into it (:func:`_unfold`).
     """
-    loads = form_loads()
-    if system.n_components == 2:
-        counts = system.grid.node_counts()[::-1]
-        b_x, b_y = loads.reshape((2,) + counts)
-        symmetric = np.array_equal(b_y, b_x.T) and np.array_equal(b_x, 0.0 - b_x[:, ::-1]) and np.array_equal(b_x, b_x[::-1])
-        if symmetric and _is_symmetric(system):
-            c = counts[0] // 2
-            load = b_x[c:, c:].copy()
-            del loads, b_x, b_y  # the quadrant's CG reads its own load alone
-            load[0] *= 0.5  # the y = 0 row, halved as the folded block's
-            v = np.zeros(load.shape)
-            iterations = _solve_load(_fold(system), load.ravel(), v.ravel())
-            x = np.zeros(system.n)  # once the quadrant and its hierarchy are freed
-            s_x, s_y = x.reshape((2,) + counts)
-            s_x[c:, c:] = v
-            s_x[:c, c:] = v[:0:-1]
-            np.subtract(0.0, s_x[:, :c:-1], out=s_x[:, :c])
-            s_y[...] = s_x.T
-            return x, iterations
+    counts = system.grid.node_counts()[::-1]
+    loads = form_loads().reshape((system.n_components,) + counts)
+    transposed = _is_transposed(system, loads)
+    folds = [_mirror_fold(system, b) for b in loads[:1 if transposed else None]]
+    del loads  # a folded CG reads its own load alone
+    solutions, iterations = [], 0
+    for mirrors, load, fixed, operator in folds:
+        v = np.zeros(load.shape)
+        iterations += _solve_load(load.ravel(), fixed.ravel(), operator, v.ravel())
+        solutions.append((v, mirrors))
+    del folds, load, fixed, operator
     x = np.zeros(system.n)
-    pairs = zip(loads.reshape(system.n_components, -1), x.reshape(system.n_components, -1))
-    return x, sum(_solve_load(system, load, xc) for load, xc in pairs)
+    components = x.reshape((system.n_components,) + counts)
+    for u, (v, mirrors) in zip(components, solutions):
+        _unfold(u, v, mirrors)
+    if transposed:
+        components[1] = components[0].T
+    return x, iterations
 
 
 def solve_spd(system: SparseSystem) -> DiscreteField:
@@ -943,11 +1052,11 @@ def solve_spd(system: SparseSystem) -> DiscreteField:
     hierarchy ``system.multigrid``, so the element matrices and Dirichlet
     nodes must not change after the first solve; the first such solve
     forms ``system.block``.  The loads are formed from the system's per-cell
-    load tables (``system.rhs``) for this solve alone.  Where the system and
-    its loads have the boxed annulus's symmetry, CG runs once, on a quadrant
-    folded for this solve alone under its own hierarchy, neither kept nor
-    the whole loads held while it runs, the rest of the field is unfolded
-    from it (:func:`_solve`), and the whole block is never formed.
+    load tables (``system.rhs``) for this solve alone.  A component whose
+    load mirrors with the system on an axis is solved folded, under a block
+    and hierarchy of its own that are not kept, nor the whole loads held
+    while it runs, and unfolded (:func:`_solve`); where every component
+    folds, or is the transpose of one, the whole block is never formed.
     Each solve iterates until ||r_k|| <= REL_TOL * ||b_k||, 0 times for a
     zero load; more than ``MAX_ITERATIONS``, at any size, raise
     :class:`NonConvergenceError`: a healthy V-cycle needs far fewer, so it
@@ -968,10 +1077,10 @@ def homogeneous_boundary_probe(
     side is zeroed, which turns the assembled system into the homogeneous
     equation used by the maximum-principle and interior-estimate checks.
     It reuses the whole-grid hierarchy as :func:`solve_spd` does; -0.0 data
-    give +0.0.  The lifted loads ``0 - block @ g`` seldom keep the exact
-    symmetry the quadrant solve needs, since the diagonal product sums
-    mirrored rows in another order, so a probe mostly solves on the whole
-    grid; where one keeps it, its quadrant is folded anew and not kept.
+    give +0.0.  The lifted loads ``0 - block @ g`` mirror only where the
+    diagonal product sums mirrored rows in the same order, so the boxed
+    annulus's probes solve on the whole grid, while a flat band's fold on
+    the axes where they mirror exactly, anew for each probe.
     """
     values = np.asarray(boundary_values, dtype=float).ravel()
     if values.size != system.n:

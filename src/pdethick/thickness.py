@@ -43,12 +43,22 @@ def divergence(field: DiscreteField) -> np.ndarray:
         r_mid = 0.5 * (r[:-1] + r[1:])
         s_mid = 0.5 * (s[:-1] + s[1:])
         return slope + s_mid / r_mid
+    # ((se + ne) - (sw + nw)) / (2h) + ((nw + ne) - (sw + se)) / (2h), in that
+    # order, accumulated in place so that three cell arrays are alive at most
     h = grid.h
     sw, se, ne, nw = _cell_corners(grid, field.components[0])
-    dsx = ((se + ne) - (sw + nw)) / (2 * h)
+    div = se + ne
+    part = sw + nw
+    div -= part
+    div /= 2 * h
     sw, se, ne, nw = _cell_corners(grid, field.components[1])
-    dsy = ((nw + ne) - (sw + se)) / (2 * h)
-    return dsx + dsy
+    np.add(sw, se, out=part)
+    dsy = nw + ne
+    dsy -= part
+    del part
+    dsy /= 2 * h
+    div += dsy
+    return div
 
 
 @dataclass(frozen=True)

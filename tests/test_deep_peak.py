@@ -16,14 +16,16 @@ def test_one_cold_solve_prints_its_line(monkeypatch):
     fields = dict(item.split("=") for item in line.split())
     assert list(fields) == [
         "a", "nodes", "unknowns", "iterations", "seconds",
-        "import_mib", "assemble_mib", "peak_mib", "bytes_per_unknown",
+        "import_mib", "assemble_mib", "solve_mib", "divergence_mib", "norms_mib", "bytes_per_unknown",
     ]
     # h = sqrt(0.04) / 8 on the box [-2.5, 2.5]^2: 200 cells a side
     assert float(fields["a"]) == 0.04
     assert int(fields["nodes"]) == 201 * 201 and int(fields["unknowns"]) == 2 * 201 * 201
     assert 0 < int(fields["iterations"]) <= 100
-    imported, assembled, peak = (float(fields[k]) for k in ("import_mib", "assemble_mib", "peak_mib"))
-    assert 0 < imported <= assembled <= peak
+    stages = ("import_mib", "assemble_mib", "solve_mib", "divergence_mib", "norms_mib")
+    imported, assembled, solved, divided, peak = (float(fields[k]) for k in stages)
+    # ru_maxrss after each stage: the process's peak so far, so it never falls
+    assert 0 < imported <= assembled <= solved <= divided <= peak
     # from the unrounded peaks, each printed to 0.05 MiB
     per_unknown = (peak - imported) * 2**20 / int(fields["unknowns"])
     assert abs(float(fields["bytes_per_unknown"]) - per_unknown) <= 0.1 * 2**20 / int(fields["unknowns"]) + 0.05

@@ -177,8 +177,10 @@ class TestVerify:
             else:
                 assert check.passed, check.case
 
-    def test_max_principle_builds_one_hierarchy_per_system(self, built_hierarchies):
-        # ten probes over five systems: each system's probes share its hierarchy
+    def test_max_principle_builds_one_hierarchy_per_system(self, built_hierarchies, monkeypatch):
+        # ten probes over five systems: each system's probes share its whole-grid
+        # hierarchy, with every mirror refused (a folded probe builds its own)
+        monkeypatch.setattr(solver, "_parity", lambda system, b, axis: 0)
         check = harness._run_check("max-principle", harness.DEFAULT_SEED)
         assert check.passed and len(check.samples) == 10
         assert len(built_hierarchies) == 5

@@ -288,6 +288,13 @@ def test_radial_p_star_converges_at_second_order_down_to_small_a(a):
         assert ORDER_WINDOW[0] <= order <= ORDER_WINDOW[1], (errors, order)
 
 
+def _sine_band(L=1.0):
+    """The canonical wavy band with a sine term on its ceiling, which mirrors it
+    about no node line."""
+    ceiling = shapes.PeriodicBoundary(period=L, mean=1.5, cosine_coeffs=(0.1,), sine_coeffs=(0.05,))
+    return shapes.band_general(0.0, 1.0, shapes.PeriodicBoundary.constant(-0.5, L), ceiling, L=L)
+
+
 class TestSolveSpd:
     def test_identity_single_iteration(self):
         n = 40
@@ -342,11 +349,12 @@ class TestSolveSpd:
         assert np.array_equal(broken.block.data, want)
 
     def test_second_solve_reuses_the_hierarchy(self, built_hierarchies):
-        band = harness.canonical_wavy_band()
+        band = _sine_band()
         system = solver.assemble_2d(solver.problem_grid(band, 0.02, np.sqrt(0.02) / 8), band, 0.02)
         first = solver.solve_spd(system)
         second = solver.solve_spd(system)
-        # the wavy band solves on the whole grid, under the one hierarchy it keeps
+        # a band with a sine term mirrors about no node line: it solves on the whole
+        # grid, under the one hierarchy it keeps
         assert built_hierarchies == [system.multigrid]
         assert first.iterations == second.iterations > 0
         assert all(c1.tobytes() == c2.tobytes() for c1, c2 in zip(first.components, second.components))
@@ -453,23 +461,42 @@ def _box(a):
     return solver.assemble(solver.problem_grid(ann, a, np.sqrt(a) / 8), ann, a)
 
 
+def _refuse_every_mirror(monkeypatch):
+    """Make the gate refuse every mirror and the transpose: each component
+    solves on the whole grid."""
+    monkeypatch.setattr(solver, "_parity", lambda system, b, axis: 0)
+    monkeypatch.setattr(solver, "_is_transposed", lambda system, loads: False)
+
+
+def _folded_blocks(monkeypatch):
+    """The list each folded block a solve forms is appended to, kept past the solve."""
+    blocks = []
+    fold = solver._folded_block
+    monkeypatch.setattr(solver, "_folded_block", lambda *args: (lambda out: blocks.append(out[0]) or out)(fold(*args)))
+    return blocks
+
+
+def _node_loads(system):
+    return system.rhs.reshape((system.n_components,) + system.grid.node_counts()[::-1])
+
+
 class TestQuadrantSolve:
     @pytest.mark.parametrize("a", [0.04, 0.005])
     def test_boxed_annulus_solves_once_on_its_quadrant(self, a, built_hierarchies, monkeypatch):
-        fold = solver._fold
-        quadrants = []  # each quadrant the solve folds, kept here past the solve
-        monkeypatch.setattr(solver, "_fold", lambda system: quadrants.append(fold(system)) or quadrants[-1])
+        folded = _folded_blocks(monkeypatch)
         system = _box(a)
         field = solver.solve_spd(system)
         s_x, s_y = field.components
         assert s_y.flags.c_contiguous and s_y.tobytes() == s_x.T.tobytes()
         assert np.array_equal(s_x, 0.0 - s_x[:, ::-1]) and np.array_equal(s_x, s_x[::-1])
         assert not any(np.any(np.signbit(c) & (c == 0.0)) for c in field.components)
-        assert len(quadrants) == 1 and built_hierarchies == [quadrants[0].multigrid]
-        folded = quadrants[0].block.tocsr()
+        c = system.grid.node_counts()[0] // 2
+        assert len(folded) == len(built_hierarchies) == 1
+        assert built_hierarchies[0].levels[0][0].shape == ((c + 1) ** 2,) * 2
+        folded = folded[0].tocsr()
         assert abs(folded - folded.T).max() == 0.0
         # the per-component solve on the whole grid
-        monkeypatch.setattr(solver, "_is_symmetric", lambda system: False)
+        _refuse_every_mirror(monkeypatch)
         full_system = _box(a)
         full = solver.solve_spd(full_system)
         assert built_hierarchies[1:] == [full_system.multigrid]
@@ -484,7 +511,8 @@ class TestQuadrantSolve:
         system = _box(0.005)
         solver.solve_spd(system)
         assert "block" not in vars(system)
-        got = solver._fold(system).block
+        mirrors, _, fixed, _ = solver._mirror_fold(system, _node_loads(system)[0])
+        got = solver._folded_block(system, mirrors, fixed)[0]
         assert "block" not in vars(system)
         counts = system.grid.node_counts()[::-1]
         c = counts[0] // 2
@@ -521,44 +549,36 @@ class TestQuadrantSolve:
         assert "block" not in vars(system)
         assert peak < 1.0 * 72 * math.prod(grid.node_counts())
 
-    def test_quadrant_needs_symmetric_labels_dirichlet_nodes_and_an_odd_square_grid(self):
+    def test_gate_needs_mirrored_labels_and_dirichlet_nodes(self):
         system = _box(0.04)
-        assert solver._is_symmetric(system)
+        b_x = _node_loads(system)[0]
+        assert [solver._parity(system, b_x, axis) for axis in (0, 1)] == [1, -1]
         labels = system.index.copy()
         labels[0, 1] = geometry.CellLabel.OUTSIDE
-        assert not solver._is_symmetric(dataclasses.replace(system, index=labels))
+        assert [solver._parity(dataclasses.replace(system, index=labels), b_x, axis) for axis in (0, 1)] == [0, 0]
         dirichlet = system.dirichlet_nodes.copy()
         dirichlet[np.flatnonzero(~dirichlet)[0]] = True
-        assert not solver._is_symmetric(dataclasses.replace(system, dirichlet_nodes=dirichlet))
+        assert [solver._parity(dataclasses.replace(system, dirichlet_nodes=dirichlet), b_x, axis) for axis in (0, 1)] == [0, 0]
+        # an even node count puts the mirror line mid-cell: the gate passes it too
         ann = shapes.annulus_general(1.0, 2.0, 2.5)
-        even = geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=5.0 / 51, cells=(51, 51))
-        assert not solver._is_symmetric(solver.assemble(even, ann, 0.04))
+        even = solver.assemble(geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=5.0 / 51, cells=(51, 51)), ann, 0.04)
+        assert [solver._parity(even, _node_loads(even)[0], axis) for axis in (0, 1)] == [1, -1]
 
-    @pytest.mark.parametrize(
-        "case", ["wavy-band", "flat-band", "one-entry", "not-odd-in-x", "not-even-in-y", "not-transposed", "constant-probe"]
-    )
+    @pytest.mark.parametrize("case", ["wavy-band", "one-entry", "constant-probe"])
     def test_other_systems_and_loads_solve_on_the_whole_grid(self, case, built_hierarchies):
         if case == "wavy-band":
-            band = harness.canonical_wavy_band()
+            band = _sine_band()
             system = solver.assemble(solver.problem_grid(band, 0.02, np.sqrt(0.02) / 8), band, 0.02)
-        elif case == "flat-band":
-            band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
-            system = solver.assemble(solver.problem_grid(band, 0.04, 1.0 / 16), band, 0.04)
         else:
             system = _box(0.04)
-        if case in ("one-entry", "not-odd-in-x", "not-even-in-y", "not-transposed"):
-            # double one nonzero x load entry, off both center lines, with the mirror
-            # images that keep every symmetry but the one the case names
-            b_x, b_y = system.rhs.reshape((2,) + system.grid.node_counts()[::-1]).copy()
+        if case == "one-entry":
+            # double one nonzero x load entry, off both center lines, and its transposed
+            # y entry: the loads mirror on neither axis, and the second is the first's
+            # transpose, solved on the whole grid
+            b_x, b_y = _node_loads(system).copy()
             j, i = np.argwhere(b_x != 0.0)[0]
-            if case == "not-transposed":
-                b_y[i, j] *= 2.0
-            else:
-                images = {"one-entry": [], "not-odd-in-x": [(-1 - j, i)], "not-even-in-y": [(j, -1 - i)]}[case]
-                for node in [(j, i)] + images:
-                    b_x[node] *= 2.0
-                if images:
-                    b_y = b_x.T
+            b_x[j, i] *= 2.0
+            b_y[i, j] *= 2.0
             # no load table on this symmetric index gives these node loads, so they go
             # to the one solve behind solve_spd and the probes as they are
             loads = np.concatenate([b_x.ravel(), b_y.ravel()])
@@ -569,6 +589,89 @@ class TestQuadrantSolve:
             iterations = solver.solve_spd(system).iterations
         assert iterations > 0
         assert built_hierarchies == [system.multigrid]
+
+    @pytest.mark.parametrize("case", ["flat-band", "not-odd-in-x", "not-even-in-y", "not-transposed", "even-grid"])
+    def test_a_load_folds_on_the_axes_it_mirrors(self, case, monkeypatch):
+        # per component solved, its parity per axis, y then x: 0 where it does not fold
+        if case == "flat-band":
+            band = shapes.band_general(0.0, 1.0, -1.0, 2.0, L=1.0)
+            system = solver.assemble(solver.problem_grid(band, 0.04, 1.0 / 16), band, 0.04)
+        elif case == "even-grid":
+            ann = shapes.annulus_general(1.0, 2.0, 2.5)
+            grid = geometry.StructuredGrid(dim=2, origin=(-2.5, -2.5), h=5.0 / 51, cells=(51, 51))
+            system = solver.assemble(grid, ann, 0.04)
+        else:
+            system = _box(0.04)
+        b_x, b_y = _node_loads(system).copy()
+        if case in ("not-odd-in-x", "not-even-in-y", "not-transposed"):
+            # double one nonzero x load entry, off both center lines, with the mirror
+            # images that keep every symmetry but the one the case names
+            j, i = np.argwhere(b_x != 0.0)[0]
+            if case == "not-transposed":
+                b_y[i, j] *= 2.0
+            else:
+                for node in [(j, i), {"not-odd-in-x": (-1 - j, i), "not-even-in-y": (j, -1 - i)}[case]]:
+                    b_x[node] *= 2.0
+                b_y = b_x.T
+        want = {
+            "flat-band": [[1, 1], [-1, 1]],  # no x load, and a y load odd in y
+            "not-odd-in-x": [[1, 0]],
+            "not-even-in-y": [[0, -1]],
+            "not-transposed": [[1, -1], [0, 0]],
+            "even-grid": [[1, -1]],  # both mirror lines mid-cell
+        }[case]
+        loads = np.stack([b_x, b_y])
+        solved = loads[:1] if solver._is_transposed(system, loads) else loads
+        assert [[solver._parity(system, b, axis) for axis in (0, 1)] for b in solved] == want
+        x = solver._solve(system, lambda: loads.ravel().copy())[0]
+        _refuse_every_mirror(monkeypatch)
+        full = solver._solve(system, lambda: loads.ravel().copy())[0]
+        assert np.max(np.abs(x - full)) <= 1e-8 * np.max(np.abs(full))
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("a, nx", [(0.1, 26), (0.02, 57)])
+    def test_cosine_band_solves_on_half_a_period(self, a, nx, built_hierarchies, monkeypatch):
+        # an even nx keeps nodes 0 to nx/2, both mirror lines on nodes; an odd nx keeps
+        # nodes 0 to (nx - 1)/2, its second mirror line half a cell beyond
+        band = harness.canonical_wavy_band()
+        system = solver.assemble(solver.problem_grid(band, a, harness.target_h(a)), band, a)
+        ny = system.grid.node_counts()[1]
+        assert system.grid.node_counts()[0] == nx
+        folded = _folded_blocks(monkeypatch)
+        field = solver.solve_spd(system)
+        s_x, s_y = field.components
+        assert not np.any(s_x) and not np.signbit(s_x).any()
+        # s_y even about node 0 of the ring, bit for bit, and no -0.0
+        assert np.array_equal(s_y[:, 1:], s_y[:, :0:-1]) and s_y[:, 1:].tobytes() == s_y[:, :0:-1].tobytes()
+        assert not np.any(np.signbit(s_y) & (s_y == 0.0))
+        # one fold, of s_y onto an open grid of 9 diagonals; s_x's zero load builds none
+        assert len(folded) == len(built_hierarchies) == 1 and "block" not in vars(system)
+        assert folded[0].shape == ((nx // 2 + 1) * ny,) * 2 and len(folded[0].offsets) == 9
+        block = folded[0].tocsr()
+        assert abs(block - block.T).max() == 0.0
+        assert _component_iterations(system)[0] == 0
+        _refuse_every_mirror(monkeypatch)
+        full = solver.solve_spd(solver.assemble(system.grid, band, a))
+        scale = max(float(np.max(np.abs(c))) for c in full.components)
+        for c, c_full in zip(field.components, full.components):
+            assert np.max(np.abs(c - c_full)) <= 1e-8 * scale
+
+    def test_narrow_cosine_band_converges_on_both_paths(self, monkeypatch):
+        # the period of 0.01 keeps 4 ring nodes, and the fold 3 open ones; neither
+        # axis coarsens below 5 nodes, so both paths carry the anisotropy of a narrow
+        # strip, and both converge (a period of 0.001 does not)
+        band = shapes.band_general(
+            0.0, 1.0, shapes.PeriodicBoundary.constant(-0.5, 0.01), shapes.PeriodicBoundary(0.01, 1.5, (0.1,)), L=0.01
+        )
+        grid = solver.problem_grid(band, 0.01, harness.target_h(0.01))
+        assert grid.node_counts() == (4, 843)
+        folded = solver.solve_spd(solver.assemble(grid, band, 0.01))
+        _refuse_every_mirror(monkeypatch)
+        whole = solver.solve_spd(solver.assemble(grid, band, 0.01))
+        assert folded.iterations == whole.iterations == 23
+        scale = np.max(np.abs(whole.components[1]))
+        assert np.max(np.abs(folded.components[1] - whole.components[1])) <= 1e-8 * scale
 
 
 class TestHomogeneousProbes:
@@ -1146,9 +1249,10 @@ class TestMultigrid:
             assert C[fixed_coarse].count_nonzero() == C[:, fixed_coarse].count_nonzero() == 0
 
     @pytest.mark.parametrize("case, counts", [("annulus", [7, 7]), ("wavy", [0, 7])])
-    def test_iterations_no_higher_than_with_product_formed_coarse_operators(self, case, counts):
+    def test_iterations_no_higher_than_with_product_formed_coarse_operators(self, case, counts, monkeypatch):
         # the per-component counts with coarse operators formed as CSR products
-        # P^T A P; a wrongly masked coarse stencil raises them first
+        # P^T A P, on the whole grid; a wrongly masked coarse stencil raises them first
+        _refuse_every_mirror(monkeypatch)
         if case == "annulus":
             shape, a = shapes.annulus_general(1.0, 2.0, 2.5), 0.04
         else:
@@ -1342,6 +1446,17 @@ def test_solve_imports_no_scipy_linalg():
     assert done.stdout.strip() == "[]"
 
 
+def _digests_at_one_and_two_blas_threads(code):
+    """What ``code`` prints, run in a fresh process at one and at two OpenBLAS threads."""
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        digests.append(done.stdout.strip())
+    return digests
+
+
 def test_probe_bytes_do_not_depend_on_the_blas_thread_count():
     """The boxed-annulus tail probe of ``max-principle`` gives the same field
     bytes in fresh processes at one and two OpenBLAS threads: CG's reductions
@@ -1357,10 +1472,23 @@ def test_probe_bytes_do_not_depend_on_the_blas_thread_count():
         field = solver.homogeneous_boundary_probe(system, harness._tail_data(system, shape, a))
         print(hashlib.sha256(b"".join(c.tobytes() for c in field.components)).hexdigest())
     """)
-    digests = []
-    for threads in ("1", "2"):
-        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(solver.__file__).parents[1]), OPENBLAS_NUM_THREADS=threads)
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        digests.append(done.stdout.strip())
+    digests = _digests_at_one_and_two_blas_threads(code)
+    assert digests[0] == digests[1]
+
+
+def test_folded_probe_bytes_do_not_depend_on_the_blas_thread_count():
+    """The flat band's tail probe of ``max-principle`` folds its second component
+    on both axes onto 207 free unknowns, too few for a coarse level: its dense
+    float64 inverse, which OpenBLAS factors over its threads from 100 unknowns
+    up, is formed on one thread, so the field bytes match at one and two."""
+    if harness._cpus() < 2:
+        pytest.skip("one CPU: OpenBLAS runs one thread at any setting")
+    code = textwrap.dedent("""
+        import hashlib
+        from pdethick import harness, solver
+        (_, system, data), = [p for p in harness._max_principle_probes(0.04) if p[0] == "band-tail"]
+        field = solver.homogeneous_boundary_probe(system, data)
+        print(field.iterations, hashlib.sha256(b"".join(c.tobytes() for c in field.components)).hexdigest())
+    """)
+    digests = _digests_at_one_and_two_blas_threads(code)
     assert digests[0] == digests[1]
